@@ -24,10 +24,6 @@ from .rng import DetRng
 from .spatial import NeighborTable, build_index, radius_neighbors
 
 
-def _freeze(obj, name: str, value) -> None:
-    object.__setattr__(obj, name, value)
-
-
 @dataclass(frozen=True)
 class MlpFilter:
     """Offset -> per-channel filter weight, as a tiny dense network.
@@ -55,7 +51,7 @@ class MlpFilter:
             b.setflags(write=False)
             frozen.append((w, b))
             prev = w.shape[1]
-        _freeze(self, "layers", tuple(frozen))
+        object.__setattr__(self, "layers", tuple(frozen))
 
     @property
     def out_dim(self) -> int:

@@ -118,6 +118,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise CheckpointError(
             f"params hold {ckpt.params.shape} values, layer specs need {expected}"
         )
+    if not np.all(np.isfinite(ckpt.params)):
+        raise CheckpointError("params contain non-finite values")
     lines = [
         f"task = {ckpt.task}",
         f"seed = {ckpt.seed}",

@@ -147,24 +147,19 @@ def _datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
 def cmd_gen_data(cfg: RunConfig, args) -> int:
     data_dir = cfg.get_str("data.dir")
     seed = args.seed if args.seed is not None else cfg.get_int("seed")
-    n_train = cfg.get_int("data.train")
-    n_test = cfg.get_int("data.test")
-    kind = cfg.get_str("data.kind")
-    points = cfg.get_int("data.points")
-    noise = cfg.get_float("data.noise", 0.0)
-    full = synth_dataset(kind, n_train + n_test, points, noise, seed)
+    train, test = _synth_split(cfg, seed)
     os.makedirs(data_dir, exist_ok=True)
     rows = []
-    for i, cloud in enumerate(full.clouds):
-        name = f"cloud_{i:04d}.xyz"
-        save_xyz(cloud, os.path.join(data_dir, name))
-        label = int(cloud.labels[0]) if full.task == CLASSIFICATION else -1
-        split = "train" if i < n_train else "test"
-        rows.append((name, label, split))
+    for split, ds in (("train", train), ("test", test)):
+        for cloud in ds.clouds:
+            name = f"cloud_{len(rows):04d}.xyz"
+            save_xyz(cloud, os.path.join(data_dir, name))
+            label = int(cloud.labels[0]) if ds.task == CLASSIFICATION else -1
+            rows.append((name, label, split))
     _write_manifest(
-        os.path.join(data_dir, "manifest.csv"), rows, full.task, full.num_classes
+        os.path.join(data_dir, "manifest.csv"), rows, train.task, train.num_classes
     )
-    print(f"wrote {len(full.clouds)} clouds ({n_train} train, {n_test} test) to {data_dir}")
+    print(f"wrote {len(rows)} clouds ({len(train)} train, {len(test)} test) to {data_dir}")
     return 0
 
 
@@ -426,28 +421,15 @@ def import_filters(path):
     )
 
 
-def _resolve_conv_geometry(spec: dict) -> tuple[float, int]:
-    grid = conv.grid_from_spacing(spec["k"], spec["a"])
-    radius = spec["r"] if spec.get("r") is not None else conv.default_radius(grid)
-    return float(radius), int(spec["cap"])
-
-
-def _build_pcc_stack(
-    specs: list[dict], task: str, hidden: list[int], rng: DetRng
+def _build_baseline_stack(
+    specs: list[dict], task: str, conv_layer, rng: DetRng
 ) -> nn.LayerStack:
+    """Stack from layer specs with every conv layer replaced by
+    conv_layer(spec, rng); other layers are built as by nn.build_stack."""
     layers: list[nn.Layer] = []
     for spec in specs:
-        kind = spec["type"]
-        if kind in ("deformable", "separable"):
-            radius, cap = _resolve_conv_geometry(spec)
-            d_in, d_out = spec["in"], spec["out"]
-            filt = baselines.mlp_filter_init(hidden, d_in, rng)
-            pointwise = rng.normals(d_in * d_out, 0.0, np.sqrt(1.0 / d_in)).reshape(
-                d_in, d_out
-            )
-            layer: nn.Layer = baselines.PccLayer(
-                radius, cap, filt, pointwise, np.zeros(d_out)
-            )
+        if spec["type"] in ("deformable", "separable"):
+            layer = conv_layer(spec, rng)
         else:
             layer = nn.build_stack([dict(spec, skip=0)], SEGMENTATION, rng=rng).layers[0]
         if spec.get("skip"):
@@ -456,24 +438,20 @@ def _build_pcc_stack(
     return nn.LayerStack(layers, task)
 
 
-def _build_voxel_stack(
-    specs: list[dict], task: str, pitch: float, rng: DetRng
-) -> nn.LayerStack:
-    layers: list[nn.Layer] = []
-    for spec in specs:
-        kind = spec["type"]
-        if kind in ("deformable", "separable"):
-            d_in, d_out = spec["in"], spec["out"]
-            w = rng.normals(d_in * d_out, 0.0, np.sqrt(2.0 / d_in)).reshape(d_in, d_out)
-            layer: nn.Layer = nn.ComposeLayer(
-                [baselines.VoxelSmoothLayer(pitch), nn.LinearLayer(w, np.zeros(d_out))]
-            )
-        else:
-            layer = nn.build_stack([dict(spec, skip=0)], SEGMENTATION, rng=rng).layers[0]
-        if spec.get("skip"):
-            layer = nn.ConcatSkipLayer(layer)
-        layers.append(layer)
-    return nn.LayerStack(layers, task)
+def _pcc_conv(spec: dict, rng: DetRng, hidden: list[int]) -> nn.Layer:
+    geom = nn._conv_spec(spec)
+    d_in, d_out = spec["in"], spec["out"]
+    filt = baselines.mlp_filter_init(hidden, d_in, rng)
+    pointwise = rng.normals(d_in * d_out, 0.0, np.sqrt(1.0 / d_in)).reshape(d_in, d_out)
+    return baselines.PccLayer(geom.radius, geom.cap, filt, pointwise, np.zeros(d_out))
+
+
+def _voxel_conv(spec: dict, rng: DetRng, pitch: float) -> nn.Layer:
+    d_in, d_out = spec["in"], spec["out"]
+    w = rng.normals(d_in * d_out, 0.0, np.sqrt(2.0 / d_in)).reshape(d_in, d_out)
+    return nn.ComposeLayer(
+        [baselines.VoxelSmoothLayer(pitch), nn.LinearLayer(w, np.zeros(d_out))]
+    )
 
 
 def cmd_compare_baselines(cfg: RunConfig, args) -> int:
@@ -493,8 +471,12 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
     try:
         stacks = {
             "deformable": nn.build_stack(specs, task, rng=DetRng(seed).spawn(1)),
-            "pcc": _build_pcc_stack(specs, task, hidden, DetRng(seed).spawn(2)),
-            "voxel": _build_voxel_stack(specs, task, pitch, DetRng(seed).spawn(3)),
+            "pcc": _build_baseline_stack(
+                specs, task, lambda s, r: _pcc_conv(s, r, hidden), DetRng(seed).spawn(2)
+            ),
+            "voxel": _build_baseline_stack(
+                specs, task, lambda s, r: _voxel_conv(s, r, pitch), DetRng(seed).spawn(3)
+            ),
         }
     except ValueError as exc:
         raise ConfigError(f"bad layer configuration: {exc}") from None

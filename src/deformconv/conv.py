@@ -35,13 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, _freeze
 from .spatial import NeighborTable
-
-
-def _freeze(obj, name: str, arr: np.ndarray) -> None:
-    arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -194,13 +189,8 @@ class ConvLayerSpec:
     """Geometry of one convolution: anchor grid, search radius, cap.
 
     The radius must cover the grid's support radius, otherwise points
-    the filter could still see would be cut off by the search. The
-    density-normalisation exponent is pinned to 1 (plain sum over the
-    neighbourhood); it is recorded here as a named constant rather than
-    a tunable.
+    the filter could still see would be cut off by the search.
     """
-
-    DENSITY_NORMALISATION = 1.0
 
     grid: AnchorGrid
     radius: float
@@ -330,7 +320,8 @@ def _anchor_sums(
     nbr: np.ndarray,
     ids: np.ndarray,
     w: np.ndarray,
-    counts: np.ndarray,
+    qid: np.ndarray,
+    num_queries: int,
     num_anchors: int,
 ) -> np.ndarray:
     """Weighted per-(query, anchor) feature sums for one query block:
@@ -338,24 +329,23 @@ def _anchor_sums(
         S[q, a, i] = sum over pairs of q and corners hitting anchor a of
                      trilinear weight * f_i(neighbour)
 
-    Built with bincount per channel, which accumulates in ascending
-    (pair, corner) order, i.e. ascending query, then stored neighbour
-    order; bit-identical across runs. Everything the forward pass and
-    the weight gradient need reduces to contractions of S.
+    ``qid`` is the block-local query id of each pair. Built with bincount
+    per channel, which accumulates in ascending (pair, corner) order,
+    i.e. ascending query, then stored neighbour order; bit-identical
+    across runs. Everything the forward pass and the weight gradient
+    need reduces to contractions of S.
     """
     p = nbr.shape[0]
     d_in = features.shape[1]
-    q = counts.shape[0]
-    qid_local = np.repeat(np.arange(q, dtype=np.int64), counts)
-    keys = (qid_local[:, None] * num_anchors + ids).ravel()
+    keys = (qid[:, None] * num_anchors + ids).ravel()
     fn = features[nbr]  # (P, in)
     vals = w[:, :, None] * fn[:, None, :]  # (P, 8, in)
     flat = vals.reshape(p * 8, d_in)
-    total = q * num_anchors
+    total = num_queries * num_anchors
     s = np.empty((total, d_in))
     for i in range(d_in):
         s[:, i] = np.bincount(keys, weights=flat[:, i], minlength=total)
-    return s.reshape(q, num_anchors, d_in)
+    return s.reshape(num_queries, num_anchors, d_in)
 
 
 def _query_blocks(starts: np.ndarray, pair_budget: int):
@@ -371,15 +361,62 @@ def _query_blocks(starts: np.ndarray, pair_budget: int):
         q0 = q1
 
 
-def _check_forward_args(features: np.ndarray, neighbors: NeighborTable, in_dim: int):
+def _block_pass(features, neighbors: NeighborTable, filt, contract, threads: int = 1):
+    """Call contract(q0, q1, nbr, ids, w, qid, S) once per query block.
+
+    A block covers queries [q0, q1); nbr are its pairs' neighbour rows,
+    (ids, w) their enclosing corners from _corner_gather, qid their
+    block-local query ids and S the block's anchor sums. The pair budget
+    keeps S near 4M values. Blocks without pairs are skipped. With
+    threads > 1 blocks run on a thread pool, so contract may then only
+    write rows [q0, q1) of its outputs; otherwise blocks run in
+    ascending order, which keeps accumulated sums bit-identical.
+    """
+    starts = neighbors.starts
+    counts = np.diff(starts)
+    num_anchors = filt.grid.num_anchors
+    budget = max(512, 4_000_000 // max(1, num_anchors * filt.in_dim))
+
+    def run_block(block):
+        q0, q1 = block
+        p0, p1 = int(starts[q0]), int(starts[q1])
+        if p0 == p1:
+            return
+        nbr = neighbors.indices[p0:p1]
+        ids, w = _corner_gather(neighbors.offsets[p0:p1], filt.grid)
+        qid = np.repeat(np.arange(q1 - q0, dtype=np.int64), counts[q0:q1])
+        s = _anchor_sums(features, nbr, ids, w, qid, q1 - q0, num_anchors)
+        contract(q0, q1, nbr, ids, w, qid, s)
+
+    blocks = list(_query_blocks(starts, budget))
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_block, blocks))
+    else:
+        for block in blocks:
+            run_block(block)
+
+
+def _check_args(features, neighbors: NeighborTable, filt, upstream=None):
+    """Validated float64 (features, upstream); upstream stays None when
+    not given, else must be (num_queries, out_dim)."""
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be (M, D'), got {features.shape}")
-    if features.shape[1] != in_dim:
+    if features.shape[1] != filt.in_dim:
         raise ValueError(
-            f"filter expects {in_dim} input channels, features have {features.shape[1]}"
+            f"filter expects {filt.in_dim} input channels, features have {features.shape[1]}"
         )
     if neighbors.num_pairs and int(neighbors.indices.max()) >= features.shape[0]:
         raise ValueError("neighbor table refers to points beyond the feature rows")
+    if upstream is None:
+        return features, None
+    up = np.asarray(upstream, dtype=np.float64)
+    if up.shape != (neighbors.num_queries, filt.out_dim):
+        raise ValueError(
+            f"upstream must be ({neighbors.num_queries}, {filt.out_dim}), got {up.shape}"
+        )
+    return features, up
 
 
 def forward_features(
@@ -395,33 +432,13 @@ def forward_features(
     contract against the anchor weight matrices in one tensordot:
     h[q] = sum_{a,i} S[q, a, i] * weights[a, i, :] (+ bias).
     """
-    features = np.asarray(features, dtype=np.float64)
-    _check_forward_args(features, neighbors, filt.in_dim)
-    q = neighbors.num_queries
-    out = np.zeros((q, filt.out_dim))
-    starts = neighbors.starts
-    all_counts = np.diff(starts)
-    d_in = filt.in_dim
-    budget = max(512, 4_000_000 // max(1, filt.grid.num_anchors * d_in))
+    features, _ = _check_args(features, neighbors, filt)
+    out = np.zeros((neighbors.num_queries, filt.out_dim))
 
-    def run_block(block):
-        q0, q1 = block
-        p0, p1 = int(starts[q0]), int(starts[q1])
-        if p0 == p1:
-            return
-        offs = neighbors.offsets[p0:p1]
-        nbr = neighbors.indices[p0:p1]
-        ids, w = _corner_gather(offs, filt.grid)
-        s = _anchor_sums(features, nbr, ids, w, all_counts[q0:q1], filt.grid.num_anchors)
+    def contract(q0, q1, nbr, ids, w, qid, s):
         out[q0:q1] = np.tensordot(s, filt.weights, axes=([1, 2], [0, 1]))
 
-    blocks = list(_query_blocks(starts, budget))
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
-    else:
-        for block in blocks:
-            run_block(block)
+    _block_pass(features, neighbors, filt, contract, threads)
     if filt.bias is not None:
         out += filt.bias
     return out
@@ -445,8 +462,7 @@ def oracle_forward_features(
     No enclosing-cell shortcut and no shared segment machinery with the
     fast path; kept simple on purpose so it can arbitrate.
     """
-    features = np.asarray(features, dtype=np.float64)
-    _check_forward_args(features, neighbors, filt.in_dim)
+    features, _ = _check_args(features, neighbors, filt)
     out = np.zeros((neighbors.num_queries, filt.out_dim))
     for i in range(neighbors.num_queries):
         idx, offs = neighbors.neighbors_of(i)
@@ -480,44 +496,26 @@ def backward_features(
     runs in ascending query order, then stored neighbour order, then
     corner order, so repeated runs are bit-identical.
     """
-    features = np.asarray(features, dtype=np.float64)
-    _check_forward_args(features, neighbors, filt.in_dim)
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != (neighbors.num_queries, filt.out_dim):
-        raise ValueError(
-            f"upstream must be ({neighbors.num_queries}, {filt.out_dim}), got {up.shape}"
-        )
+    features, up = _check_args(features, neighbors, filt, upstream)
     d_in = filt.in_dim
     num_anchors = filt.grid.num_anchors
+    m = features.shape[0]
     grad_f = np.zeros_like(features)
     grad_w = np.zeros_like(filt.weights)
-    grad_b = up.sum(axis=0)
-    starts = neighbors.starts
-    counts = np.diff(starts)
-    m = features.shape[0]
-    budget = max(512, 4_000_000 // max(1, num_anchors * d_in))
-    for q0, q1 in _query_blocks(starts, budget):
-        p0, p1 = int(starts[q0]), int(starts[q1])
-        if p0 == p1:
-            continue
-        offs = neighbors.offsets[p0:p1]
-        nbr = neighbors.indices[p0:p1]
-        ids, w = _corner_gather(offs, filt.grid)
-        blk_counts = counts[q0:q1]
-        s = _anchor_sums(features, nbr, ids, w, blk_counts, num_anchors)
+
+    def contract(q0, q1, nbr, ids, w, qid, s):
         up_blk = up[q0:q1]
         # dL/dW[a,i,o] = sum_q S[q,a,i] * up[q,o]
-        grad_w += np.tensordot(s, up_blk, axes=(0, 0))
+        grad_w[...] += np.tensordot(s, up_blk, axes=(0, 0))
         # dL/df(x)_i = sum over pairs seeing x of ghat(y-x)[i,:] . up[y]
         u = np.einsum("aio,qo->qai", filt.weights, up_blk)  # (q, A, in)
-        qid_local = np.repeat(
-            np.arange(q1 - q0, dtype=np.int64), blk_counts
-        )
-        gather = u.reshape(-1, d_in)[(qid_local[:, None] * num_anchors + ids).ravel()]
+        gather = u.reshape(-1, d_in)[(qid[:, None] * num_anchors + ids).ravel()]
         pair_gf = (w.reshape(-1)[:, None] * gather).reshape(-1, 8, d_in).sum(axis=1)
         for i in range(d_in):
             grad_f[:, i] += np.bincount(nbr, weights=pair_gf[:, i], minlength=m)
-    return grad_f, grad_w, grad_b
+
+    _block_pass(features, neighbors, filt, contract)
+    return grad_f, grad_w, up.sum(axis=0)
 
 
 def backward(
@@ -529,36 +527,19 @@ def backward(
     return backward_features(cloud.features, neighbors, filt, upstream)
 
 
-def _spatial_aggregate(
-    features: np.ndarray, neighbors: NeighborTable, sf: SeparableFilter
-) -> np.ndarray:
-    """Per-channel spatial stage of the separable form:
-    m[y, c] = sum_{x in N(y)} ghat1_c(y - x) * f_c(x)."""
-    q = neighbors.num_queries
-    m = np.zeros((q, sf.in_dim))
-    starts = neighbors.starts
-    all_counts = np.diff(starts)
-    num_anchors = sf.grid.num_anchors
-    budget = max(512, 4_000_000 // max(1, num_anchors * sf.in_dim))
-    for q0, q1 in _query_blocks(starts, budget):
-        p0, p1 = int(starts[q0]), int(starts[q1])
-        if p0 == p1:
-            continue
-        offs = neighbors.offsets[p0:p1]
-        nbr = neighbors.indices[p0:p1]
-        ids, w = _corner_gather(offs, sf.grid)
-        s = _anchor_sums(features, nbr, ids, w, all_counts[q0:q1], num_anchors)
-        m[q0:q1] = np.einsum("qai,ai->qi", s, sf.spatial)
-    return m
-
-
 def forward_separable_features(
     features: np.ndarray, neighbors: NeighborTable, sf: SeparableFilter
 ) -> np.ndarray:
-    """Separable convolution: spatial aggregation, then pointwise map."""
-    features = np.asarray(features, dtype=np.float64)
-    _check_forward_args(features, neighbors, sf.in_dim)
-    m = _spatial_aggregate(features, neighbors, sf)
+    """Separable convolution: per-channel spatial aggregation
+    m[y, c] = sum_{x in N(y)} ghat1_c(y - x) * f_c(x), then the
+    pointwise map m @ pointwise (+ bias)."""
+    features, _ = _check_args(features, neighbors, sf)
+    m = np.zeros((neighbors.num_queries, sf.in_dim))
+
+    def contract(q0, q1, nbr, ids, w, qid, s):
+        m[q0:q1] = np.einsum("qai,ai->qi", s, sf.spatial)
+
+    _block_pass(features, neighbors, sf, contract)
     out = m @ sf.pointwise
     if sf.bias is not None:
         out += sf.bias
@@ -577,45 +558,33 @@ def backward_separable_features(
     sf: SeparableFilter,
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients for the separable form: (features, spatial, pointwise, bias)."""
-    features = np.asarray(features, dtype=np.float64)
-    _check_forward_args(features, neighbors, sf.in_dim)
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != (neighbors.num_queries, sf.out_dim):
-        raise ValueError(
-            f"upstream must be ({neighbors.num_queries}, {sf.out_dim}), got {up.shape}"
-        )
-    m = _spatial_aggregate(features, neighbors, sf)
-    grad_pointwise = m.T @ up
-    grad_b = up.sum(axis=0)
-    grad_m = up @ sf.pointwise.T  # (q, in)
-    grad_f = np.zeros_like(features)
-    grad_s = np.zeros_like(sf.spatial)
-    starts = neighbors.starts
-    counts = np.diff(starts)
-    num_anchors = sf.grid.num_anchors
+    """Gradients for the separable form: (features, spatial, pointwise, bias).
+
+    One pass over the table rebuilds the spatial stage m and
+    accumulates the feature and spatial gradients; the pointwise
+    gradient is m^T @ upstream afterwards.
+    """
+    features, up = _check_args(features, neighbors, sf, upstream)
     d_in = sf.in_dim
     n_pts = features.shape[0]
-    budget = max(512, 4_000_000 // max(1, num_anchors * d_in))
-    for q0, q1 in _query_blocks(starts, budget):
-        p0, p1 = int(starts[q0]), int(starts[q1])
-        if p0 == p1:
-            continue
-        offs = neighbors.offsets[p0:p1]
-        nbr = neighbors.indices[p0:p1]
-        blk_counts = counts[q0:q1]
-        ids, w = _corner_gather(offs, sf.grid)
-        s = _anchor_sums(features, nbr, ids, w, blk_counts, num_anchors)
+    grad_m = up @ sf.pointwise.T  # (q, in)
+    m = np.zeros((neighbors.num_queries, d_in))
+    grad_f = np.zeros_like(features)
+    grad_s = np.zeros_like(sf.spatial)
+
+    def contract(q0, q1, nbr, ids, w, qid, s):
+        m[q0:q1] = np.einsum("qai,ai->qi", s, sf.spatial)
         gm_blk = grad_m[q0:q1]
         # dL/dspatial[a,i] = sum_q S[q,a,i] * grad_m[q,i]
-        grad_s += np.einsum("qai,qi->ai", s, gm_blk)
-        qid_local = np.repeat(np.arange(q1 - q0, dtype=np.int64), blk_counts)
+        grad_s[...] += np.einsum("qai,qi->ai", s, gm_blk)
         # ghat1 of each pair, then chain through grad_m
         gsp = (w[:, :, None] * sf.spatial[ids]).sum(axis=1)  # (p, in)
-        pair_gf = gsp * gm_blk[qid_local]
+        pair_gf = gsp * gm_blk[qid]
         for i in range(d_in):
             grad_f[:, i] += np.bincount(nbr, weights=pair_gf[:, i], minlength=n_pts)
-    return grad_f, grad_s, grad_pointwise, grad_b
+
+    _block_pass(features, neighbors, sf, contract)
+    return grad_f, grad_s, m.T @ up, up.sum(axis=0)
 
 
 def backward_separable(

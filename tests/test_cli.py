@@ -132,15 +132,23 @@ class TestCheckpoint:
             load_checkpoint(p)
 
     def test_nonfinite_payload(self, tmp_path):
-        ckpt = _checkpoint()
-        params = ckpt.params.copy()
-        params[0] = np.nan
+        p = tmp_path / "x.dfc"
+        save_checkpoint(_checkpoint(), p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_nonfinite_params(self, tmp_path, value):
+        params = _checkpoint().params.copy()
+        params[0] = value
         bad = Checkpoint(task="segmentation", seed=3, num_classes=2,
                          layer_specs=_specs(), params=params)
         p = tmp_path / "x.dfc"
-        save_checkpoint(bad, p)
         with pytest.raises(CheckpointError, match="non-finite"):
-            load_checkpoint(p)
+            save_checkpoint(bad, p)
+        assert not p.exists()
 
     def test_missing_header_field(self, tmp_path):
         p = tmp_path / "x.dfc"

@@ -141,6 +141,34 @@ def _spec_for(filt: conv.DeformableFilter, cap: int = 16) -> conv.ConvLayerSpec:
                               radius=conv.default_radius(filt.grid), cap=cap)
 
 
+def _multi_block_instance(seed: int, d_out: int = 4):
+    """k = 7 with 24 input channels gives a 512-pair block budget, so this
+    10,240-pair table runs in many query blocks."""
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(rng, 640, 24, extent=1.0)
+    filt = random_filter(rng, 7, 0.2, 24, d_out)
+    table = neighbor_table(cloud, conv.default_radius(filt.grid), 16)
+    return cloud.features, table, filt, rng
+
+
+def _count_blocks(monkeypatch) -> list:
+    """Record one entry per query block the conv operators process."""
+    blocks = []
+    real = conv._anchor_sums
+
+    def counting(*args):
+        blocks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(conv, "_anchor_sums", counting)
+    return blocks
+
+
+def _adjoint_gap(lhs: float, grad: np.ndarray, x: np.ndarray) -> float:
+    """Relative gap between sum(upstream * forward) and sum(grad * x)."""
+    return abs(float(np.sum(grad * x)) - lhs) / abs(lhs)
+
+
 class TestForward:
     def test_two_point_worked_example(self):
         # Filter: 1 at the center anchor, 3 at the +x anchor, 0 elsewhere.
@@ -280,14 +308,12 @@ class TestForward:
         out = conv.forward_features(cloud.features, table, filt)
         assert np.array_equal(out[0], filt.bias)
 
-    def test_threads_equivalent(self):
-        rng = np.random.default_rng(8)
-        cloud = random_cloud(rng, 200, 3, extent=1.0)
-        filt = random_filter(rng, 3, 0.2, 3, 4)
-        spec = _spec_for(filt)
-        table = neighbor_table(cloud, spec.radius, spec.cap)
-        one = conv.forward_features(cloud.features, table, filt, threads=1)
-        four = conv.forward_features(cloud.features, table, filt, threads=4)
+    def test_threads_equivalent(self, monkeypatch):
+        feats, table, filt, _ = _multi_block_instance(8)
+        blocks = _count_blocks(monkeypatch)
+        one = conv.forward_features(feats, table, filt, threads=1)
+        assert len(blocks) > 1
+        four = conv.forward_features(feats, table, filt, threads=4)
         assert np.array_equal(one, four)
 
     def test_feature_dim_mismatch_rejected(self):
@@ -413,6 +439,18 @@ class TestBackward:
         expect[13] = np.outer(feats[0], up[0])
         assert np.array_equal(gw, expect)
 
+    def test_adjoint_identity_multi_block(self, monkeypatch):
+        feats, table, filt, rng = _multi_block_instance(12)
+        up = rng.normal(size=(table.num_queries, filt.out_dim))
+        blocks = _count_blocks(monkeypatch)
+        out = conv.forward_features(feats, table, filt)
+        assert len(blocks) > 1
+        assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
+        gf, gw, _ = conv.backward_features(feats, table, filt, up)
+        lhs = float(np.sum(up * out))
+        assert _adjoint_gap(lhs, gf, feats) <= 1e-12
+        assert _adjoint_gap(lhs, gw, filt.weights) <= 1e-12
+
     def test_upstream_shape_rejected(self):
         feats, w, b, build, table, up = self._instance(8)
         with pytest.raises(ValueError):
@@ -490,6 +528,25 @@ class TestSeparable:
         assert grad_rel(gp, fd_grad(loss, p)) <= 1e-6
         assert grad_rel(gf, fd_grad(loss, feats)) <= 1e-6
         assert grad_rel(gb, fd_grad(loss, b)) <= 1e-6
+
+
+    def test_adjoint_identity_multi_block(self, monkeypatch):
+        feats, table, full, rng = _multi_block_instance(13)
+        sf = conv.SeparableFilter(grid=full.grid,
+                                  spatial=rng.normal(size=(full.grid.num_anchors, 24)),
+                                  pointwise=rng.normal(size=(24, 4)))
+        up = rng.normal(size=(table.num_queries, sf.out_dim))
+        blocks = _count_blocks(monkeypatch)
+        out = conv.forward_separable_features(feats, table, sf)
+        assert len(blocks) > 1
+        rank_one = conv.DeformableFilter(
+            grid=sf.grid, weights=sf.spatial[:, :, None] * sf.pointwise[None, :, :])
+        assert rel_err(out, conv.oracle_forward_features(feats, table, rank_one)) <= 1e-12
+        gf, gs, gp, _ = conv.backward_separable_features(feats, table, sf, up)
+        lhs = float(np.sum(up * out))
+        assert _adjoint_gap(lhs, gf, feats) <= 1e-12
+        assert _adjoint_gap(lhs, gs, sf.spatial) <= 1e-12
+        assert _adjoint_gap(lhs, gp, sf.pointwise) <= 1e-12
 
 
 class TestFilterValidation:
