@@ -109,6 +109,20 @@ def _mlp_backward(
     return grads
 
 
+def _pcc_aggregate(
+    filt: MlpFilter, neighbors: NeighborTable, feats: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-query sums m of w_mlp(offset) * f(neighbour), and the pair
+    weights w, as (Q, D') and (P, D')."""
+    w = mlp_eval(filt, neighbors.offsets)
+    pair_vals = w * feats[neighbors.indices]
+    m = np.zeros((neighbors.num_queries, feats.shape[1]))
+    valid = np.flatnonzero(neighbors.counts > 0)
+    if neighbors.num_pairs:
+        m[valid] = np.add.reduceat(pair_vals, neighbors.starts[:-1][valid], axis=0)
+    return m, w
+
+
 def pcc_forward(
     cloud: PointCloud,
     neighbors: NeighborTable,
@@ -128,14 +142,7 @@ def pcc_forward(
         )
     if pw.ndim != 2 or pw.shape[0] != f.shape[1]:
         raise ValueError(f"pointwise must be ({f.shape[1]}, D), got {pw.shape}")
-    w = mlp_eval(filt, neighbors.offsets)  # (P, D')
-    pair_vals = w * f[neighbors.indices]
-    m = np.zeros((neighbors.num_queries, f.shape[1]))
-    counts = neighbors.counts
-    valid = np.flatnonzero(counts > 0)
-    if neighbors.num_pairs:
-        m[valid] = np.add.reduceat(pair_vals, neighbors.starts[:-1][valid], axis=0)
-    return m @ pw
+    return _pcc_aggregate(filt, neighbors, f)[0] @ pw
 
 
 class PccLayer(nn.Layer):
@@ -177,17 +184,8 @@ class PccLayer(nn.Layer):
     def forward(self, feats, ctx):
         self._feats = feats
         table = ctx.table_for(self.radius, self.cap)
-        filt = self._filter()
-        w = mlp_eval(filt, table.offsets)
-        pair_vals = w * feats[table.indices]
-        m = np.zeros((table.num_queries, feats.shape[1]))
-        counts = table.counts
-        valid = np.flatnonzero(counts > 0)
-        if table.num_pairs:
-            m[valid] = np.add.reduceat(pair_vals, table.starts[:-1][valid], axis=0)
-        self._m = m
-        self._w = w
-        return m @ self.pointwise + self.bias
+        self._m, self._w = _pcc_aggregate(self._filter(), table, feats)
+        return self._m @ self.pointwise + self.bias
 
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.radius, self.cap)

@@ -32,7 +32,6 @@ from .pointcloud import (
     CLASSIFICATION,
     Dataset,
     PointCloud,
-    SEGMENTATION,
     TASKS,
     XyzFormatError,
     load_xyz,
@@ -365,13 +364,10 @@ def cmd_export_filters(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"layer {idx} has type {spec['type']!r}; only conv filters can be exported"
         )
-    # locate this layer's parameters inside the flat payload
-    offset = 0
-    for earlier in ckpt.layer_specs[:idx]:
-        offset += sum(int(np.prod(s)) for s in nn.spec_param_shapes(earlier))
-    shapes = nn.spec_param_shapes(spec)
-    size0 = int(np.prod(shapes[0]))
-    weights = ckpt.params[offset : offset + size0].reshape(shapes[0])
+    layer = ckpt.build_stack().layers[idx]
+    if isinstance(layer, nn.ConcatSkipLayer):
+        layer = layer.inner
+    weights = layer.params()[0]  # deformable weights or separable spatial part
 
     grid = conv.grid_from_spacing(spec["k"], spec["a"])
     positions = grid.anchor_positions()
@@ -431,10 +427,8 @@ def _build_baseline_stack(
         if spec["type"] in ("deformable", "separable"):
             layer = conv_layer(spec, rng)
         else:
-            layer = nn.build_stack([dict(spec, skip=0)], SEGMENTATION, rng=rng).layers[0]
-        if spec.get("skip"):
-            layer = nn.ConcatSkipLayer(layer)
-        layers.append(layer)
+            layer = nn._build_layer(spec, nn._init_params(spec, rng))
+        layers.append(nn.ConcatSkipLayer(layer) if spec.get("skip") else layer)
     return nn.LayerStack(layers, task)
 
 

@@ -391,6 +391,23 @@ def _init_params(spec: dict, rng: DetRng) -> list[np.ndarray]:
     return []
 
 
+def _build_layer(spec: dict, params: list[np.ndarray]) -> Layer:
+    """One layer from its spec dict and parameter arrays (storage order);
+    the ``skip`` flag is left to the caller."""
+    kind = spec["type"]
+    if kind == "deformable":
+        return DeformConvLayer(_conv_spec(spec), params[0], params[1])
+    if kind == "separable":
+        return SeparableConvLayer(_conv_spec(spec), params[0], params[1], params[2])
+    if kind == "linear":
+        return LinearLayer(params[0], params[1])
+    if kind == "relu":
+        return ReluLayer()
+    if kind == "pool":
+        return GlobalMaxPoolLayer()
+    raise ValueError(f"unknown layer type {kind!r}")
+
+
 def build_stack(
     specs: list[dict],
     task: str,
@@ -419,22 +436,8 @@ def build_stack(
                     raise ValueError("parameter vector too short for layer specs")
                 params.append(flat[cursor : cursor + size].reshape(shape))
                 cursor += size
-        kind = spec["type"]
-        if kind == "deformable":
-            layer: Layer = DeformConvLayer(_conv_spec(spec), params[0], params[1])
-        elif kind == "separable":
-            layer = SeparableConvLayer(_conv_spec(spec), params[0], params[1], params[2])
-        elif kind == "linear":
-            layer = LinearLayer(params[0], params[1])
-        elif kind == "relu":
-            layer = ReluLayer()
-        elif kind == "pool":
-            layer = GlobalMaxPoolLayer()
-        else:
-            raise ValueError(f"unknown layer type {kind!r}")
-        if spec.get("skip"):
-            layer = ConcatSkipLayer(layer)
-        layers.append(layer)
+        layer = _build_layer(spec, params)
+        layers.append(ConcatSkipLayer(layer) if spec.get("skip") else layer)
     if flat is not None and cursor != flat.shape[0]:
         raise ValueError(
             f"parameter vector holds {flat.shape[0]} values, specs need {cursor}"

@@ -3,7 +3,9 @@
 Two query paths produce bit-identical tables: a grid-hash accelerated
 search and a brute-force all-pairs reference. Both feed the same pair
 arithmetic and the same (distance, index) ordering, so their results can
-be compared with exact equality, not a tolerance.
+be compared with exact equality, not a tolerance. The grid search needs
+cells at least as wide as the search radius, so each query sweeps a
+window of at most 4 cells per axis.
 
 Conventions:
   * a point at distance exactly r from the query is included,
@@ -17,10 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# widest per-query cell window the vectorised path will sweep; beyond
-# this (cell_size much smaller than the radius) a per-query loop is used
-_MAX_WINDOW_CELLS = 512
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -75,10 +73,11 @@ class NeighborTable:
 class GridHashIndex:
     """Uniform-grid spatial hash over a fixed point set.
 
-    Each point lands in cell floor(position / cell_size); the index
-    stores, per occupied cell, the ascending list of point ids in it.
-    Cell keys are packed into int64 when the occupied extent allows it;
-    otherwise a dict of integer 3-tuples is kept instead.
+    Each point lands in cell floor(position / cell_size). Cell keys are
+    packed into int64 relative to the lower corner of the occupied cell
+    range; ``order`` lists the point ids sorted by key (ascending ids
+    within a cell), and occupied cell i holds
+    ``order[ustarts[i]:ustarts[i+1]]`` under key ``ukeys[i]``.
     """
 
     cell_size: float
@@ -86,42 +85,21 @@ class GridHashIndex:
     cells: np.ndarray  # (M,3) int64, per-point cell coordinates
     cmin: np.ndarray  # (3,) int64 lower corner of occupied cell range
     dims: np.ndarray  # (3,) int64 extent of occupied cell range
-    order: np.ndarray | None  # point ids sorted by packed key
-    ukeys: np.ndarray | None  # (U,) sorted unique packed keys
-    ustarts: np.ndarray | None  # (U+1,) slice bounds into order
-    cell_map: dict | None  # fallback when keys cannot be packed
-
-    @property
-    def packable(self) -> bool:
-        return self.ukeys is not None
+    order: np.ndarray  # point ids sorted by packed key
+    ukeys: np.ndarray  # (U,) sorted unique packed keys
+    ustarts: np.ndarray  # (U+1,) slice bounds into order
 
     def _pack(self, cells: np.ndarray) -> np.ndarray:
         rel = cells - self.cmin
         return (rel[..., 0] * self.dims[1] + rel[..., 1]) * self.dims[2] + rel[..., 2]
 
-    def occupied_cells(self) -> np.ndarray:
-        """Unique occupied cells, ascending, as (U, 3) int64."""
-        if self.packable:
-            first = self.order[self.ustarts[:-1]]
-            return self.cells[first]
-        return np.array(sorted(self.cell_map.keys()), dtype=np.int64).reshape(-1, 3)
-
-    def cell_points(self, cell) -> np.ndarray:
-        """Point ids stored in one cell (ascending); empty if unoccupied."""
-        c = np.asarray(cell, dtype=np.int64).reshape(3)
-        if np.any(c < self.cmin) or np.any(c >= self.cmin + self.dims):
-            return np.empty(0, dtype=np.int64)
-        if self.packable:
-            key = int(self._pack(c))
-            pos = np.searchsorted(self.ukeys, key)
-            if pos < self.ukeys.shape[0] and self.ukeys[pos] == key:
-                return self.order[self.ustarts[pos] : self.ustarts[pos + 1]]
-            return np.empty(0, dtype=np.int64)
-        return self.cell_map.get(tuple(int(v) for v in c), np.empty(0, dtype=np.int64))
-
 
 def build_index(positions, cell_size: float) -> GridHashIndex:
-    """Hash every point into its grid cell."""
+    """Hash every point into its grid cell.
+
+    Raises ValueError when the occupied cell range spans more than 2^62
+    cells, whose keys would not pack into int64.
+    """
     pos = _check_positions(positions, "positions")
     if pos.shape[0] < 1:
         raise ValueError("cannot index an empty point set")
@@ -133,29 +111,23 @@ def build_index(positions, cell_size: float) -> GridHashIndex:
     cmax = cells.max(axis=0)
     dims = cmax - cmin + 1
     extent = int(dims[0]) * int(dims[1]) * int(dims[2])  # python ints: no overflow
-
-    if extent <= (1 << 62):
-        keys = ((cells[:, 0] - cmin[0]) * dims[1] + (cells[:, 1] - cmin[1])) * dims[
-            2
-        ] + (cells[:, 2] - cmin[2])
-        order = np.argsort(keys, kind="stable")  # stable: ascending ids per cell
-        skeys = keys[order]
-        is_first = np.empty(skeys.shape[0], dtype=bool)
-        is_first[0] = True
-        np.not_equal(skeys[1:], skeys[:-1], out=is_first[1:])
-        firsts = np.flatnonzero(is_first)
-        ukeys = skeys[firsts]
-        ustarts = np.append(firsts, skeys.shape[0]).astype(np.int64)
-        return GridHashIndex(
-            float(cell_size), pos, cells, cmin, dims, order, ukeys, ustarts, None
+    if extent > (1 << 62):
+        raise ValueError(
+            f"points span {extent} grid cells of size {cell_size}, more than 2^62; "
+            "use a larger cell_size"
         )
 
-    # degenerate extent (points spread over ~2^62 cells): dict fallback
-    cell_map: dict[tuple[int, int, int], list[int]] = {}
-    for i in range(pos.shape[0]):
-        cell_map.setdefault(tuple(int(v) for v in cells[i]), []).append(i)
-    frozen = {k: np.asarray(v, dtype=np.int64) for k, v in cell_map.items()}
-    return GridHashIndex(float(cell_size), pos, cells, cmin, dims, None, None, None, frozen)
+    rel = cells - cmin
+    keys = (rel[:, 0] * dims[1] + rel[:, 1]) * dims[2] + rel[:, 2]
+    order = np.argsort(keys, kind="stable")  # stable: ascending ids per cell
+    skeys = keys[order]
+    is_first = np.empty(skeys.shape[0], dtype=bool)
+    is_first[0] = True
+    np.not_equal(skeys[1:], skeys[:-1], out=is_first[1:])
+    firsts = np.flatnonzero(is_first)
+    ukeys = skeys[firsts]
+    ustarts = np.append(firsts, skeys.shape[0]).astype(np.int64)
+    return GridHashIndex(float(cell_size), pos, cells, cmin, dims, order, ukeys, ustarts)
 
 
 def _assemble(
@@ -193,11 +165,13 @@ def _assemble(
     )
 
 
-def _candidate_ranges_vectorised(index: GridHashIndex, queries, lo, hi):
-    """Candidate (query id, slice start, slice count) triples via the
-    packed-key layout, sweeping the per-query cell windows in lockstep."""
-    span = hi - lo + 1
-    nx, ny, nz = (int(v) for v in span.max(axis=0))
+def _candidate_ranges(index: GridHashIndex, lo: np.ndarray, hi: np.ndarray):
+    """(query id, slice start in index.order, slice count) of every
+    occupied cell in each query's window [lo, hi], sweeping the window
+    offsets in lockstep over all queries."""
+    # loop bounds come from the windows: 3 cells per axis when r <= cell
+    # size, or 4 where rounding in the floors adds one
+    nx, ny, nz = (int(v) for v in (hi - lo + 1).max(axis=0))
     cmin, cmax = index.cmin, index.cmin + index.dims - 1
     parts_q, parts_s, parts_c = [], [], []
     for dx in range(nx):
@@ -209,102 +183,45 @@ def _candidate_ranges_vectorised(index: GridHashIndex, queries, lo, hi):
                     & (cell >= cmin).all(axis=1)
                     & (cell <= cmax).all(axis=1)
                 )
-                if not ok.any():
-                    continue
                 qsel = np.flatnonzero(ok)
                 keys = index._pack(cell[qsel])
                 pos = np.searchsorted(index.ukeys, keys)
-                pos_c = np.minimum(pos, index.ukeys.shape[0] - 1)
-                found = index.ukeys[pos_c] == keys
-                if not found.any():
-                    continue
-                qsel = qsel[found]
-                pos_c = pos_c[found]
-                parts_q.append(qsel)
-                parts_s.append(index.ustarts[pos_c])
-                parts_c.append(index.ustarts[pos_c + 1] - index.ustarts[pos_c])
-    if not parts_q:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
+                pos = np.minimum(pos, index.ukeys.shape[0] - 1)
+                found = index.ukeys[pos] == keys
+                pos = pos[found]
+                parts_q.append(qsel[found])
+                parts_s.append(index.ustarts[pos])
+                parts_c.append(index.ustarts[pos + 1] - index.ustarts[pos])
     return np.concatenate(parts_q), np.concatenate(parts_s), np.concatenate(parts_c)
-
-
-def _candidate_ranges_perquery(index: GridHashIndex, queries, lo, hi):
-    """Fallback candidate collector: python loop over queries.
-
-    Per query, walks whichever enumeration is smaller: the window lattice
-    or the set of occupied cells clipped to the window. Oversized windows
-    (tiny cells, large radius) would otherwise cost O(window volume).
-    """
-    occ = index.occupied_cells()
-    parts_q, parts_i = [], []
-    for q in range(queries.shape[0]):
-        window = int(np.prod(hi[q] - lo[q] + 1))
-        ids = []
-        if occ.shape[0] <= window:
-            inside = np.all((occ >= lo[q]) & (occ <= hi[q]), axis=1)
-            for cell in occ[inside]:
-                ids.append(index.cell_points(cell))
-        else:
-            for cx in range(int(lo[q, 0]), int(hi[q, 0]) + 1):
-                for cy in range(int(lo[q, 1]), int(hi[q, 1]) + 1):
-                    for cz in range(int(lo[q, 2]), int(hi[q, 2]) + 1):
-                        pts = index.cell_points((cx, cy, cz))
-                        if pts.shape[0]:
-                            ids.append(pts)
-        if ids:
-            flat = np.concatenate(ids)
-            parts_i.append(flat)
-            parts_q.append(np.full(flat.shape[0], q, dtype=np.int64))
-    if not parts_q:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(parts_q), np.concatenate(parts_i)
 
 
 def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> NeighborTable:
     """Capped radius search against a grid hash index.
 
-    Visits every cell overlapping the ball of radius r around each
-    query, so no in-range point is missed regardless of cell_size.
+    Requires r <= index.cell_size. Every cell overlapping the ball of
+    radius r around a query is visited, so no in-range point is missed.
     """
     q = _check_positions(queries, "queries")
     if not (r > 0) or not np.isfinite(r):
         raise ValueError("radius must be positive and finite")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-
     cs = index.cell_size
+    if r > cs:
+        raise ValueError(f"radius {r} exceeds the index cell_size {cs}")
+
     lo = np.floor((q - r) / cs).astype(np.int64)
     hi = np.floor((q + r) / cs).astype(np.int64)
-    span = hi - lo + 1
-    window = int(span[:, 0].max()) * int(span[:, 1].max()) * int(span[:, 2].max())
-
-    if index.packable and window <= _MAX_WINDOW_CELLS:
-        cq, cstart, ccount = _candidate_ranges_vectorised(index, q, lo, hi)
-        total = int(ccount.sum())
-        if total == 0:
-            return _assemble(
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                np.empty((0, 3)),
-                q.shape[0],
-                r,
-                cap,
-            )
-        # expand [start, start+count) ranges into flat slot positions
-        ends = np.cumsum(ccount)
-        bases = ends - ccount
-        slots = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(bases, ccount)
-            + np.repeat(cstart, ccount)
-        )
-        pid = index.order[slots]
-        qid = np.repeat(cq, ccount)
-    else:
-        qid, pid = _candidate_ranges_perquery(index, q, lo, hi)
-
+    cq, cstart, ccount = _candidate_ranges(index, lo, hi)
+    # expand [start, start+count) ranges into flat slot positions
+    bases = np.cumsum(ccount) - ccount
+    slots = (
+        np.arange(int(ccount.sum()), dtype=np.int64)
+        - np.repeat(bases, ccount)
+        + np.repeat(cstart, ccount)
+    )
+    pid = index.order[slots]
+    qid = np.repeat(cq, ccount)
     off = q[qid] - index.positions[pid]
     return _assemble(qid, pid, off, q.shape[0], r, cap)
 

@@ -411,6 +411,51 @@ export.layer = 0
         assert np.sum(np.abs(weights)) == 1.0
 
 
+    def test_export_layer_after_skip_layer(self, tmp_path):
+        cfg = _write(tmp_path / "skip.cfg", f"""
+task = segmentation
+seed = 9
+out = {tmp_path / 'skiprun'}
+data.kind = two-surfaces-seg
+data.train = 4
+data.test = 2
+data.points = 48
+layer.count = 4
+layer.0.type = deformable
+layer.0.in = 2
+layer.0.out = 4
+layer.0.k = 3
+layer.0.a = 0.2
+layer.0.cap = 8
+layer.0.skip = 1
+layer.1.type = separable
+layer.1.in = 6
+layer.1.out = 3
+layer.1.k = 3
+layer.1.a = 0.2
+layer.1.cap = 8
+layer.2.type = relu
+layer.3.type = linear
+layer.3.in = 3
+layer.3.out = 2
+opt.lr = 0.001
+opt.epochs = 1
+""")
+        assert cli.main(["train", "--config", cfg]) == 0
+        ckpt_path = tmp_path / "skiprun" / "checkpoint.dfc"
+        exp = _write(tmp_path / "exp4.cfg", f"""
+seed = 9
+out = {tmp_path / 'export4'}
+export.checkpoint = {ckpt_path}
+export.layer = 1
+""")
+        assert cli.main(["export-filters", "--config", exp]) == 0
+        _, _, weights = cli.import_filters(tmp_path / "export4" / "filters.csv")
+        layer = load_checkpoint(ckpt_path).build_stack().layers[1]
+        assert isinstance(layer, nn.SeparableConvLayer)
+        assert np.array_equal(weights, layer.spatial)
+
+
 class TestBench:
     def test_tiny_bench(self, tmp_path):
         cfg = _write(tmp_path / "bench.cfg", f"""
@@ -476,6 +521,34 @@ opt.batch = 4
             assert float(vox) < 1e-12
             assert float(deform) > 1e-6
         assert methods == ["deformable", "pcc", "voxel"]
+
+    def test_classification_with_pool(self, tmp_path):
+        cfg = _write(tmp_path / "cmp.cfg", f"""
+task = classification
+seed = 4
+out = {tmp_path / 'cmp'}
+data.kind = shapes4
+data.train = 4
+data.test = 2
+data.points = 32
+layer.count = 4
+layer.0.type = deformable
+layer.0.in = 2
+layer.0.out = 4
+layer.0.k = 3
+layer.0.a = 0.2
+layer.0.cap = 8
+layer.1.type = pool
+layer.2.type = linear
+layer.2.in = 4
+layer.2.out = 4
+layer.3.type = relu
+opt.lr = 0.001
+opt.epochs = 1
+""")
+        assert cli.main(["compare-baselines", "--config", cfg]) == 0
+        lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+        assert [l.split(",")[0] for l in lines[1:]] == ["deformable", "pcc", "voxel"]
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
-"""Radius search: grid-hash vs brute force, ordering, caps, fallback paths."""
+"""Radius search: grid-hash vs brute force, ordering, caps, and the grid
+search's limits on cell size and extent."""
 from __future__ import annotations
 
 import numpy as np
@@ -77,7 +78,7 @@ class TestGridEqualsBrute:
         brute = spatial.brute_force_neighbors(pos, pos, r, cap)
         assert _tables_equal(grid, brute)
 
-    @pytest.mark.parametrize("scale", [0.45, 1.0, 1.8])
+    @pytest.mark.parametrize("scale", [1.0, 1.8])
     def test_cell_size_independent(self, scale):
         rng = np.random.default_rng(99)
         pos = rng.uniform(-1, 1, (60, 3))
@@ -155,25 +156,42 @@ class TestInvariants:
         assert np.allclose(table.offsets, shifted.offsets, atol=1e-12)
 
 
-class TestFallbackPaths:
-    def test_unpackable_extent_uses_dict(self):
+class TestSearchLimits:
+    def test_unpackable_extent_rejected(self):
         # coordinate extent far beyond the packed 2^62 budget
         pos = np.array([[0.0, 0.0, 0.0],
                         [2.1e6, 2.1e6, 2.1e6],
                         [0.0005, 0.0, 0.0]])
-        index = spatial.build_index(pos, 0.001)
-        assert not index.packable
-        table = spatial.radius_neighbors(index, pos, 0.001, 4)
-        brute = spatial.brute_force_neighbors(pos, pos, 0.001, 4)
-        assert _tables_equal(table, brute)
+        with pytest.raises(ValueError, match="2\\^62"):
+            spatial.build_index(pos, 0.001)
+        # cells as wide as a larger radius pack, and the search is exact
+        grid = _grid_table(pos, pos, 1000.0, 4)
+        assert _tables_equal(grid, spatial.brute_force_neighbors(pos, pos, 1000.0, 4))
 
-    def test_oversized_window_per_query_path(self):
-        rng = np.random.default_rng(12)
-        pos = rng.uniform(-0.05, 0.05, (40, 3))
-        index = spatial.build_index(pos, 0.001)  # window of (2r/cell)^3 cells >> 512
-        table = spatial.radius_neighbors(index, pos, 0.04, 6)
-        brute = spatial.brute_force_neighbors(pos, pos, 0.04, 6)
-        assert _tables_equal(table, brute)
+    @pytest.mark.parametrize("seed,m,half,r,cell,cap", [
+        (12, 40, 0.05, 0.04, 0.001, 6),
+        (99, 60, 1.0, 0.5, 0.5 * 0.45, 8),
+    ], ids=["cell-0.001-r-0.04", "cell-0.45r"])
+    def test_cell_smaller_than_radius_rejected(self, seed, m, half, r, cell, cap):
+        pos = np.random.default_rng(seed).uniform(-half, half, (m, 3))
+        index = spatial.build_index(pos, cell)
+        with pytest.raises(ValueError, match="exceeds the index cell_size"):
+            spatial.radius_neighbors(index, pos, r, cap)
+        # the same search on cells as wide as the radius is exact
+        grid = _grid_table(pos, pos, r, cap)
+        assert _tables_equal(grid, spatial.brute_force_neighbors(pos, pos, r, cap))
+
+    def test_grid_aligned_four_cell_windows(self):
+        # with cell_size == r, rounding in floor((q +- r) / cell_size) widens
+        # some windows from 3 to 4 cells; the sweep must visit all of them
+        # (x = -0.2 finds its neighbour x = -0.1 only in the fourth cell)
+        r = 0.1
+        i, j, l = np.meshgrid(np.arange(-20, 20), np.arange(3), np.arange(3), indexing="ij")
+        pos = np.stack([i.ravel() * r, j.ravel() * r, l.ravel() * r], axis=1)
+        span = np.floor((pos + r) / r) - np.floor((pos - r) / r) + 1
+        assert span.max() == 4
+        grid = _grid_table(pos, pos, r, 30)
+        assert _tables_equal(grid, spatial.brute_force_neighbors(pos, pos, r, 30))
 
 
 class TestValidation:
