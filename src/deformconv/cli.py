@@ -552,6 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
+        return 1
     except (XyzFormatError, CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,10 @@ permutation equivariant.
 Two implementations are kept side by side:
 
   * forward / backward: the production path. Only the <= 8 anchors that
-    enclose each offset are touched.
+    enclose each offset are touched. Those corners and their weights
+    (the kernel map) are gathered once per (neighbour table, anchor
+    grid) and shared by every layer and pass on that table; pairs whose
+    weight is zero at all eight corners are left out of the map.
   * oracle_forward: a deliberately naive full scan over all k^3 anchors
     for every pair. It exists to cross-check the fast path and is used
     by tests and the benchmark command.
@@ -30,6 +33,7 @@ stored pair order, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -282,10 +286,11 @@ def _corner_gather(offsets: np.ndarray, grid: AnchorGrid) -> tuple[np.ndarray, n
 
     Returns (ids, w), both (P, 8): the linear anchor index and trilinear
     weight of each of the 8 lattice corners around each offset, corners
-    ordered by ascending (i, j, l). Corners outside the lattice carry
-    weight exactly 0 (their id is clamped into range so it is safe to
-    gather with). Per-axis weights use the same formula as
-    trilinear_weight, so nonzero weights agree with it bit-for-bit.
+    ordered by ascending (i, j, l); ids use the smallest unsigned dtype
+    that holds k^3 - 1. Corners outside the lattice carry weight exactly
+    0 (their id is clamped into range so it is safe to gather with).
+    Per-axis weights use the same formula as trilinear_weight, so
+    nonzero weights agree with it bit-for-bit.
     """
     p = offsets.shape[0]
     u = grid.unit
@@ -304,7 +309,7 @@ def _corner_gather(offsets: np.ndarray, grid: AnchorGrid) -> tuple[np.ndarray, n
         wd[~inside] = 0.0
         axis_w[side] = wd
         axis_idx[side] = safe
-    ids = np.empty((p, 8), dtype=np.int64)
+    ids = np.empty((p, 8), dtype=np.min_scalar_type(k ** 3 - 1))
     w = np.empty((p, 8), dtype=np.float64)
     for c in range(8):
         b0, b1, b2 = (c >> 2) & 1, (c >> 1) & 1, c & 1
@@ -361,18 +366,52 @@ def _query_blocks(starts: np.ndarray, pair_budget: int):
         q0 = q1
 
 
+# grid key (k, unit bytes) -> (weak reference to a table, its kernel map)
+_KERNEL_MAPS: dict = {}
+
+
+def _kernel_map(table: NeighborTable, grid: AnchorGrid):
+    """(starts, nbr, ids, w): the table's pairs with a nonzero weight at
+    some corner, as a CSR over the same queries, with their corners.
+
+    Dropped pairs would only add exact zeros to every sum. One map per
+    grid is kept, for the most recent table and while that table lives,
+    so search tables (read-only) are gathered once for all their layers,
+    passes and epochs.
+    """
+    key = (grid.k, grid.unit.tobytes())
+    hit = _KERNEL_MAPS.get(key)
+    if hit is not None and hit[0]() is table:
+        return hit[1]
+    ids, w = _corner_gather(table.offsets, grid)
+    keep = w.any(axis=1)
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    kmap = (kept_before[table.starts], table.indices[keep], ids[keep], w[keep])
+
+    # no lock: a race between threads can only cost a rebuild, since a
+    # map is served only to the table it was built from
+    def evict(ref):
+        if _KERNEL_MAPS.get(key, (None,))[0] is ref:
+            _KERNEL_MAPS.pop(key, None)
+
+    _KERNEL_MAPS[key] = (weakref.ref(table, evict), kmap)
+    return kmap
+
+
 def _block_pass(features, neighbors: NeighborTable, filt, contract, threads: int = 1):
     """Call contract(q0, q1, nbr, ids, w, qid, S) once per query block.
 
     A block covers queries [q0, q1); nbr are its pairs' neighbour rows,
-    (ids, w) their enclosing corners from _corner_gather, qid their
-    block-local query ids and S the block's anchor sums. The pair budget
-    keeps S near 4M values. Blocks without pairs are skipped. With
-    threads > 1 blocks run on a thread pool, so contract may then only
-    write rows [q0, q1) of its outputs; otherwise blocks run in
-    ascending order, which keeps accumulated sums bit-identical.
+    (ids, w) their enclosing corners, qid their block-local query ids
+    and S the block's anchor sums. Pairs come from the table's kernel
+    map, built once per (table, grid) without zero-weight pairs. Blocks
+    split the table's own rows, with a pair budget that keeps S near 4M
+    values; blocks without kept pairs are skipped. With threads > 1
+    blocks run on a thread pool, so contract may then only write rows
+    [q0, q1) of its outputs; otherwise blocks run in ascending order,
+    which keeps accumulated sums bit-identical.
     """
-    starts = neighbors.starts
+    starts, nbr_all, ids_all, w_all = _kernel_map(neighbors, filt.grid)
     counts = np.diff(starts)
     num_anchors = filt.grid.num_anchors
     budget = max(512, 4_000_000 // max(1, num_anchors * filt.in_dim))
@@ -382,13 +421,12 @@ def _block_pass(features, neighbors: NeighborTable, filt, contract, threads: int
         p0, p1 = int(starts[q0]), int(starts[q1])
         if p0 == p1:
             return
-        nbr = neighbors.indices[p0:p1]
-        ids, w = _corner_gather(neighbors.offsets[p0:p1], filt.grid)
+        nbr, ids, w = nbr_all[p0:p1], ids_all[p0:p1], w_all[p0:p1]
         qid = np.repeat(np.arange(q1 - q0, dtype=np.int64), counts[q0:q1])
         s = _anchor_sums(features, nbr, ids, w, qid, q1 - q0, num_anchors)
         contract(q0, q1, nbr, ids, w, qid, s)
 
-    blocks = list(_query_blocks(starts, budget))
+    blocks = list(_query_blocks(neighbors.starts, budget))
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_block, blocks))

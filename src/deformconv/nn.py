@@ -625,6 +625,34 @@ class EpochLog:
     miou: float
 
 
+def _diverged(epoch: int, step: int, what: str) -> FloatingPointError:
+    return FloatingPointError(f"training diverged in epoch {epoch}, Adam step {step}: {what}")
+
+
+def _first_nonfinite(stack: LayerStack, arrays: str) -> str | None:
+    """Name of the first layer array (``arrays`` is "params" or "grads")
+    holding a non-finite value, or None."""
+    for i, layer in enumerate(stack.layers):
+        for j, a in enumerate(getattr(layer, arrays)()):
+            if not np.all(np.isfinite(a)):
+                return f"layer {i} ({layer.kind}) parameter {j}"
+    return None
+
+
+def _checked_adam_step(state: OptimizerState, stack: LayerStack, epoch: int):
+    """Adam step on the accumulated gradients, then zero them; raises
+    FloatingPointError when a gradient or an updated parameter is not
+    finite."""
+    bad = _first_nonfinite(stack, "grads")
+    if bad is not None:
+        raise _diverged(epoch, state.step + 1, f"non-finite gradient of {bad}")
+    adam_step(state, stack.parameters(), stack.gradients())
+    stack.zero_grads()
+    bad = _first_nonfinite(stack, "params")
+    if bad is not None:
+        raise _diverged(epoch, state.step, f"{bad} is non-finite after the update")
+
+
 def train_stack(
     stack: LayerStack,
     train_set: Dataset,
@@ -642,9 +670,12 @@ def train_stack(
 
     Per epoch: visit clouds in a fresh seeded order, accumulate
     gradients, step every batch_size clouds (and once more for a
-    trailing partial batch), then score the epoch. Scoring runs on
-    eval_set when given, else on the training set; when stop_accuracy is
-    set, training stops early once the score reaches it.
+    trailing partial batch), then score the epoch. A non-finite loss,
+    gradient or updated parameter raises FloatingPointError naming the
+    epoch, the Adam step (counted over the whole run) and the first bad
+    array. Scoring runs on eval_set when given, else on the training
+    set; when stop_accuracy is set, training stops early once the score
+    reaches it.
     """
     if len(train_set) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -674,16 +705,16 @@ def train_stack(
             ctx = contexts[int(pos)]
             logits = stack.forward(cloud, ctx)
             loss, grad = cross_entropy(logits, _targets(cloud, train_set.task))
+            if not np.isfinite(loss):
+                raise _diverged(epoch, state.step + 1, "non-finite loss")
             losses.append(loss)
             stack.backward(grad, ctx)
             pending += 1
             if pending == batch_size:
-                adam_step(state, stack.parameters(), stack.gradients())
-                stack.zero_grads()
+                _checked_adam_step(state, stack, epoch)
                 pending = 0
         if pending:
-            adam_step(state, stack.parameters(), stack.gradients())
-            stack.zero_grads()
+            _checked_adam_step(state, stack, epoch)
         scored = evaluate(
             stack,
             eval_set if eval_set is not None else train_set,

@@ -156,13 +156,11 @@ def _assemble(
     keep = rank < cap
     counts = np.minimum(full_counts, cap)
     starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return NeighborTable(
-        starts=starts,
-        indices=pid[keep],
-        offsets=np.ascontiguousarray(off[keep]),
-        radius=float(r),
-        cap=int(cap),
-    )
+    indices, offsets = pid[keep], np.ascontiguousarray(off[keep])
+    # read-only: conv caches per-table work keyed on the table object
+    for arr in (starts, indices, offsets):
+        arr.setflags(write=False)
+    return NeighborTable(starts, indices, offsets, radius=float(r), cap=int(cap))
 
 
 def _candidate_ranges(index: GridHashIndex, lo: np.ndarray, hi: np.ndarray):
@@ -170,8 +168,8 @@ def _candidate_ranges(index: GridHashIndex, lo: np.ndarray, hi: np.ndarray):
     occupied cell in each query's window [lo, hi], sweeping the window
     offsets in lockstep over all queries."""
     # loop bounds come from the windows: 3 cells per axis when r <= cell
-    # size, or 4 where rounding in the floors adds one
-    nx, ny, nz = (int(v) for v in (hi - lo + 1).max(axis=0))
+    # size, or 4 where rounding in the floors adds one (1 without queries)
+    nx, ny, nz = (int(v) for v in (hi - lo + 1).max(axis=0, initial=1))
     cmin, cmax = index.cmin, index.cmin + index.dims - 1
     parts_q, parts_s, parts_c = [], [], []
     for dx in range(nx):
@@ -239,7 +237,8 @@ def brute_force_neighbors(positions, queries, r: float, cap: int) -> NeighborTab
     parts = []
     # chunk queries so the (chunk, M, 3) offset block stays modest
     chunk = max(1, int(4_000_000 // max(1, m)))
-    for q0 in range(0, q.shape[0], chunk):
+    # without queries, one empty chunk still feeds _assemble
+    for q0 in range(0, max(1, q.shape[0]), chunk):
         q1 = min(q.shape[0], q0 + chunk)
         off = q[q0:q1, None, :] - pos[None, :, :]
         qid = np.repeat(np.arange(q0, q1, dtype=np.int64), m)

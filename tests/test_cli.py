@@ -278,6 +278,18 @@ class TestTrain:
             b = (tmp_path / "runB" / name).read_bytes()
             assert a == b
 
+    def test_divergence_is_training_error(self, tmp_path, capsys):
+        cfg = _train_config(tmp_path, epochs=3)
+        with open(cfg, encoding="ascii") as fh:
+            text = fh.read().replace("opt.lr = 0.001", "opt.lr = 1e308")
+        _write(tmp_path / "train.cfg", text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("training error: training diverged in epoch 1, Adam step 1: ")
+        assert "layer 0 (deformable) parameter 0" in err
+        assert not (tmp_path / "run" / "checkpoint.dfc").exists()
+
     def test_mismatched_task_is_config_error(self, tmp_path):
         cfg = _write(tmp_path / "bad.cfg", f"""
 task = classification

@@ -1,6 +1,9 @@
 """Deformable-filter convolution: interpolation, forward, backward, equivariance."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -547,6 +550,90 @@ class TestSeparable:
         assert _adjoint_gap(lhs, gf, feats) <= 1e-12
         assert _adjoint_gap(lhs, gs, sf.spatial) <= 1e-12
         assert _adjoint_gap(lhs, gp, sf.pointwise) <= 1e-12
+
+
+class TestKernelMap:
+    """The corner gather runs once per (table, grid) and keeps only the
+    pairs with a nonzero weight."""
+
+    def _instance(self, seed, m=60):
+        rng = np.random.default_rng(seed)
+        cloud = random_cloud(rng, m, 3, extent=0.5)
+        first = random_filter(rng, 3, 0.2, 3, 4, bias=True)
+        second = random_filter(rng, 3, 0.2, 4, 2, bias=True)
+        table = neighbor_table(cloud, conv.default_radius(first.grid), 16)
+        return cloud.features, table, first, second, rng
+
+    def _copy(self, table):
+        # a new table object holding the same pairs: its map is built fresh
+        return spatial.NeighborTable(table.starts, table.indices, table.offsets,
+                                     table.radius, table.cap)
+
+    def test_one_gather_for_two_layers_forward_and_backward(self, monkeypatch):
+        feats, table, first, second, rng = self._instance(1)
+        calls = []
+        real = conv._corner_gather
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(conv, "_corner_gather", counting)
+        hidden = conv.forward_features(feats, table, first)
+        out = conv.forward_features(hidden, table, second)
+        up = rng.normal(size=out.shape)
+        g_hidden, _, _ = conv.backward_features(hidden, table, second, up)
+        conv.backward_features(feats, table, first, g_hidden)
+        assert len(calls) == 1
+
+    def test_alternating_tables_match_fresh_calls(self):
+        feats_a, table_a, filt, _, _ = self._instance(2, m=60)
+        feats_b, table_b, _, _, _ = self._instance(3, m=45)
+        fresh_a = conv.forward_features(feats_a, self._copy(table_a), filt)
+        fresh_b = conv.forward_features(feats_b, self._copy(table_b), filt)
+        for _ in range(2):
+            assert np.array_equal(conv.forward_features(feats_a, table_a, filt), fresh_a)
+            assert np.array_equal(conv.forward_features(feats_b, table_b, filt), fresh_b)
+        oracle = conv.oracle_forward_features(feats_b, table_b, filt)
+        assert rel_err(fresh_b, oracle) <= 1e-12
+
+    def test_all_zero_weight_pairs_give_exactly_the_bias(self):
+        filt = random_filter(np.random.default_rng(4), 3, 0.2, 2, 3, bias=True)
+        reach = (filt.grid.half + 1) * 0.2
+        # every offset sits on or beyond the support box on some axis
+        offsets = np.array([[reach, 0.0, 0.0], [0.0, -reach, 0.1],
+                            [0.05, 0.1, 1.5 * reach], [-2 * reach, reach, 0.0]])
+        table = spatial.NeighborTable(
+            starts=np.array([0, 1, 4]), indices=np.array([0, 1, 2, 0]),
+            offsets=offsets, radius=3 * filt.grid.support_radius(), cap=4)
+        feats = np.random.default_rng(5).normal(size=(3, 2))
+        assert conv._kernel_map(table, filt.grid)[1].shape == (0,)
+        out = conv.forward_features(feats, table, filt)
+        assert np.array_equal(out, np.tile(filt.bias, (2, 1)))
+        gf, gw, _ = conv.backward_features(feats, table, filt, np.ones((2, 3)))
+        assert not gf.any() and not gw.any()
+
+    def test_map_released_with_its_table(self):
+        _, table, filt, _, _ = self._instance(6)
+        released = weakref.ref(conv._kernel_map(table, filt.grid)[3])
+        _, other, _, _, _ = self._instance(7)
+        kept = weakref.ref(conv._kernel_map(other, filt.grid)[3])
+        assert released() is None  # replaced by the newer table's map
+        del other
+        gc.collect()
+        assert kept() is None
+
+    def test_older_table_death_keeps_newer_map(self):
+        _, table, filt, _, _ = self._instance(8)
+        conv._kernel_map(table, filt.grid)
+        reader = dict(conv._KERNEL_MAPS)  # still holds the older entry
+        _, other, _, _, _ = self._instance(9)
+        kept = weakref.ref(conv._kernel_map(other, filt.grid)[3])
+        del table
+        gc.collect()
+        assert kept() is not None
+        assert conv._kernel_map(other, filt.grid)[3] is kept()
+        del reader
 
 
 class TestFilterValidation:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deformconv import conv, nn, pointcloud
+from deformconv import cli, conv, nn, pointcloud
 from deformconv.rng import DetRng
 from conftest import fd_grad, grad_rel, neighbor_table, random_cloud
 
@@ -380,6 +380,55 @@ class TestTrainStack:
         with pytest.raises(ValueError):
             nn.train_stack(stack, ds, lr=1e-3, weight_decay=0.0,
                            epochs=1, batch_size=1, rng=DetRng(0))
+
+    def test_threads_bit_identical_training(self, monkeypatch):
+        # 3,000 scene points with cap 16 put the second conv layer's
+        # 48,000 pairs into several query blocks, so threads=2 runs a pool
+        rng = DetRng(11)
+        radius = conv.default_radius(conv.grid_from_spacing(3, 0.2))
+        scene = cli._bench_cloud(3000, 16, radius, rng, 2)
+        labels = (scene.positions[:, 2] > np.median(scene.positions[:, 2])).astype(np.int64)
+        cloud = pointcloud.PointCloud(scene.positions, scene.features, labels)
+        ds = pointcloud.Dataset(clouds=(cloud,), num_classes=2, task="segmentation")
+        specs = [
+            {"type": "deformable", "in": 2, "out": 8, "k": 3,
+             "a": [0.2, 0.2, 0.2], "r": None, "cap": 16, "skip": 0},
+            {"type": "relu"},
+            {"type": "deformable", "in": 8, "out": 16, "k": 3,
+             "a": [0.2, 0.2, 0.2], "r": None, "cap": 16, "skip": 0},
+            {"type": "relu"},
+            {"type": "linear", "in": 16, "out": 2},
+        ]
+        pools = []
+        real_pool = conv.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(1)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(conv, "ThreadPoolExecutor", counting_pool)
+
+        def run(threads):
+            stack = nn.build_stack(specs, "segmentation", rng=DetRng(12))
+            logs = nn.train_stack(stack, ds, lr=1e-3, weight_decay=5e-4, epochs=2,
+                                  batch_size=1, rng=DetRng(13), threads=threads)
+            return logs, nn.flatten_params(stack)
+
+        logs1, p1 = run(1)
+        assert not pools
+        logs2, p2 = run(2)
+        assert pools
+        assert np.array_equal(p1, p2)
+        assert logs1 == logs2
+
+    @pytest.mark.parametrize("lr", [1e300, 1e308])
+    def test_divergence_names_epoch_step_and_array(self, lr):
+        ds = _seg_dataset(seed=5, n=4, m=16)
+        stack = nn.build_stack(_tiny_specs(), "segmentation", rng=DetRng(6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"epoch 1, Adam step \d+: "):
+                nn.train_stack(stack, ds, lr=lr, weight_decay=5e-4,
+                               epochs=3, batch_size=2, rng=DetRng(7))
 
     def test_early_stop(self):
         ds = _seg_dataset(seed=8, n=3, m=16)

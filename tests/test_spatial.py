@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deformconv import spatial
+from deformconv import conv, spatial
 
 
 def _tables_equal(a: spatial.NeighborTable, b: spatial.NeighborTable) -> bool:
@@ -192,6 +192,44 @@ class TestSearchLimits:
         assert span.max() == 4
         grid = _grid_table(pos, pos, r, 30)
         assert _tables_equal(grid, spatial.brute_force_neighbors(pos, pos, r, 30))
+
+
+class TestEmptyQueries:
+    @pytest.mark.parametrize("search", ["grid", "brute"])
+    def test_empty_query_array_gives_empty_table(self, search):
+        pos = np.random.default_rng(0).uniform(-1.0, 1.0, size=(30, 3))
+        q = np.empty((0, 3))
+        if search == "grid":
+            table = _grid_table(pos, q, 0.6928, 16)
+        else:
+            table = spatial.brute_force_neighbors(pos, q, 0.6928, 16)
+        assert np.array_equal(table.starts, [0])
+        assert table.num_queries == 0 and table.num_pairs == 0
+        assert table.offsets.shape == (0, 3)
+        filt = conv.DeformableFilter(conv.grid_from_spacing(3, 0.2),
+                                     np.ones((27, 2, 5)), np.ones(5))
+        out = conv.forward_features(np.ones((30, 2)), table, filt)
+        assert out.shape == (0, 5)
+
+
+class TestReadOnlyTables:
+    @pytest.mark.parametrize("search", ["grid", "brute"])
+    def test_search_tables_are_read_only(self, search):
+        pos = np.random.default_rng(1).uniform(-1.0, 1.0, size=(40, 3))
+        if search == "grid":
+            table = _grid_table(pos, pos, 0.5, 8)
+        else:
+            table = spatial.brute_force_neighbors(pos, pos, 0.5, 8)
+        for arr in (table.starts, table.indices, table.offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_caller_arrays_stay_writable(self):
+        starts, indices = np.array([0, 1]), np.array([0])
+        offsets = np.zeros((1, 3))
+        spatial.NeighborTable(starts, indices, offsets, radius=1.0, cap=1)
+        for arr in (starts, indices, offsets):
+            assert arr.flags.writeable
 
 
 class TestValidation:
