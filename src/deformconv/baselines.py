@@ -74,12 +74,7 @@ def mlp_eval(filt: MlpFilter, offsets: np.ndarray) -> np.ndarray:
     x = np.asarray(offsets, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 3:
         raise ValueError(f"offsets must be (P, 3), got {x.shape}")
-    n = len(filt.layers)
-    for i, (w, b) in enumerate(filt.layers):
-        x = x @ w + b
-        if i < n - 1:
-            x = np.maximum(x, 0.0)
-    return x
+    return _mlp_tape(filt, x)[-1]
 
 
 def _mlp_tape(filt: MlpFilter, offsets: np.ndarray) -> list[np.ndarray]:
@@ -313,18 +308,18 @@ class VoxelSmoothLayer(nn.Layer):
 
     def forward(self, feats, ctx):
         cells = np.floor(ctx.cloud.positions / self.pitch).astype(np.int64)
-        _, inv = np.unique(cells, axis=0, return_inverse=True)
-        counts = np.bincount(inv).astype(np.float64)
-        sums = np.zeros((counts.shape[0], feats.shape[1]))
-        np.add.at(sums, inv, feats)
-        self._inv, self._counts = inv, counts
-        return sums[inv] / counts[inv, None]
+        _, self._inv = np.unique(cells, axis=0, return_inverse=True)
+        self._counts = np.bincount(self._inv).astype(np.float64)
+        return self._cell_mean(feats)
 
     def backward(self, upstream, ctx):
-        inv, counts = self._inv, self._counts
-        sums = np.zeros((counts.shape[0], upstream.shape[1]))
-        np.add.at(sums, inv, upstream)
-        return sums[inv] / counts[inv, None]
+        # the cell-mean operator is symmetric, so it is its own adjoint
+        return self._cell_mean(upstream)
+
+    def _cell_mean(self, x: np.ndarray) -> np.ndarray:
+        sums = np.zeros((self._counts.shape[0], x.shape[1]))
+        np.add.at(sums, self._inv, x)
+        return sums[self._inv] / self._counts[self._inv, None]
 
 
 @dataclass(frozen=True)

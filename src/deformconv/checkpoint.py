@@ -7,14 +7,18 @@ Layout:
     seed = 7\n
     classes = 2\n
     layers = 3\n
-    layer.0 = type=deformable in=2 out=8 k=3 a=0.2,0.2,0.2 r=... cap=16 skip=0\n
+    layer.0 = type=deformable in=2 out=8 k=3 a=0.2,0.2,0.2 cap=16 skip=0\n
     ...
     params = 1234\n
     \n
     <1234 little-endian float64 values>
 
-Floats in the header are printed with 17 significant digits, so a
-load/save round trip reproduces the file byte for byte.
+Each layer line holds the fields of its layer type (config.LAYER_FIELDS)
+in that order, read by the same rules as a config file's layer.* keys:
+``a`` has three spacings, ``r`` is omitted when it is the default
+radius, and ``skip`` is 0 or 1. Floats in the header are printed with
+17 significant digits, so a load/save round trip reproduces the file
+byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .config import FIELD_DEFAULTS, LAYER_FIELDS, parse_layer_spec
 from .pointcloud import TASKS
 
 _MAGIC = b"DFC1\n"
@@ -48,23 +53,13 @@ class Checkpoint:
 
 
 def _format_spec(spec: dict) -> str:
-    kind = spec["type"]
-    parts = [f"type={kind}"]
-    if kind in ("deformable", "separable"):
-        parts.append(f"in={spec['in']}")
-        parts.append(f"out={spec['out']}")
-        parts.append(f"k={spec['k']}")
-        parts.append("a=" + ",".join("%.17g" % v for v in spec["a"]))
-        if spec.get("r") is not None:
-            parts.append("r=%.17g" % spec["r"])
-        parts.append(f"cap={spec['cap']}")
-        parts.append(f"skip={spec.get('skip', 0)}")
-    elif kind == "linear":
-        parts.append(f"in={spec['in']}")
-        parts.append(f"out={spec['out']}")
-        parts.append(f"skip={spec.get('skip', 0)}")
-    elif kind not in ("relu", "pool"):
-        raise CheckpointError(f"cannot serialise layer type {kind!r}")
+    parts = [f"type={spec['type']}"]
+    for name in LAYER_FIELDS[spec["type"]]:
+        value = spec[name] if name in spec else FIELD_DEFAULTS[name]
+        if name in ("a", "r") and value is not None:
+            value = ",".join("%.17g" % v for v in np.atleast_1d(value))
+        if value is not None:
+            parts.append(f"{name}={value}")
     return " ".join(parts)
 
 
@@ -77,37 +72,10 @@ def _parse_spec(line: str, where: str) -> dict:
         if key in fields:
             raise CheckpointError(f"{where}: duplicate field {key!r}")
         fields[key] = val
-    kind = fields.pop("type", None)
-    if kind is None:
-        raise CheckpointError(f"{where}: missing type")
-    spec: dict = {"type": kind}
     try:
-        if kind in ("deformable", "separable"):
-            spec["in"] = int(fields.pop("in"))
-            spec["out"] = int(fields.pop("out"))
-            spec["k"] = int(fields.pop("k"))
-            spec["a"] = [float(v) for v in fields.pop("a").split(",")]
-            if "r" in fields:
-                spec["r"] = float(fields.pop("r"))
-            else:
-                spec["r"] = None
-            spec["cap"] = int(fields.pop("cap"))
-            spec["skip"] = int(fields.pop("skip", "0"))
-            if len(spec["a"]) != 3:
-                raise CheckpointError(f"{where}: spacing needs three values")
-        elif kind == "linear":
-            spec["in"] = int(fields.pop("in"))
-            spec["out"] = int(fields.pop("out"))
-            spec["skip"] = int(fields.pop("skip", "0"))
-        elif kind not in ("relu", "pool"):
-            raise CheckpointError(f"{where}: unknown layer type {kind!r}")
-    except KeyError as exc:
-        raise CheckpointError(f"{where}: missing field {exc.args[0]!r}") from None
-    except ValueError:
-        raise CheckpointError(f"{where}: malformed numeric field") from None
-    if fields:
-        raise CheckpointError(f"{where}: unexpected fields {sorted(fields)}")
-    return spec
+        return parse_layer_spec(fields)
+    except ValueError as exc:
+        raise CheckpointError(f"{where}.{exc}") from None
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -170,6 +170,21 @@ def _build_stack_from_config(cfg: RunConfig, task: str, rng: DetRng) -> nn.Layer
         raise ConfigError(f"bad layer configuration: {exc}") from None
 
 
+def _opt_settings(cfg: RunConfig) -> dict:
+    """The opt.* keys as nn.train_stack keyword arguments; out-of-range
+    values are config errors."""
+    lr = cfg.get_float("opt.lr")
+    weight_decay = cfg.get_float("opt.weight_decay", 0.0)
+    try:
+        nn.init_adam([], lr=lr, weight_decay=weight_decay)
+    except ValueError as exc:
+        raise ConfigError(f"opt.lr = {lr:g}, opt.weight_decay = {weight_decay:g}: {exc}") from None
+    epochs, batch_size = cfg.get_int("opt.epochs"), cfg.get_int("opt.batch", 1)
+    if epochs < 0 or batch_size < 1:
+        raise ConfigError(f"need opt.epochs >= 0 and opt.batch >= 1, got {epochs} and {batch_size}")
+    return dict(lr=lr, weight_decay=weight_decay, epochs=epochs, batch_size=batch_size)
+
+
 def cmd_train(cfg: RunConfig, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get_int("seed")
     out_dir = args.out if args.out else cfg.get_str("out")
@@ -188,14 +203,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad layer configuration: {exc}") from None
     logs = nn.train_stack(
-        stack,
-        train_set,
-        lr=cfg.get_float("opt.lr"),
-        weight_decay=cfg.get_float("opt.weight_decay", 0.0),
-        epochs=cfg.get_int("opt.epochs"),
-        batch_size=cfg.get_int("opt.batch", 1),
-        rng=rng,
-        threads=args.threads,
+        stack, train_set, **_opt_settings(cfg), rng=rng, threads=args.threads
     )
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train_log.csv")
@@ -475,17 +483,11 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad layer configuration: {exc}") from None
 
+    opt = _opt_settings(cfg)
     results = []
     for mi, (name, stack) in enumerate(stacks.items()):
         nn.train_stack(
-            stack,
-            train_set,
-            lr=cfg.get_float("opt.lr"),
-            weight_decay=cfg.get_float("opt.weight_decay", 0.0),
-            epochs=cfg.get_int("opt.epochs"),
-            batch_size=cfg.get_int("opt.batch", 1),
-            rng=DetRng(seed).spawn(10 + mi),
-            threads=args.threads,
+            stack, train_set, **opt, rng=DetRng(seed).spawn(10 + mi), threads=args.threads
         )
         report = nn.evaluate(stack, test_set, threads=args.threads)
         results.append((name, report.accuracy, report.miou))

@@ -1,8 +1,9 @@
 """Flat ``key = value`` run configuration files.
 
 One setting per line; ``#`` starts a full-line comment; keys are dotted
-paths (``opt.lr``, ``layer.0.type``). Every key must be known: a typo'd
-key is an error, not a silently ignored setting.
+paths (``opt.lr``, ``layer.0.type``). Every key must be known, and a
+``layer.i.*`` key must be a field of layer i's type (LAYER_FIELDS): a
+typo'd key is an error, not a silently ignored setting.
 """
 
 from __future__ import annotations
@@ -44,7 +45,19 @@ _FIXED_KEYS = {
     "subvoxel.pitch",
     "subvoxel.displacement",
 }
-_LAYER_KEY = re.compile(r"^layer\.(\d+)\.(type|in|out|k|a|r|cap|skip)$")
+# the spec fields of each layer type (see nn.build_stack), in the order
+# checkpoints write them; conv layers use every field, and an optional
+# field takes its default when absent
+_CONV_FIELDS = ("in", "out", "k", "a", "r", "cap", "skip")
+LAYER_FIELDS = {
+    "deformable": _CONV_FIELDS,
+    "separable": _CONV_FIELDS,
+    "linear": ("in", "out", "skip"),
+    "relu": (),
+    "pool": (),
+}
+FIELD_DEFAULTS = {"r": None, "skip": 0}
+_LAYER_KEY = re.compile(r"^layer\.(\d+)\.(type|%s)$" % "|".join(_CONV_FIELDS))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -109,20 +122,9 @@ class RunConfig:
                 raise ConfigError(f"missing required config key {key!r}")
             return default
         try:
-            out = float(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected number, got {self.values[key]!r}") from None
-        if not np.isfinite(out):
-            raise ConfigError(f"{key}: value must be finite")
-        return out
-
-    def get_flag(self, key: str, default: bool = False) -> bool:
-        if key not in self.values:
-            return default
-        v = self.values[key]
-        if v not in ("0", "1"):
-            raise ConfigError(f"{key}: expected 0 or 1, got {v!r}")
-        return v == "1"
+            return _finite(key, self.values[key])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def layer_specs(self) -> list[dict]:
         """The layer.* keys as a list of spec dicts (see nn.build_stack)."""
@@ -132,34 +134,14 @@ class RunConfig:
         specs = []
         for i in range(count):
             prefix = f"layer.{i}."
-            kind = self.get_str(prefix + "type")
-            spec: dict = {"type": kind}
-            if kind in ("deformable", "separable"):
-                spec["in"] = self.get_int(prefix + "in")
-                spec["out"] = self.get_int(prefix + "out")
-                spec["k"] = self.get_int(prefix + "k")
-                spec["a"] = _parse_spacing(self.get_str(prefix + "a"), prefix + "a")
-                spec["r"] = (
-                    self.get_float(prefix + "r") if self.has(prefix + "r") else None
-                )
-                spec["cap"] = self.get_int(prefix + "cap")
-                spec["skip"] = 1 if self.get_flag(prefix + "skip") else 0
-            elif kind == "linear":
-                spec["in"] = self.get_int(prefix + "in")
-                spec["out"] = self.get_int(prefix + "out")
-                spec["skip"] = 1 if self.get_flag(prefix + "skip") else 0
-            elif kind in ("relu", "pool"):
-                pass
-            else:
-                raise ConfigError(f"{prefix}type: unknown layer type {kind!r}")
-            specs.append(spec)
-        stray = [
-            k
-            for k in self.values
-            if _LAYER_KEY.match(k) and int(_LAYER_KEY.match(k).group(1)) >= count
-        ]
+            texts = {k[len(prefix) :]: v for k, v in self.values.items() if k.startswith(prefix)}
+            try:
+                specs.append(parse_layer_spec(texts))
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}{exc}") from None
+        stray = sorted(k for k in self.values if (m := _LAYER_KEY.match(k)) and int(m[1]) >= count)
         if stray:
-            raise ConfigError(f"layer keys beyond layer.count: {sorted(stray)}")
+            raise ConfigError(f"layer keys beyond layer.count: {stray}")
         return specs
 
     def int_list(self, key: str, default: list[int]) -> list[int]:
@@ -172,14 +154,50 @@ class RunConfig:
             raise ConfigError(f"{key}: expected comma-separated integers") from None
 
 
-def _parse_spacing(raw: str, key: str) -> list[float]:
-    toks = [t for t in raw.split(",") if t.strip() != ""]
-    if len(toks) not in (1, 3):
-        raise ConfigError(f"{key}: expected one or three comma-separated numbers")
+def parse_layer_spec(texts: dict[str, str]) -> dict:
+    """A layer-spec dict from the text of each field, ``type`` included;
+    raises ValueError naming the field at fault."""
+    kind = texts.get("type")
+    if kind is None:
+        raise ValueError("type: missing required field")
+    if kind not in LAYER_FIELDS:
+        raise ValueError(f"type: unknown layer type {kind!r}")
+    for name in texts:
+        if name != "type" and name not in LAYER_FIELDS[kind]:
+            raise ValueError(f"{name}: not a field of layer type {kind!r}")
+    spec: dict = {"type": kind}
+    for name in LAYER_FIELDS[kind]:
+        if name not in texts and name not in FIELD_DEFAULTS:
+            raise ValueError(f"{name}: missing required field")
+        spec[name] = _parse_field(name, texts[name]) if name in texts else FIELD_DEFAULTS[name]
+    return spec
+
+
+def _parse_field(name: str, text: str):
+    """in/out/k/cap: integers; a: one or three positive spacings, stored
+    as three; r: a finite radius; skip: 0 or 1."""
+    if name == "a":
+        vals = [_finite(name, t) for t in text.split(",") if t.strip() != ""]
+        if len(vals) not in (1, 3):
+            raise ValueError("a: expected one or three comma-separated numbers")
+        if any(v <= 0 for v in vals):
+            raise ValueError("a: spacings must be positive")
+        return vals * 3 if len(vals) == 1 else vals
+    if name == "r":
+        return _finite(name, text)
+    if name == "skip" and text not in ("0", "1"):
+        raise ValueError(f"skip: expected 0 or 1, got {text!r}")
     try:
-        vals = [float(t) for t in toks]
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected numbers, got {raw!r}") from None
-    if any(not np.isfinite(v) or v <= 0 for v in vals):
-        raise ConfigError(f"{key}: spacings must be positive")
-    return vals * 3 if len(vals) == 1 else vals
+        raise ValueError(f"{name}: expected integer, got {text!r}") from None
+
+
+def _finite(name: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name}: expected number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{name}: value must be finite")
+    return value

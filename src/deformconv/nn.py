@@ -516,6 +516,8 @@ def init_adam(params: list[np.ndarray], lr: float, weight_decay: float = 0.0) ->
         raise ValueError("lr must be positive")
     if weight_decay < 0:
         raise ValueError("weight_decay must be >= 0")
+    if lr * weight_decay >= 1:
+        raise ValueError("lr * weight_decay must be < 1 (decay scales parameters by 1 - lr * wd)")
     return OptimizerState(
         lr=lr,
         weight_decay=weight_decay,

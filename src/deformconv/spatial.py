@@ -82,7 +82,6 @@ class GridHashIndex:
 
     cell_size: float
     positions: np.ndarray  # (M,3) float64
-    cells: np.ndarray  # (M,3) int64, per-point cell coordinates
     cmin: np.ndarray  # (3,) int64 lower corner of occupied cell range
     dims: np.ndarray  # (3,) int64 extent of occupied cell range
     order: np.ndarray  # point ids sorted by packed key
@@ -127,7 +126,7 @@ def build_index(positions, cell_size: float) -> GridHashIndex:
     firsts = np.flatnonzero(is_first)
     ukeys = skeys[firsts]
     ustarts = np.append(firsts, skeys.shape[0]).astype(np.int64)
-    return GridHashIndex(float(cell_size), pos, cells, cmin, dims, order, ukeys, ustarts)
+    return GridHashIndex(float(cell_size), pos, cmin, dims, order, ukeys, ustarts)
 
 
 def _assemble(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -36,10 +37,9 @@ class TestConfigParsing:
 
     def test_typed_getters(self):
         cfg = RunConfig(parse_config_text(
-            "seed = 5\nopt.lr = 1e-4\nlayer.0.skip = 1\npcc.hidden = 4,4\n"))
+            "seed = 5\nopt.lr = 1e-4\npcc.hidden = 4,4\n"))
         assert cfg.get_int("seed") == 5
         assert cfg.get_float("opt.lr") == 1e-4
-        assert cfg.get_flag("layer.0.skip") is True
         assert cfg.int_list("pcc.hidden", [8]) == [4, 4]
         assert cfg.get_int("opt.epochs", 3) == 3
         with pytest.raises(ConfigError, match="missing required"):
@@ -48,8 +48,13 @@ class TestConfigParsing:
             RunConfig({"seed": "x"}).get_int("seed")
         with pytest.raises(ConfigError, match="finite"):
             RunConfig({"opt.lr": "nan"}).get_float("opt.lr")
+
+    def test_layer_skip(self):
+        linear = "layer.count = 1\nlayer.0.type = linear\nlayer.0.in = 2\nlayer.0.out = 2\n"
+        cfg = RunConfig(parse_config_text(linear + "layer.0.skip = 1\n"))
+        assert cfg.layer_specs()[0]["skip"] == 1
         with pytest.raises(ConfigError, match="0 or 1"):
-            RunConfig({"layer.0.skip": "yes"}).get_flag("layer.0.skip")
+            RunConfig(parse_config_text(linear + "layer.0.skip = yes\n")).layer_specs()
 
     def test_layer_specs(self):
         cfg = RunConfig(parse_config_text(
@@ -83,6 +88,22 @@ class TestConfigParsing:
                 "layer.0.out = 1\nlayer.0.k = 3\nlayer.0.a = -0.2\n"
                 "layer.0.cap = 8\n")).layer_specs()
 
+    @pytest.mark.parametrize("middle,extra,frag", [
+        ("relu", "layer.1.cap = 99", "layer.1.cap: not a field of layer type 'relu'"),
+        ("relu", "layer.2.a = 0.2", "layer.2.a: not a field of layer type 'linear'"),
+        ("pool", "layer.1.skip = 0", "layer.1.skip: not a field of layer type 'pool'"),
+    ], ids=["relu-cap", "linear-a", "pool-skip"])
+    def test_field_unused_by_type_rejected(self, middle, extra, frag):
+        cfg = RunConfig(parse_config_text(
+            "layer.count = 3\n"
+            "layer.0.type = deformable\nlayer.0.in = 2\nlayer.0.out = 4\n"
+            "layer.0.k = 3\nlayer.0.a = 0.2\nlayer.0.cap = 8\n"
+            f"layer.1.type = {middle}\n"
+            "layer.2.type = linear\nlayer.2.in = 4\nlayer.2.out = 2\n"
+            f"{extra}\n"))
+        with pytest.raises(ConfigError, match=frag):
+            cfg.layer_specs()
+
 
 def _specs():
     return [
@@ -111,6 +132,55 @@ class TestCheckpoint:
         assert np.array_equal(back.params, ckpt.params)
         assert back.layer_specs == ckpt.layer_specs
         assert back.task == "segmentation" and back.num_classes == 2
+
+    def test_roundtrip_every_layer_type(self, tmp_path):
+        specs = [
+            {"type": "deformable", "in": 2, "out": 4, "k": 3,
+             "a": [0.2, 0.2, 0.2], "r": 0.75, "cap": 8, "skip": 1},
+            {"type": "relu"},
+            {"type": "separable", "in": 6, "out": 8, "k": 5,
+             "a": [0.1, 0.2, 0.3], "r": None, "cap": 12, "skip": 0},
+            {"type": "linear", "in": 8, "out": 4, "skip": 1},
+            {"type": "pool"},
+            {"type": "linear", "in": 12, "out": 3, "skip": 0},
+        ]
+        stack = nn.build_stack(specs, "classification", rng=DetRng(4))
+        assert stack.check_channels(2) == 3
+        ckpt = Checkpoint(task="classification", seed=4, num_classes=3,
+                          layer_specs=specs, params=nn.flatten_params(stack))
+        p1, p2 = tmp_path / "a.dfc", tmp_path / "b.dfc"
+        save_checkpoint(ckpt, p1)
+        back = load_checkpoint(p1)
+        save_checkpoint(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert back.layer_specs == specs
+        assert np.array_equal(nn.flatten_params(back.build_stack()), ckpt.params)
+        header = p1.read_bytes().split(b"\n\n")[0].decode("ascii")
+        assert "layer.0 = type=deformable in=2 out=4 k=3 " in header
+        assert " r=0.75 cap=8 skip=1\n" in header
+        assert "layer.2 = type=separable in=6 out=8 k=5 a=0.10000000000000001," in header
+        assert " cap=12 skip=0\n" in header and header.count(" r=") == 1
+        assert "layer.4 = type=pool\n" in header
+
+    @pytest.mark.parametrize("old,new,frag", [
+        (b"type=linear", b"type=dense", "layer.2.type: unknown layer type 'dense'"),
+        (b" cap=8", b"", "layer.0.cap: missing"),
+        (b"type=relu", b"type=relu cap=8", "layer.1.cap: not a field of layer type 'relu'"),
+        (b"out=2 skip=0", b"out=2 skip=2", "layer.2.skip: expected 0 or 1"),
+        (b"out=2 skip=0", b"out=2 skip=-1", "layer.2.skip: expected 0 or 1"),
+        (b"a=0.20000000000000001,", b"a=-0.20000000000000001,", "layer.0.a: .*positive"),
+        (b"a=0.20000000000000001,", b"a=0,", "layer.0.a: .*positive"),
+        (b" cap=8", b" r=nan cap=8", "layer.0.r: .*finite"),
+    ], ids=["unknown-type", "missing-field", "unexpected-field", "skip-2", "skip-minus-1",
+            "a-negative", "a-zero", "r-nan"])
+    def test_bad_layer_line(self, tmp_path, old, new, frag):
+        p = tmp_path / "x.dfc"
+        save_checkpoint(_checkpoint(), p)
+        raw = p.read_bytes()
+        assert raw.count(old) == 1
+        p.write_bytes(raw.replace(old, new))
+        with pytest.raises(CheckpointError, match=frag):
+            load_checkpoint(p)
 
     def test_build_stack_from_checkpoint(self, tmp_path):
         ckpt = _checkpoint()
@@ -282,6 +352,7 @@ class TestTrain:
         cfg = _train_config(tmp_path, epochs=3)
         with open(cfg, encoding="ascii") as fh:
             text = fh.read().replace("opt.lr = 0.001", "opt.lr = 1e308")
+        text = text.replace("opt.weight_decay = 0.0005", "opt.weight_decay = 0")
         _write(tmp_path / "train.cfg", text)
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(["train", "--config", cfg]) == 1
@@ -289,6 +360,29 @@ class TestTrain:
         assert err.startswith("training error: training diverged in epoch 1, Adam step 1: ")
         assert "layer 0 (deformable) parameter 0" in err
         assert not (tmp_path / "run" / "checkpoint.dfc").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare-baselines"])
+    @pytest.mark.parametrize("edits,frag", [
+        ({"opt.lr = 0.001": "opt.lr = 0"}, "opt.lr = 0, .*: lr must be positive"),
+        ({"opt.lr = 0.001": "opt.lr = -0.001"}, "opt.lr = -0.001, .*: lr must be positive"),
+        ({"opt.batch = 4": "opt.batch = 0"}, "opt.batch >= 1, got 1 and 0"),
+        ({"opt.epochs = 1": "opt.epochs = -1"}, "opt.epochs >= 0 .*, got -1 and 4"),
+        ({"opt.lr = 0.001": "opt.lr = 1", "opt.weight_decay = 0.0005": "opt.weight_decay = 2"},
+         r"opt.lr = 1, opt.weight_decay = 2: lr \* weight_decay must be < 1"),
+        ({"layer.1.type = relu": "layer.1.type = relu\nlayer.1.cap = 99"},
+         "layer.1.cap: not a field of layer type 'relu'"),
+    ], ids=["lr-zero", "lr-negative", "batch-zero", "epochs-negative", "lr-times-wd", "relu-cap"])
+    def test_bad_settings_are_config_errors(self, tmp_path, capsys, command, edits, frag):
+        with open(_train_config(tmp_path), encoding="ascii") as fh:
+            text = fh.read()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg = _write(tmp_path / "train.cfg", text)
+        assert cli.main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and re.search(frag, err)
+        assert not (tmp_path / "run").exists()
 
     def test_mismatched_task_is_config_error(self, tmp_path):
         cfg = _write(tmp_path / "bad.cfg", f"""

@@ -84,6 +84,16 @@ class TestAdam:
         nn.adam_step(state, p, [np.zeros(2)])
         assert np.array_equal(p[0], np.array([1.0, -4.0]) * (1.0 - 0.01 * 0.5))
 
+    @pytest.mark.parametrize("lr,weight_decay", [(1.0, 2.0), (0.5, 2.0), (1e300, 5e-4)])
+    def test_decay_factor_must_stay_positive(self, lr, weight_decay):
+        # decay multiplies parameters by 1 - lr * weight_decay, which must be > 0
+        with pytest.raises(ValueError, match=r"lr \* weight_decay must be < 1"):
+            nn.init_adam([np.zeros(2)], lr=lr, weight_decay=weight_decay)
+        p = [np.array([1.0, -4.0])]
+        state = nn.init_adam(p, lr=0.5, weight_decay=1.99)
+        nn.adam_step(state, p, [np.zeros(2)])
+        assert np.array_equal(p[0], np.array([1.0, -4.0]) * (1.0 - 0.5 * 1.99))
+
     def test_shape_mismatch_rejected(self):
         p = [np.zeros(3)]
         state = nn.init_adam(p, lr=0.1)
@@ -427,7 +437,7 @@ class TestTrainStack:
         stack = nn.build_stack(_tiny_specs(), "segmentation", rng=DetRng(6))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"epoch 1, Adam step \d+: "):
-                nn.train_stack(stack, ds, lr=lr, weight_decay=5e-4,
+                nn.train_stack(stack, ds, lr=lr, weight_decay=0.0,
                                epochs=3, batch_size=2, rng=DetRng(7))
 
     def test_early_stop(self):

@@ -24,9 +24,10 @@ class TestWorkedExamples:
     def test_same_cell_membership(self):
         pos = np.array([[0.2, 0.2, 0.2], [0.9, 0.9, 0.9], [1.1, 0.0, 0.0]])
         index = spatial.build_index(pos, 1.0)
-        cells = index.cells
-        assert np.array_equal(cells[0], cells[1])
-        assert not np.array_equal(cells[0], cells[2])
+        bounds = zip(index.ustarts[:-1], index.ustarts[1:])
+        members = sorted(sorted(index.order[lo:hi].tolist()) for lo, hi in bounds)
+        assert index.ukeys.shape == (2,)
+        assert members == [[0, 1], [2]]
 
     def test_line_of_points(self):
         # points every 0.25 along x (exactly representable, so the left/right
