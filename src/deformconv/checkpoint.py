@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .atomic import atomic_open
 from .config import FIELD_DEFAULTS, LAYER_FIELDS, parse_layer_spec
 from .pointcloud import TASKS
 
@@ -99,7 +100,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     lines.append(f"params = {expected}")
     header = "".join(line + "\n" for line in lines)
     payload = np.ascontiguousarray(ckpt.params, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(header.encode("ascii"))
         fh.write(b"\n")

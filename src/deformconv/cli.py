@@ -26,6 +26,7 @@ from statistics import median
 import numpy as np
 
 from . import baselines, conv, nn
+from .atomic import atomic_open
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .pointcloud import (
@@ -59,7 +60,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_manifest(path, rows, task: str, num_classes: int) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# dfc-manifest task={task} classes={num_classes}\n")
         fh.write("file,label,split\n")
         for name, label, split in rows:
@@ -207,7 +208,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     )
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train_log.csv")
-    with open(log_path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(log_path) as fh:
         fh.write("epoch,loss,accuracy,miou\n")
         for row in logs:
             fh.write(
@@ -268,7 +269,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     report = nn.evaluate(stack, dataset, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("metric,value\n")
         for name, value in _metric_rows(report):
             fh.write(f"{name},{_fmt(value)}\n")
@@ -349,7 +350,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         rows.append(("oracle_forward", m, cap, k, ns_slow))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "bench.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("op,M,K,k,ns_per_point\n")
         for op, m, cap, k, ns in rows:
             fh.write(f"{op},{m},{cap},{k},{ns:.1f}\n")
@@ -388,7 +389,7 @@ def cmd_export_filters(cfg: RunConfig, args) -> int:
         flat = weights
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "filters.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("i,j,l,x,y,z," + ",".join(cols) + "\n")
         a = 0
         for i in range(-h, h + 1):
@@ -494,7 +495,7 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "compare.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("method,accuracy,miou,voxel_path_diff,deform_path_diff\n")
         for name, acc, miou in results:
             fh.write(

@@ -57,7 +57,7 @@ LAYER_FIELDS = {
     "pool": (),
 }
 FIELD_DEFAULTS = {"r": None, "skip": 0}
-_LAYER_KEY = re.compile(r"^layer\.(\d+)\.(type|%s)$" % "|".join(_CONV_FIELDS))
+_LAYER_KEY = re.compile(r"^layer\.(0|[1-9]\d*)\.(type|%s)$" % "|".join(_CONV_FIELDS))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .rng import DetRng
 
 CLASSIFICATION = "classification"
@@ -118,7 +119,7 @@ def save_xyz(cloud: PointCloud, path) -> None:
     round trip reproduces every float64 bit-exactly.
     """
     labeled = cloud.labels is not None
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# dfc-xyz D={cloud.feature_dim} labeled={int(labeled)}\n")
         for i in range(cloud.num_points):
             parts = ["%.17g" % v for v in cloud.positions[i]]

@@ -1,11 +1,20 @@
 """Radius-limited, count-capped neighbour queries over 3D point sets.
 
 Two query paths produce bit-identical tables: a grid-hash accelerated
-search and a brute-force all-pairs reference. Both feed the same pair
-arithmetic and the same (distance, index) ordering, so their results can
-be compared with exact equality, not a tolerance. The grid search needs
-cells at least as wide as the search radius, so each query sweeps a
-window of at most 4 cells per axis.
+search and a brute-force all-pairs reference. Both feed their candidate
+(query, point) pairs to one function, ``_assemble``, that does the pair
+arithmetic and the (distance, index) ordering, so their results can be
+compared with exact equality, not a tolerance.
+
+The grid search needs cells at least as wide as the search radius, so
+each query's window floor((q - r) / cell_size) .. floor((q + r) / cell_size)
+spans 2 to 4 cells per axis at r = cell_size (3 as a rule; rounding in
+the floors moves a bound by one). Queries that share a window share its
+candidates, so the cell sweep runs once per distinct window, and each
+query then takes a copy of its window's point list. ``_assemble`` orders
+the pairs with one sort on an int64 key (query id in the high bits, the
+top bits of the squared distance in the low bits), then re-sorts exactly
+the runs of equal keys.
 
 Conventions:
   * a point at distance exactly r from the query is included,
@@ -19,12 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    # shared by both query paths; identical arithmetic keeps the
-    # inclusion test bit-exact between them
-    return v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2
 
 
 def _check_positions(arr, name: str) -> np.ndarray:
@@ -129,33 +132,60 @@ def build_index(positions, cell_size: float) -> GridHashIndex:
     return GridHashIndex(float(cell_size), pos, cmin, dims, order, ukeys, ustarts)
 
 
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions start, start+1, ..., start+count-1 of every range, in order."""
+    ends = np.cumsum(counts)
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(ends - counts - starts, counts)
+
+
 def _assemble(
     qid: np.ndarray,
     pid: np.ndarray,
-    off: np.ndarray,
-    num_queries: int,
+    queries: np.ndarray,
+    positions: np.ndarray,
     r: float,
     cap: int,
 ) -> NeighborTable:
     """Filter, order, and cap candidate pairs into a CSR table.
 
-    This is the single code path both search strategies funnel through,
-    which is what makes them comparable bit-for-bit.
+    Candidates are (query id, point id) pairs, none repeated. This is the
+    single code path both search strategies funnel through, which is what
+    makes them comparable bit-for-bit.
     """
-    d2 = _sq_norms(off)
-    keep = d2 <= r * r
-    qid, pid, off, d2 = qid[keep], pid[keep], off[keep], d2[keep]
+    # the squared norm of queries[qid] - positions[pid], summed one axis
+    # at a time in the order x, y, z, so only the pairs kept get offsets
+    d2 = np.zeros(qid.shape[0])
+    for qcol, pcol in zip(queries.T.copy(), positions.T.copy()):
+        diff = qcol.take(qid)
+        diff -= pcol.take(pid)
+        diff *= diff
+        d2 += diff
+    keep = np.flatnonzero(d2 <= r * r)
+    qid, pid, d2 = qid[keep], pid[keep], d2[keep]
 
-    perm = np.lexsort((pid, d2, qid))
-    qid, pid, off = qid[perm], pid[perm], off[perm]
+    # One int64 key per pair: the query id in the high bits, then the bit
+    # pattern of d2, which rises with the value for non-negative floats,
+    # less its low `shift` bits. Runs of equal keys hold the exact ties and
+    # the pairs whose d2 differ only in the dropped bits; re-sorting those
+    # runs by (d2, point id) gives the exact (query, d2, point id) order.
+    nq = queries.shape[0]
+    shift = max(nq - 1, 0).bit_length()
+    key = (qid << (63 - shift)) | (d2.view(np.int64) >> shift)
+    perm = np.argsort(key)
+    key = key[perm]
+    tie = np.flatnonzero(key[1:] == key[:-1])
+    at = np.union1d(tie, tie + 1)
+    runs = perm[at]
+    perm[at] = runs[np.lexsort((pid[runs], d2[runs], key[at]))]
 
-    full_counts = np.bincount(qid, minlength=num_queries)
-    group_start = np.concatenate(([0], np.cumsum(full_counts)))
-    rank = np.arange(qid.shape[0], dtype=np.int64) - group_start[qid]
-    keep = rank < cap
+    qid = qid[perm]
+    full_counts = np.bincount(qid, minlength=nq)
+    rank = np.arange(qid.shape[0], dtype=np.int64) - (np.cumsum(full_counts) - full_counts)[qid]
+    kept = rank < cap
     counts = np.minimum(full_counts, cap)
     starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    indices, offsets = pid[keep], np.ascontiguousarray(off[keep])
+    indices = pid[perm[kept]]
+    offsets = queries.take(qid[kept], axis=0) - positions.take(indices, axis=0)
     # read-only: conv caches per-table work keyed on the table object
     for arr in (starts, indices, offsets):
         arr.setflags(write=False)
@@ -163,33 +193,29 @@ def _assemble(
 
 
 def _candidate_ranges(index: GridHashIndex, lo: np.ndarray, hi: np.ndarray):
-    """(query id, slice start in index.order, slice count) of every
-    occupied cell in each query's window [lo, hi], sweeping the window
-    offsets in lockstep over all queries."""
-    # loop bounds come from the windows: 3 cells per axis when r <= cell
-    # size, or 4 where rounding in the floors adds one (1 without queries)
-    nx, ny, nz = (int(v) for v in (hi - lo + 1).max(axis=0, initial=1))
-    cmin, cmax = index.cmin, index.cmin + index.dims - 1
-    parts_q, parts_s, parts_c = [], [], []
-    for dx in range(nx):
-        for dy in range(ny):
-            for dz in range(nz):
-                cell = lo + np.array([dx, dy, dz], dtype=np.int64)
-                ok = (
-                    (cell <= hi).all(axis=1)
-                    & (cell >= cmin).all(axis=1)
-                    & (cell <= cmax).all(axis=1)
-                )
-                qsel = np.flatnonzero(ok)
-                keys = index._pack(cell[qsel])
-                pos = np.searchsorted(index.ukeys, keys)
-                pos = np.minimum(pos, index.ukeys.shape[0] - 1)
-                found = index.ukeys[pos] == keys
-                pos = pos[found]
-                parts_q.append(qsel[found])
-                parts_s.append(index.ustarts[pos])
-                parts_c.append(index.ustarts[pos + 1] - index.ustarts[pos])
-    return np.concatenate(parts_q), np.concatenate(parts_s), np.concatenate(parts_c)
+    """(window id, slice start in index.order, slice count) of every
+    occupied cell in each window [lo, hi], window by window.
+
+    Windows must lie inside the occupied cell range. At r = cell size
+    one spans 2 to 4 cells per axis (fewer where it was clipped to the
+    occupied range, or where r < cell size), so the sweep covers at most
+    4 x 4 x 4 offsets, each masked to the windows it lies in.
+    """
+    span = hi - lo
+    nx, ny, nz = (int(v) + 1 for v in span.max(axis=0, initial=0))
+    steps = np.stack(
+        np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    inside = [steps[:, a] <= span[:, a, None] for a in range(3)]
+    wid, step = np.nonzero(inside[0] & inside[1] & inside[2])
+    # packing is linear in the cell, and every cell swept is inside the
+    # occupied range, so both terms and their sum are valid keys
+    keys = index._pack(lo)[wid] + index._pack(index.cmin + steps)[step]
+    pos = np.searchsorted(index.ukeys, keys)
+    pos = np.minimum(pos, index.ukeys.shape[0] - 1)
+    found = index.ukeys[pos] == keys
+    pos = pos[found]
+    return wid[found], index.ustarts[pos], index.ustarts[pos + 1] - index.ustarts[pos]
 
 
 def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> NeighborTable:
@@ -209,18 +235,31 @@ def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> Neigh
 
     lo = np.floor((q - r) / cs).astype(np.int64)
     hi = np.floor((q + r) / cs).astype(np.int64)
-    cq, cstart, ccount = _candidate_ranges(index, lo, hi)
-    # expand [start, start+count) ranges into flat slot positions
-    bases = np.cumsum(ccount) - ccount
-    slots = (
-        np.arange(int(ccount.sum()), dtype=np.int64)
-        - np.repeat(bases, ccount)
-        + np.repeat(cstart, ccount)
-    )
-    pid = index.order[slots]
-    qid = np.repeat(cq, ccount)
-    off = q[qid] - index.positions[pid]
-    return _assemble(qid, pid, off, q.shape[0], r, cap)
+    # clipped to the occupied range, a window holds the same occupied
+    # cells, and its corners pack into int64 keys
+    lo = np.maximum(lo, index.cmin)
+    hi = np.minimum(hi, index.cmin + index.dims - 1)
+    live = np.flatnonzero((lo <= hi).all(axis=1))
+    # queries that share a window share its candidates: sweep each
+    # distinct window once
+    lkey, hkey = index._pack(lo[live]), index._pack(hi[live])
+    by_window = np.lexsort((hkey, lkey))
+    lkey, hkey = lkey[by_window], hkey[by_window]
+    new = np.ones(live.shape[0], dtype=bool)
+    new[1:] = (lkey[1:] != lkey[:-1]) | (hkey[1:] != hkey[:-1])
+    wid = np.empty(live.shape[0], dtype=np.int64)
+    wid[by_window] = np.cumsum(new) - 1
+    first = live[by_window[new]]
+    cw, cstart, ccount = _candidate_ranges(index, lo[first], hi[first])
+
+    # each window's point ids, then each live query's copy of its window's
+    # list, in ascending query order
+    win_pid = index.order[_expand(cstart, ccount)]
+    wcount = np.bincount(cw, weights=ccount, minlength=first.shape[0]).astype(np.int64)
+    counts = wcount[wid]
+    pid = win_pid[_expand((np.cumsum(wcount) - wcount)[wid], counts)]
+    qid = np.repeat(live, counts)
+    return _assemble(qid, pid, q, index.positions, r, cap)
 
 
 def brute_force_neighbors(positions, queries, r: float, cap: int) -> NeighborTable:
@@ -232,18 +271,7 @@ def brute_force_neighbors(positions, queries, r: float, cap: int) -> NeighborTab
     if cap < 1:
         raise ValueError("cap must be >= 1")
 
-    m = pos.shape[0]
-    parts = []
-    # chunk queries so the (chunk, M, 3) offset block stays modest
-    chunk = max(1, int(4_000_000 // max(1, m)))
-    # without queries, one empty chunk still feeds _assemble
-    for q0 in range(0, max(1, q.shape[0]), chunk):
-        q1 = min(q.shape[0], q0 + chunk)
-        off = q[q0:q1, None, :] - pos[None, :, :]
-        qid = np.repeat(np.arange(q0, q1, dtype=np.int64), m)
-        pid = np.tile(np.arange(m, dtype=np.int64), q1 - q0)
-        parts.append((qid, pid, off.reshape(-1, 3)))
-    qid = np.concatenate([p[0] for p in parts])
-    pid = np.concatenate([p[1] for p in parts])
-    off = np.concatenate([p[2] for p in parts])
-    return _assemble(qid, pid, off, q.shape[0], r, cap)
+    m, nq = pos.shape[0], q.shape[0]
+    qid = np.repeat(np.arange(nq, dtype=np.int64), m)
+    pid = np.tile(np.arange(m, dtype=np.int64), nq)
+    return _assemble(qid, pid, q, pos, r, cap)

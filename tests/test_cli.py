@@ -26,6 +26,8 @@ class TestConfigParsing:
         ("seed = 1\nseed = 2\n", "duplicate"),
         ("sede = 1\n", "unknown key"),
         ("layer.0.depth = 2\n", "unknown key"),
+        ("layer.01.out = 7\n", "unknown key 'layer.01.out'"),
+        ("layer.00.cap = 3\n", "unknown key 'layer.00.cap'"),
     ])
     def test_parse_errors(self, text, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -382,6 +384,16 @@ class TestTrain:
         assert cli.main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and re.search(frag, err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["layer.01.out = 7", "layer.00.cap = 3"],
+                             ids=["layer-index-01", "layer-index-00"])
+    def test_non_canonical_layer_index_is_config_error(self, tmp_path, capsys, key):
+        # a zero-padded index names no layer; the key must not be ignored
+        cfg = _train_config(tmp_path, extra=key)
+        assert cli.main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "unknown key" in err
         assert not (tmp_path / "run").exists()
 
     def test_mismatched_task_is_config_error(self, tmp_path):

@@ -2,17 +2,21 @@
 search's limits on cell size and extent."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deformconv import conv, spatial
+from deformconv import cli, conv, pointcloud, spatial
+from deformconv.rng import DetRng
 
 
 def _tables_equal(a: spatial.NeighborTable, b: spatial.NeighborTable) -> bool:
-    return (np.array_equal(a.starts, b.starts)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.offsets, b.offsets))
+    # bit for bit: np.array_equal would let -0.0 equal 0.0
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.starts, b.starts), (a.indices, b.indices),
+                            (a.offsets, b.offsets)))
 
 
 def _grid_table(positions, queries, r, cap, cell_size=None):
@@ -121,6 +125,165 @@ class TestGridEqualsBrute:
         grid = _grid_table(pos, pos, r, cap)
         brute = spatial.brute_force_neighbors(pos, pos, r, cap)
         assert _tables_equal(grid, brute)
+
+
+def _reference_table(pos, queries, r, cap) -> spatial.NeighborTable:
+    """The table by definition, one query at a time: every point within r,
+    ordered by (d2, point id) with a lexsort, the first cap kept."""
+    off = queries[:, None, :] - pos[None, :, :]
+    d2 = off[..., 0] ** 2 + off[..., 1] ** 2 + off[..., 2] ** 2
+    starts, indices = [0], []
+    for row in d2:
+        inside = np.flatnonzero(row <= r * r)
+        indices.extend(inside[np.lexsort((inside, row[inside]))][:cap].tolist())
+        starts.append(len(indices))
+    starts, indices = np.array(starts, dtype=np.int64), np.array(indices, dtype=np.int64)
+    qid = np.repeat(np.arange(queries.shape[0]), np.diff(starts))
+    return spatial.NeighborTable(starts, indices, queries[qid] - pos[indices], r, cap)
+
+
+def _assert_grid_equals_brute(pos, queries, r, cap, cell_size=None):
+    # both searches share _assemble, so each is also held to the reference
+    grid = _grid_table(pos, queries, r, cap, cell_size)
+    assert _tables_equal(grid, spatial.brute_force_neighbors(pos, queries, r, cap))
+    assert _tables_equal(grid, _reference_table(pos, queries, r, cap))
+
+
+class TestGridEqualsBruteProperties:
+    """The regimes where the grid search's window grouping and sort key
+    could part from the brute-force order: exact distance ties, windows
+    clipped to the occupied cells, several windows per cell, squared
+    distances the sort key cannot tell apart, and packed keys near the
+    int64 limit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 60),
+           st.floats(0.05, 1.0), st.integers(1, 20))
+    def test_duplicate_points(self, seed, distinct, m, r, cap):
+        # many points at d2 = 0 from each other: order is by point id alone
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-1, 1, (distinct, 3))[rng.integers(0, distinct, m)]
+        _assert_grid_equals_brute(pos, pos, r, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([0.1, 0.25, 0.3, 1.0]), st.integers(2, 6), st.integers(-4, 4),
+           st.sampled_from([1.0, 2 ** 0.5, 3 ** 0.5, 1.5, 2.0]), st.integers(1, 30))
+    def test_lattice_clouds(self, spacing, n, shift, reach, cap):
+        # exact distance ties, and neighbours exactly on the ball's surface
+        i, j, l = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
+        pos = (np.stack([i.ravel(), j.ravel(), l.ravel()], axis=1) + shift) * spacing
+        _assert_grid_equals_brute(pos, pos, reach * spacing, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 50), st.floats(0.1, 1.0),
+           st.integers(1, 12), st.sampled_from([2.0, 10.0, 1e3, 1e6]))
+    def test_queries_outside_occupied_cells(self, seed, m, r, cap, far):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0.5, 2.0, (m, 3))
+        near = rng.uniform(-1.0, 3.5, (20, 3))  # around and beyond the cloud
+        # far on some axes only, so some windows are clipped on one axis
+        sign = rng.choice([-1.0, 0.0, 1.0], size=(20, 3))
+        queries = np.concatenate([near, near + sign * far, -near])
+        _assert_grid_equals_brute(pos, queries, r, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.floats(0.05, 1.0),
+           st.floats(1.0, 4.0), st.integers(1, 16))
+    def test_radius_below_cell_size(self, seed, m, r, ratio, cap):
+        pos = np.random.default_rng(seed).uniform(-1, 1, (m, 3))
+        _assert_grid_equals_brute(pos, pos, r, cap, cell_size=r * ratio)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.floats(0.2, 1.0),
+           st.sampled_from(["one", "below", "above"]))
+    def test_cap_against_ball_count(self, seed, m, r, which):
+        pos = np.random.default_rng(seed).uniform(-1, 1, (m, 3))
+        in_ball = spatial.brute_force_neighbors(pos, pos, r, m).counts
+        cap = {"one": 1, "below": max(1, int(in_ball.max()) - 1),
+               "above": int(in_ball.max()) + 3}[which]
+        _assert_grid_equals_brute(pos, pos, r, cap)
+
+    def test_cell_with_three_and_four_cell_windows(self):
+        # with cell_size == r, x = -0.2 lies in cell -2 and rounding gives it
+        # a 4-cell window along x; x = -0.15 in the same cell has 3 cells
+        r = 0.1
+        xs = np.array([-0.2, -0.15, -0.12])
+        span = np.floor((xs + r) / r) - np.floor((xs - r) / r) + 1
+        assert set(np.floor(xs / r).tolist()) == {-2.0} and set(span.tolist()) == {3.0, 4.0}
+        i, j, l = np.meshgrid(np.arange(-6, 3), np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
+        pos = np.stack([i.ravel() * r, j.ravel() * r, l.ravel() * r], axis=1)
+        queries = np.stack([xs, np.zeros(3), np.zeros(3)], axis=1)
+        for cap in (1, 4, 40):
+            _assert_grid_equals_brute(pos, queries, r, cap)
+            _assert_grid_equals_brute(pos, np.concatenate([queries, pos]), r, cap)
+
+    def test_distances_equal_in_the_sort_key(self):
+        # 1024 queries leave the key 53 bits of d2, so two squared
+        # distances that differ only in their 10 lowest bits share a key.
+        # The farther point gets the lower id, so ordering the run by id
+        # instead of by exact d2 would put it first.
+        xs = [0.3]
+        for _ in range(8):
+            xs.append(float(np.nextafter(xs[-1], 1.0)))
+        bits = [int(np.float64(x * x).view(np.int64)) for x in xs]
+        far, near = next((a, b) for a in range(1, 9) for b in range(a)
+                         if bits[a] != bits[b] and bits[a] >> 10 == bits[b] >> 10)
+        pos = np.array([[xs[far], 0.0, 0.0], [xs[near], 0.0, 0.0], [5.0, 5.0, 5.0]])
+        queries = np.zeros((1024, 3))
+        queries[1:] = 9.0  # empty neighbourhoods
+        table = _grid_table(pos, queries, 0.5, 4)
+        assert table.neighbors_of(0)[0].tolist() == [1, 0]
+        _assert_grid_equals_brute(pos, queries, 0.5, 4)
+        _assert_grid_equals_brute(pos, queries, 0.5, 1)
+
+    def test_extent_at_packing_limit(self):
+        # occupied cells span exactly 2^62 keys: window keys and their
+        # grouping stay inside int64
+        rng = np.random.default_rng(5)
+        top = np.array([2.0 ** 21, 2.0 ** 21, 2.0 ** 20])
+        pos = np.concatenate([rng.uniform(0.0, 2.5, (30, 3)), top - rng.uniform(0.0, 2.5, (30, 3))])
+        index = spatial.build_index(pos, 1.0)
+        assert int(index.dims[0]) * int(index.dims[1]) * int(index.dims[2]) == 1 << 62
+        queries = np.concatenate([pos, top + rng.uniform(-1.5, 1.5, (10, 3)),
+                                  rng.uniform(-1.5, 1.5, (10, 3))])
+        for cap in (1, 5, 60):
+            _assert_grid_equals_brute(pos, queries, 1.0, cap)
+
+
+def _table_digest(table: spatial.NeighborTable) -> str:
+    h = hashlib.sha256()
+    for arr in (table.starts, table.indices, table.offsets):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_cloud(name: str):
+    """Positions and radius of one of the benchmark's clouds: a toy-seg
+    cloud, and the bench clouds of scene-k3 and scene-k7."""
+    r3 = conv.default_radius(conv.grid_from_spacing(3, 0.2))
+    if name == "toy-seg":
+        return pointcloud.synth_dataset("two-surfaces-seg", 1, 256, 0.01, 11).clouds[0].positions, r3
+    if name == "scene-k3":
+        return cli._bench_cloud(20_000, 16, r3, DetRng(11).spawn(10), 2).positions, r3
+    r7 = conv.default_radius(conv.grid_from_spacing(7, 0.2))
+    return cli._bench_cloud(5_000, 16, r7, DetRng(11).spawn(10), 2).positions, r7
+
+
+class TestPinnedTables:
+    """Seeded tables of the benchmark's clouds at cap 16 keep the bytes
+    they had before the window-grouped search and the key sort."""
+
+    DIGESTS = {
+        "toy-seg": "40d32c7aaf77db6847395257ddfe937992512e73b0a12571d1c045efe8d7a967",
+        "scene-k3": "afda16cc330ea6dd893210f04fed708db44a641e24a290470bebe2ba64d6f162",
+        "scene-k7": "a72f06a9f0293a11002c1c7168ab81b4f560314f0c27bb1d42f73861e13a1a3a",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_table_bytes(self, name):
+        pos, r = _pinned_cloud(name)
+        table = _grid_table(pos, pos, r, 16)
+        assert _table_digest(table) == self.DIGESTS[name]
 
 
 class TestInvariants:
