@@ -110,11 +110,8 @@ def _pcc_aggregate(
     """Per-query sums m of w_mlp(offset) * f(neighbour), and the pair
     weights w, as (Q, D') and (P, D')."""
     w = mlp_eval(filt, neighbors.offsets)
-    pair_vals = w * feats[neighbors.indices]
-    m = np.zeros((neighbors.num_queries, feats.shape[1]))
-    valid = np.flatnonzero(neighbors.counts > 0)
-    if neighbors.num_pairs:
-        m[valid] = np.add.reduceat(pair_vals, neighbors.starts[:-1][valid], axis=0)
+    qid = np.repeat(np.arange(neighbors.num_queries, dtype=np.int64), neighbors.counts)
+    m = conv._scatter_rows(qid, w * feats[neighbors.indices], neighbors.num_queries)
     return m, w
 
 
@@ -188,15 +185,12 @@ class PccLayer(nn.Layer):
         self.gp += self._m.T @ upstream
         self.gb += upstream.sum(axis=0)
         grad_m = upstream @ self.pointwise.T  # (Q, D')
-        counts = table.counts
-        qid = np.repeat(np.arange(table.num_queries, dtype=np.int64), counts)
+        qid = np.repeat(np.arange(table.num_queries, dtype=np.int64), table.counts)
         gm_pairs = grad_m[qid]  # (P, D')
-        fn = feats[table.indices]
-        grad_f = np.zeros_like(feats)
-        np.add.at(grad_f, table.indices, self._w * gm_pairs)
+        grad_f = conv._scatter_rows(table.indices, self._w * gm_pairs, feats.shape[0])
         filt = self._filter()
         acts = _mlp_tape(filt, table.offsets)
-        for i, (gw, gb) in enumerate(_mlp_backward(filt, acts, fn * gm_pairs)):
+        for i, (gw, gb) in enumerate(_mlp_backward(filt, acts, feats[table.indices] * gm_pairs)):
             self.g_mlp[2 * i] += gw
             self.g_mlp[2 * i + 1] += gb
         return grad_f
@@ -258,8 +252,7 @@ def voxelize_extend(cloud: PointCloud, pitch: float, margin: int = 1) -> VoxelGr
     rel = cells - cmin
     flat = (rel[:, 0] * dims[1] + rel[:, 1]) * dims[2] + rel[:, 2]
     d = cloud.feature_dim
-    sums = np.zeros((total, d))
-    np.add.at(sums, flat, cloud.features)
+    sums = conv._scatter_rows(flat, cloud.features, total)
     counts = np.bincount(flat, minlength=total).astype(np.int64)
     feats = np.zeros_like(sums)
     occupied = counts > 0
@@ -317,8 +310,7 @@ class VoxelSmoothLayer(nn.Layer):
         return self._cell_mean(upstream)
 
     def _cell_mean(self, x: np.ndarray) -> np.ndarray:
-        sums = np.zeros((self._counts.shape[0], x.shape[1]))
-        np.add.at(sums, self._inv, x)
+        sums = conv._scatter_rows(self._inv, x, self._counts.shape[0])
         return sums[self._inv] / self._counts[self._inv, None]
 
 

@@ -22,7 +22,8 @@ Two implementations are kept side by side:
     enclose each offset are touched. Those corners and their weights
     (the kernel map) are gathered once per (neighbour table, anchor
     grid) and shared by every layer and pass on that table; pairs whose
-    weight is zero at all eight corners are left out of the map.
+    weight is zero at all eight corners are left out of the map. The
+    full filter runs in query blocks, the separable one channel by channel.
   * oracle_forward: a deliberately naive full scan over all k^3 anchors
     for every pair. It exists to cross-check the fast path and is used
     by tests and the benchmark command.
@@ -320,37 +321,29 @@ def _corner_gather(offsets: np.ndarray, grid: AnchorGrid) -> tuple[np.ndarray, n
     return ids, w
 
 
-def _anchor_sums(
-    features: np.ndarray,
-    nbr: np.ndarray,
-    ids: np.ndarray,
-    w: np.ndarray,
-    qid: np.ndarray,
-    num_queries: int,
-    num_anchors: int,
-) -> np.ndarray:
+def _anchor_sums(features, nbr, ids, w, qid, num_queries: int, num_anchors: int) -> np.ndarray:
     """Weighted per-(query, anchor) feature sums for one query block:
 
         S[q, a, i] = sum over pairs of q and corners hitting anchor a of
                      trilinear weight * f_i(neighbour)
 
-    ``qid`` is the block-local query id of each pair. Built with bincount
-    per channel, which accumulates in ascending (pair, corner) order,
-    i.e. ascending query, then stored neighbour order; bit-identical
-    across runs. Everything the forward pass and the weight gradient
+    ``qid`` is the block-local query id of each pair. Sums add in
+    ascending (pair, corner) order, i.e. ascending query, then stored
+    neighbour order. Everything the forward pass and the weight gradient
     need reduces to contractions of S.
     """
-    p = nbr.shape[0]
-    d_in = features.shape[1]
     keys = (qid[:, None] * num_anchors + ids).ravel()
-    fn = features[nbr]  # (P, in)
-    vals = w[:, :, None] * fn[:, None, :]  # (P, 8, in)
-    flat = vals.reshape(p * 8, d_in)
-    total = num_queries * num_anchors
-    s = np.empty((total, d_in))
-    for i in range(d_in):
-        s[:, i] = np.bincount(keys, weights=flat[:, i], minlength=total)
-    return s.reshape(num_queries, num_anchors, d_in)
+    vals = (w[:, :, None] * features[nbr][:, None, :]).reshape(keys.shape[0], -1)
+    return _scatter_rows(keys, vals, num_queries * num_anchors).reshape(num_queries, num_anchors, -1)
+
+
+def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, C) sums of the rows of values (P, C) into rows index (P,): one
+    bincount per column, adding in ascending row order (bit-identical runs)."""
+    out = np.empty((n, values.shape[1]))
+    for c in range(values.shape[1]):
+        out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
+    return out
 
 
 def _query_blocks(starts: np.ndarray, pair_budget: int):
@@ -399,7 +392,7 @@ def _kernel_map(table: NeighborTable, grid: AnchorGrid):
 
 
 def _block_pass(features, neighbors: NeighborTable, filt, contract, threads: int = 1):
-    """Call contract(q0, q1, nbr, ids, w, qid, S) once per query block.
+    """Call contract(q0, q1, nbr, ids, w, qid, S) once per query block (full filter only).
 
     A block covers queries [q0, q1); nbr are its pairs' neighbour rows,
     (ids, w) their enclosing corners, qid their block-local query ids
@@ -537,7 +530,6 @@ def backward_features(
     features, up = _check_args(features, neighbors, filt, upstream)
     d_in = filt.in_dim
     num_anchors = filt.grid.num_anchors
-    m = features.shape[0]
     grad_f = np.zeros_like(features)
     grad_w = np.zeros_like(filt.weights)
 
@@ -549,8 +541,7 @@ def backward_features(
         u = np.einsum("aio,qo->qai", filt.weights, up_blk)  # (q, A, in)
         gather = u.reshape(-1, d_in)[(qid[:, None] * num_anchors + ids).ravel()]
         pair_gf = (w.reshape(-1)[:, None] * gather).reshape(-1, 8, d_in).sum(axis=1)
-        for i in range(d_in):
-            grad_f[:, i] += np.bincount(nbr, weights=pair_gf[:, i], minlength=m)
+        grad_f[...] += _scatter_rows(nbr, pair_gf, features.shape[0])
 
     _block_pass(features, neighbors, filt, contract)
     return grad_f, grad_w, up.sum(axis=0)
@@ -569,15 +560,21 @@ def forward_separable_features(
     features: np.ndarray, neighbors: NeighborTable, sf: SeparableFilter
 ) -> np.ndarray:
     """Separable convolution: per-channel spatial aggregation
-    m[y, c] = sum_{x in N(y)} ghat1_c(y - x) * f_c(x), then the
-    pointwise map m @ pointwise (+ bias)."""
+    m[y, i] = sum_{x in N(y)} ghat1_i(y - x) * f_i(x), then the
+    pointwise map m @ pointwise (+ bias).
+
+    One input channel i at a time on the table's kernel map: ghat1_i of
+    every pair blends spatial[:, i] over the pair's corners, and m[:, i]
+    sums over each query's pairs in stored order (bit-identical runs).
+    No temporary is larger than the map's own (pairs, 8) weights.
+    """
     features, _ = _check_args(features, neighbors, sf)
-    m = np.zeros((neighbors.num_queries, sf.in_dim))
-
-    def contract(q0, q1, nbr, ids, w, qid, s):
-        m[q0:q1] = np.einsum("qai,ai->qi", s, sf.spatial)
-
-    _block_pass(features, neighbors, sf, contract)
+    starts, nbr, ids, w = _kernel_map(neighbors, sf.grid)
+    qid = np.repeat(np.arange(neighbors.num_queries, dtype=np.int64), np.diff(starts))
+    m = np.empty((neighbors.num_queries, sf.in_dim))
+    for i, column in enumerate(sf.spatial.T):
+        g = np.einsum("pc,pc->p", w, column.take(ids))
+        m[:, i] = np.bincount(qid, weights=g * features[nbr, i], minlength=m.shape[0])
     out = m @ sf.pointwise
     if sf.bias is not None:
         out += sf.bias
@@ -598,31 +595,26 @@ def backward_separable_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients for the separable form: (features, spatial, pointwise, bias).
 
-    One pass over the table rebuilds the spatial stage m and
-    accumulates the feature and spatial gradients; the pointwise
-    gradient is m^T @ upstream afterwards.
+    Runs the forward pass's channel loop again and takes every gradient
+    but the bias's from each channel's m[:, i] as it is built, so no
+    array holds m or dL/dm for all channels at once.
     """
     features, up = _check_args(features, neighbors, sf, upstream)
-    d_in = sf.in_dim
-    n_pts = features.shape[0]
-    grad_m = up @ sf.pointwise.T  # (q, in)
-    m = np.zeros((neighbors.num_queries, d_in))
-    grad_f = np.zeros_like(features)
-    grad_s = np.zeros_like(sf.spatial)
-
-    def contract(q0, q1, nbr, ids, w, qid, s):
-        m[q0:q1] = np.einsum("qai,ai->qi", s, sf.spatial)
-        gm_blk = grad_m[q0:q1]
-        # dL/dspatial[a,i] = sum_q S[q,a,i] * grad_m[q,i]
-        grad_s[...] += np.einsum("qai,qi->ai", s, gm_blk)
-        # ghat1 of each pair, then chain through grad_m
-        gsp = (w[:, :, None] * sf.spatial[ids]).sum(axis=1)  # (p, in)
-        pair_gf = gsp * gm_blk[qid]
-        for i in range(d_in):
-            grad_f[:, i] += np.bincount(nbr, weights=pair_gf[:, i], minlength=n_pts)
-
-    _block_pass(features, neighbors, sf, contract)
-    return grad_f, grad_s, m.T @ up, up.sum(axis=0)
+    starts, nbr, ids, w = _kernel_map(neighbors, sf.grid)
+    q = neighbors.num_queries
+    qid = np.repeat(np.arange(q, dtype=np.int64), np.diff(starts))
+    grad_f, grad_s, grad_p = (np.empty_like(a) for a in (features, sf.spatial, sf.pointwise))
+    for i, column in enumerate(sf.spatial.T):
+        g = np.einsum("pc,pc->p", w, column.take(ids))
+        f = features[nbr, i]
+        m_i = np.bincount(qid, weights=g * f, minlength=q)
+        grad_p[i] = m_i @ up
+        u = (up @ sf.pointwise[i])[qid]  # dL/dm[:, i] at each pair's query
+        grad_f[:, i] = np.bincount(nbr, weights=g * u, minlength=features.shape[0])
+        # dL/dspatial[a, i] sums w * f * u over the (pair, corner)s at anchor a
+        grad_s[:, i] = np.bincount(ids.ravel(), weights=(w * (f * u)[:, None]).ravel(),
+                                   minlength=sf.grid.num_anchors)
+    return grad_f, grad_s, grad_p, up.sum(axis=0)
 
 
 def backward_separable(

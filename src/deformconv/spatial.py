@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_CELL_LIMIT = 2.0 ** 62  # cell coordinates stay below it in magnitude
+
 
 def _check_positions(arr, name: str) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
@@ -99,8 +101,9 @@ class GridHashIndex:
 def build_index(positions, cell_size: float) -> GridHashIndex:
     """Hash every point into its grid cell.
 
-    Raises ValueError when the occupied cell range spans more than 2^62
-    cells, whose keys would not pack into int64.
+    Raises ValueError when a point lies 2^62 or more cells from the
+    origin on some axis, or when the occupied cell range spans more than
+    2^62 cells, whose keys would not pack into int64.
     """
     pos = _check_positions(positions, "positions")
     if pos.shape[0] < 1:
@@ -108,10 +111,14 @@ def build_index(positions, cell_size: float) -> GridHashIndex:
     if not (cell_size > 0) or not np.isfinite(cell_size):
         raise ValueError("cell_size must be positive and finite")
 
-    cells = np.floor(pos / cell_size).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflow is +-inf, rejected below
+        cells = np.floor(pos / cell_size)
+    if np.abs(cells).max() >= _CELL_LIMIT:
+        raise ValueError(f"points lie 2^62 or more cells of size {cell_size} from the origin")
+    cells = cells.astype(np.int64)
     cmin = cells.min(axis=0)
     cmax = cells.max(axis=0)
-    dims = cmax - cmin + 1
+    dims = cmax - cmin + 1  # below 2^63
     extent = int(dims[0]) * int(dims[1]) * int(dims[2])  # python ints: no overflow
     if extent > (1 << 62):
         raise ValueError(
@@ -153,13 +160,15 @@ def _assemble(
     makes them comparable bit-for-bit.
     """
     # the squared norm of queries[qid] - positions[pid], summed one axis
-    # at a time in the order x, y, z, so only the pairs kept get offsets
+    # at a time in the order x, y, z, so only the pairs kept get offsets;
+    # where it overflows, d2 is inf and the ball test drops the pair
     d2 = np.zeros(qid.shape[0])
-    for qcol, pcol in zip(queries.T.copy(), positions.T.copy()):
-        diff = qcol.take(qid)
-        diff -= pcol.take(pid)
-        diff *= diff
-        d2 += diff
+    with np.errstate(over="ignore"):
+        for qcol, pcol in zip(queries.T.copy(), positions.T.copy()):
+            diff = qcol.take(qid)
+            diff -= pcol.take(pid)
+            diff *= diff
+            d2 += diff
     keep = np.flatnonzero(d2 <= r * r)
     qid, pid, d2 = qid[keep], pid[keep], d2[keep]
 
@@ -233,8 +242,11 @@ def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> Neigh
     if r > cs:
         raise ValueError(f"radius {r} exceeds the index cell_size {cs}")
 
-    lo = np.floor((q - r) / cs).astype(np.int64)
-    hi = np.floor((q + r) / cs).astype(np.int64)
+    # a bound past +-2^62 cells (or at +-inf) lies past every occupied cell, clipped or not
+    with np.errstate(over="ignore"):
+        lo, hi = np.floor((q - r) / cs), np.floor((q + r) / cs)
+    lo = np.clip(lo, -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
+    hi = np.clip(hi, -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
     # clipped to the occupied range, a window holds the same occupied
     # cells, and its corners pack into int64 keys
     lo = np.maximum(lo, index.cmin)

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deformconv import conv, pointcloud, spatial
 from conftest import (fd_grad, grad_rel, neighbor_table, random_cloud,
@@ -142,6 +142,37 @@ class TestInterpolateFilter:
 def _spec_for(filt: conv.DeformableFilter, cap: int = 16) -> conv.ConvLayerSpec:
     return conv.ConvLayerSpec(grid=filt.grid,
                               radius=conv.default_radius(filt.grid), cap=cap)
+
+
+def _separable(grid: conv.AnchorGrid, rng, d_in: int, d_out: int) -> conv.SeparableFilter:
+    return conv.SeparableFilter(grid=grid, spatial=rng.normal(size=(grid.num_anchors, d_in)),
+                                pointwise=rng.normal(size=(d_in, d_out)),
+                                bias=rng.normal(size=d_out))
+
+
+def _capped_pass(filt, cloud, cap: int) -> np.ndarray:
+    """Either operator on a fresh capped table of the cloud."""
+    table = neighbor_table(cloud, conv.default_radius(filt.grid), cap)
+    if isinstance(filt, conv.SeparableFilter):
+        return conv.forward_separable_features(cloud.features, table, filt)
+    return conv.forward_features(cloud.features, table, filt)
+
+
+def _untied_capped_instance(seed: int, m: int, cap: int, separable: bool):
+    """(cloud, filter, rng), where cap cuts some neighbourhood and every cut
+    neighbourhood's cap-th and (cap+1)-th distances differ by at least 1e-6,
+    so a shift or a relabelling keeps the same points; None otherwise."""
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(rng, m, 2, extent=0.4)
+    filt = random_filter(rng, 3, 0.2, 2, 3, bias=True)
+    if separable:
+        filt = _separable(filt.grid, rng, 2, 3)
+    pos = cloud.positions
+    d = np.sort(np.linalg.norm(pos[:, None] - pos[None], axis=2), axis=1)
+    cut = d[:, cap] <= conv.default_radius(filt.grid)
+    if not cut.any() or np.any(d[cut, cap] - d[cut, cap - 1] < 1e-6):
+        return None
+    return cloud, filt, rng
 
 
 def _multi_block_instance(seed: int, d_out: int = 4):
@@ -364,6 +395,29 @@ class TestEquivariance:
                 shuffled.features, neighbor_table(shuffled, spec.radius, spec.cap), filt)
             assert rel_err(out, base[perm]) <= 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(12, 40), st.integers(2, 8), st.booleans(),
+           st.tuples(*[st.floats(-100, 100)] * 3))
+    def test_translation_with_cap_cutting(self, seed, m, cap, separable, shift):
+        instance = _untied_capped_instance(seed, m, cap, separable)
+        assume(instance is not None)
+        cloud, filt, _ = instance
+        base = _capped_pass(filt, cloud, cap)
+        out = _capped_pass(filt, cloud.translated(np.array(shift)), cap)
+        assert rel_err(out, base) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(12, 40), st.integers(2, 8), st.booleans())
+    def test_permutation_with_cap_cutting(self, seed, m, cap, separable):
+        instance = _untied_capped_instance(seed, m, cap, separable)
+        assume(instance is not None)
+        cloud, filt, rng = instance
+        perm = rng.permutation(m)
+        shuffled = pointcloud.PointCloud(positions=cloud.positions[perm],
+                                         features=cloud.features[perm])
+        base = _capped_pass(filt, cloud, cap)
+        assert rel_err(_capped_pass(filt, shuffled, cap), base[perm]) <= 1e-9
+
     def test_rotation_in_cylindrical_coordinates(self):
         # points expressed as (rho, phi, z) and neighbourhoods computed in
         # that coordinate space: a rotation is a shift of phi, so outputs
@@ -507,14 +561,18 @@ class TestSeparable:
         out = conv.forward_separable_features(cloud.features, table, sf)
         assert not np.any(out)
 
-    def test_gradcheck(self):
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_gradcheck(self, k):
         rng = np.random.default_rng(7)
-        cloud = random_cloud(rng, 10, 3, extent=0.5)
-        g = conv.grid_from_spacing(3, 0.2)
-        s = rng.normal(size=(27, 3))
+        cloud = random_cloud(rng, 14, 3, extent=0.5)
+        g = conv.grid_from_spacing(k, 0.2)
+        s = rng.normal(size=(g.num_anchors, 3))
         p = rng.normal(size=(3, 2))
         b = rng.normal(size=2)
-        table = neighbor_table(cloud, conv.default_radius(g), 12)
+        r = conv.default_radius(g)
+        table = neighbor_table(cloud, r, 6)
+        # cap cuts some neighbourhoods
+        assert neighbor_table(cloud, r, 14).counts.max() > 6
         up = rng.normal(size=(table.num_queries, 2))
         feats = cloud.features.copy()
 
@@ -532,7 +590,6 @@ class TestSeparable:
         assert grad_rel(gf, fd_grad(loss, feats)) <= 1e-6
         assert grad_rel(gb, fd_grad(loss, b)) <= 1e-6
 
-
     def test_adjoint_identity_multi_block(self, monkeypatch):
         feats, table, full, rng = _multi_block_instance(13)
         sf = conv.SeparableFilter(grid=full.grid,
@@ -541,11 +598,12 @@ class TestSeparable:
         up = rng.normal(size=(table.num_queries, sf.out_dim))
         blocks = _count_blocks(monkeypatch)
         out = conv.forward_separable_features(feats, table, sf)
-        assert len(blocks) > 1
         rank_one = conv.DeformableFilter(
             grid=sf.grid, weights=sf.spatial[:, :, None] * sf.pointwise[None, :, :])
         assert rel_err(out, conv.oracle_forward_features(feats, table, rank_one)) <= 1e-12
         gf, gs, gp, _ = conv.backward_separable_features(feats, table, sf, up)
+        # the separable passes run on the kernel map, without anchor sums
+        assert not blocks
         lhs = float(np.sum(up * out))
         assert _adjoint_gap(lhs, gf, feats) <= 1e-12
         assert _adjoint_gap(lhs, gs, sf.spatial) <= 1e-12
@@ -597,7 +655,8 @@ class TestKernelMap:
         oracle = conv.oracle_forward_features(feats_b, table_b, filt)
         assert rel_err(fresh_b, oracle) <= 1e-12
 
-    def test_all_zero_weight_pairs_give_exactly_the_bias(self):
+    @pytest.mark.parametrize("separable", [False, True], ids=["full", "separable"])
+    def test_all_zero_weight_pairs_give_exactly_the_bias(self, separable):
         filt = random_filter(np.random.default_rng(4), 3, 0.2, 2, 3, bias=True)
         reach = (filt.grid.half + 1) * 0.2
         # every offset sits on or beyond the support box on some axis
@@ -608,10 +667,15 @@ class TestKernelMap:
             offsets=offsets, radius=3 * filt.grid.support_radius(), cap=4)
         feats = np.random.default_rng(5).normal(size=(3, 2))
         assert conv._kernel_map(table, filt.grid)[1].shape == (0,)
-        out = conv.forward_features(feats, table, filt)
+        if separable:
+            filt = _separable(filt.grid, np.random.default_rng(6), 2, 3)
+            out = conv.forward_separable_features(feats, table, filt)
+            grads = conv.backward_separable_features(feats, table, filt, np.ones((2, 3)))
+        else:
+            out = conv.forward_features(feats, table, filt)
+            grads = conv.backward_features(feats, table, filt, np.ones((2, 3)))
         assert np.array_equal(out, np.tile(filt.bias, (2, 1)))
-        gf, gw, _ = conv.backward_features(feats, table, filt, np.ones((2, 3)))
-        assert not gf.any() and not gw.any()
+        assert not any(g.any() for g in grads[:-1])
 
     def test_map_released_with_its_table(self):
         _, table, filt, _, _ = self._instance(6)

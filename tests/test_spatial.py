@@ -3,6 +3,7 @@ search's limits on cell size and extent."""
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,35 @@ class TestSearchLimits:
         # cells as wide as a larger radius pack, and the search is exact
         grid = _grid_table(pos, pos, 1000.0, 4)
         assert _tables_equal(grid, spatial.brute_force_neighbors(pos, pos, 1000.0, 4))
+
+    def test_far_queries_get_empty_rows_without_warnings(self):
+        # window bounds past int64 (|x| / cell_size >= 2^63), and squared
+        # distances past the float range
+        pos = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 3))
+        queries = np.concatenate([pos[:5], [[1e300, 0.0, 0.0], [-1e300, 0.5, 0.0],
+                                            [1.7e308, -1.7e308, 0.0]]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            grid = _grid_table(pos, queries, 0.5, 4)
+            brute = spatial.brute_force_neighbors(pos, queries, 0.5, 4)
+        assert _tables_equal(grid, brute)
+        assert np.all(grid.counts[:5] > 0) and not grid.counts[5:].any()
+
+    @pytest.mark.parametrize("x", [1e18, 1e19, 1e300])
+    def test_far_point_rejected(self, x):
+        # 1e18 spans too many cells; 1e19 and 1e300 lie too far from the origin
+        pos = np.random.default_rng(4).uniform(-1.0, 1.0, (20, 3))
+        pos = np.concatenate([pos, [[x, 0.0, 0.0]]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2\\^62"):
+                spatial.build_index(pos, 0.3)
+
+    def test_cloud_far_from_the_origin(self):
+        # cells near 3.3e18 (below 2^62) are indexed, as the span is small
+        pos = np.array([[1e18, 0.0, 0.0], [1e18 + 512.0, 0.0, 0.0], [1e18, 0.2, 0.0]])
+        for cap in (1, 3):
+            _assert_grid_equals_brute(pos, pos, 0.3, cap)
 
     @pytest.mark.parametrize("seed,m,half,r,cell,cap", [
         (12, 40, 0.05, 0.04, 0.001, 6),
