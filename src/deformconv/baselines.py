@@ -143,35 +143,15 @@ class PccLayer(nn.Layer):
     kind = "pcc"
 
     def __init__(self, radius: float, cap: int, filt: MlpFilter, pointwise, bias):
-        self.radius = float(radius)
-        self.cap = int(cap)
-        self.mlp_params = [np.array(a, dtype=np.float64) for wb in filt.layers for a in wb]
-        self.pointwise = np.array(pointwise, dtype=np.float64)
-        self.bias = np.array(bias, dtype=np.float64)
-        self.g_mlp = [np.zeros_like(a) for a in self.mlp_params]
-        self.gp = np.zeros_like(self.pointwise)
-        self.gb = np.zeros_like(self.bias)
-        self._feats = None
+        super().__init__(*(a for wb in filt.layers for a in wb), pointwise, bias)
+        self.radius, self.cap = float(radius), int(cap)
+        *self.mlp_params, self.pointwise, self.bias = self.params()
 
     def _filter(self) -> MlpFilter:
-        pairs = tuple(
-            (self.mlp_params[2 * i], self.mlp_params[2 * i + 1])
-            for i in range(len(self.mlp_params) // 2)
-        )
-        return MlpFilter(pairs)
-
-    def params(self):
-        return self.mlp_params + [self.pointwise, self.bias]
-
-    def grads(self):
-        return self.g_mlp + [self.gp, self.gb]
+        return MlpFilter(tuple(zip(self.mlp_params[::2], self.mlp_params[1::2])))
 
     def out_channels(self, in_channels: int) -> int:
-        if in_channels != self.pointwise.shape[0]:
-            raise ValueError(
-                f"layer expects {self.pointwise.shape[0]} channels, got {in_channels}"
-            )
-        return self.pointwise.shape[1]
+        return self._expect_channels(in_channels, *self.pointwise.shape)
 
     def forward(self, feats, ctx):
         self._feats = feats
@@ -182,18 +162,23 @@ class PccLayer(nn.Layer):
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.radius, self.cap)
         feats = self._feats
-        self.gp += self._m.T @ upstream
-        self.gb += upstream.sum(axis=0)
         grad_m = upstream @ self.pointwise.T  # (Q, D')
         qid = np.repeat(np.arange(table.num_queries, dtype=np.int64), table.counts)
         gm_pairs = grad_m[qid]  # (P, D')
         grad_f = conv._scatter_rows(table.indices, self._w * gm_pairs, feats.shape[0])
         filt = self._filter()
         acts = _mlp_tape(filt, table.offsets)
-        for i, (gw, gb) in enumerate(_mlp_backward(filt, acts, feats[table.indices] * gm_pairs)):
-            self.g_mlp[2 * i] += gw
-            self.g_mlp[2 * i + 1] += gb
+        mlp_grads = _mlp_backward(filt, acts, feats[table.indices] * gm_pairs)
+        self._accumulate(
+            *(g for wb in mlp_grads for g in wb), self._m.T @ upstream, upstream.sum(axis=0)
+        )
         return grad_f
+
+
+def _cells(positions: np.ndarray, pitch: float) -> np.ndarray:
+    """World cell of each point, floor(position / pitch): the one binning
+    of the voxel grid, of restrict and of the voxel layer."""
+    return np.floor(positions / pitch).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -202,33 +187,30 @@ class VoxelGrid:
 
     Cells are cubes of side ``pitch`` anchored at absolute multiples of
     the pitch (cell of a point = floor(position / pitch)), so the grid
-    is fixed in space rather than attached to the cloud. ``origin`` is
-    the world position of the corner of cell (0,0,0) of the stored
-    array; empty cells hold zeros.
+    is fixed in space rather than attached to the cloud. ``corner`` is
+    the world cell of entry (0,0,0) of the stored array; empty cells
+    hold zeros.
     """
 
-    origin: np.ndarray  # (3,) float64
+    corner: np.ndarray  # (3,) int64
     pitch: float
     features: np.ndarray  # (nx, ny, nz, D')
     counts: np.ndarray  # (nx, ny, nz) int64
 
     def __post_init__(self):
-        o = np.array(self.origin, dtype=np.float64, copy=True).reshape(3)
-        f = np.array(self.features, dtype=np.float64, copy=True)
-        c = np.array(self.counts, dtype=np.int64, copy=True)
-        if f.ndim != 4 or c.shape != f.shape[:3]:
-            raise ValueError("features must be (nx,ny,nz,D') with matching counts")
+        for name, dtype in (("corner", np.int64), ("features", np.float64), ("counts", np.int64)):
+            a = np.array(getattr(self, name), dtype=dtype, copy=True)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        f, c = self.features, self.counts
+        if self.corner.shape != (3,) or f.ndim != 4 or c.shape != f.shape[:3]:
+            raise ValueError("need a (3,) corner, (nx,ny,nz,D') features and matching counts")
         if not (self.pitch > 0 and np.isfinite(self.pitch)):
             raise ValueError("pitch must be positive and finite")
-        o.setflags(write=False)
-        f.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "counts", c)
 
     def cell_of(self, positions: np.ndarray) -> np.ndarray:
-        return np.floor((positions - self.origin) / self.pitch).astype(np.int64)
+        """Index into the stored array of each position's cell."""
+        return _cells(positions, self.pitch) - self.corner
 
 
 def voxelize_extend(cloud: PointCloud, pitch: float, margin: int = 1) -> VoxelGrid:
@@ -242,7 +224,7 @@ def voxelize_extend(cloud: PointCloud, pitch: float, margin: int = 1) -> VoxelGr
         raise ValueError("pitch must be positive and finite")
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    cells = np.floor(cloud.positions / pitch).astype(np.int64)
+    cells = _cells(cloud.positions, pitch)
     cmin = cells.min(axis=0) - margin
     cmax = cells.max(axis=0) + margin
     dims = cmax - cmin + 1
@@ -258,7 +240,7 @@ def voxelize_extend(cloud: PointCloud, pitch: float, margin: int = 1) -> VoxelGr
     occupied = counts > 0
     feats[occupied] = sums[occupied] / counts[occupied, None]
     return VoxelGrid(
-        origin=cmin.astype(np.float64) * pitch,
+        corner=cmin,
         pitch=float(pitch),
         features=feats.reshape(int(dims[0]), int(dims[1]), int(dims[2]), d),
         counts=counts.reshape(int(dims[0]), int(dims[1]), int(dims[2])),
@@ -282,32 +264,37 @@ def restrict(grid: VoxelGrid, cloud: PointCloud) -> np.ndarray:
     return grid.features[cells[:, 0], cells[:, 1], cells[:, 2]]
 
 
-class VoxelSmoothLayer(nn.Layer):
-    """Voxelise-extend-restrict as a (parameter-free) layer.
+class VoxelConvLayer(nn.Layer):
+    """Voxelise-extend-restrict, then a pointwise map, as one layer.
 
-    Every point receives the mean feature of its cell; the adjoint
-    spreads each cell's incoming gradient uniformly back over the
-    points of that cell.
+    Every point receives the mean feature of its cell (the cells of
+    voxelize_extend), mapped by ``weights`` and ``bias``. The cell-mean
+    operator is symmetric, so it is its own adjoint: each cell's
+    incoming gradient is spread uniformly back over its points.
     """
 
     kind = "voxel"
 
-    def __init__(self, pitch: float):
+    def __init__(self, pitch: float, weights, bias):
         if not (pitch > 0 and np.isfinite(pitch)):
             raise ValueError("pitch must be positive and finite")
+        super().__init__(weights, bias)
         self.pitch = float(pitch)
-        self._inv = None
-        self._counts = None
+        self.weights, self.bias = self.params()
+
+    def out_channels(self, in_channels: int) -> int:
+        return self._expect_channels(in_channels, *self.weights.shape)
 
     def forward(self, feats, ctx):
-        cells = np.floor(ctx.cloud.positions / self.pitch).astype(np.int64)
+        cells = _cells(ctx.cloud.positions, self.pitch)
         _, self._inv = np.unique(cells, axis=0, return_inverse=True)
         self._counts = np.bincount(self._inv).astype(np.float64)
-        return self._cell_mean(feats)
+        self._mean = self._cell_mean(feats)
+        return self._mean @ self.weights + self.bias
 
     def backward(self, upstream, ctx):
-        # the cell-mean operator is symmetric, so it is its own adjoint
-        return self._cell_mean(upstream)
+        self._accumulate(self._mean.T @ upstream, upstream.sum(axis=0))
+        return self._cell_mean(upstream @ self.weights.T)
 
     def _cell_mean(self, x: np.ndarray) -> np.ndarray:
         sums = conv._scatter_rows(self._inv, x, self._counts.shape[0])

@@ -122,18 +122,13 @@ def load_checkpoint(path) -> Checkpoint:
     payload = blob[sep + 2 :]
 
     fields: dict[str, str] = {}
-    layer_lines: dict[int, str] = {}
     for line in header.splitlines():
         key, eq, val = line.partition(" = ")
         if not eq:
             raise CheckpointError(f"{path}: bad header line {line!r}")
-        if key.startswith("layer."):
-            try:
-                layer_lines[int(key[6:])] = val
-            except ValueError:
-                raise CheckpointError(f"{path}: bad header key {key!r}") from None
-        else:
-            fields[key] = val
+        if key in fields:
+            raise CheckpointError(f"{path}: duplicate header key {key!r}")
+        fields[key] = val
     try:
         task = fields["task"]
         seed = int(fields["seed"])
@@ -144,9 +139,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: incomplete header") from None
     if task not in TASKS:
         raise CheckpointError(f"{path}: unknown task {task!r}")
-    if sorted(layer_lines) != list(range(n_layers)):
-        raise CheckpointError(f"{path}: header declares {n_layers} layers")
-    specs = [_parse_spec(layer_lines[i], f"{path}: layer.{i}") for i in range(n_layers)]
+    # exactly layer.0 .. layer.<n-1>: no sign, separator or leading zero
+    layer_keys = [f"layer.{i}" for i in range(n_layers)]
+    found = [k for k in fields if k.startswith("layer.")]
+    if set(found) != set(layer_keys):
+        raise CheckpointError(f"{path}: header declares {n_layers} layers, holds {found}")
+    specs = [_parse_spec(fields[k], f"{path}: {k}") for k in layer_keys]
     expected = nn.spec_param_count(specs)
     if expected != n_params:
         raise CheckpointError(

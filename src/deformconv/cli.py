@@ -452,9 +452,7 @@ def _pcc_conv(spec: dict, rng: DetRng, hidden: list[int]) -> nn.Layer:
 def _voxel_conv(spec: dict, rng: DetRng, pitch: float) -> nn.Layer:
     d_in, d_out = spec["in"], spec["out"]
     w = rng.normals(d_in * d_out, 0.0, np.sqrt(2.0 / d_in)).reshape(d_in, d_out)
-    return nn.ComposeLayer(
-        [baselines.VoxelSmoothLayer(pitch), nn.LinearLayer(w, np.zeros(d_out))]
-    )
+    return baselines.VoxelConvLayer(pitch, w, np.zeros(d_out))
 
 
 def cmd_compare_baselines(cfg: RunConfig, args) -> int:
@@ -469,7 +467,12 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
     pitch = cfg.get_float("voxel.pitch", 0.2)
     sub_pitch = cfg.get_float("subvoxel.pitch", 0.2)
     sub_disp = cfg.get_float("subvoxel.displacement", 0.05)
-    sub = baselines.subvoxel_discrimination(sub_pitch, sub_disp, seed)
+    try:
+        sub = baselines.subvoxel_discrimination(sub_pitch, sub_disp, seed)
+    except ValueError as exc:
+        raise ConfigError(
+            f"subvoxel.pitch = {sub_pitch:g}, subvoxel.displacement = {sub_disp:g}: {exc}"
+        ) from None
 
     try:
         stacks = {

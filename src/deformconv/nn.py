@@ -47,17 +47,37 @@ class LayerContext:
 
 
 class Layer:
-    """Base layer: forward/backward plus flat parameter access."""
+    """Base layer: forward/backward plus flat parameter access.
+
+    A trainable layer passes its parameter arrays to ``__init__`` in
+    storage order. They are copied to float64, and each gets a zeroed
+    gradient array of the same shape that backward passes add into.
+    """
+
+    def __init__(self, *params: np.ndarray):
+        self._params = [np.array(p, dtype=np.float64) for p in params]
+        self._grads = [np.zeros_like(p) for p in self._params]
 
     def params(self) -> list[np.ndarray]:
-        return []
+        return self._params
 
     def grads(self) -> list[np.ndarray]:
-        return []
+        return self._grads
 
     def zero_grads(self) -> None:
         for g in self.grads():
             g[...] = 0.0
+
+    def _accumulate(self, *grads: np.ndarray) -> None:
+        """Add one backward pass's parameter gradients (storage order)."""
+        for total, g in zip(self._grads, grads):
+            total += g
+
+    def _expect_channels(self, in_channels: int, expected: int, out: int) -> int:
+        """``out`` (the output width) if ``in_channels == expected``."""
+        if in_channels != expected:
+            raise ValueError(f"layer expects {expected} channels, got {in_channels}")
+        return out
 
     def out_channels(self, in_channels: int) -> int:
         return in_channels
@@ -73,25 +93,12 @@ class DeformConvLayer(Layer):
     kind = "deformable"
 
     def __init__(self, spec: ConvLayerSpec, weights: np.ndarray, bias: np.ndarray):
+        super().__init__(weights, bias)
         self.spec = spec
-        self.weights = np.array(weights, dtype=np.float64)
-        self.bias = np.array(bias, dtype=np.float64)
-        self.gw = np.zeros_like(self.weights)
-        self.gb = np.zeros_like(self.bias)
-        self._feats: np.ndarray | None = None
-
-    def params(self):
-        return [self.weights, self.bias]
-
-    def grads(self):
-        return [self.gw, self.gb]
+        self.weights, self.bias = self.params()
 
     def out_channels(self, in_channels: int) -> int:
-        if in_channels != self.weights.shape[1]:
-            raise ValueError(
-                f"layer expects {self.weights.shape[1]} channels, got {in_channels}"
-            )
-        return self.weights.shape[2]
+        return self._expect_channels(in_channels, *self.weights.shape[1:])
 
     def _filter(self) -> DeformableFilter:
         return DeformableFilter(self.spec.grid, self.weights, self.bias)
@@ -103,9 +110,8 @@ class DeformConvLayer(Layer):
 
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        gf, gw, gb = conv.backward_features(self._feats, table, self._filter(), upstream)
-        self.gw += gw
-        self.gb += gb
+        gf, *grads = conv.backward_features(self._feats, table, self._filter(), upstream)
+        self._accumulate(*grads)
         return gf
 
 
@@ -119,27 +125,12 @@ class SeparableConvLayer(Layer):
         pointwise: np.ndarray,
         bias: np.ndarray,
     ):
+        super().__init__(spatial, pointwise, bias)
         self.spec = spec
-        self.spatial = np.array(spatial, dtype=np.float64)
-        self.pointwise = np.array(pointwise, dtype=np.float64)
-        self.bias = np.array(bias, dtype=np.float64)
-        self.gs = np.zeros_like(self.spatial)
-        self.gp = np.zeros_like(self.pointwise)
-        self.gb = np.zeros_like(self.bias)
-        self._feats: np.ndarray | None = None
-
-    def params(self):
-        return [self.spatial, self.pointwise, self.bias]
-
-    def grads(self):
-        return [self.gs, self.gp, self.gb]
+        self.spatial, self.pointwise, self.bias = self.params()
 
     def out_channels(self, in_channels: int) -> int:
-        if in_channels != self.spatial.shape[1]:
-            raise ValueError(
-                f"layer expects {self.spatial.shape[1]} channels, got {in_channels}"
-            )
-        return self.pointwise.shape[1]
+        return self._expect_channels(in_channels, self.spatial.shape[1], self.pointwise.shape[1])
 
     def _filter(self) -> SeparableFilter:
         return SeparableFilter(self.spec.grid, self.spatial, self.pointwise, self.bias)
@@ -151,12 +142,10 @@ class SeparableConvLayer(Layer):
 
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        gf, gs, gp, gb = conv.backward_separable_features(
+        gf, *grads = conv.backward_separable_features(
             self._feats, table, self._filter(), upstream
         )
-        self.gs += gs
-        self.gp += gp
-        self.gb += gb
+        self._accumulate(*grads)
         return gf
 
 
@@ -164,40 +153,23 @@ class LinearLayer(Layer):
     kind = "linear"
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        self.weights = np.array(weights, dtype=np.float64)
-        self.bias = np.array(bias, dtype=np.float64)
-        self.gw = np.zeros_like(self.weights)
-        self.gb = np.zeros_like(self.bias)
-        self._feats: np.ndarray | None = None
-
-    def params(self):
-        return [self.weights, self.bias]
-
-    def grads(self):
-        return [self.gw, self.gb]
+        super().__init__(weights, bias)
+        self.weights, self.bias = self.params()
 
     def out_channels(self, in_channels: int) -> int:
-        if in_channels != self.weights.shape[0]:
-            raise ValueError(
-                f"layer expects {self.weights.shape[0]} channels, got {in_channels}"
-            )
-        return self.weights.shape[1]
+        return self._expect_channels(in_channels, *self.weights.shape)
 
     def forward(self, feats, ctx):
         self._feats = feats
         return feats @ self.weights + self.bias
 
     def backward(self, upstream, ctx):
-        self.gw += self._feats.T @ upstream
-        self.gb += upstream.sum(axis=0)
+        self._accumulate(self._feats.T @ upstream, upstream.sum(axis=0))
         return upstream @ self.weights.T
 
 
 class ReluLayer(Layer):
     kind = "relu"
-
-    def __init__(self):
-        self._mask: np.ndarray | None = None
 
     def forward(self, feats, ctx):
         self._mask = feats > 0
@@ -212,10 +184,6 @@ class GlobalMaxPoolLayer(Layer):
 
     kind = "pool"
 
-    def __init__(self):
-        self._argmax: np.ndarray | None = None
-        self._rows: int = 0
-
     def forward(self, feats, ctx):
         # first occurrence wins on ties, which keeps backward deterministic
         self._argmax = np.argmax(feats, axis=0)
@@ -228,37 +196,6 @@ class GlobalMaxPoolLayer(Layer):
         return grad
 
 
-class ComposeLayer(Layer):
-    """Several layers applied in order, presented as one."""
-
-    kind = "compose"
-
-    def __init__(self, inner: list[Layer]):
-        self.inner = inner
-
-    def params(self):
-        return [p for l in self.inner for p in l.params()]
-
-    def grads(self):
-        return [g for l in self.inner for g in l.grads()]
-
-    def out_channels(self, in_channels: int) -> int:
-        c = in_channels
-        for l in self.inner:
-            c = l.out_channels(c)
-        return c
-
-    def forward(self, feats, ctx):
-        for l in self.inner:
-            feats = l.forward(feats, ctx)
-        return feats
-
-    def backward(self, upstream, ctx):
-        for l in reversed(self.inner):
-            upstream = l.backward(upstream, ctx)
-        return upstream
-
-
 class ConcatSkipLayer(Layer):
     """Wraps another layer; output is [input channels | wrapped output]."""
 
@@ -266,7 +203,6 @@ class ConcatSkipLayer(Layer):
 
     def __init__(self, inner: Layer):
         self.inner = inner
-        self._in_channels: int = 0
 
     def params(self):
         return self.inner.params()
@@ -338,8 +274,6 @@ def _flatten(layers: list[Layer]):
         yield l
         if isinstance(l, ConcatSkipLayer):
             yield from _flatten([l.inner])
-        elif isinstance(l, ComposeLayer):
-            yield from _flatten(l.inner)
 
 
 def spec_param_shapes(spec: dict) -> list[tuple[int, ...]]:

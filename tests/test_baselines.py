@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deformconv import baselines, conv, nn, pointcloud, spatial
+from deformconv import baselines, cli, conv, nn, pointcloud, spatial
 from deformconv.rng import DetRng
 from conftest import fd_grad, grad_rel, neighbor_table, random_cloud, rel_err
 
@@ -175,9 +175,8 @@ class TestVoxelize:
         grid = baselines.voxelize_extend(cloud, 0.25)
         got = baselines.restrict(grid, cloud)
         cells = np.floor(cloud.positions / 0.25).astype(np.int64)
-        origin_cell = np.round(grid.origin / 0.25).astype(np.int64)
         for i in range(40):
-            c = cells[i] - origin_cell
+            c = cells[i] - grid.corner
             assert np.array_equal(got[i], grid.features[c[0], c[1], c[2]])
 
     def test_restrict_outside_errors(self):
@@ -220,29 +219,95 @@ class TestVoxelNotTranslationEquivariant:
         assert rel_err(b, a) <= 1e-9
 
 
-class TestVoxelSmoothLayer:
+class TestVoxelConvLayer:
     def test_forward_equals_voxelize_restrict(self):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, 30, 2, extent=0.8)
-        layer = baselines.VoxelSmoothLayer(0.2)
-        ctx = nn.LayerContext(cloud)
-        got = layer.forward(cloud.features, ctx)
+        layer = baselines.VoxelConvLayer(0.2, np.eye(2), np.zeros(2))
+        got = layer.forward(cloud.features, nn.LayerContext(cloud))
         grid = baselines.voxelize_extend(cloud, 0.2)
-        assert np.allclose(got, baselines.restrict(grid, cloud), atol=1e-15)
+        assert np.array_equal(got, baselines.restrict(grid, cloud))
+
+    def test_points_on_pitch_multiples(self):
+        # x / 0.2 rounds below an integer for some multiples of 0.2 (a
+        # point at x = -1.8 is binned in cell -10), so the grid, restrict
+        # and the layer must all bin with the same floor(x / pitch)
+        ticks = np.arange(-40, 41) / 5.0
+        rng = np.random.default_rng(12)
+        for x in ticks:
+            lone = pointcloud.PointCloud(positions=np.array([[x, -x, 0.0]]),
+                                         features=np.array([[x + 1.0]]))
+            grid = baselines.voxelize_extend(lone, 0.2)
+            assert np.array_equal(baselines.restrict(grid, lone), lone.features)
+        pos = np.stack([ticks, ticks[::-1], np.roll(ticks, 7)], axis=1)
+        cloud = pointcloud.PointCloud(positions=pos, features=rng.normal(size=(81, 2)))
+        got = baselines.restrict(baselines.voxelize_extend(cloud, 0.2), cloud)
+        cells = np.floor(pos / 0.2)
+        for i in range(81):
+            same = np.all(cells == cells[i], axis=1)
+            assert np.allclose(got[i], cloud.features[same].mean(axis=0), rtol=0, atol=1e-15)
+        layer = baselines.VoxelConvLayer(0.2, np.eye(2), np.zeros(2))
+        assert np.array_equal(layer.forward(cloud.features, nn.LayerContext(cloud)), got)
 
     def test_backward_gradcheck(self):
         rng = np.random.default_rng(8)
         cloud = random_cloud(rng, 10, 2, extent=0.5)
-        layer = baselines.VoxelSmoothLayer(0.2)
+        layer = baselines.VoxelConvLayer(0.2, rng.normal(size=(2, 3)), rng.normal(size=3))
+        ctx = nn.LayerContext(cloud)
+        feats = cloud.features.copy()
+        up = rng.normal(size=(10, 3))
+
+        def loss():
+            return float(np.sum(layer.forward(feats, ctx) * up))
+
+        layer.zero_grads()
+        layer.forward(feats, ctx)
+        down = layer.backward(up, ctx)
+        for p, g in zip(layer.params(), layer.grads()):
+            assert grad_rel(g, fd_grad(loss, p)) <= 1e-6
+        assert grad_rel(down, fd_grad(loss, feats)) <= 1e-6
+
+
+class TestBaselineStacks:
+    # a conv layer with skip = 1 wraps the baseline layer that replaces it
+    # in a ConcatSkipLayer
+    SPECS = [
+        {"type": "deformable", "in": 2, "out": 3, "k": 3,
+         "a": [0.2, 0.2, 0.2], "r": None, "cap": 6, "skip": 1},
+        {"type": "relu"},
+        {"type": "linear", "in": 5, "out": 2, "skip": 0},
+    ]
+
+    @pytest.mark.parametrize("method,inner", [
+        ("pcc", baselines.PccLayer), ("voxel", baselines.VoxelConvLayer)])
+    def test_skip_stack_gradcheck(self, method, inner):
+        conv_layer = {"pcc": lambda s, r: cli._pcc_conv(s, r, [4]),
+                      "voxel": lambda s, r: cli._voxel_conv(s, r, 0.2)}[method]
+        stack = cli._build_baseline_stack(self.SPECS, "segmentation", conv_layer, DetRng(3))
+        assert isinstance(stack.layers[0], nn.ConcatSkipLayer)
+        assert isinstance(stack.layers[0].inner, inner)
+        rng = np.random.default_rng(13)
+        # nonzero MLP biases keep hidden units off their kink at the
+        # zero self-offset (see TestPccLayerGradients)
+        for p in stack.parameters():
+            p[...] = rng.normal(size=p.shape) * 0.5
+        cloud = random_cloud(rng, 10, 2, extent=0.4)
         ctx = nn.LayerContext(cloud)
         feats = cloud.features.copy()
         up = rng.normal(size=(10, 2))
 
         def loss():
-            return float(np.sum(layer.forward(feats, ctx) * up))
+            x = feats
+            for layer in stack.layers:
+                x = layer.forward(x, ctx)
+            return float(np.sum(x * up))
 
-        layer.forward(feats, ctx)
-        down = layer.backward(up, ctx)
+        stack.zero_grads()
+        loss()
+        down = stack.backward(up, ctx)
+        assert len(stack.parameters()) == len(stack.gradients()) > 2
+        for p, g in zip(stack.parameters(), stack.gradients()):
+            assert grad_rel(g, fd_grad(loss, p)) <= 1e-6
         assert grad_rel(down, fd_grad(loss, feats)) <= 1e-6
 
 

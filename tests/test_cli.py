@@ -222,6 +222,35 @@ class TestCheckpoint:
             save_checkpoint(bad, p)
         assert not p.exists()
 
+    @pytest.mark.parametrize("edit,frag", [
+        ((b"seed = 3\n", b"seed = 3\nseed = 99\n"), "duplicate header key 'seed'"),
+        ((b"layer.1 = ", b"layer.1 = type=relu\nlayer.1 = "), "duplicate header key 'layer.1'"),
+        ((b"layer.1 = ", b"layer.01 = "), "declares 3 layers.*'layer.01'"),
+        ((b"layer.0 = ", b"layer.0_0 = "), "declares 3 layers.*'layer.0_0'"),
+        ((b"layer.1 = ", b"layer.+1 = "), "declares 3 layers.*'layer.\\+1'"),
+    ], ids=["seed-twice", "layer-twice", "layer-01", "layer-0_0", "layer-plus-1"])
+    def test_ambiguous_header_key(self, tmp_path, edit, frag):
+        # the last of two values does not win, and a layer index is
+        # written one way only, as in config files
+        p = tmp_path / "x.dfc"
+        save_checkpoint(_checkpoint(), p)
+        raw = p.read_bytes()
+        assert raw.count(edit[0]) == 1
+        p.write_bytes(raw.replace(*edit))
+        with pytest.raises(CheckpointError, match=frag):
+            load_checkpoint(p)
+        cfg = _write(tmp_path / "eval.cfg", f"""
+task = segmentation
+seed = 3
+out = {tmp_path / 'o'}
+data.kind = two-surfaces-seg
+data.train = 2
+data.test = 1
+data.points = 32
+eval.checkpoint = {p}
+""")
+        assert cli.main(["eval", "--config", cfg]) == 2
+
     def test_missing_header_field(self, tmp_path):
         p = tmp_path / "x.dfc"
         save_checkpoint(_checkpoint(), p)
@@ -601,9 +630,8 @@ bench.reps = 3
         assert cli.main(["bench", "--config", cfg]) == 1
 
 
-class TestCompareBaselines:
-    def test_report(self, tmp_path):
-        cfg = _write(tmp_path / "cmp.cfg", f"""
+def _compare_config(tmp_path, extra=""):
+    return _write(tmp_path / "cmp.cfg", f"""
 task = segmentation
 seed = 9
 out = {tmp_path / 'cmp'}
@@ -626,7 +654,13 @@ layer.2.out = 2
 opt.lr = 0.001
 opt.epochs = 1
 opt.batch = 4
+{extra}
 """)
+
+
+class TestCompareBaselines:
+    def test_report(self, tmp_path):
+        cfg = _compare_config(tmp_path)
         assert cli.main(["compare-baselines", "--config", cfg]) == 0
         lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
         assert lines[0] == "method,accuracy,miou,voxel_path_diff,deform_path_diff"
@@ -639,6 +673,18 @@ opt.batch = 4
             assert float(vox) < 1e-12
             assert float(deform) > 1e-6
         assert methods == ["deformable", "pcc", "voxel"]
+
+    @pytest.mark.parametrize("extra,frag", [
+        ("subvoxel.displacement = 0.3", r"subvoxel\.displacement = 0\.3: displacement must lie"),
+        ("subvoxel.pitch = 0", r"subvoxel\.pitch = 0, .*: pitch must be positive"),
+        ("voxel.pitch = 0", "bad layer configuration: pitch must be positive"),
+    ], ids=["subvoxel-displacement", "subvoxel-pitch", "voxel-pitch"])
+    def test_bad_baseline_settings_are_config_errors(self, tmp_path, capsys, extra, frag):
+        cfg = _compare_config(tmp_path, extra)
+        assert cli.main(["compare-baselines", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and re.search(frag, err)
+        assert not (tmp_path / "cmp").exists()
 
     def test_classification_with_pool(self, tmp_path):
         cfg = _write(tmp_path / "cmp.cfg", f"""

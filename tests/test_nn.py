@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deformconv import cli, conv, nn, pointcloud
+from deformconv import baselines, cli, conv, nn, pointcloud
 from deformconv.rng import DetRng
 from conftest import fd_grad, grad_rel, neighbor_table, random_cloud
 
@@ -382,6 +382,44 @@ class TestTrainStack:
                               epochs=0, batch_size=1, rng=DetRng(0))
         assert logs == []
         assert np.array_equal(nn.flatten_params(stack), before)
+
+    @pytest.mark.parametrize("method", ["deformable", "pcc", "voxel"])
+    def test_adam_updates_the_named_arrays(self, method):
+        # the arrays a layer names (and perfbench, the gates and the
+        # filter export read) are the ones Adam updates in place
+        specs = [
+            {"type": "deformable", "in": 2, "out": 3, "k": 3,
+             "a": [0.2, 0.2, 0.2], "r": None, "cap": 6, "skip": 1},
+            {"type": "relu"},
+            {"type": "separable", "in": 5, "out": 3, "k": 3,
+             "a": [0.2, 0.2, 0.2], "r": None, "cap": 6, "skip": 0},
+            {"type": "linear", "in": 3, "out": 2},
+        ]
+        if method == "deformable":
+            stack = nn.build_stack(specs, "segmentation", rng=DetRng(4))
+        else:
+            conv_layer = {"pcc": lambda s, r: cli._pcc_conv(s, r, [4]),
+                          "voxel": lambda s, r: cli._voxel_conv(s, r, 0.2)}[method]
+            stack = cli._build_baseline_stack(specs, "segmentation", conv_layer, DetRng(4))
+        layers = [getattr(l, "inner", l) for l in stack.layers]
+        trained = [l for l in layers if l.params()]
+        kinds = {"deformable": ["deformable", "separable", "linear"],
+                 "pcc": ["pcc", "pcc", "linear"], "voxel": ["voxel", "voxel", "linear"]}
+        assert [l.kind for l in trained] == kinds[method]
+        before = [p.copy() for p in stack.parameters()]
+        nn.train_stack(stack, _seg_dataset(seed=5, n=2, m=16), lr=1e-2,
+                       weight_decay=0.0, epochs=1, batch_size=2, rng=DetRng(0))
+        for layer in trained:
+            if isinstance(layer, nn.SeparableConvLayer):
+                named = [layer.spatial, layer.pointwise, layer.bias]
+            elif isinstance(layer, baselines.PccLayer):
+                named = [*layer.mlp_params, layer.pointwise, layer.bias]
+            else:
+                named = [layer.weights, layer.bias]
+            assert len(named) == len(layer.params())
+            assert all(a is p for a, p in zip(named, layer.params()))
+        after = stack.parameters()
+        assert all(np.any(a != b) for a, b in zip(after, before))
 
     def test_class_count_mismatch_rejected(self):
         ds = _seg_dataset(seed=5, n=2, m=16, classes=2)
