@@ -24,6 +24,15 @@ from .rng import DetRng
 from .spatial import NeighborTable, build_index, radius_neighbors
 
 
+def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, C) sums of the rows of values (P, C) into rows index (P,): one
+    bincount per column, adding in ascending row order (bit-identical runs)."""
+    out = np.empty((n, values.shape[1]))
+    for c in range(values.shape[1]):
+        out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
+    return out
+
+
 @dataclass(frozen=True)
 class MlpFilter:
     """Offset -> per-channel filter weight, as a tiny dense network.
@@ -111,7 +120,7 @@ def _pcc_aggregate(
     weights w, as (Q, D') and (P, D')."""
     w = mlp_eval(filt, neighbors.offsets)
     qid = np.repeat(np.arange(neighbors.num_queries, dtype=np.int64), neighbors.counts)
-    m = conv._scatter_rows(qid, w * feats[neighbors.indices], neighbors.num_queries)
+    m = _scatter_rows(qid, w * feats[neighbors.indices], neighbors.num_queries)
     return m, w
 
 
@@ -165,7 +174,7 @@ class PccLayer(nn.Layer):
         grad_m = upstream @ self.pointwise.T  # (Q, D')
         qid = np.repeat(np.arange(table.num_queries, dtype=np.int64), table.counts)
         gm_pairs = grad_m[qid]  # (P, D')
-        grad_f = conv._scatter_rows(table.indices, self._w * gm_pairs, feats.shape[0])
+        grad_f = _scatter_rows(table.indices, self._w * gm_pairs, feats.shape[0])
         filt = self._filter()
         acts = _mlp_tape(filt, table.offsets)
         mlp_grads = _mlp_backward(filt, acts, feats[table.indices] * gm_pairs)
@@ -234,7 +243,7 @@ def voxelize_extend(cloud: PointCloud, pitch: float, margin: int = 1) -> VoxelGr
     rel = cells - cmin
     flat = (rel[:, 0] * dims[1] + rel[:, 1]) * dims[2] + rel[:, 2]
     d = cloud.feature_dim
-    sums = conv._scatter_rows(flat, cloud.features, total)
+    sums = _scatter_rows(flat, cloud.features, total)
     counts = np.bincount(flat, minlength=total).astype(np.int64)
     feats = np.zeros_like(sums)
     occupied = counts > 0
@@ -297,7 +306,7 @@ class VoxelConvLayer(nn.Layer):
         return self._cell_mean(upstream @ self.weights.T)
 
     def _cell_mean(self, x: np.ndarray) -> np.ndarray:
-        sums = conv._scatter_rows(self._inv, x, self._counts.shape[0])
+        sums = _scatter_rows(self._inv, x, self._counts.shape[0])
         return sums[self._inv] / self._counts[self._inv, None]
 
 

@@ -18,11 +18,14 @@ in that order, read by the same rules as a config file's layer.* keys:
 ``a`` has three spacings, ``r`` is omitted when it is the default
 radius, and ``skip`` is 0 or 1. Floats in the header are printed with
 17 significant digits, so a load/save round trip reproduces the file
-byte for byte.
+byte for byte. Loading rejects any other header key, integers spelt
+other than as saved (``seed = 0_7``, ``classes = +2``) and layer lines
+other than the one saving their spec writes (``in=+2``, ``cap=08``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,8 @@ from .config import FIELD_DEFAULTS, LAYER_FIELDS, parse_layer_spec
 from .pointcloud import TASKS
 
 _MAGIC = b"DFC1\n"
+_KEYS = ("task", "seed", "classes", "layers", "params")  # besides layer.<i>
+_INT_KEYS = _KEYS[1:]
 
 
 class CheckpointError(ValueError):
@@ -74,9 +79,13 @@ def _parse_spec(line: str, where: str) -> dict:
             raise CheckpointError(f"{where}: duplicate field {key!r}")
         fields[key] = val
     try:
-        return parse_layer_spec(fields)
+        spec = parse_layer_spec(fields)
     except ValueError as exc:
         raise CheckpointError(f"{where}.{exc}") from None
+    written = _format_spec(spec)
+    if written != line:
+        raise CheckpointError(f"{where}: saving would write {written!r}")
+    return spec
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -129,14 +138,19 @@ def load_checkpoint(path) -> Checkpoint:
         if key in fields:
             raise CheckpointError(f"{path}: duplicate header key {key!r}")
         fields[key] = val
-    try:
-        task = fields["task"]
-        seed = int(fields["seed"])
-        num_classes = int(fields["classes"])
-        n_layers = int(fields["layers"])
-        n_params = int(fields["params"])
-    except (KeyError, ValueError):
-        raise CheckpointError(f"{path}: incomplete header") from None
+    missing = [k for k in _KEYS if k not in fields]
+    if missing:
+        raise CheckpointError(f"{path}: incomplete header, no {missing[0]!r}")
+    unknown = [k for k in fields if k not in _KEYS and not k.startswith("layer.")]
+    if unknown:
+        raise CheckpointError(f"{path}: unknown header key {unknown[0]!r}")
+    # integers as save_checkpoint writes them: no sign on a positive
+    # value, no leading zero, separator or space
+    bad = [k for k in _INT_KEYS if not re.fullmatch(r"0|-?[1-9][0-9]*", fields[k])]
+    if bad:
+        raise CheckpointError(f"{path}: {bad[0]}: expected a plain integer, got {fields[bad[0]]!r}")
+    task = fields["task"]
+    seed, num_classes, n_layers, n_params = (int(fields[k]) for k in _INT_KEYS)
     if task not in TASKS:
         raise CheckpointError(f"{path}: unknown task {task!r}")
     # exactly layer.0 .. layer.<n-1>: no sign, separator or leading zero

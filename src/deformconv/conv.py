@@ -22,8 +22,11 @@ Two implementations are kept side by side:
     enclose each offset are touched. Those corners and their weights
     (the kernel map) are gathered once per (neighbour table, anchor
     grid) and shared by every layer and pass on that table; pairs whose
-    weight is zero at all eight corners are left out of the map. The
-    full filter runs in query blocks, the separable one channel by channel.
+    weight is zero at all eight corners are left out of the map. Both
+    filters run one input channel at a time on that map; the full filter
+    also splits large tables into query blocks that bound its dense
+    (queries x k^3) sums, and threads > 1 spreads its (block, channel)
+    parts over a thread pool.
   * oracle_forward: a deliberately naive full scan over all k^3 anchors
     for every pair. It exists to cross-check the fast path and is used
     by tests and the benchmark command.
@@ -282,81 +285,63 @@ def interpolate_filter(z, filt: DeformableFilter) -> np.ndarray:
     return out
 
 
-def _corner_gather(offsets: np.ndarray, grid: AnchorGrid) -> tuple[np.ndarray, np.ndarray]:
+def _corner_gather(offsets: np.ndarray, grid: AnchorGrid):
     """Vectorised enclosing-anchor lookup for a batch of offsets.
 
-    Returns (ids, w), both (P, 8): the linear anchor index and trilinear
-    weight of each of the 8 lattice corners around each offset, corners
-    ordered by ascending (i, j, l); ids use the smallest unsigned dtype
-    that holds k^3 - 1. Corners outside the lattice carry weight exactly
-    0 (their id is clamped into range so it is safe to gather with).
-    Per-axis weights use the same formula as trilinear_weight, so
-    nonzero weights agree with it bit-for-bit.
+    Returns (kept, ids, w). kept holds, ascending, the rows of the offsets
+    with a nonzero weight at some corner; ids and w, both (8, kept), hold
+    the linear anchor index and trilinear weight of each of the 8 lattice
+    corners around each kept offset, corners ordered by ascending (i, j,
+    l); ids use the smallest unsigned dtype that holds k^3 - 1. Corners
+    outside the lattice carry weight exactly 0 (their id is clamped into
+    range so it is safe to gather with). Per-axis weights use the same
+    formula as trilinear_weight, so nonzero weights agree with it
+    bit-for-bit. Every step runs on one axis's contiguous (2, P) lower
+    and upper lattice planes.
     """
-    p = offsets.shape[0]
-    u = grid.unit
-    h = grid.half
-    k = grid.k
-    base = np.floor(offsets / u).astype(np.int64)  # (P,3) lower lattice corner
-    # per axis: hat weight and validity of the lower/upper lattice plane
-    axis_w = np.empty((2, p, 3))
-    axis_idx = np.empty((2, p, 3), dtype=np.int64)
-    for side in range(2):
-        corner = base + side
+    u, h, k = grid.unit, grid.half, grid.k
+    axis_w, axis_c = [], []
+    for d in range(3):
+        o = np.ascontiguousarray(offsets[:, d])
+        corner = np.empty((2, o.shape[0]))
+        np.floor(o / u[d], out=corner[0])
+        np.add(corner[0], 1.0, out=corner[1])
         inside = (corner >= -h) & (corner <= h)
-        safe = np.where(inside, corner, 0)
-        wd = 1.0 - np.abs(offsets - safe * u) / u
+        corner *= inside  # planes outside the lattice read the centre plane
+        wd = corner * u[d]
+        np.subtract(o, wd, out=wd)
+        np.abs(wd, out=wd)
+        wd /= u[d]
+        np.subtract(1.0, wd, out=wd)
         np.maximum(wd, 0.0, out=wd)
-        wd[~inside] = 0.0
-        axis_w[side] = wd
-        axis_idx[side] = safe
-    ids = np.empty((p, 8), dtype=np.min_scalar_type(k ** 3 - 1))
-    w = np.empty((p, 8), dtype=np.float64)
+        wd *= inside
+        axis_w.append(wd)
+        axis_c.append(corner)
+    # rounding is monotone, so the largest corner weight is the product of
+    # the per-axis maxima: an offset has a nonzero corner iff it is nonzero
+    x, y, z = (np.maximum(*wd) for wd in axis_w)
+    kept = np.flatnonzero(x * y * z > 0)
+    dtype = np.min_scalar_type(k ** 3 - 1)
+    axis_w = [wd.take(kept, axis=1) for wd in axis_w]
+    axis_c = [((c.take(kept, axis=1) + h) * k ** (2 - d)).astype(dtype)
+              for d, c in enumerate(axis_c)]
+    ids = np.empty((8, kept.shape[0]), dtype=dtype)
+    w = np.empty(ids.shape)
     for c in range(8):
         b0, b1, b2 = (c >> 2) & 1, (c >> 1) & 1, c & 1
-        w[:, c] = axis_w[b0, :, 0] * axis_w[b1, :, 1] * axis_w[b2, :, 2]
-        ids[:, c] = (
-            (axis_idx[b0, :, 0] + h) * k + (axis_idx[b1, :, 1] + h)
-        ) * k + (axis_idx[b2, :, 2] + h)
-    return ids, w
+        np.multiply(axis_w[0][b0], axis_w[1][b1], out=w[c])
+        w[c] *= axis_w[2][b2]
+        ids[c] = axis_c[0][b0] + axis_c[1][b1] + axis_c[2][b2]
+    return kept, ids, w
 
 
-def _anchor_sums(features, nbr, ids, w, qid, num_queries: int, num_anchors: int) -> np.ndarray:
-    """Weighted per-(query, anchor) feature sums for one query block:
-
-        S[q, a, i] = sum over pairs of q and corners hitting anchor a of
-                     trilinear weight * f_i(neighbour)
-
-    ``qid`` is the block-local query id of each pair. Sums add in
-    ascending (pair, corner) order, i.e. ascending query, then stored
-    neighbour order. Everything the forward pass and the weight gradient
-    need reduces to contractions of S.
-    """
-    keys = (qid[:, None] * num_anchors + ids).ravel()
-    vals = (w[:, :, None] * features[nbr][:, None, :]).reshape(keys.shape[0], -1)
-    return _scatter_rows(keys, vals, num_queries * num_anchors).reshape(num_queries, num_anchors, -1)
-
-
-def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(n, C) sums of the rows of values (P, C) into rows index (P,): one
-    bincount per column, adding in ascending row order (bit-identical runs)."""
-    out = np.empty((n, values.shape[1]))
-    for c in range(values.shape[1]):
-        out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
+def _blend(w: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per pair, sum over its 8 corners of corner weight * values[corner
+    id], added corner by corner, so no temporary exceeds one (pairs,) row."""
+    out = w[0] * values.take(ids[0])
+    for c in range(1, 8):
+        out += w[c] * values.take(ids[c])
     return out
-
-
-def _query_blocks(starts: np.ndarray, pair_budget: int):
-    """Split queries into consecutive blocks of at most pair_budget pairs
-    (a block always holds at least one query)."""
-    q = starts.shape[0] - 1
-    q0 = 0
-    while q0 < q:
-        q1 = int(np.searchsorted(starts, starts[q0] + pair_budget, side="left"))
-        q1 = max(q1, q0 + 1)
-        q1 = min(q1, q)
-        yield q0, q1
-        q0 = q1
 
 
 # grid key (k, unit bytes) -> (weak reference to a table, its kernel map)
@@ -365,7 +350,8 @@ _KERNEL_MAPS: dict = {}
 
 def _kernel_map(table: NeighborTable, grid: AnchorGrid):
     """(starts, nbr, ids, w): the table's pairs with a nonzero weight at
-    some corner, as a CSR over the same queries, with their corners.
+    some corner, as a CSR over the same queries, with their corners
+    stored corner-major (ids and w are (8, pairs)).
 
     Dropped pairs would only add exact zeros to every sum. One map per
     grid is kept, for the most recent table and while that table lives,
@@ -376,10 +362,8 @@ def _kernel_map(table: NeighborTable, grid: AnchorGrid):
     hit = _KERNEL_MAPS.get(key)
     if hit is not None and hit[0]() is table:
         return hit[1]
-    ids, w = _corner_gather(table.offsets, grid)
-    keep = w.any(axis=1)
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    kmap = (kept_before[table.starts], table.indices[keep], ids[keep], w[keep])
+    kept, ids, w = _corner_gather(table.offsets, grid)
+    kmap = (np.searchsorted(kept, table.starts), table.indices[kept], ids, w)
 
     # no lock: a race between threads can only cost a rebuild, since a
     # map is served only to the table it was built from
@@ -391,41 +375,55 @@ def _kernel_map(table: NeighborTable, grid: AnchorGrid):
     return kmap
 
 
-def _block_pass(features, neighbors: NeighborTable, filt, contract, threads: int = 1):
-    """Call contract(q0, q1, nbr, ids, w, qid, S) once per query block (full filter only).
+# Values in one (query block x k^3) array of the full operator: the bound
+# that splits large tables into query blocks (2^19 float64s, 4 MB).
+_BLOCK_VALUES = 1 << 19
 
-    A block covers queries [q0, q1); nbr are its pairs' neighbour rows,
-    (ids, w) their enclosing corners, qid their block-local query ids
-    and S the block's anchor sums. Pairs come from the table's kernel
-    map, built once per (table, grid) without zero-weight pairs. Blocks
-    split the table's own rows, with a pair budget that keeps S near 4M
-    values; blocks without kept pairs are skipped. With threads > 1
-    blocks run on a thread pool, so contract may then only write rows
-    [q0, q1) of its outputs; otherwise blocks run in ascending order,
-    which keeps accumulated sums bit-identical.
+
+def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, work,
+                   threads: int = 1):
+    """(i, rows, pairs, work(i, rows, pairs, keys, S)) for every part of
+    the full operator, in part order.
+
+    A part is one input channel i of one block of queries (rows, a
+    slice); pairs slices its kernel-map pairs and keys (8, pairs) holds
+    their corner keys (block-local query * k^3 + anchor), computed once
+    per call. S (block queries, k^3) is channel i's anchor sums,
+
+        S[q, a] = sum over the (pair, corner)s of q at anchor a of
+                  trilinear weight * f_i(neighbour),
+
+    one bincount adding in ascending (corner, pair) order. Blocks hold at
+    most _BLOCK_VALUES // k^3 queries. With threads > 1 the parts run on
+    a thread pool; results are still yielded in part order, so callers
+    that add them in that order get bit-identical sums for any thread
+    count.
     """
-    starts, nbr_all, ids_all, w_all = _kernel_map(neighbors, filt.grid)
-    counts = np.diff(starts)
+    starts, nbr, ids, w = _kernel_map(neighbors, filt.grid)
     num_anchors = filt.grid.num_anchors
-    budget = max(512, 4_000_000 // max(1, num_anchors * filt.in_dim))
+    q = neighbors.num_queries
+    step = max(1, _BLOCK_VALUES // num_anchors)
+    blocks = []
+    for q0 in range(0, q, step):
+        rows = slice(q0, min(q0 + step, q))
+        pairs = slice(starts[rows.start], starts[rows.stop])
+        local = np.arange(rows.stop - q0) * num_anchors
+        keys = np.repeat(local, np.diff(starts[q0:rows.stop + 1])) + ids[:, pairs]
+        blocks.append((rows, pairs, keys))
 
-    def run_block(block):
-        q0, q1 = block
-        p0, p1 = int(starts[q0]), int(starts[q1])
-        if p0 == p1:
-            return
-        nbr, ids, w = nbr_all[p0:p1], ids_all[p0:p1], w_all[p0:p1]
-        qid = np.repeat(np.arange(q1 - q0, dtype=np.int64), counts[q0:q1])
-        s = _anchor_sums(features, nbr, ids, w, qid, q1 - q0, num_anchors)
-        contract(q0, q1, nbr, ids, w, qid, s)
+    def run(part):
+        i, (rows, pairs, keys) = part
+        vals = w[:, pairs] * features[nbr[pairs], i]
+        size = (rows.stop - rows.start) * num_anchors
+        s = np.bincount(keys.ravel(), vals.ravel(), minlength=size).reshape(-1, num_anchors)
+        return i, rows, pairs, work(i, rows, pairs, keys, s)
 
-    blocks = list(_query_blocks(neighbors.starts, budget))
-    if threads > 1 and len(blocks) > 1:
+    parts = [(i, block) for block in blocks for i in range(filt.in_dim)]
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
+            yield from pool.map(run, parts)
     else:
-        for block in blocks:
-            run_block(block)
+        yield from map(run, parts)
 
 
 def _check_args(features, neighbors: NeighborTable, filt, upstream=None):
@@ -458,18 +456,19 @@ def forward_features(
 ) -> np.ndarray:
     """Fast-path convolution on a raw feature matrix.
 
-    Per query block: gather the <= 8 enclosing anchors of every pair,
-    accumulate the per-(query, anchor) weighted feature sums S, then
-    contract against the anchor weight matrices in one tensordot:
-    h[q] = sum_{a,i} S[q, a, i] * weights[a, i, :] (+ bias).
+    One part per (query block, input channel i): channel i's anchor sums
+    S_i from the kernel map, contracted with anchor weights[:, i, :] and
+    added into the block's rows, h[q] = sum_{i,a} S_i[q, a] *
+    weights[a, i, :] (+ bias). threads > 1 runs the parts on a pool.
     """
     features, _ = _check_args(features, neighbors, filt)
     out = np.zeros((neighbors.num_queries, filt.out_dim))
 
-    def contract(q0, q1, nbr, ids, w, qid, s):
-        out[q0:q1] = np.tensordot(s, filt.weights, axes=([1, 2], [0, 1]))
+    def work(i, rows, pairs, keys, s):
+        return s @ filt.weights[:, i]
 
-    _block_pass(features, neighbors, filt, contract, threads)
+    for _, rows, _, h in _channel_parts(features, neighbors, filt, work, threads):
+        out[rows] += h
     if filt.bias is not None:
         out += filt.bias
     return out
@@ -521,29 +520,26 @@ def backward_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum(upstream * forward) w.r.t. features, weights, bias.
 
-    grad_features[x] collects ghat(y - x) @ upstream[y] over every query
-    y that saw x; grad_weights[p] collects w(pair, p) * f(x) outer
-    upstream[y]; grad_bias is the column sum of upstream. Accumulation
-    runs in ascending query order, then stored neighbour order, then
-    corner order, so repeated runs are bit-identical.
+    Runs the forward pass's parts again. Per part (query block, input
+    channel i): grad_weights[:, i] gains S_i^T @ upstream; each pair
+    blends (upstream @ weights[:, i, :]^T) of its query over its corners,
+    and one bincount over neighbour ids adds those into grad_features[:,
+    i]. grad_bias is the column sum of upstream. Parts add in a fixed
+    order, so repeated runs are bit-identical.
     """
     features, up = _check_args(features, neighbors, filt, upstream)
-    d_in = filt.in_dim
-    num_anchors = filt.grid.num_anchors
+    _, nbr, _, w = _kernel_map(neighbors, filt.grid)
     grad_f = np.zeros_like(features)
     grad_w = np.zeros_like(filt.weights)
 
-    def contract(q0, q1, nbr, ids, w, qid, s):
-        up_blk = up[q0:q1]
-        # dL/dW[a,i,o] = sum_q S[q,a,i] * up[q,o]
-        grad_w[...] += np.tensordot(s, up_blk, axes=(0, 0))
-        # dL/df(x)_i = sum over pairs seeing x of ghat(y-x)[i,:] . up[y]
-        u = np.einsum("aio,qo->qai", filt.weights, up_blk)  # (q, A, in)
-        gather = u.reshape(-1, d_in)[(qid[:, None] * num_anchors + ids).ravel()]
-        pair_gf = (w.reshape(-1)[:, None] * gather).reshape(-1, 8, d_in).sum(axis=1)
-        grad_f[...] += _scatter_rows(nbr, pair_gf, features.shape[0])
+    def work(i, rows, pairs, keys, s):
+        # dL/dS_i[q, a] = up[q] . weights[a, i, :], read at each pair's corners
+        dsum = (up[rows] @ filt.weights[:, i].T).ravel()
+        return s.T @ up[rows], np.einsum("cp,cp->p", w[:, pairs], dsum.take(keys))
 
-    _block_pass(features, neighbors, filt, contract)
+    for i, _, pairs, (gw, g) in _channel_parts(features, neighbors, filt, work):
+        grad_w[:, i] += gw
+        grad_f[:, i] += np.bincount(nbr[pairs], g, minlength=features.shape[0])
     return grad_f, grad_w, up.sum(axis=0)
 
 
@@ -566,14 +562,14 @@ def forward_separable_features(
     One input channel i at a time on the table's kernel map: ghat1_i of
     every pair blends spatial[:, i] over the pair's corners, and m[:, i]
     sums over each query's pairs in stored order (bit-identical runs).
-    No temporary is larger than the map's own (pairs, 8) weights.
+    Corners blend one at a time, so no temporary exceeds one (pairs,) row.
     """
     features, _ = _check_args(features, neighbors, sf)
     starts, nbr, ids, w = _kernel_map(neighbors, sf.grid)
     qid = np.repeat(np.arange(neighbors.num_queries, dtype=np.int64), np.diff(starts))
     m = np.empty((neighbors.num_queries, sf.in_dim))
     for i, column in enumerate(sf.spatial.T):
-        g = np.einsum("pc,pc->p", w, column.take(ids))
+        g = _blend(w, ids, column)
         m[:, i] = np.bincount(qid, weights=g * features[nbr, i], minlength=m.shape[0])
     out = m @ sf.pointwise
     if sf.bias is not None:
@@ -605,15 +601,16 @@ def backward_separable_features(
     qid = np.repeat(np.arange(q, dtype=np.int64), np.diff(starts))
     grad_f, grad_s, grad_p = (np.empty_like(a) for a in (features, sf.spatial, sf.pointwise))
     for i, column in enumerate(sf.spatial.T):
-        g = np.einsum("pc,pc->p", w, column.take(ids))
+        g = _blend(w, ids, column)
         f = features[nbr, i]
         m_i = np.bincount(qid, weights=g * f, minlength=q)
         grad_p[i] = m_i @ up
         u = (up @ sf.pointwise[i])[qid]  # dL/dm[:, i] at each pair's query
         grad_f[:, i] = np.bincount(nbr, weights=g * u, minlength=features.shape[0])
         # dL/dspatial[a, i] sums w * f * u over the (pair, corner)s at anchor a
-        grad_s[:, i] = np.bincount(ids.ravel(), weights=(w * (f * u)[:, None]).ravel(),
-                                   minlength=sf.grid.num_anchors)
+        fu = f * u
+        grad_s[:, i] = sum(np.bincount(ids[c], w[c] * fu, minlength=sf.grid.num_anchors)
+                           for c in range(8))
     return grad_f, grad_s, grad_p, up.sum(axis=0)
 
 

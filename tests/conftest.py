@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from deformconv import conv, pointcloud, spatial
+from deformconv import cli, conv, pointcloud, spatial
 from deformconv.rng import DetRng
 
 
@@ -55,3 +55,15 @@ def grad_rel(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def det_rng(seed: int) -> DetRng:
     return DetRng(seed)
+
+
+def benchmark_cloud(name: str):
+    """Positions and search radius of one of the benchmark's clouds: a
+    toy-seg cloud, and the bench clouds of scene-k3 and scene-k7."""
+    r3 = conv.default_radius(conv.grid_from_spacing(3, 0.2))
+    if name == "toy-seg":
+        return pointcloud.synth_dataset("two-surfaces-seg", 1, 256, 0.01, 11).clouds[0].positions, r3
+    if name == "scene-k3":
+        return cli._bench_cloud(20_000, 16, r3, DetRng(11).spawn(10), 2).positions, r3
+    r7 = conv.default_radius(conv.grid_from_spacing(7, 0.2))
+    return cli._bench_cloud(5_000, 16, r7, DetRng(11).spawn(10), 2).positions, r7

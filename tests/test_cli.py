@@ -232,24 +232,24 @@ class TestCheckpoint:
     def test_ambiguous_header_key(self, tmp_path, edit, frag):
         # the last of two values does not win, and a layer index is
         # written one way only, as in config files
-        p = tmp_path / "x.dfc"
-        save_checkpoint(_checkpoint(), p)
-        raw = p.read_bytes()
-        assert raw.count(edit[0]) == 1
-        p.write_bytes(raw.replace(*edit))
-        with pytest.raises(CheckpointError, match=frag):
-            load_checkpoint(p)
-        cfg = _write(tmp_path / "eval.cfg", f"""
-task = segmentation
-seed = 3
-out = {tmp_path / 'o'}
-data.kind = two-surfaces-seg
-data.train = 2
-data.test = 1
-data.points = 32
-eval.checkpoint = {p}
-""")
-        assert cli.main(["eval", "--config", cfg]) == 2
+        _assert_edit_rejected(tmp_path, edit, frag)
+
+    @pytest.mark.parametrize("edit,frag", [
+        ((b"params = ", b"foo = bar\nparams = "), "unknown header key 'foo'"),
+        ((b"seed = 3\n", b"seed = 0_3\n"), "seed: expected a plain integer, got '0_3'"),
+        ((b"classes = 2\n", b"classes = +2\n"), "classes: .*'\\+2'"),
+        ((b"layers = 3\n", b"layers = 03\n"), "layers: .*'03'"),
+        ((b"params = ", b"params =  "), "params: .*' [0-9]+'"),
+        ((b" in=2 ", b" in=+2 "), "layer.0: saving would write 'type=deformable in=2 "),
+        ((b" cap=8 ", b" cap=08 "), "layer.0: saving would write .* cap=8 "),
+        ((b"a=0.20000000000000001,0.20000000000000001,", b"a=0.2,0.2,"),
+         "layer.0: saving would write .*a=0.20000000000000001,"),
+        ((b"out=2 skip=0", b"out=2"), "layer.2: saving would write 'type=linear in=4 out=2 skip=0'"),
+    ], ids=["unknown-key", "seed-0_3", "classes-plus-2", "layers-03", "params-space",
+            "layer-in-plus-2", "layer-cap-08", "layer-a-short", "layer-skip-default"])
+    def test_header_that_does_not_round_trip(self, tmp_path, edit, frag):
+        # saving what such a header loads would write other bytes
+        _assert_edit_rejected(tmp_path, edit, frag)
 
     def test_missing_header_field(self, tmp_path):
         p = tmp_path / "x.dfc"
@@ -261,6 +261,29 @@ eval.checkpoint = {p}
         p.write_bytes(head + raw[sep:])
         with pytest.raises(CheckpointError, match="incomplete header"):
             load_checkpoint(p)
+
+
+def _assert_edit_rejected(tmp_path, edit, frag):
+    """A saved checkpoint with one header edit fails to load with frag in
+    the message, and eval on it exits 2."""
+    p = tmp_path / "x.dfc"
+    save_checkpoint(_checkpoint(), p)
+    raw = p.read_bytes()
+    assert raw.count(edit[0]) == 1
+    p.write_bytes(raw.replace(*edit))
+    with pytest.raises(CheckpointError, match=frag):
+        load_checkpoint(p)
+    cfg = _write(tmp_path / "eval.cfg", f"""
+task = segmentation
+seed = 3
+out = {tmp_path / 'o'}
+data.kind = two-surfaces-seg
+data.train = 2
+data.test = 1
+data.points = 32
+eval.checkpoint = {p}
+""")
+    assert cli.main(["eval", "--config", cfg]) == 2
 
 
 def _write(path, text):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deformconv import conv, pointcloud, spatial
-from conftest import (fd_grad, grad_rel, neighbor_table, random_cloud,
-                      random_filter, rel_err)
+from conftest import (benchmark_cloud, fd_grad, grad_rel, neighbor_table,
+                      random_cloud, random_filter, rel_err)
 
 
 class TestAnchorGrid:
@@ -176,8 +177,8 @@ def _untied_capped_instance(seed: int, m: int, cap: int, separable: bool):
 
 
 def _multi_block_instance(seed: int, d_out: int = 4):
-    """k = 7 with 24 input channels gives a 512-pair block budget, so this
-    10,240-pair table runs in many query blocks."""
+    """A 10,240-pair k = 7 table with 24 input channels: the full operator
+    runs it as 24 parts, one per channel."""
     rng = np.random.default_rng(seed)
     cloud = random_cloud(rng, 640, 24, extent=1.0)
     filt = random_filter(rng, 7, 0.2, 24, d_out)
@@ -185,17 +186,40 @@ def _multi_block_instance(seed: int, d_out: int = 4):
     return cloud.features, table, filt, rng
 
 
-def _count_blocks(monkeypatch) -> list:
-    """Record one entry per query block the conv operators process."""
-    blocks = []
-    real = conv._anchor_sums
+def _record_parts(monkeypatch) -> tuple[list, list]:
+    """(parts, pooled): the (channel, first row, end row) of every part the
+    full operator's passes run, and the parts of each thread pool map."""
+    parts, pooled = [], []
+    real_parts, real_pool = conv._channel_parts, conv.ThreadPoolExecutor
 
-    def counting(*args):
-        blocks.append(1)
-        return real(*args)
+    def recording(*args, **kwargs):
+        for i, rows, pairs, result in real_parts(*args, **kwargs):
+            parts.append((i, rows.start, rows.stop))
+            yield i, rows, pairs, result
 
-    monkeypatch.setattr(conv, "_anchor_sums", counting)
-    return blocks
+    class Pool(real_pool):
+        def map(self, fn, *iterables, **kwargs):
+            items = list(iterables[0])
+            pooled.append([(i, rows.start, rows.stop) for i, (rows, _, _) in items])
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(conv, "_channel_parts", recording)
+    monkeypatch.setattr(conv, "ThreadPoolExecutor", Pool)
+    return parts, pooled
+
+
+def _forward_on_threads(monkeypatch, feats, table, filt) -> tuple[np.ndarray, list]:
+    """The forward on 1, 2 and 4 threads, checked bit-identical, with the
+    threaded runs mapping every part on their pool and several parts;
+    returns it and the list that keeps recording parts (see _record_parts)."""
+    parts, pooled = _record_parts(monkeypatch)
+    one = conv.forward_features(feats, table, filt, threads=1)
+    assert not pooled and len(parts) > 1
+    single = list(parts)
+    for threads in (2, 4):
+        assert np.array_equal(conv.forward_features(feats, table, filt, threads=threads), one)
+        assert pooled.pop() == single
+    return one, parts
 
 
 def _adjoint_gap(lhs: float, grad: np.ndarray, x: np.ndarray) -> float:
@@ -344,11 +368,8 @@ class TestForward:
 
     def test_threads_equivalent(self, monkeypatch):
         feats, table, filt, _ = _multi_block_instance(8)
-        blocks = _count_blocks(monkeypatch)
-        one = conv.forward_features(feats, table, filt, threads=1)
-        assert len(blocks) > 1
-        four = conv.forward_features(feats, table, filt, threads=4)
-        assert np.array_equal(one, four)
+        out, _ = _forward_on_threads(monkeypatch, feats, table, filt)
+        assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
 
     def test_feature_dim_mismatch_rejected(self):
         rng = np.random.default_rng(9)
@@ -499,14 +520,35 @@ class TestBackward:
     def test_adjoint_identity_multi_block(self, monkeypatch):
         feats, table, filt, rng = _multi_block_instance(12)
         up = rng.normal(size=(table.num_queries, filt.out_dim))
-        blocks = _count_blocks(monkeypatch)
-        out = conv.forward_features(feats, table, filt)
-        assert len(blocks) > 1
+        out, _ = _forward_on_threads(monkeypatch, feats, table, filt)
         assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
         gf, gw, _ = conv.backward_features(feats, table, filt, up)
         lhs = float(np.sum(up * out))
         assert _adjoint_gap(lhs, gf, feats) <= 1e-12
         assert _adjoint_gap(lhs, gw, filt.weights) <= 1e-12
+
+    def test_several_query_blocks(self, monkeypatch):
+        # 1,600 queries x 343 anchors exceed the block bound, so each
+        # channel runs in two query blocks
+        rng = np.random.default_rng(21)
+        cloud = random_cloud(rng, 1600, 2, extent=1.5)
+        filt = random_filter(rng, 7, 0.2, 2, 3, bias=True)
+        table = neighbor_table(cloud, conv.default_radius(filt.grid), 8)
+        assert table.num_queries * filt.grid.num_anchors > conv._BLOCK_VALUES
+        up = rng.normal(size=(table.num_queries, filt.out_dim))
+        out, parts = _forward_on_threads(monkeypatch, cloud.features, table, filt)
+        assert rel_err(out, conv.oracle_forward_features(cloud.features, table, filt)) <= 1e-12
+        parts.clear()
+        gf, gw, _ = conv.backward_features(cloud.features, table, filt, up)
+        step = conv._BLOCK_VALUES // filt.grid.num_anchors
+        assert sorted({(q0, q1) for _, q0, q1 in parts}) == [(0, step), (step, 1600)]
+        lhs = float(np.sum(up * (out - filt.bias)))
+        assert _adjoint_gap(lhs, gf, cloud.features) <= 1e-12
+        assert _adjoint_gap(lhs, gw, filt.weights) <= 1e-12
+        # the same gradients from a single block, up to rounding
+        monkeypatch.setattr(conv, "_BLOCK_VALUES", table.num_queries * filt.grid.num_anchors)
+        one_f, one_w, _ = conv.backward_features(cloud.features, table, filt, up)
+        assert rel_err(gf, one_f) <= 1e-12 and rel_err(gw, one_w) <= 1e-12
 
     def test_upstream_shape_rejected(self):
         feats, w, b, build, table, up = self._instance(8)
@@ -596,14 +638,14 @@ class TestSeparable:
                                   spatial=rng.normal(size=(full.grid.num_anchors, 24)),
                                   pointwise=rng.normal(size=(24, 4)))
         up = rng.normal(size=(table.num_queries, sf.out_dim))
-        blocks = _count_blocks(monkeypatch)
+        parts, _ = _record_parts(monkeypatch)
         out = conv.forward_separable_features(feats, table, sf)
         rank_one = conv.DeformableFilter(
             grid=sf.grid, weights=sf.spatial[:, :, None] * sf.pointwise[None, :, :])
         assert rel_err(out, conv.oracle_forward_features(feats, table, rank_one)) <= 1e-12
         gf, gs, gp, _ = conv.backward_separable_features(feats, table, sf, up)
         # the separable passes run on the kernel map, without anchor sums
-        assert not blocks
+        assert not parts
         lhs = float(np.sum(up * out))
         assert _adjoint_gap(lhs, gf, feats) <= 1e-12
         assert _adjoint_gap(lhs, gs, sf.spatial) <= 1e-12
@@ -698,6 +740,27 @@ class TestKernelMap:
         assert kept() is not None
         assert conv._kernel_map(other, filt.grid)[3] is kept()
         del reader
+
+
+class TestPinnedKernelMaps:
+    """The kernel maps of the benchmark's clouds at cap 16 keep the values
+    they had when ids and w were stored pair-major, (pairs, 8)."""
+
+    DIGESTS = {
+        "toy-seg": ("5ffe6a7813a190bfedd04828501886f9a18c42f626df714da6fe41e2ac287e1d", 3),
+        "scene-k3": ("1b5dbb368f646c68d7871967187067cfb3028331b6224660db81dac99b10b6de", 3),
+        "scene-k7": ("7b041125b082463d383f44b94191af5dff484679952e5fec40508dfeb99f8b87", 7),
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_map_bytes(self, name):
+        digest, k = self.DIGESTS[name]
+        pos, r = benchmark_cloud(name)
+        table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
+        h = hashlib.sha256()
+        for arr in conv._kernel_map(table, conv.grid_from_spacing(k, 0.2)):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestFilterValidation:

@@ -272,6 +272,33 @@ class TestStackGradients:
             assert grad_rel(g, fd_grad(loss, p)) <= 1e-6
 
 
+class TestDeformConvLayer:
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_gradcheck_with_cap_cutting(self, k):
+        rng = np.random.default_rng(8)
+        cloud = random_cloud(rng, 14, 3, extent=0.5)
+        spec = conv.ConvLayerSpec(grid=conv.grid_from_spacing(k, 0.2),
+                                  radius=conv.default_radius(conv.grid_from_spacing(k, 0.2)),
+                                  cap=6)
+        # cap cuts some neighbourhoods
+        assert neighbor_table(cloud, spec.radius, 14).counts.max() > spec.cap
+        layer = nn.DeformConvLayer(spec, rng.normal(size=(spec.grid.num_anchors, 3, 2)),
+                                   rng.normal(size=2))
+        ctx = nn.LayerContext(cloud)
+        feats = cloud.features.copy()
+        up = rng.normal(size=(cloud.num_points, 2))
+
+        def loss():
+            return float(np.sum(layer.forward(feats, ctx) * up))
+
+        layer.forward(feats, ctx)
+        grad_f = layer.backward(up, ctx)
+        grads = [g.copy() for g in layer.grads()]
+        for p, g in zip(layer.params(), grads):
+            assert grad_rel(g, fd_grad(loss, p)) <= 1e-6
+        assert grad_rel(grad_f, fd_grad(loss, feats)) <= 1e-6
+
+
 class TestBuildStack:
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deformconv import cli, conv, pointcloud, spatial
-from deformconv.rng import DetRng
+from deformconv import conv, spatial
+from conftest import benchmark_cloud
 
 
 def _tables_equal(a: spatial.NeighborTable, b: spatial.NeighborTable) -> bool:
@@ -258,18 +258,6 @@ def _table_digest(table: spatial.NeighborTable) -> str:
     return h.hexdigest()
 
 
-def _pinned_cloud(name: str):
-    """Positions and radius of one of the benchmark's clouds: a toy-seg
-    cloud, and the bench clouds of scene-k3 and scene-k7."""
-    r3 = conv.default_radius(conv.grid_from_spacing(3, 0.2))
-    if name == "toy-seg":
-        return pointcloud.synth_dataset("two-surfaces-seg", 1, 256, 0.01, 11).clouds[0].positions, r3
-    if name == "scene-k3":
-        return cli._bench_cloud(20_000, 16, r3, DetRng(11).spawn(10), 2).positions, r3
-    r7 = conv.default_radius(conv.grid_from_spacing(7, 0.2))
-    return cli._bench_cloud(5_000, 16, r7, DetRng(11).spawn(10), 2).positions, r7
-
-
 class TestPinnedTables:
     """Seeded tables of the benchmark's clouds at cap 16 keep the bytes
     they had before the window-grouped search and the key sort."""
@@ -282,7 +270,7 @@ class TestPinnedTables:
 
     @pytest.mark.parametrize("name", list(DIGESTS))
     def test_table_bytes(self, name):
-        pos, r = _pinned_cloud(name)
+        pos, r = benchmark_cloud(name)
         table = _grid_table(pos, pos, r, 16)
         assert _table_digest(table) == self.DIGESTS[name]
 
