@@ -7,6 +7,7 @@ with the positions; labels are optional per-point integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,14 +120,14 @@ def save_xyz(cloud: PointCloud, path) -> None:
     round trip reproduces every float64 bit-exactly.
     """
     labeled = cloud.labels is not None
+    line = " ".join(["%.17g"] * (3 + cloud.feature_dim) + ["%d"] * labeled) + "\n"
+    rows = np.hstack([cloud.positions, cloud.features]).tolist()
+    if labeled:
+        rows = [row + [label] for row, label in zip(rows, cloud.labels.tolist())]
     with atomic_open(path) as fh:
         fh.write(f"# dfc-xyz D={cloud.feature_dim} labeled={int(labeled)}\n")
-        for i in range(cloud.num_points):
-            parts = ["%.17g" % v for v in cloud.positions[i]]
-            parts += ["%.17g" % v for v in cloud.features[i]]
-            if labeled:
-                parts.append(str(int(cloud.labels[i])))
-            fh.write(" ".join(parts) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row))
 
 
 def load_xyz(path) -> PointCloud:
@@ -168,7 +169,7 @@ def load_xyz(path) -> PointCloud:
             values = [float(tok) for tok in parts[: 3 + dim]]
         except ValueError:
             raise XyzFormatError(f"{path}:{lineno}: non-numeric field") from None
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise XyzFormatError(f"{path}:{lineno}: non-finite value")
         positions.append(values[:3])
         features.append(values[3 : 3 + dim])

@@ -14,16 +14,31 @@ Constants follow the Blackman & Vigna reference implementations:
                 0x94D049BB133111EB
   xoshiro256**: scrambler ``rotl(s1 * 5, 7) * 9``, shift 17,
                 state rotation ``rotl(s3, 45)``
+
+The array samplers draw their numbers as one block (``DetRng._draws``)
+that equals the one-at-a-time stream bit for bit. The state step is
+linear over GF(2), so a 256x256 bit matrix A maps a state to the next
+one, and A^S jumps S steps ahead (Blackman & Vigna, arXiv:1805.01407).
+A block is cut into lanes whose start states are S steps apart, and
+numpy steps all lanes at once with wrapping uint64 arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 _INV53 = 1.0 / (1 << 53)
+
+# Lane spacings S of a block of n draws. A block costs about S numpy
+# steps of all lanes (~8 us each) plus one jump per lane (~3.5 us), so
+# short spacings suit small blocks; from 8192 draws on the long one is
+# cheaper. Each spacing's jump table holds ~0.56 MB of Python ints.
+_SHORT, _LONG, _LONG_FROM = 16, 256, 8192
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -37,6 +52,81 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _pack(words) -> int:
+    """The state words (s0, s1, s2, s3) as one 256-bit int, s0 lowest."""
+    s0, s1, s2, s3 = words
+    return s0 | s1 << 64 | s2 << 128 | s3 << 192
+
+
+def _advance(s0, s1, s2, s3, tmp, s1_out) -> None:
+    """One xoshiro256** state step of uint64 lane arrays, in place. The
+    new s1 goes to ``s1_out``, which may be ``s1``."""
+    np.left_shift(s1, 17, out=tmp)
+    s2 ^= s0
+    s3 ^= s1
+    np.bitwise_xor(s1, s2, out=s1_out)
+    s0 ^= s3
+    s2 ^= tmp
+    np.left_shift(s3, 45, out=tmp)
+    s3 >>= 19
+    s3 |= tmp
+
+
+@functools.cache
+def _jump_table(spacing: int) -> list[list[int]]:
+    """XOR lookup table of A^spacing on packed states: row b, entry v is
+    the image of a state whose byte b is v and whose other bytes are 0.
+
+    Column i of A^spacing is where the unit state e_i goes in
+    ``spacing`` steps, so the 256 unit states are stepped as lanes.
+    """
+    bit = np.arange(256)
+    s = np.zeros((4, 256), dtype=np.uint64)
+    s[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    tmp = np.empty(256, dtype=np.uint64)
+    for _ in range(spacing):
+        _advance(*s, tmp, s[1])
+    cols = [_pack(words) for words in s.T.tolist()]
+    table = []
+    for byte in range(32):
+        row = [0] * 256
+        for v in range(1, 256):
+            # v's lowest set bit added to the entry for v without it
+            row[v] = row[v & (v - 1)] ^ cols[8 * byte + (v & -v).bit_length() - 1]
+        table.append(row)
+    return table
+
+
+def _jump(x: int, table: list[list[int]]) -> int:
+    y = 0
+    for row, byte in zip(table, x.to_bytes(32, "little")):
+        y ^= row[byte]
+    return y
+
+
+def _below(x: np.ndarray, span):
+    """``(x >> 11) * span >> 53`` for uint64 ``x`` and 1 <= span <= 2**64
+    (an int or a uint64 array): the multiply-shift range reduction of
+    :meth:`DetRng.integer`, computed exactly from 32-bit halves."""
+    a1, a0 = x >> 43, x >> 11 & _MASK32
+    s1, s0 = span >> 32, span & _MASK32
+    mid = (a0 * s0 >> 32) + (a0 * s1 & _MASK32) + (a1 * s0 & _MASK32)
+    high = a1 * s1 + (a0 * s1 >> 32) + (a1 * s0 >> 32) + (mid >> 32)
+    return high << 11 | (mid & _MASK32) >> 21
+
+
+def _box_muller(u1: float, u2: float) -> float:
+    # u1 lies in (0, 1], so log() stays finite. math, not numpy: numpy's
+    # SIMD log and cos may differ in the last bit across versions and CPUs.
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _count(sampler: str, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"{sampler}(): n must be >= 0, got {n}")
+    return n
 
 
 class DetRng:
@@ -77,31 +167,54 @@ class DetRng:
         self._s = [s0, s1, s2, s3]
         return out
 
+    def _draws(self, n: int) -> np.ndarray:
+        """The next n ``next_u64`` outputs as a uint64 array; the state is
+        left where n calls to ``next_u64`` would leave it.
+
+        Output l*S + t is step t of lane l, which starts from the current
+        state jumped l*S steps ahead.
+        """
+        if n == 0:
+            return np.empty(0, dtype=np.uint64)
+        spacing = _LONG if n >= _LONG_FROM else _SHORT
+        lanes = -(-n // spacing)
+        steps = min(n, spacing)
+        starts = [_pack(self._s)]
+        for _ in range(lanes - 1):
+            starts.append(_jump(starts[-1], _jump_table(spacing)))
+        packed = np.frombuffer(b"".join(x.to_bytes(32, "little") for x in starts), dtype="<u8")
+        s0, s1, s2, s3 = np.array(packed.reshape(lanes, 4).T, dtype=np.uint64, order="C")
+        ones = np.empty((steps + 1, lanes), dtype=np.uint64)  # s1 of every step
+        ones[0] = s1
+        tmp = np.empty(lanes, dtype=np.uint64)
+        last = n - (lanes - 1) * spacing  # steps the last lane contributes
+        for t in range(steps):
+            _advance(s0, ones[t], s2, s3, tmp, ones[t + 1])
+            if t + 1 == last:
+                self._s = [int(s0[-1]), int(ones[t + 1, -1]), int(s2[-1]), int(s3[-1])]
+        x = ones[:steps].T.reshape(-1)[:n] * np.uint64(5)
+        return (x << 7 | x >> 57) * np.uint64(9)
+
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """One double in [lo, hi). 53 uniform mantissa bits."""
         u = (self.next_u64() >> 11) * _INV53
         return lo + (hi - lo) * u
 
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.uniform(lo, hi)
-        return out
+        u = (self._draws(_count("uniforms", n)) >> 11) * _INV53
+        return lo + (hi - lo) * u
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        return mu + sigma * self._gauss()
-
-    def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = mu + sigma * self._gauss()
-        return out
-
-    def _gauss(self) -> float:
-        # Box-Muller; u1 is shifted into (0, 1] so log() stays finite.
         u1 = ((self.next_u64() >> 11) + 1) * _INV53
         u2 = (self.next_u64() >> 11) * _INV53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return mu + sigma * _box_muller(u1, u2)
+
+    def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+        """Box-Muller over pairs of draws, as ``n`` calls of ``normal``."""
+        d = self._draws(2 * _count("normals", n)) >> 11
+        u1 = ((d[0::2] + 1) * _INV53).tolist()
+        u2 = (d[1::2] * _INV53).tolist()
+        return mu + sigma * np.array(list(map(_box_muller, u1, u2)), dtype=np.float64)
 
     def integer(self, lo: int, hi: int) -> int:
         """One integer in [lo, hi). Multiply-shift range reduction."""
@@ -111,15 +224,15 @@ class DetRng:
         return lo + ((self.next_u64() >> 11) * span >> 53)
 
     def integers(self, n: int, lo: int, hi: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = self.integer(lo, hi)
-        return out
+        if hi <= lo:
+            raise ValueError(f"integers(): need lo < hi, got lo={lo}, hi={hi}")
+        return lo + _below(self._draws(_count("integers", n)), hi - lo).view(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(0, i + 1)
+        """Fisher-Yates shuffle of range(n): for i = n-1 down to 1, swap
+        i with ``integer(0, i + 1)``."""
+        spans = np.arange(_count("permutation", n), 1, -1, dtype=np.uint64)
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), _below(self._draws(spans.size), spans).tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

@@ -1,6 +1,8 @@
 """Point cloud container, xyz text format, synthetic datasets."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,15 @@ class TestXyzFormat:
         assert np.array_equal(back.positions, c.positions)
         assert np.array_equal(back.features, c.features)
         assert np.array_equal(back.labels, c.labels)
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        """sha256 of one synthetic cloud's file, recorded when save_xyz
+        formatted each value on its own."""
+        cloud = pc.synth_dataset("two-surfaces-seg", 1, 256, 0.01, 3).clouds[0]
+        path = tmp_path / "c.xyz"
+        pc.save_xyz(cloud, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "d1309fbc879bdac8f58716aa8f62588943bd2b601e61b7dde653c927bb4e6a0a"
 
     def test_roundtrip_unlabeled_zero_features(self, tmp_path):
         c = pc.PointCloud(positions=np.eye(3), features=np.zeros((3, 0)))

@@ -1,7 +1,13 @@
 """Deterministic RNG: stream stability, ranges, independence of substreams."""
 from __future__ import annotations
 
+import hashlib
+import math
+import struct
+
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from deformconv.rng import DetRng
 
@@ -86,3 +92,143 @@ def test_zero_seed_works():
     r = DetRng(0)
     vals = [r.next_u64() for _ in range(8)]
     assert len(set(vals)) == 8
+
+
+# --- block draws against the one-at-a-time stream ---------------------------
+
+_M64 = (1 << 64) - 1
+_INV53 = 1.0 / (1 << 53)
+
+
+class ScalarXoshiro:
+    """Reference xoshiro256** with one Python-int step per output, and the
+    samplers' formulas applied to one draw at a time."""
+
+    def __init__(self, state):
+        self.s = list(state)
+
+    def u64(self):
+        s0, s1, s2, s3 = self.s
+        x = s1 * 5 & _M64
+        out = ((x << 7 | x >> 57) & _M64) * 9 & _M64
+        t = s1 << 17 & _M64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45 | s3 >> 19) & _M64
+        self.s = [s0, s1, s2, s3]
+        return out
+
+    def uniforms(self, n, lo, hi):
+        return [lo + (hi - lo) * ((self.u64() >> 11) * _INV53) for _ in range(n)]
+
+    def normals(self, n, mu, sigma):
+        out = []
+        for _ in range(n):
+            u1 = ((self.u64() >> 11) + 1) * _INV53
+            u2 = (self.u64() >> 11) * _INV53
+            g = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            out.append(mu + sigma * g)
+        return out
+
+    def integers(self, n, lo, hi):
+        return [lo + ((self.u64() >> 11) * (hi - lo) >> 53) for _ in range(n)]
+
+    def permutation(self, n):
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = (self.u64() >> 11) * (i + 1) >> 53
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+
+# sizes around the lane spacings (16, 256) and where the long one starts (8192)
+_SIZE = st.one_of(st.integers(0, 300), st.sampled_from([511, 512, 513, 8191, 8192, 8193, 8455]))
+_SPANS = [(0, 1), (-5, 7), (0, 2**40 + 3), (-2**63, 2**63 - 1), (-2**63, 2**63)]
+_CALL = st.one_of(
+    st.tuples(st.just("uniforms"), _SIZE, st.just((-2.5, 4.0))),
+    st.tuples(st.just("normals"), _SIZE, st.just((0.25, 3.0))),
+    st.tuples(st.just("integers"), _SIZE, st.sampled_from(_SPANS)),
+    st.tuples(st.just("permutation"), st.integers(0, 300), st.just(())),
+    st.tuples(st.just("next_u64"), st.integers(1, 40), st.just(())),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, _M64), calls=st.lists(_CALL, min_size=1, max_size=5))
+def test_block_samplers_equal_the_scalar_stream(seed, calls):
+    rng = DetRng(seed)
+    ref = ScalarXoshiro(rng._s)
+    for name, n, args in calls:
+        if name == "next_u64":
+            assert [rng.next_u64() for _ in range(n)] == [ref.u64() for _ in range(n)]
+            continue
+        got = getattr(rng, name)(n, *args)
+        assert got.dtype == (np.float64 if name in ("uniforms", "normals") else np.int64)
+        assert got.tolist() == getattr(ref, name)(n, *args), (name, n, args)
+    assert rng.next_u64() == ref.u64()
+
+
+# sha256 of each sampler's output for these sizes drawn in turn from
+# DetRng(2024), then one next_u64; recorded with the one-at-a-time samplers
+_PINNED_SIZES = (0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 257, 8191, 8192, 8193, 100_003)
+_PINNED = {
+    "uniforms": ((-2.0, 3.0), "079719c5c01b38aa4d2baec597554f605298458c51c6ce2560f231a4be393c6e"),
+    "normals": ((0.5, 2.0), "90b631ce2e10aa2518deb43001cf0fba24660d579020dac9e353db7208cb2ea2"),
+    "integers": ((-5, 1000), "087f5e4583675c0e6b32d9b5372223ebfc955f9883dc211c57b0b06ab1cbefce"),
+    "permutation": ((), "fd5fdc762eee2ccdb51b3bbb89897916e91455e0bdcf02670117b9fe64f7666c"),
+}
+_PINNED_MIXED = "60e80fbe950b489fb8e9f472e3998285a1ea02b8756884409422fe0f648a7b87"
+
+
+def _sampler_digest(name, args):
+    rng = DetRng(2024)
+    h = hashlib.sha256()
+    for n in _PINNED_SIZES:
+        h.update(getattr(rng, name)(n, *args).tobytes())
+    h.update(struct.pack("<Q", rng.next_u64()))
+    return h.hexdigest()
+
+
+def _mixed_digest():
+    rng = DetRng(99)
+    h = hashlib.sha256()
+    for n in (3, 64, 257, 8193):
+        h.update(struct.pack("<Qd", rng.next_u64(), rng.uniform(-1.0, 1.0)))
+        h.update(rng.spawn(n).uniforms(n).tobytes())
+        h.update(rng.normals(n).tobytes())
+        h.update(rng.integers(n, 0, 7).tobytes())
+        h.update(struct.pack("<dq", rng.normal(), rng.integer(-3, 3)))
+        h.update(rng.permutation(n % 300).tobytes())
+    h.update(struct.pack("<Q", rng.next_u64()))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_pinned_sampler_digests(name):
+    args, digest = _PINNED[name]
+    assert _sampler_digest(name, args) == digest
+
+
+def test_pinned_mixed_sequence_digest():
+    assert _mixed_digest() == _PINNED_MIXED
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: r.uniforms(-2),
+    lambda r: r.normals(-2, 0.0, 1.0),
+    lambda r: r.integers(-1, 0, 5),
+    lambda r: r.permutation(-3),
+], ids=["uniforms", "normals", "integers", "permutation"])
+def test_negative_count_rejected(call):
+    with pytest.raises(ValueError, match=r"\(\): n must be >= 0, got -"):
+        call(DetRng(1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("lo, hi", [(0, 0), (2, 2), (5, 0), (3, -3)])
+def test_integers_empty_range_rejected(n, lo, hi):
+    with pytest.raises(ValueError, match=r"integers\(\): need lo < hi"):
+        DetRng(1).integers(n, lo, hi)
