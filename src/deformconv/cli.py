@@ -171,6 +171,23 @@ def _build_stack_from_config(cfg: RunConfig, task: str, rng: DetRng) -> nn.Layer
         raise ConfigError(f"bad layer configuration: {exc}") from None
 
 
+def _check_width(stack: nn.LayerStack, dataset: Dataset) -> None:
+    """A stack that does not take the dataset's feature channels, or
+    whose output width is not its class count, is a configuration error.
+    An empty dataset is left to the library, which rejects it."""
+    if len(dataset) == 0:
+        return
+    try:
+        width = stack.check_channels(dataset.clouds[0].feature_dim)
+    except ValueError as exc:
+        raise ConfigError(f"bad layer configuration: {exc}") from None
+    if width != dataset.num_classes:
+        raise ConfigError(
+            f"bad layer configuration: stack emits {width} channels "
+            f"but dataset has {dataset.num_classes} classes"
+        )
+
+
 def _opt_settings(cfg: RunConfig) -> dict:
     """The opt.* keys as nn.train_stack keyword arguments; out-of-range
     values are config errors."""
@@ -199,10 +216,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         )
     rng = DetRng(seed)
     stack = _build_stack_from_config(cfg, task, rng)
-    try:
-        stack.check_channels(train_set.clouds[0].feature_dim)
-    except ValueError as exc:
-        raise ConfigError(f"bad layer configuration: {exc}") from None
+    _check_width(stack, train_set)
     logs = nn.train_stack(
         stack, train_set, **_opt_settings(cfg), rng=rng, threads=args.threads
     )
@@ -266,6 +280,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise CheckpointError(
             f"checkpoint expects {ckpt.num_classes} classes, dataset has {dataset.num_classes}"
         )
+    _check_width(stack, dataset)
     report = nn.evaluate(stack, dataset, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.csv")
@@ -486,6 +501,8 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
         }
     except ValueError as exc:
         raise ConfigError(f"bad layer configuration: {exc}") from None
+    for stack in stacks.values():
+        _check_width(stack, train_set)
 
     opt = _opt_settings(cfg)
     results = []

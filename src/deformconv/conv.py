@@ -21,15 +21,20 @@ Two implementations are kept side by side:
   * forward / backward: the production path. Only the <= 8 anchors that
     enclose each offset are touched. Those corners and their weights
     (the kernel map) are gathered once per (neighbour table, anchor
-    grid) and shared by every layer and pass on that table; pairs whose
-    weight is zero at all eight corners are left out of the map. Both
-    filters run one input channel at a time on that map; the full filter
-    also splits large tables into query blocks that bound its dense
-    (queries x k^3) sums, and threads > 1 spreads its (block, channel)
-    parts over a thread pool.
+    grid), over row slices of the table, and shared by every layer and
+    pass on that table; pairs whose weight is zero at all eight corners
+    are left out of the map. Both filters run in query blocks and one
+    input channel at a time on that map, and threads > 1 spreads the
+    full filter's (block, channel) parts over a thread pool.
   * oracle_forward: a deliberately naive full scan over all k^3 anchors
     for every pair. It exists to cross-check the fast path and is used
     by tests and the benchmark command.
+
+The search's block budget, ``spatial._BLOCK_VALUES``, bounds the large
+temporaries here too: a map slice holds budget / 8 rows, and a query
+block's (8, pairs) corner keys and values and its dense (queries x k^3)
+sums (m and its output rows for the separable filter) hold at most the
+budget each (``spatial._spans``).
 
 All arithmetic is float64. Summation over a neighbourhood follows the
 stored pair order, so repeated runs are bit-identical.
@@ -39,10 +44,12 @@ from __future__ import annotations
 
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import spatial
 from .pointcloud import PointCloud, _freeze
 from .spatial import NeighborTable
 
@@ -362,7 +369,18 @@ def _kernel_map(table: NeighborTable, grid: AnchorGrid):
     hit = _KERNEL_MAPS.get(key)
     if hit is not None and hit[0]() is table:
         return hit[1]
-    kept, ids, w = _corner_gather(table.offsets, grid)
+    # gathered over row slices whose (8, rows) arrays fit the block budget
+    # (one empty slice for an empty table, so the map keeps its dtypes)
+    step = max(1, spatial._BLOCK_VALUES // 8)
+    parts = []
+    for p0 in range(0, max(table.num_pairs, 1), step):
+        kept, ids, w = _corner_gather(table.offsets[p0:p0 + step], grid)
+        parts.append((kept + p0, ids, w))
+    # a single slice is the map as it is: copying it would cost a second
+    # allocation of its size on every small table
+    kept, ids, w = (arrs[0] if len(arrs) == 1 else np.concatenate(arrs, axis=-1)
+                    for arrs in zip(*parts))
+    del parts  # the slices go before the neighbour ids are taken
     kmap = (np.searchsorted(kept, table.starts), table.indices[kept], ids, w)
 
     # no lock: a race between threads can only cost a rebuild, since a
@@ -375,11 +393,6 @@ def _kernel_map(table: NeighborTable, grid: AnchorGrid):
     return kmap
 
 
-# Values in one (query block x k^3) array of the full operator: the bound
-# that splits large tables into query blocks (2^19 float64s, 4 MB).
-_BLOCK_VALUES = 1 << 19
-
-
 def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, work,
                    threads: int = 1):
     """(i, rows, pairs, work(i, rows, pairs, keys, S)) for every part of
@@ -387,29 +400,21 @@ def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, w
 
     A part is one input channel i of one block of queries (rows, a
     slice); pairs slices its kernel-map pairs and keys (8, pairs) holds
-    their corner keys (block-local query * k^3 + anchor), computed once
-    per call. S (block queries, k^3) is channel i's anchor sums,
+    their corner keys (block-local query * k^3 + anchor), formed once per
+    block. S (block queries, k^3) is channel i's anchor sums,
 
         S[q, a] = sum over the (pair, corner)s of q at anchor a of
                   trilinear weight * f_i(neighbour),
 
-    one bincount adding in ascending (corner, pair) order. Blocks hold at
-    most _BLOCK_VALUES // k^3 queries. With threads > 1 the parts run on
-    a thread pool; results are still yielded in part order, so callers
+    one bincount adding in ascending (corner, pair) order. Blocks are cut
+    so that keys, the (8, pairs) values and S each hold at most the block
+    budget (``spatial._spans``). With threads > 1 a block's channels run
+    on a thread pool; results are still yielded in part order, so callers
     that add them in that order get bit-identical sums for any thread
     count.
     """
     starts, nbr, ids, w = _kernel_map(neighbors, filt.grid)
     num_anchors = filt.grid.num_anchors
-    q = neighbors.num_queries
-    step = max(1, _BLOCK_VALUES // num_anchors)
-    blocks = []
-    for q0 in range(0, q, step):
-        rows = slice(q0, min(q0 + step, q))
-        pairs = slice(starts[rows.start], starts[rows.stop])
-        local = np.arange(rows.stop - q0) * num_anchors
-        keys = np.repeat(local, np.diff(starts[q0:rows.stop + 1])) + ids[:, pairs]
-        blocks.append((rows, pairs, keys))
 
     def run(part):
         i, (rows, pairs, keys) = part
@@ -418,12 +423,13 @@ def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, w
         s = np.bincount(keys.ravel(), vals.ravel(), minlength=size).reshape(-1, num_anchors)
         return i, rows, pairs, work(i, rows, pairs, keys, s)
 
-    parts = [(i, block) for block in blocks for i in range(filt.in_dim)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(run, parts)
-    else:
-        yield from map(run, parts)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for q0, q1 in spatial._spans(8 * starts, num_anchors):
+            rows, pairs = slice(q0, q1), slice(starts[q0], starts[q1])
+            local = np.arange(q1 - q0) * num_anchors
+            keys = np.repeat(local, np.diff(starts[q0:q1 + 1])) + ids[:, pairs]
+            parts = [(i, (rows, pairs, keys)) for i in range(filt.in_dim)]
+            yield from (pool.map if pool else map)(run, parts)
 
 
 def _check_args(features, neighbors: NeighborTable, filt, upstream=None):
@@ -559,19 +565,25 @@ def forward_separable_features(
     m[y, i] = sum_{x in N(y)} ghat1_i(y - x) * f_i(x), then the
     pointwise map m @ pointwise (+ bias).
 
-    One input channel i at a time on the table's kernel map: ghat1_i of
-    every pair blends spatial[:, i] over the pair's corners, and m[:, i]
-    sums over each query's pairs in stored order (bit-identical runs).
-    Corners blend one at a time, so no temporary exceeds one (pairs,) row.
+    One block of queries at a time, cut like the full operator's blocks
+    with the wider of m's and the output's rows in place of k^3, and one
+    input channel i at a time within it: ghat1_i of every pair blends
+    spatial[:, i] over the pair's corners, m[:, i] sums over each
+    query's pairs in stored order (bit-identical runs), and the block's
+    m @ pointwise fills its output rows. Corners blend one at a time, so
+    no temporary exceeds one block's (pairs,) row.
     """
     features, _ = _check_args(features, neighbors, sf)
     starts, nbr, ids, w = _kernel_map(neighbors, sf.grid)
-    qid = np.repeat(np.arange(neighbors.num_queries, dtype=np.int64), np.diff(starts))
-    m = np.empty((neighbors.num_queries, sf.in_dim))
-    for i, column in enumerate(sf.spatial.T):
-        g = _blend(w, ids, column)
-        m[:, i] = np.bincount(qid, weights=g * features[nbr, i], minlength=m.shape[0])
-    out = m @ sf.pointwise
+    out = np.empty((neighbors.num_queries, sf.out_dim))
+    for q0, q1 in spatial._spans(8 * starts, max(sf.in_dim, sf.out_dim)):
+        pairs = slice(starts[q0], starts[q1])
+        qid = np.repeat(np.arange(q1 - q0, dtype=np.int64), np.diff(starts[q0:q1 + 1]))
+        m = np.empty((q1 - q0, sf.in_dim))
+        for i, column in enumerate(sf.spatial.T):
+            g = _blend(w[:, pairs], ids[:, pairs], column)
+            m[:, i] = np.bincount(qid, weights=g * features[nbr[pairs], i], minlength=q1 - q0)
+        out[q0:q1] = m @ sf.pointwise
     if sf.bias is not None:
         out += sf.bias
     return out

@@ -10,11 +10,17 @@ The grid search needs cells at least as wide as the search radius, so
 each query's window floor((q - r) / cell_size) .. floor((q + r) / cell_size)
 spans 2 to 4 cells per axis at r = cell_size (3 as a rule; rounding in
 the floors moves a bound by one). Queries that share a window share its
-candidates, so the cell sweep runs once per distinct window, and each
-query then takes a copy of its window's point list. ``_assemble`` orders
-the pairs with one sort on an int64 key (query id in the high bits, the
-top bits of the squared distance in the low bits), then re-sorts exactly
-the runs of equal keys.
+candidates, so the cell sweep runs once per distinct window.
+
+``_assemble`` works through the queries in spans of consecutive ids,
+each holding at most ``_BLOCK_VALUES`` candidates (the block budget,
+which also bounds the kernel-map build and the conv passes). Each query
+of a span takes a copy of its window's point list, and ``_rank`` orders
+the span's pairs with one sort on an int64 key (query id in the high
+bits, the top bits of the squared distance in the low bits), then
+re-sorts exactly the runs of equal keys. The kept rows of every span are
+then written into the table, so no temporary grows with the whole
+candidate set.
 
 Conventions:
   * a point at distance exactly r from the query is included,
@@ -30,6 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 _CELL_LIMIT = 2.0 ** 62  # cell coordinates stay below it in magnitude
+
+# The block budget: the values (8-byte ints or floats) one temporary array
+# of the search, the kernel-map build or a conv pass may hold per block of
+# work, 2^17 values or 1 MB. Fixed, so outputs never depend on a setting.
+_BLOCK_VALUES = 1 << 17
 
 
 def _check_positions(arr, name: str) -> np.ndarray:
@@ -142,29 +153,45 @@ def build_index(positions, cell_size: float) -> GridHashIndex:
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Positions start, start+1, ..., start+count-1 of every range, in order."""
     ends = np.cumsum(counts)
-    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(ends - counts - starts, counts)
+    out = np.arange(int(counts.sum()), dtype=np.int64)
+    out -= np.repeat(ends - counts - starts, counts)
+    return out
 
 
-def _assemble(
-    qid: np.ndarray,
-    pid: np.ndarray,
-    queries: np.ndarray,
-    positions: np.ndarray,
-    r: float,
-    cap: int,
-) -> NeighborTable:
-    """Filter, order, and cap candidate pairs into a CSR table.
-
-    Candidates are (query id, point id) pairs, none repeated. This is the
-    single code path both search strategies funnel through, which is what
-    makes them comparable bit-for-bit.
+def _spans(ends: np.ndarray, width: int) -> list[tuple[int, int]]:
+    """Cut items 0..n-1 into contiguous ranges [a, b) that fit the block
+    budget: ends[b] - ends[a] <= _BLOCK_VALUES and (b - a) * width <=
+    _BLOCK_VALUES, where ends (n + 1 entries, non-decreasing) counts the
+    values of all items before each one. An item that alone exceeds the
+    budget is a range of its own.
     """
-    # the squared norm of queries[qid] - positions[pid], summed one axis
-    # at a time in the order x, y, z, so only the pairs kept get offsets;
-    # where it overflows, d2 is inf and the ball test drops the pair
+    n = ends.shape[0] - 1
+    most = max(1, _BLOCK_VALUES // width)
+    spans, a = [], 0
+    while a < n:
+        b = int(np.searchsorted(ends, ends[a] + _BLOCK_VALUES, side="right")) - 1
+        b = min(max(b, a + 1), a + most, n)
+        spans.append((a, b))
+        a = b
+    return spans
+
+
+def _rank(qcols: np.ndarray, pcols: np.ndarray, pid: np.ndarray, counts: np.ndarray,
+          r: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows per query, point ids in table order) for one span of queries.
+
+    qcols (3, n) and pcols (3, M) are the span's query and all point
+    coordinates, one axis per row; pid lists counts[q] candidate point
+    ids for each query q of the span in turn, none repeated.
+    """
+    n = counts.shape[0]
+    qid = np.repeat(np.arange(n, dtype=np.int64), counts)
+    # the squared norm of query - point, summed one axis at a time in the
+    # order x, y, z; where it overflows, d2 is inf and the ball test drops
+    # the pair
     d2 = np.zeros(qid.shape[0])
     with np.errstate(over="ignore"):
-        for qcol, pcol in zip(queries.T.copy(), positions.T.copy()):
+        for qcol, pcol in zip(qcols, pcols):
             diff = qcol.take(qid)
             diff -= pcol.take(pid)
             diff *= diff
@@ -177,8 +204,7 @@ def _assemble(
     # less its low `shift` bits. Runs of equal keys hold the exact ties and
     # the pairs whose d2 differ only in the dropped bits; re-sorting those
     # runs by (d2, point id) gives the exact (query, d2, point id) order.
-    nq = queries.shape[0]
-    shift = max(nq - 1, 0).bit_length()
+    shift = max(n - 1, 0).bit_length()
     key = (qid << (63 - shift)) | (d2.view(np.int64) >> shift)
     perm = np.argsort(key)
     key = key[perm]
@@ -188,13 +214,41 @@ def _assemble(
     perm[at] = runs[np.lexsort((pid[runs], d2[runs], key[at]))]
 
     qid = qid[perm]
-    full_counts = np.bincount(qid, minlength=nq)
+    full_counts = np.bincount(qid, minlength=n)
     rank = np.arange(qid.shape[0], dtype=np.int64) - (np.cumsum(full_counts) - full_counts)[qid]
-    kept = rank < cap
-    counts = np.minimum(full_counts, cap)
-    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    indices = pid[perm[kept]]
-    offsets = queries.take(qid[kept], axis=0) - positions.take(indices, axis=0)
+    return np.minimum(full_counts, cap), pid[perm[rank < cap]]
+
+
+def _assemble(queries: np.ndarray, positions: np.ndarray, counts: np.ndarray, candidates,
+              r: float, cap: int) -> NeighborTable:
+    """Filter, order, and cap candidate pairs into a CSR table.
+
+    counts[q] is the number of candidate points of query q, and
+    candidates(a, b) returns the candidate point ids of queries a..b-1
+    in turn. Queries are ranked in spans of at most _BLOCK_VALUES
+    candidates, so no temporary grows with the whole candidate set. This
+    is the single code path both search strategies funnel through, which
+    is what makes them comparable bit-for-bit.
+    """
+    qcols, pcols = queries.T.copy(), positions.T.copy()
+    rows = np.zeros(queries.shape[0], dtype=np.int64)
+    spans = _spans(np.concatenate(([0], np.cumsum(counts))), 1)
+    pieces = []
+    for a, b in spans:
+        rows[a:b], pid = _rank(qcols[:, a:b], pcols, candidates(a, b), counts[a:b], r, cap)
+        pieces.append(pid)
+    del candidates  # the candidate lists go before the offsets are made
+    starts = np.concatenate(([0], np.cumsum(rows))).astype(np.int64)
+    # one span's rows are the table's as they are: copying them would cost
+    # a second allocation of their size on every small table
+    indices = pieces[0] if len(pieces) == 1 else np.concatenate([np.zeros(0, np.int64), *pieces])
+    del pieces
+    offsets = np.empty((indices.shape[0], 3))
+    for a, b in spans:
+        at = slice(starts[a], starts[b])
+        qid = np.repeat(np.arange(a, b, dtype=np.int64), rows[a:b])
+        np.subtract(queries.take(qid, axis=0), positions.take(indices[at], axis=0),
+                    out=offsets[at])
     # read-only: conv caches per-table work keyed on the table object
     for arr in (starts, indices, offsets):
         arr.setflags(write=False)
@@ -227,21 +281,11 @@ def _candidate_ranges(index: GridHashIndex, lo: np.ndarray, hi: np.ndarray):
     return wid[found], index.ustarts[pos], index.ustarts[pos + 1] - index.ustarts[pos]
 
 
-def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> NeighborTable:
-    """Capped radius search against a grid hash index.
-
-    Requires r <= index.cell_size. Every cell overlapping the ball of
-    radius r around a query is visited, so no in-range point is missed.
-    """
-    q = _check_positions(queries, "queries")
-    if not (r > 0) or not np.isfinite(r):
-        raise ValueError("radius must be positive and finite")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+def _window_candidates(index: GridHashIndex, q: np.ndarray, r: float):
+    """(counts, candidates) of the grid search, as ``_assemble`` takes
+    them: a query's candidates are the points of the occupied cells in
+    its window floor((q - r) / cell) .. floor((q + r) / cell)."""
     cs = index.cell_size
-    if r > cs:
-        raise ValueError(f"radius {r} exceeds the index cell_size {cs}")
-
     # a bound past +-2^62 cells (or at +-inf) lies past every occupied cell, clipped or not
     with np.errstate(over="ignore"):
         lo, hi = np.floor((q - r) / cs), np.floor((q + r) / cs)
@@ -264,14 +308,32 @@ def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> Neigh
     first = live[by_window[new]]
     cw, cstart, ccount = _candidate_ranges(index, lo[first], hi[first])
 
-    # each window's point ids, then each live query's copy of its window's
-    # list, in ascending query order
+    # each window's point ids; a live query's candidates are a copy of its
+    # window's list, made one span of queries at a time
     win_pid = index.order[_expand(cstart, ccount)]
     wcount = np.bincount(cw, weights=ccount, minlength=first.shape[0]).astype(np.int64)
-    counts = wcount[wid]
-    pid = win_pid[_expand((np.cumsum(wcount) - wcount)[wid], counts)]
-    qid = np.repeat(live, counts)
-    return _assemble(qid, pid, q, index.positions, r, cap)
+    counts = np.zeros(q.shape[0], dtype=np.int64)
+    counts[live] = wcount[wid]
+    begin = np.zeros(q.shape[0], dtype=np.int64)
+    begin[live] = (np.cumsum(wcount) - wcount)[wid]
+    return counts, lambda a, b: win_pid[_expand(begin[a:b], counts[a:b])]
+
+
+def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> NeighborTable:
+    """Capped radius search against a grid hash index.
+
+    Requires r <= index.cell_size. Every cell overlapping the ball of
+    radius r around a query is visited, so no in-range point is missed.
+    """
+    q = _check_positions(queries, "queries")
+    if not (r > 0) or not np.isfinite(r):
+        raise ValueError("radius must be positive and finite")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if r > index.cell_size:
+        raise ValueError(f"radius {r} exceeds the index cell_size {index.cell_size}")
+    # unnamed here, so _assemble holds the only reference to the window lists
+    return _assemble(q, index.positions, *_window_candidates(index, q, r), r, cap)
 
 
 def brute_force_neighbors(positions, queries, r: float, cap: int) -> NeighborTable:
@@ -283,7 +345,6 @@ def brute_force_neighbors(positions, queries, r: float, cap: int) -> NeighborTab
     if cap < 1:
         raise ValueError("cap must be >= 1")
 
-    m, nq = pos.shape[0], q.shape[0]
-    qid = np.repeat(np.arange(nq, dtype=np.int64), m)
-    pid = np.tile(np.arange(m, dtype=np.int64), nq)
-    return _assemble(qid, pid, q, pos, r, cap)
+    every = np.arange(pos.shape[0], dtype=np.int64)
+    return _assemble(q, pos, np.full(q.shape[0], pos.shape[0], dtype=np.int64),
+                     lambda a, b: np.tile(every, b - a), r, cap)

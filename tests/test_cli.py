@@ -755,6 +755,42 @@ class TestExitCodes:
         cfg = _train_config(tmp_path)
         assert cli.main(["train", "--config", cfg, "--threads", "0"]) == 1
 
+    def _three_channel_config(self, tmp_path, command) -> str:
+        """A config of ``command`` whose stack emits 3 channels for the
+        2-class two-surfaces-seg data."""
+        if command == "eval":
+            specs = _specs()
+            specs[-1]["out"] = 3
+            stack = nn.build_stack(specs, "segmentation", rng=DetRng(3))
+            ckpt = tmp_path / "wide.dfc"
+            save_checkpoint(Checkpoint(task="segmentation", seed=3, num_classes=2,
+                                       layer_specs=specs, params=nn.flatten_params(stack)),
+                            ckpt)
+            return _write(tmp_path / "eval.cfg", f"""
+task = segmentation
+seed = 3
+out = {tmp_path / 'out'}
+data.kind = two-surfaces-seg
+data.train = 2
+data.test = 1
+data.points = 32
+eval.checkpoint = {ckpt}
+""")
+        write = _train_config if command == "train" else _compare_config
+        with open(write(tmp_path), encoding="ascii") as fh:
+            text = fh.read()
+        assert text.count("layer.2.out = 2\n") == 1
+        return _write(tmp_path / "wide.cfg", text.replace("layer.2.out = 2\n", "layer.2.out = 3\n"))
+
+    @pytest.mark.parametrize("command", ["train", "eval", "compare-baselines"])
+    def test_class_count_mismatch_is_config_error(self, tmp_path, capsys, command):
+        cfg = self._three_channel_config(tmp_path, command)
+        assert cli.main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config error: bad layer configuration: "
+            "stack emits 3 channels but dataset has 2 classes\n")
+        assert not any(p.is_dir() for p in tmp_path.iterdir())  # no output directory
+
     def test_corrupt_data_file_is_data_error(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()

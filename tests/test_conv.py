@@ -210,15 +210,17 @@ def _record_parts(monkeypatch) -> tuple[list, list]:
 
 def _forward_on_threads(monkeypatch, feats, table, filt) -> tuple[np.ndarray, list]:
     """The forward on 1, 2 and 4 threads, checked bit-identical, with the
-    threaded runs mapping every part on their pool and several parts;
-    returns it and the list that keeps recording parts (see _record_parts)."""
+    threaded runs mapping every part on their pool (one map per query
+    block) and several parts; returns it and the list that keeps
+    recording parts (see _record_parts)."""
     parts, pooled = _record_parts(monkeypatch)
     one = conv.forward_features(feats, table, filt, threads=1)
     assert not pooled and len(parts) > 1
     single = list(parts)
     for threads in (2, 4):
         assert np.array_equal(conv.forward_features(feats, table, filt, threads=threads), one)
-        assert pooled.pop() == single
+        assert [part for block in pooled for part in block] == single
+        pooled.clear()
     return one, parts
 
 
@@ -528,26 +530,30 @@ class TestBackward:
         assert _adjoint_gap(lhs, gw, filt.weights) <= 1e-12
 
     def test_several_query_blocks(self, monkeypatch):
-        # 1,600 queries x 343 anchors exceed the block bound, so each
-        # channel runs in two query blocks
+        # 1,600 queries x 343 anchors exceed the block budget, so each
+        # channel runs in the several query blocks the block rule cuts
         rng = np.random.default_rng(21)
         cloud = random_cloud(rng, 1600, 2, extent=1.5)
         filt = random_filter(rng, 7, 0.2, 2, 3, bias=True)
         table = neighbor_table(cloud, conv.default_radius(filt.grid), 8)
-        assert table.num_queries * filt.grid.num_anchors > conv._BLOCK_VALUES
+        starts = conv._kernel_map(table, filt.grid)[0]
+        blocks = spatial._spans(8 * starts, filt.grid.num_anchors)
+        assert len(blocks) > 1
         up = rng.normal(size=(table.num_queries, filt.out_dim))
         out, parts = _forward_on_threads(monkeypatch, cloud.features, table, filt)
         assert rel_err(out, conv.oracle_forward_features(cloud.features, table, filt)) <= 1e-12
         parts.clear()
         gf, gw, _ = conv.backward_features(cloud.features, table, filt, up)
-        step = conv._BLOCK_VALUES // filt.grid.num_anchors
-        assert sorted({(q0, q1) for _, q0, q1 in parts}) == [(0, step), (step, 1600)]
+        assert sorted({(q0, q1) for _, q0, q1 in parts}) == blocks
         lhs = float(np.sum(up * (out - filt.bias)))
         assert _adjoint_gap(lhs, gf, cloud.features) <= 1e-12
         assert _adjoint_gap(lhs, gw, filt.weights) <= 1e-12
         # the same gradients from a single block, up to rounding
-        monkeypatch.setattr(conv, "_BLOCK_VALUES", table.num_queries * filt.grid.num_anchors)
+        monkeypatch.setattr(spatial, "_BLOCK_VALUES",
+                            max(table.num_queries * filt.grid.num_anchors, 8 * int(starts[-1])))
+        parts.clear()
         one_f, one_w, _ = conv.backward_features(cloud.features, table, filt, up)
+        assert {(q0, q1) for _, q0, q1 in parts} == {(0, table.num_queries)}
         assert rel_err(gf, one_f) <= 1e-12 and rel_err(gw, one_w) <= 1e-12
 
     def test_upstream_shape_rejected(self):
