@@ -12,15 +12,15 @@ from .conv import (
     ConvLayerSpec,
     DeformableFilter,
     SeparableFilter,
-    backward,
-    backward_separable,
+    backward_features,
+    backward_separable_features,
     default_radius,
     enclosing_anchors,
-    forward,
-    forward_separable,
+    forward_features,
+    forward_separable_features,
     grid_from_spacing,
     interpolate_filter,
-    oracle_forward,
+    oracle_forward_features,
     trilinear_weight,
 )
 from .pointcloud import (
@@ -51,18 +51,18 @@ __all__ = [
     "NeighborTable",
     "PointCloud",
     "SeparableFilter",
-    "backward",
-    "backward_separable",
+    "backward_features",
+    "backward_separable_features",
     "brute_force_neighbors",
     "build_index",
     "default_radius",
     "enclosing_anchors",
-    "forward",
-    "forward_separable",
+    "forward_features",
+    "forward_separable_features",
     "grid_from_spacing",
     "interpolate_filter",
     "load_xyz",
-    "oracle_forward",
+    "oracle_forward_features",
     "radius_neighbors",
     "save_xyz",
     "synth_dataset",

@@ -67,17 +67,6 @@ class MlpFilter:
         return self.layers[-1][0].shape[1]
 
 
-def mlp_filter_init(hidden: list[int], out_dim: int, rng: DetRng) -> MlpFilter:
-    """He-initialised MlpFilter with the given hidden widths."""
-    dims = [3] + list(hidden) + [out_dim]
-    layers = []
-    for a, b in zip(dims[:-1], dims[1:]):
-        scale = np.sqrt(2.0 / a)
-        w = rng.normals(a * b, 0.0, scale).reshape(a, b)
-        layers.append((w, np.zeros(b)))
-    return MlpFilter(tuple(layers))
-
-
 def mlp_eval(filt: MlpFilter, offsets: np.ndarray) -> np.ndarray:
     """Evaluate the filter network on a batch of offsets: (P, out_dim)."""
     x = np.asarray(offsets, dtype=np.float64)
@@ -310,6 +299,40 @@ class VoxelConvLayer(nn.Layer):
         return sums[self._inv] / self._counts[self._inv, None]
 
 
+def _in_place_of_conv(record: nn.LayerType) -> dict[str, nn.LayerType]:
+    """nn.LAYER_TYPES with ``record`` building both conv layer types."""
+    return {**nn.LAYER_TYPES, "deformable": record, "separable": record}
+
+
+def pcc_types(hidden: list[int]) -> dict[str, nn.LayerType]:
+    """Layer types of the MLP-filter baseline stack: each conv layer is a
+    PccLayer with the spec's radius and cap, whose MLP has the given
+    hidden widths. Its arrays are the MLP's (W, b) pairs, He-initialised,
+    then the pointwise map and the bias."""
+
+    def arrays(spec):
+        dims = [3, *hidden, spec["in"]]
+        mlp = [a for n_in, n_out in zip(dims[:-1], dims[1:])
+               for a in (((n_in, n_out), np.sqrt(2.0 / n_in)), ((n_out,), None))]
+        return mlp + [((spec["in"], spec["out"]), np.sqrt(1.0 / spec["in"])),
+                      ((spec["out"],), None)]
+
+    def build(spec, params):
+        geom, (*mlp, pointwise, bias) = nn.conv_spec(spec), params
+        filt = MlpFilter(tuple(zip(mlp[::2], mlp[1::2])))
+        return PccLayer(geom.radius, geom.cap, filt, pointwise, bias)
+
+    return _in_place_of_conv(nn.LayerType(nn.CONV_FIELDS, arrays, build))
+
+
+def voxel_types(pitch: float) -> dict[str, nn.LayerType]:
+    """Layer types of the voxel baseline stack: each conv layer is a
+    VoxelConvLayer at ``pitch``, initialised like a linear layer."""
+    record = nn.LayerType(nn.CONV_FIELDS, nn.LAYER_TYPES["linear"].arrays,
+                          lambda spec, params: VoxelConvLayer(pitch, *params))
+    return _in_place_of_conv(record)
+
+
 @dataclass(frozen=True)
 class SubvoxelReport:
     """Output deltas after a within-cell displacement of one point."""
@@ -370,6 +393,6 @@ def subvoxel_discrimination(pitch: float, displacement: float, seed: int) -> Sub
     out = []
     for cl in (base, moved):
         table = radius_neighbors(build_index(cl.positions, radius), cl.positions, radius, 16)
-        out.append(conv.forward(cl, table, filt))
+        out.append(conv.forward_features(cl.features, table, filt))
     deform_diff = float(np.max(np.abs(out[0] - out[1])))
     return SubvoxelReport(voxel_path_diff=voxel_diff, deform_path_diff=deform_diff)

@@ -8,7 +8,9 @@
     deformconv compare-baselines --config run.cfg ...
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(missing or malformed dataset/checkpoint files).
+(missing or malformed dataset/checkpoint files), 3 internal check
+failed (``bench``'s fast forward disagrees with the oracle: a fault in
+the library, not in any input).
 
 Every run is a pure function of config + seed: outputs (logs, reports,
 checkpoints, generated data) are byte-identical across repeated runs.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from statistics import median
@@ -47,6 +50,10 @@ class UsageError(Exception):
     pass
 
 
+class InternalCheckError(Exception):
+    """The library failed one of its own cross-checks (exit 3)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -71,25 +78,19 @@ def _read_manifest(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [l.rstrip("\n") for l in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise XyzFormatError(f"cannot read manifest {path}: {exc}") from None
     if len(lines) < 3:
         raise XyzFormatError(f"{path}: manifest too short")
-    # header tokens: '#', 'dfc-manifest', 'task=..', 'classes=..'
-    head = lines[0].split()
-    if (
-        len(head) != 4
-        or head[0] != "#"
-        or head[1] != "dfc-manifest"
-        or not head[2].startswith("task=")
-        or not head[3].startswith("classes=")
-    ):
+    # four whitespace-separated tokens
+    head = re.fullmatch(r"# dfc-manifest task=(\S*) classes=(\S*)", " ".join(lines[0].split()))
+    if head is None:
         raise XyzFormatError(f"{path}:1: bad manifest header")
-    task = head[2][5:]
+    task = head[1]
     if task not in TASKS:
         raise XyzFormatError(f"{path}:1: unknown task {task!r}")
     try:
-        num_classes = int(head[3][8:])
+        num_classes = int(head[2])
     except ValueError:
         raise XyzFormatError(f"{path}:1: bad class count") from None
     if lines[1] != "file,label,split":
@@ -163,10 +164,10 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _build_stack_from_config(cfg: RunConfig, task: str, rng: DetRng) -> nn.LayerStack:
-    specs = cfg.layer_specs()
+def _build_stack(specs: list[dict], task: str, rng: DetRng, types=nn.LAYER_TYPES) -> nn.LayerStack:
+    """nn.build_stack with a seeded init; its errors are configuration errors."""
     try:
-        return nn.build_stack(specs, task, rng=rng)
+        return nn.build_stack(specs, task, rng=rng, types=types)
     except ValueError as exc:
         raise ConfigError(f"bad layer configuration: {exc}") from None
 
@@ -215,7 +216,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
             f"config task {task!r} does not match dataset task {train_set.task!r}"
         )
     rng = DetRng(seed)
-    stack = _build_stack_from_config(cfg, task, rng)
+    stack = _build_stack(cfg.layer_specs(), task, rng)
     _check_width(stack, train_set)
     logs = nn.train_stack(
         stack, train_set, **_opt_settings(cfg), rng=rng, threads=args.threads
@@ -343,21 +344,22 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             grid.num_anchors, dim, dim
         )
         filt = conv.DeformableFilter(grid, weights)
-        fast = conv.forward(cloud, table, filt, threads=args.threads)
-        slow = conv.oracle_forward(cloud, table, filt)
+        feats = cloud.features
+        fast = conv.forward_features(feats, table, filt, threads=args.threads)
+        slow = conv.oracle_forward_features(feats, table, filt)
         scale = max(float(np.max(np.abs(slow))), 1e-300)
         rel = float(np.max(np.abs(fast - slow))) / scale
         if rel > 1e-12:
-            raise ValueError(
+            raise InternalCheckError(
                 f"fast path disagrees with reference (rel {rel:.3e}) at M={m} K={cap} k={k}"
             )
         t_fast, t_slow = [], []
         for _ in range(reps):
             t0 = time.perf_counter()
-            conv.forward(cloud, table, filt, threads=args.threads)
+            conv.forward_features(feats, table, filt, threads=args.threads)
             t_fast.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            conv.oracle_forward(cloud, table, filt)
+            conv.oracle_forward_features(feats, table, filt)
             t_slow.append(time.perf_counter() - t0)
         ns_fast = median(t_fast) / m * 1e9
         ns_slow = median(t_slow) / m * 1e9
@@ -389,13 +391,11 @@ def cmd_export_filters(cfg: RunConfig, args) -> int:
             f"layer {idx} has type {spec['type']!r}; only conv filters can be exported"
         )
     layer = ckpt.build_stack().layers[idx]
-    if isinstance(layer, nn.ConcatSkipLayer):
-        layer = layer.inner
-    weights = layer.params()[0]  # deformable weights or separable spatial part
+    weights = getattr(layer, "inner", layer).params()[0]  # full weights or spatial part
 
     grid = conv.grid_from_spacing(spec["k"], spec["a"])
-    positions = grid.anchor_positions()
-    h = grid.half
+    # lattice index (i, j, l) of each anchor, in linear-index order
+    lattice = np.indices((grid.k,) * 3).reshape(3, -1).T - grid.half
     if spec["type"] == "deformable":
         cols = [f"w_{c}_{d}" for c in range(spec["in"]) for d in range(spec["out"])]
         flat = weights.reshape(grid.num_anchors, -1)
@@ -406,68 +406,10 @@ def cmd_export_filters(cfg: RunConfig, args) -> int:
     path = os.path.join(out_dir, "filters.csv")
     with atomic_open(path) as fh:
         fh.write("i,j,l,x,y,z," + ",".join(cols) + "\n")
-        a = 0
-        for i in range(-h, h + 1):
-            for j in range(-h, h + 1):
-                for l in range(-h, h + 1):
-                    pos = positions[a]
-                    vals = ",".join(_fmt(v) for v in flat[a])
-                    fh.write(
-                        f"{i},{j},{l},{_fmt(pos[0])},{_fmt(pos[1])},{_fmt(pos[2])},{vals}\n"
-                    )
-                    a += 1
+        for ijl, pos, row in zip(lattice.tolist(), grid.anchor_positions(), flat):
+            fh.write(",".join([*map(str, ijl), *map(_fmt, pos), *map(_fmt, row)]) + "\n")
     print(f"exported layer {idx} ({spec['type']}, k={spec['k']}) to {path}")
     return 0
-
-
-def import_filters(path):
-    """Read a filters.csv back: (lattice (A,3) int, positions (A,3),
-    weights (A, C)). Inverse of cmd_export_filters for testing."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [l.rstrip("\n") for l in fh if l.strip()]
-    header = lines[0].split(",")
-    if header[:6] != ["i", "j", "l", "x", "y", "z"]:
-        raise ValueError(f"{path}: unexpected filter export header")
-    lattice, positions, weights = [], [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        lattice.append([int(v) for v in parts[:3]])
-        positions.append([float(v) for v in parts[3:6]])
-        weights.append([float(v) for v in parts[6:]])
-    return (
-        np.asarray(lattice, dtype=np.int64),
-        np.asarray(positions),
-        np.asarray(weights),
-    )
-
-
-def _build_baseline_stack(
-    specs: list[dict], task: str, conv_layer, rng: DetRng
-) -> nn.LayerStack:
-    """Stack from layer specs with every conv layer replaced by
-    conv_layer(spec, rng); other layers are built as by nn.build_stack."""
-    layers: list[nn.Layer] = []
-    for spec in specs:
-        if spec["type"] in ("deformable", "separable"):
-            layer = conv_layer(spec, rng)
-        else:
-            layer = nn._build_layer(spec, nn._init_params(spec, rng))
-        layers.append(nn.ConcatSkipLayer(layer) if spec.get("skip") else layer)
-    return nn.LayerStack(layers, task)
-
-
-def _pcc_conv(spec: dict, rng: DetRng, hidden: list[int]) -> nn.Layer:
-    geom = nn._conv_spec(spec)
-    d_in, d_out = spec["in"], spec["out"]
-    filt = baselines.mlp_filter_init(hidden, d_in, rng)
-    pointwise = rng.normals(d_in * d_out, 0.0, np.sqrt(1.0 / d_in)).reshape(d_in, d_out)
-    return baselines.PccLayer(geom.radius, geom.cap, filt, pointwise, np.zeros(d_out))
-
-
-def _voxel_conv(spec: dict, rng: DetRng, pitch: float) -> nn.Layer:
-    d_in, d_out = spec["in"], spec["out"]
-    w = rng.normals(d_in * d_out, 0.0, np.sqrt(2.0 / d_in)).reshape(d_in, d_out)
-    return baselines.VoxelConvLayer(pitch, w, np.zeros(d_out))
 
 
 def cmd_compare_baselines(cfg: RunConfig, args) -> int:
@@ -489,18 +431,15 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
             f"subvoxel.pitch = {sub_pitch:g}, subvoxel.displacement = {sub_disp:g}: {exc}"
         ) from None
 
-    try:
-        stacks = {
-            "deformable": nn.build_stack(specs, task, rng=DetRng(seed).spawn(1)),
-            "pcc": _build_baseline_stack(
-                specs, task, lambda s, r: _pcc_conv(s, r, hidden), DetRng(seed).spawn(2)
-            ),
-            "voxel": _build_baseline_stack(
-                specs, task, lambda s, r: _voxel_conv(s, r, pitch), DetRng(seed).spawn(3)
-            ),
-        }
-    except ValueError as exc:
-        raise ConfigError(f"bad layer configuration: {exc}") from None
+    variants = {
+        "deformable": nn.LAYER_TYPES,
+        "pcc": baselines.pcc_types(hidden),
+        "voxel": baselines.voxel_types(pitch),
+    }
+    stacks = {
+        name: _build_stack(specs, task, DetRng(seed).spawn(1 + i), types)
+        for i, (name, types) in enumerate(variants.items())
+    }
     for stack in stacks.values():
         _check_width(stack, train_set)
 
@@ -578,6 +517,9 @@ def main(argv: list[str] | None = None) -> int:
     except FloatingPointError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 1
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
     except (XyzFormatError, CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import LAYER_TYPES
+
 
 class ConfigError(ValueError):
     """Missing, malformed, unknown, or out-of-range configuration."""
@@ -45,19 +47,12 @@ _FIXED_KEYS = {
     "subvoxel.pitch",
     "subvoxel.displacement",
 }
-# the spec fields of each layer type (see nn.build_stack), in the order
-# checkpoints write them; conv layers use every field, and an optional
-# field takes its default when absent
-_CONV_FIELDS = ("in", "out", "k", "a", "r", "cap", "skip")
-LAYER_FIELDS = {
-    "deformable": _CONV_FIELDS,
-    "separable": _CONV_FIELDS,
-    "linear": ("in", "out", "skip"),
-    "relu": (),
-    "pool": (),
-}
+# the spec fields of each layer type, in the order checkpoints write
+# them; an optional field takes its default when absent
+LAYER_FIELDS = {kind: record.fields for kind, record in LAYER_TYPES.items()}
 FIELD_DEFAULTS = {"r": None, "skip": 0}
-_LAYER_KEY = re.compile(r"^layer\.(0|[1-9]\d*)\.(type|%s)$" % "|".join(_CONV_FIELDS))
+_FIELD_NAMES = sorted({name for fields in LAYER_FIELDS.values() for name in fields})
+_LAYER_KEY = re.compile(r"^layer\.(0|[1-9]\d*)\.(type|%s)$" % "|".join(_FIELD_NAMES))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -85,7 +80,7 @@ def load_config(path) -> "RunConfig":
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return RunConfig(parse_config_text(text, source=str(path)))
 
@@ -174,8 +169,8 @@ def parse_layer_spec(texts: dict[str, str]) -> dict:
 
 
 def _parse_field(name: str, text: str):
-    """in/out/k/cap: integers; a: one or three positive spacings, stored
-    as three; r: a finite radius; skip: 0 or 1."""
+    """in/out/k/cap: integers >= 1; a: one or three positive spacings,
+    stored as three; r: a finite radius; skip: 0 or 1."""
     if name == "a":
         vals = [_finite(name, t) for t in text.split(",") if t.strip() != ""]
         if len(vals) not in (1, 3):
@@ -185,12 +180,17 @@ def _parse_field(name: str, text: str):
         return vals * 3 if len(vals) == 1 else vals
     if name == "r":
         return _finite(name, text)
-    if name == "skip" and text not in ("0", "1"):
-        raise ValueError(f"skip: expected 0 or 1, got {text!r}")
-    try:
+    if name == "skip":
+        if text not in ("0", "1"):
+            raise ValueError(f"skip: expected 0 or 1, got {text!r}")
         return int(text)
+    try:
+        value = int(text)
     except ValueError:
         raise ValueError(f"{name}: expected integer, got {text!r}") from None
+    if value < 1:
+        raise ValueError(f"{name}: must be >= 1, got {value}")
+    return value
 
 
 def _finite(name: str, text: str) -> float:

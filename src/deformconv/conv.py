@@ -16,19 +16,22 @@ points, the operator responds to sub-cell displacements that any fixed
 voxelisation rounds away, while remaining exactly translation and
 permutation equivariant.
 
-Two implementations are kept side by side:
+Each operation has one function, on a raw (M, D') feature matrix.
+Two implementations of the forward pass are kept side by side:
 
-  * forward / backward: the production path. Only the <= 8 anchors that
-    enclose each offset are touched. Those corners and their weights
-    (the kernel map) are gathered once per (neighbour table, anchor
-    grid), over row slices of the table, and shared by every layer and
-    pass on that table; pairs whose weight is zero at all eight corners
-    are left out of the map. Both filters run in query blocks and one
-    input channel at a time on that map, and threads > 1 spreads the
-    full filter's (block, channel) parts over a thread pool.
-  * oracle_forward: a deliberately naive full scan over all k^3 anchors
-    for every pair. It exists to cross-check the fast path and is used
-    by tests and the benchmark command.
+  * forward_features / backward_features and their separable twins
+    (forward_separable_features, backward_separable_features): the
+    production path. Only the <= 8 anchors that enclose each offset
+    are touched. Those corners and their weights (the kernel map) are
+    gathered once per (neighbour table, anchor grid), over row slices
+    of the table, and shared by every layer and pass on that table;
+    pairs whose weight is zero at all eight corners are left out of the
+    map. Both filters run in query blocks and one input channel at a
+    time on that map, and threads > 1 spreads the full filter's (block,
+    channel) parts over a thread pool.
+  * oracle_forward_features: a deliberately naive full scan over all
+    k^3 anchors for every pair. It exists to cross-check the fast path
+    and is used by tests and the benchmark command.
 
 The search's block budget, ``spatial._BLOCK_VALUES``, bounds the large
 temporaries here too: a map slice holds budget / 8 rows, and a query
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spatial
-from .pointcloud import PointCloud, _freeze
+from .pointcloud import _freeze
 from .spatial import NeighborTable
 
 
@@ -123,6 +126,19 @@ def grid_from_spacing(k: int, spacing) -> AnchorGrid:
     return AnchorGrid(k=k, unit=u)
 
 
+def _freeze_bias(filt, out_dim: int) -> None:
+    """Check a filter's optional bias, an (out_dim,) finite vector, and
+    store it as a read-only float64 copy."""
+    if filt.bias is None:
+        return
+    b = np.array(filt.bias, dtype=np.float64, copy=True).reshape(-1)
+    if b.shape[0] != out_dim:
+        raise ValueError(f"bias must be ({out_dim},), got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("bias contains non-finite values")
+    _freeze(filt, "bias", b)
+
+
 @dataclass(frozen=True)
 class DeformableFilter:
     """Full filter: one (in_dim, out_dim) weight matrix per anchor."""
@@ -140,13 +156,7 @@ class DeformableFilter:
         if not np.all(np.isfinite(w)):
             raise ValueError("weights contain non-finite values")
         _freeze(self, "weights", w)
-        if self.bias is not None:
-            b = np.array(self.bias, dtype=np.float64, copy=True).reshape(-1)
-            if b.shape[0] != w.shape[2]:
-                raise ValueError(f"bias must be ({w.shape[2]},), got {b.shape}")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("bias contains non-finite values")
-            _freeze(self, "bias", b)
+        _freeze_bias(self, w.shape[2])
 
     @property
     def in_dim(self) -> int:
@@ -182,13 +192,7 @@ class SeparableFilter:
             raise ValueError("filter parameters contain non-finite values")
         _freeze(self, "spatial", s)
         _freeze(self, "pointwise", p)
-        if self.bias is not None:
-            b = np.array(self.bias, dtype=np.float64, copy=True).reshape(-1)
-            if b.shape[0] != p.shape[1]:
-                raise ValueError(f"bias must be ({p.shape[1]},), got {b.shape}")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("bias contains non-finite values")
-            _freeze(self, "bias", b)
+        _freeze_bias(self, p.shape[1])
 
     @property
     def in_dim(self) -> int:
@@ -460,7 +464,8 @@ def forward_features(
     filt: DeformableFilter,
     threads: int = 1,
 ) -> np.ndarray:
-    """Fast-path convolution on a raw feature matrix.
+    """Fast-path convolution of an (M, D') feature matrix; one output
+    row per query.
 
     One part per (query block, input channel i): channel i's anchor sums
     S_i from the kernel map, contracted with anchor weights[:, i, :] and
@@ -478,16 +483,6 @@ def forward_features(
     if filt.bias is not None:
         out += filt.bias
     return out
-
-
-def forward(
-    cloud: PointCloud,
-    neighbors: NeighborTable,
-    filt: DeformableFilter,
-    threads: int = 1,
-) -> np.ndarray:
-    """Convolve a cloud's features; one output row per query."""
-    return forward_features(cloud.features, neighbors, filt, threads=threads)
 
 
 def oracle_forward_features(
@@ -510,12 +505,6 @@ def oracle_forward_features(
     if filt.bias is not None:
         out += filt.bias
     return out
-
-
-def oracle_forward(
-    cloud: PointCloud, neighbors: NeighborTable, filt: DeformableFilter
-) -> np.ndarray:
-    return oracle_forward_features(cloud.features, neighbors, filt)
 
 
 def backward_features(
@@ -549,15 +538,6 @@ def backward_features(
     return grad_f, grad_w, up.sum(axis=0)
 
 
-def backward(
-    cloud: PointCloud,
-    neighbors: NeighborTable,
-    filt: DeformableFilter,
-    upstream: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return backward_features(cloud.features, neighbors, filt, upstream)
-
-
 def forward_separable_features(
     features: np.ndarray, neighbors: NeighborTable, sf: SeparableFilter
 ) -> np.ndarray:
@@ -589,12 +569,6 @@ def forward_separable_features(
     return out
 
 
-def forward_separable(
-    cloud: PointCloud, neighbors: NeighborTable, sf: SeparableFilter
-) -> np.ndarray:
-    return forward_separable_features(cloud.features, neighbors, sf)
-
-
 def backward_separable_features(
     features: np.ndarray,
     neighbors: NeighborTable,
@@ -624,12 +598,3 @@ def backward_separable_features(
         grad_s[:, i] = sum(np.bincount(ids[c], w[c] * fu, minlength=sf.grid.num_anchors)
                            for c in range(8))
     return grad_f, grad_s, grad_p, up.sum(axis=0)
-
-
-def backward_separable(
-    cloud: PointCloud,
-    neighbors: NeighborTable,
-    sf: SeparableFilter,
-    upstream: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return backward_separable_features(cloud.features, neighbors, sf, upstream)

@@ -8,7 +8,9 @@ iterates clouds in a seeded random order and steps Adam every
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -232,7 +234,8 @@ class LayerStack:
     def __init__(self, layers: list[Layer], task: str):
         if task not in (CLASSIFICATION, SEGMENTATION):
             raise ValueError(f"unknown task {task!r}")
-        pools = sum(1 for l in _flatten(layers) if isinstance(l, GlobalMaxPoolLayer))
+        # a skip wrapper holds one layer, never another wrapper
+        pools = sum(isinstance(getattr(l, "inner", l), GlobalMaxPoolLayer) for l in layers)
         if task == CLASSIFICATION and pools != 1:
             raise ValueError("classification stacks need exactly one global pool")
         if task == SEGMENTATION and pools != 0:
@@ -269,77 +272,56 @@ class LayerStack:
         return grad
 
 
-def _flatten(layers: list[Layer]):
-    for l in layers:
-        yield l
-        if isinstance(l, ConcatSkipLayer):
-            yield from _flatten([l.inner])
-
-
-def spec_param_shapes(spec: dict) -> list[tuple[int, ...]]:
-    """Parameter array shapes of one layer-spec dict, in storage order."""
-    kind = spec["type"]
-    if kind == "deformable":
-        k3 = spec["k"] ** 3
-        return [(k3, spec["in"], spec["out"]), (spec["out"],)]
-    if kind == "separable":
-        k3 = spec["k"] ** 3
-        return [(k3, spec["in"]), (spec["in"], spec["out"]), (spec["out"],)]
-    if kind == "linear":
-        return [(spec["in"], spec["out"]), (spec["out"],)]
-    if kind in ("relu", "pool"):
-        return []
-    raise ValueError(f"unknown layer type {kind!r}")
-
-
-def spec_param_count(specs: list[dict]) -> int:
-    return sum(
-        int(np.prod(shape)) for s in specs for shape in spec_param_shapes(s)
-    )
-
-
-def _conv_spec(spec: dict) -> ConvLayerSpec:
+def conv_spec(spec: dict) -> ConvLayerSpec:
+    """Anchor grid, search radius and cap of a conv layer-spec dict."""
     grid = conv.grid_from_spacing(spec["k"], spec["a"])
     radius = spec["r"] if spec.get("r") is not None else conv.default_radius(grid)
     return ConvLayerSpec(grid=grid, radius=float(radius), cap=spec["cap"])
 
 
-def _init_params(spec: dict, rng: DetRng) -> list[np.ndarray]:
-    """Seeded parameter init; scaled so unit-variance inputs stay near
-    unit variance through a capped neighbourhood sum plus ReLU."""
-    kind = spec["type"]
-    if kind == "deformable":
-        k3, d_in, d_out = spec["k"] ** 3, spec["in"], spec["out"]
-        scale = np.sqrt(2.0 / (d_in * spec["cap"]))
-        w = rng.normals(k3 * d_in * d_out, 0.0, scale).reshape(k3, d_in, d_out)
-        return [w, np.zeros(d_out)]
-    if kind == "separable":
-        k3, d_in, d_out = spec["k"] ** 3, spec["in"], spec["out"]
-        s = rng.normals(k3 * d_in, 0.0, np.sqrt(2.0 / spec["cap"])).reshape(k3, d_in)
-        p = rng.normals(d_in * d_out, 0.0, np.sqrt(1.0 / d_in)).reshape(d_in, d_out)
-        return [s, p, np.zeros(d_out)]
-    if kind == "linear":
-        d_in, d_out = spec["in"], spec["out"]
-        w = rng.normals(d_in * d_out, 0.0, np.sqrt(2.0 / d_in)).reshape(d_in, d_out)
-        return [w, np.zeros(d_out)]
-    return []
+@dataclass(frozen=True)
+class LayerType:
+    """One layer type: the spec ``fields`` it takes, in the order
+    checkpoints write them; ``arrays(spec)``, the (shape, init standard
+    deviation) of each parameter array in storage order, None for an
+    array that starts at zeros; and ``build(spec, params)``, the layer
+    from its parameter arrays, without the ``skip`` wrapper."""
+
+    fields: tuple[str, ...]
+    arrays: Callable[[dict], list[tuple[tuple[int, ...], float | None]]]
+    build: Callable[[dict, list[np.ndarray]], Layer]
 
 
-def _build_layer(spec: dict, params: list[np.ndarray]) -> Layer:
-    """One layer from its spec dict and parameter arrays (storage order);
-    the ``skip`` flag is left to the caller."""
-    kind = spec["type"]
-    if kind == "deformable":
-        return DeformConvLayer(_conv_spec(spec), params[0], params[1])
-    if kind == "separable":
-        return SeparableConvLayer(_conv_spec(spec), params[0], params[1], params[2])
-    if kind == "linear":
-        return LinearLayer(params[0], params[1])
-    if kind == "relu":
-        return ReluLayer()
-    if kind == "pool":
-        return GlobalMaxPoolLayer()
-    raise ValueError(f"unknown layer type {kind!r}")
+CONV_FIELDS = ("in", "out", "k", "a", "r", "cap", "skip")
+
+# init scales keep unit-variance inputs near unit variance through a
+# capped neighbourhood sum plus ReLU
+LAYER_TYPES = {
+    "deformable": LayerType(CONV_FIELDS, lambda s: [
+        ((s["k"] ** 3, s["in"], s["out"]), np.sqrt(2.0 / (s["in"] * s["cap"]))),
+        ((s["out"],), None),
+    ], lambda s, p: DeformConvLayer(conv_spec(s), *p)),
+    "separable": LayerType(CONV_FIELDS, lambda s: [
+        ((s["k"] ** 3, s["in"]), np.sqrt(2.0 / s["cap"])),
+        ((s["in"], s["out"]), np.sqrt(1.0 / s["in"])),
+        ((s["out"],), None),
+    ], lambda s, p: SeparableConvLayer(conv_spec(s), *p)),
+    "linear": LayerType(("in", "out", "skip"), lambda s: [
+        ((s["in"], s["out"]), np.sqrt(2.0 / s["in"])), ((s["out"],), None),
+    ], lambda s, p: LinearLayer(*p)),
+    "relu": LayerType((), lambda s: [], lambda s, p: ReluLayer()),
+    "pool": LayerType((), lambda s: [], lambda s, p: GlobalMaxPoolLayer()),
+}
+
+
+def _layer_type(spec: dict, types: dict[str, LayerType]) -> LayerType:
+    if spec["type"] not in types:
+        raise ValueError(f"unknown layer type {spec['type']!r}")
+    return types[spec["type"]]
+
+
+def spec_param_count(specs: list[dict], types: dict[str, LayerType] = LAYER_TYPES) -> int:
+    return sum(math.prod(shape) for s in specs for shape, _ in _layer_type(s, types).arrays(s))
 
 
 def build_stack(
@@ -347,35 +329,34 @@ def build_stack(
     task: str,
     rng: DetRng | None = None,
     flat: np.ndarray | None = None,
+    types: dict[str, LayerType] = LAYER_TYPES,
 ) -> LayerStack:
-    """Construct a LayerStack from layer-spec dicts.
+    """Construct a LayerStack from layer-spec dicts, each built by the
+    record ``types`` holds for its type.
 
-    Parameters come either from a seeded init (``rng``) or from a flat
-    float64 vector (``flat``, e.g. a checkpoint payload); exactly one
-    must be given.
+    Parameters come either from a seeded init (``rng``: one normal draw
+    per array that does not start at zeros, in storage order) or from a
+    flat float64 vector (``flat``, e.g. a checkpoint payload); exactly
+    one must be given.
     """
     if (rng is None) == (flat is None):
         raise ValueError("pass exactly one of rng or flat")
+    if flat is not None and flat.shape[0] != (need := spec_param_count(specs, types)):
+        raise ValueError(f"parameter vector holds {flat.shape[0]} values, specs need {need}")
     cursor = 0
     layers: list[Layer] = []
     for spec in specs:
-        shapes = spec_param_shapes(spec)
-        if rng is not None:
-            params = _init_params(spec, rng)
-        else:
-            params = []
-            for shape in shapes:
-                size = int(np.prod(shape))
-                if cursor + size > flat.shape[0]:
-                    raise ValueError("parameter vector too short for layer specs")
-                params.append(flat[cursor : cursor + size].reshape(shape))
-                cursor += size
-        layer = _build_layer(spec, params)
+        record = _layer_type(spec, types)
+        params = []
+        for shape, std in record.arrays(spec):
+            size = math.prod(shape)
+            if flat is not None:
+                part, cursor = flat[cursor : cursor + size], cursor + size
+            else:
+                part = np.zeros(size) if std is None else rng.normals(size, 0.0, std)
+            params.append(part.reshape(shape))
+        layer = record.build(spec, params)
         layers.append(ConcatSkipLayer(layer) if spec.get("skip") else layer)
-    if flat is not None and cursor != flat.shape[0]:
-        raise ValueError(
-            f"parameter vector holds {flat.shape[0]} values, specs need {cursor}"
-        )
     return LayerStack(layers, task)
 
 

@@ -8,6 +8,7 @@ with the positions; labels are optional per-point integers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,27 +133,25 @@ def save_xyz(cloud: PointCloud, path) -> None:
 
 def load_xyz(path) -> PointCloud:
     """Parse a dfc-xyz file. Raises XyzFormatError naming the bad line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise XyzFormatError(f"{path}: not an ASCII text file") from None
     if not lines:
         raise XyzFormatError(f"{path}:1: empty file, expected dfc-xyz header")
     header = lines[0].strip()
-    tokens = header.split()
-    if (
-        len(tokens) != 4
-        or tokens[0] != "#"
-        or tokens[1] != "dfc-xyz"
-        or not tokens[2].startswith("D=")
-        or not tokens[3].startswith("labeled=")
-    ):
-        raise XyzFormatError(f"{path}:1: bad header {header!r}")
+    bad = XyzFormatError(f"{path}:1: bad header {header!r}")
+    # four whitespace-separated tokens
+    tokens = re.fullmatch(r"# dfc-xyz D=(\S*) labeled=(\S*)", " ".join(header.split()))
+    if tokens is None:
+        raise bad
     try:
-        dim = int(tokens[2][2:])
-        labeled = int(tokens[3][8:])
+        dim, labeled = int(tokens[1]), int(tokens[2])
     except ValueError:
-        raise XyzFormatError(f"{path}:1: bad header {header!r}") from None
+        raise bad from None
     if dim < 0 or labeled not in (0, 1):
-        raise XyzFormatError(f"{path}:1: bad header {header!r}")
+        raise bad
 
     expected = 3 + dim + labeled
     positions, features, labels = [], [], []
@@ -186,10 +185,10 @@ def load_xyz(path) -> PointCloud:
         if dim
         else np.zeros((len(positions), 0))
     )
-    lab = np.asarray(labels, dtype=np.int64) if labeled else None
     try:
+        lab = np.asarray(labels, dtype=np.int64) if labeled else None
         return PointCloud(pos, feat, lab)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a label past int64
         raise XyzFormatError(f"{path}: {exc}") from None
 
 

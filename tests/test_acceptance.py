@@ -49,8 +49,8 @@ def test_1_oracle_equivalence():
     for i in range(100):
         rng = np.random.default_rng(1000 + i)
         cloud, table, filt = _instance(rng)
-        fast = conv.forward(cloud, table, filt)
-        slow = conv.oracle_forward(cloud, table, filt)
+        fast = conv.forward_features(cloud.features, table, filt)
+        slow = conv.oracle_forward_features(cloud.features, table, filt)
         worst = max(worst, rel_err(fast, slow))
     elapsed = time.perf_counter() - t0
     _report(1, "oracle equivalence", worst <= 1e-12 and elapsed < 10.0,
@@ -99,15 +99,15 @@ def test_3_translation_and_permutation_equivariance():
         cloud, _, filt = _instance(rng, max_m=32, max_dim=4, k_choices=(1, 3))
         radius = conv.default_radius(filt.grid)
         table = neighbor_table(cloud, radius, cloud.num_points)
-        base = conv.forward(cloud, table, filt)
+        base = conv.forward_features(cloud.features, table, filt)
         for _ in range(5):
             shift = rng.normal(size=3)
             norm = np.linalg.norm(shift)
             shift = shift / norm * rng.uniform(0.0, 100.0)
             moved = pointcloud.PointCloud(
                 cloud.positions + shift, cloud.features)
-            out = conv.forward(
-                moved, neighbor_table(moved, radius, cloud.num_points), filt)
+            out = conv.forward_features(
+                moved.features, neighbor_table(moved, radius, cloud.num_points), filt)
             worst_t = max(worst_t, rel_err(out, base))
 
     worst_p = 0.0
@@ -116,13 +116,13 @@ def test_3_translation_and_permutation_equivariance():
         cloud, _, filt = _instance(rng, max_m=32, max_dim=4, k_choices=(1, 3))
         radius = conv.default_radius(filt.grid)
         table = neighbor_table(cloud, radius, cloud.num_points)
-        base = conv.forward(cloud, table, filt)
+        base = conv.forward_features(cloud.features, table, filt)
         for _ in range(5):
             perm = rng.permutation(cloud.num_points)
             shuffled = pointcloud.PointCloud(
                 cloud.positions[perm], cloud.features[perm])
-            out = conv.forward(
-                shuffled, neighbor_table(shuffled, radius, cloud.num_points),
+            out = conv.forward_features(
+                shuffled.features, neighbor_table(shuffled, radius, cloud.num_points),
                 filt)
             worst_p = max(worst_p, rel_err(out, base[perm]))
 
@@ -187,8 +187,8 @@ def test_5_subvoxel_discrimination():
     filt = conv.DeformableFilter(
         grid, rng.normal(size=(grid.num_anchors, 3, 3)))
     radius = conv.default_radius(grid)
-    d_before = conv.forward(cloud, neighbor_table(cloud, radius, 4), filt)
-    d_after = conv.forward(moved, neighbor_table(moved, radius, 4), filt)
+    d_before = conv.forward_features(cloud.features, neighbor_table(cloud, radius, 4), filt)
+    d_after = conv.forward_features(moved.features, neighbor_table(moved, radius, 4), filt)
     deform_drift = rel_err(d_after, d_before)
 
     _report(5, "sub-voxel discrimination",
@@ -245,8 +245,8 @@ def test_7_separable_consistency():
         full = conv.DeformableFilter(
             grid, spatial[:, :, None] * pointwise[None, :, :], bias)
         sep = conv.SeparableFilter(grid, spatial, pointwise, bias)
-        a = conv.forward(cloud, table, full)
-        b = conv.forward_separable(cloud, table, sep)
+        a = conv.forward_features(cloud.features, table, full)
+        b = conv.forward_separable_features(cloud.features, table, sep)
         worst = max(worst, rel_err(a, b))
     _report(7, "separable filters match rank-1 full filters", worst <= 1e-12,
             f"50 instances, max rel err {worst:.3e}")
@@ -279,7 +279,7 @@ def test_8_performance(tmp_path):
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
-        conv.forward(cloud, table, filt, threads=1)
+        conv.forward_features(cloud.features, table, filt, threads=1)
         times.append(time.perf_counter() - t0)
     big_forward = sorted(times)[2]
 

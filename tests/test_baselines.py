@@ -4,13 +4,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deformconv import baselines, cli, conv, nn, pointcloud, spatial
+from deformconv import baselines, conv, nn, pointcloud, spatial
 from deformconv.rng import DetRng
 from conftest import fd_grad, grad_rel, neighbor_table, random_cloud, rel_err
 
 
 def _mlp(seed=0, out_dim=2, hidden=(4, 4)):
-    return baselines.mlp_filter_init(list(hidden), out_dim, DetRng(seed))
+    """He-initialised MlpFilter with the given hidden widths."""
+    rng, dims = DetRng(seed), [3, *hidden, out_dim]
+    return baselines.MlpFilter(tuple(
+        (rng.normals(a * b, 0.0, np.sqrt(2.0 / a)).reshape(a, b), np.zeros(b))
+        for a, b in zip(dims[:-1], dims[1:])))
 
 
 class TestMlpFilter:
@@ -281,9 +285,8 @@ class TestBaselineStacks:
     @pytest.mark.parametrize("method,inner", [
         ("pcc", baselines.PccLayer), ("voxel", baselines.VoxelConvLayer)])
     def test_skip_stack_gradcheck(self, method, inner):
-        conv_layer = {"pcc": lambda s, r: cli._pcc_conv(s, r, [4]),
-                      "voxel": lambda s, r: cli._voxel_conv(s, r, 0.2)}[method]
-        stack = cli._build_baseline_stack(self.SPECS, "segmentation", conv_layer, DetRng(3))
+        types = {"pcc": baselines.pcc_types([4]), "voxel": baselines.voxel_types(0.2)}[method]
+        stack = nn.build_stack(self.SPECS, "segmentation", rng=DetRng(3), types=types)
         assert isinstance(stack.layers[0], nn.ConcatSkipLayer)
         assert isinstance(stack.layers[0].inner, inner)
         rng = np.random.default_rng(13)

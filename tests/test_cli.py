@@ -425,7 +425,11 @@ class TestTrain:
          r"opt.lr = 1, opt.weight_decay = 2: lr \* weight_decay must be < 1"),
         ({"layer.1.type = relu": "layer.1.type = relu\nlayer.1.cap = 99"},
          "layer.1.cap: not a field of layer type 'relu'"),
-    ], ids=["lr-zero", "lr-negative", "batch-zero", "epochs-negative", "lr-times-wd", "relu-cap"])
+        # zero sizes once reached the init's division as a bare traceback
+        ({"layer.0.cap = 8": "layer.0.cap = 0"}, r"layer\.0\.cap: must be >= 1, got 0"),
+        ({"layer.2.in = 4": "layer.2.in = 0"}, r"layer\.2\.in: must be >= 1, got 0"),
+    ], ids=["lr-zero", "lr-negative", "batch-zero", "epochs-negative", "lr-times-wd", "relu-cap",
+            "cap-zero", "linear-in-zero"])
     def test_bad_settings_are_config_errors(self, tmp_path, capsys, command, edits, frag):
         with open(_train_config(tmp_path), encoding="ascii") as fh:
             text = fh.read()
@@ -463,6 +467,26 @@ opt.lr = 0.001
 opt.epochs = 1
 """)
         assert cli.main(["train", "--config", cfg]) == 1
+
+
+def import_filters(path):
+    """Read a filters.csv back: (lattice (A,3) int, positions (A,3),
+    weights (A, C)), the inverse of export-filters."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [l.rstrip("\n") for l in fh if l.strip()]
+    header = lines[0].split(",")
+    assert header[:6] == ["i", "j", "l", "x", "y", "z"], header
+    lattice, positions, weights = [], [], []
+    for line in lines[1:]:
+        parts = line.split(",")
+        lattice.append([int(v) for v in parts[:3]])
+        positions.append([float(v) for v in parts[3:6]])
+        weights.append([float(v) for v in parts[6:]])
+    return (
+        np.asarray(lattice, dtype=np.int64),
+        np.asarray(positions),
+        np.asarray(weights),
+    )
 
 
 class TestEvalAndExport:
@@ -537,7 +561,7 @@ export.checkpoint = {tmp_path / 'run' / 'checkpoint.dfc'}
 export.layer = 0
 """)
         assert cli.main(["export-filters", "--config", cfg]) == 0
-        lattice, positions, weights = cli.import_filters(
+        lattice, positions, weights = import_filters(
             tmp_path / "export" / "filters.csv")
         assert lattice.shape == (27, 3)
         ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.dfc")
@@ -574,7 +598,7 @@ export.checkpoint = {path}
 export.layer = 0
 """)
         assert cli.main(["export-filters", "--config", cfg]) == 0
-        lattice, positions, weights = cli.import_filters(
+        lattice, positions, weights = import_filters(
             tmp_path / "export3" / "filters.csv")
         centre = np.all(lattice == 0, axis=1)
         assert weights[centre][0, 0] == 1.0
@@ -620,7 +644,7 @@ export.checkpoint = {ckpt_path}
 export.layer = 1
 """)
         assert cli.main(["export-filters", "--config", exp]) == 0
-        _, _, weights = cli.import_filters(tmp_path / "export4" / "filters.csv")
+        _, _, weights = import_filters(tmp_path / "export4" / "filters.csv")
         layer = load_checkpoint(ckpt_path).build_stack().layers[1]
         assert isinstance(layer, nn.SeparableConvLayer)
         assert np.array_equal(weights, layer.spatial)
@@ -642,6 +666,20 @@ bench.reps = 5
             op, m, cap, k, ns = line.split(",")
             assert op in ("forward", "oracle_forward")
             assert float(ns) > 0
+
+    def test_oracle_mismatch_is_internal_check_failure(self, tmp_path, monkeypatch, capsys):
+        # no input is at fault when the fast path and the oracle disagree
+        fast = conv.forward_features
+        monkeypatch.setattr(conv, "forward_features", lambda *a, **kw: fast(*a, **kw) + 1e-6)
+        cfg = _write(tmp_path / "bench.cfg", f"""
+seed = 2
+out = {tmp_path / 'bench'}
+bench.sizes = 300:8:3
+""")
+        assert cli.main(["bench", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: fast path disagrees with reference")
+        assert not (tmp_path / "bench").exists()
 
     def test_low_reps_rejected(self, tmp_path):
         cfg = _write(tmp_path / "bench.cfg", f"""
@@ -750,6 +788,12 @@ class TestExitCodes:
 
     def test_nonexistent_config(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "no.cfg")]) == 1
+
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
 
     def test_bad_threads(self, tmp_path):
         cfg = _train_config(tmp_path)

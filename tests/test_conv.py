@@ -245,7 +245,7 @@ class TestForward:
             features=np.array([[1.0], [0.5]]))
         spec = _spec_for(filt)
         table = neighbor_table(cloud, spec.radius, spec.cap)
-        out = conv.forward(cloud, table, filt)
+        out = conv.forward_features(cloud.features, table, filt)
         assert out.shape == (2, 1)
         assert out[0, 0] == 2.0
         oracle = conv.oracle_forward_features(cloud.features, table, filt)

@@ -1,6 +1,8 @@
 """Layers, stacks, loss, Adam, metrics, and the training loop."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,103 @@ class TestBuildStack:
         assert flat.shape[0] == total
 
 
+def _init_digest(stack) -> str:
+    return hashlib.sha256(nn.flatten_params(stack).astype("<f8").tobytes()).hexdigest()
+
+
+class TestInitDigests:
+    """sha256 of the seeded initial parameters (nn.flatten_params), so the
+    number, order and scale of the init draws cannot drift. Init draws
+    only from DetRng, whose samplers are pinned, so these do not depend
+    on BLAS."""
+
+    SEG = [
+        {"type": "deformable", "in": 2, "out": 4, "k": 3,
+         "a": [0.2, 0.25, 0.3], "r": None, "cap": 8, "skip": 1},
+        {"type": "relu"},
+        {"type": "separable", "in": 6, "out": 5, "k": 5,
+         "a": [0.1, 0.1, 0.1], "r": 0.6, "cap": 12, "skip": 0},
+        {"type": "relu"},
+        {"type": "linear", "in": 5, "out": 3, "skip": 0},
+    ]
+    CLS = [
+        {"type": "separable", "in": 3, "out": 4, "k": 1,
+         "a": [0.3, 0.3, 0.3], "r": None, "cap": 4, "skip": 0},
+        {"type": "pool"},
+        {"type": "linear", "in": 4, "out": 2, "skip": 1},
+        {"type": "relu"},
+        {"type": "deformable", "in": 6, "out": 4, "k": 3,
+         "a": [0.2, 0.2, 0.2], "r": None, "cap": 16, "skip": 0},
+    ]
+    DIGESTS = {
+        ("segmentation", 0):
+            "caf374e3f00bb2fdd6a9e35ca935633f9a8ff3178bcbb8a6f5edf629d8cc97d2",
+        ("segmentation", 12345):
+            "330354a086937073f195ff17ae09ebe5f5616906deb5945811beaaa0be680424",
+        ("classification", 0):
+            "9349587e701f18906aa1597eb42df960f9c66a415256c2ecdad279eb08752f34",
+        ("classification", 12345):
+            "4e0b7c2459d5a5b5fc6116c641c6e2bd5a2275973e9eb4d2c473bfbf4c43b0c2",
+    }
+    BASELINES = {
+        "deformable": "17e9ab1f35f6621e22d832970bd211e61e3224420ec261220a6db07edf6c71a4",
+        "pcc": "0bc861d2e023af798f47acb5baf0908f451ccaf3a7f059fb777601fbdf58e82f",
+        "voxel": "bd210874f636cf7777fae5e6d3593fba728046a89a53e6d48d7bb171e118b07b",
+    }
+
+    @pytest.mark.parametrize("task,seed", list(DIGESTS))
+    def test_every_layer_type(self, task, seed):
+        specs = self.SEG if task == "segmentation" else self.CLS
+        stack = nn.build_stack(specs, task, rng=DetRng(seed))
+        assert _init_digest(stack) == self.DIGESTS[task, seed]
+
+    def test_compare_baselines_stacks(self, tmp_path, monkeypatch):
+        # the stacks as compare-baselines builds them, read where it
+        # hands each to training
+        seen = []
+
+        def untrained(stack, *args, **kwargs):
+            seen.append(_init_digest(stack))
+            return []
+
+        monkeypatch.setattr(nn, "train_stack", untrained)
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"""
+task = segmentation
+seed = 21
+out = {tmp_path / 'cmp'}
+data.kind = two-surfaces-seg
+data.train = 2
+data.test = 1
+data.points = 24
+layer.count = 5
+layer.0.type = deformable
+layer.0.in = 2
+layer.0.out = 3
+layer.0.k = 3
+layer.0.a = 0.2
+layer.0.cap = 6
+layer.0.skip = 1
+layer.1.type = relu
+layer.2.type = separable
+layer.2.in = 5
+layer.2.out = 4
+layer.2.k = 3
+layer.2.a = 0.15,0.2,0.25
+layer.2.cap = 6
+layer.3.type = relu
+layer.4.type = linear
+layer.4.in = 4
+layer.4.out = 2
+pcc.hidden = 3,5
+voxel.pitch = 0.3
+opt.lr = 0.001
+opt.epochs = 1
+""", encoding="ascii")
+        assert cli.main(["compare-baselines", "--config", str(cfg)]) == 0
+        assert seen == list(self.BASELINES.values())
+
+
 class TestEvaluate:
     def test_validations(self):
         stack = nn.build_stack(_tiny_specs(), "segmentation", rng=DetRng(0))
@@ -422,12 +521,9 @@ class TestTrainStack:
              "a": [0.2, 0.2, 0.2], "r": None, "cap": 6, "skip": 0},
             {"type": "linear", "in": 3, "out": 2},
         ]
-        if method == "deformable":
-            stack = nn.build_stack(specs, "segmentation", rng=DetRng(4))
-        else:
-            conv_layer = {"pcc": lambda s, r: cli._pcc_conv(s, r, [4]),
-                          "voxel": lambda s, r: cli._voxel_conv(s, r, 0.2)}[method]
-            stack = cli._build_baseline_stack(specs, "segmentation", conv_layer, DetRng(4))
+        types = {"deformable": nn.LAYER_TYPES, "pcc": baselines.pcc_types([4]),
+                 "voxel": baselines.voxel_types(0.2)}[method]
+        stack = nn.build_stack(specs, "segmentation", rng=DetRng(4), types=types)
         layers = [getattr(l, "inner", l) for l in stack.layers]
         trained = [l for l in layers if l.params()]
         kinds = {"deformable": ["deformable", "separable", "linear"],

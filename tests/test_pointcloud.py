@@ -143,6 +143,8 @@ class TestXyzFormat:
         "# dfc-xyz D=1 labeled=1\n0 0 0 1 0.5\n",  # fractional label
         "# dfc-xyz D=1 labeled=1\n0 0 0 1 -2\n",   # negative label
         "# dfc-xyz D=1 labeled=0\n",            # no points
+        "# dfc-xyz D=1 labeled=1\n0 0 0 1 99999999999999999999\n",  # label past int64
+        "# dfc-xyz D=1 labeled=0\n0 0 0 \u00e9\n",  # not ASCII
     ])
     def test_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "bad.xyz"
