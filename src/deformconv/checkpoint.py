@@ -14,34 +14,35 @@ Layout:
     <1234 little-endian float64 values>
 
 Each layer line holds the fields of its layer type (config.LAYER_FIELDS)
-in that order, read by the same rules as a config file's layer.* keys:
-``a`` has three spacings, ``r`` is omitted when it is the default
-radius, and ``skip`` is 0 or 1. Floats in the header are printed with
-17 significant digits, so a load/save round trip reproduces the file
-byte for byte. Loading rejects any other header key, integers spelt
-other than as saved (``seed = 0_7``, ``classes = +2``) and layer lines
-other than the one saving their spec writes (``in=+2``, ``cap=08``).
+in that order, read by the rules of a config file's layer.* keys: ``a``
+has three spacings, ``r`` is omitted when it is the default radius, and
+``skip`` is 0 or 1. Floats are printed with 17 significant digits.
+
+A file loads only if saving the loaded checkpoint writes the same
+header, line for line, the payload holds the counted values, and the
+checkpoint is valid: finite params and a stack that builds (build_stack
+checks the task, the parameter count, each grid, each radius against
+its filter support and the pool rules). Saving decodes the bytes it
+would write by this rule, and refuses before it opens the file a
+checkpoint whose file would not load.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from . import nn
 from .atomic import atomic_open
 from .config import FIELD_DEFAULTS, LAYER_FIELDS, parse_layer_spec
-from .pointcloud import TASKS
 
 _MAGIC = b"DFC1\n"
-_KEYS = ("task", "seed", "classes", "layers", "params")  # besides layer.<i>
-_INT_KEYS = _KEYS[1:]
 
 
 class CheckpointError(ValueError):
-    """Unreadable or inconsistent checkpoint content."""
+    """Unreadable, inconsistent or unbuildable checkpoint content."""
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class Checkpoint:
 
 def _format_spec(spec: dict) -> str:
     parts = [f"type={spec['type']}"]
-    for name in LAYER_FIELDS[spec["type"]]:
-        value = spec[name] if name in spec else FIELD_DEFAULTS[name]
+    for name in LAYER_FIELDS.get(spec["type"], ()):  # a bad spec is refused by _decode
+        value = spec.get(name, FIELD_DEFAULTS.get(name))
         if name in ("a", "r") and value is not None:
             value = ",".join("%.17g" % v for v in np.atleast_1d(value))
         if value is not None:
@@ -69,51 +70,30 @@ def _format_spec(spec: dict) -> str:
     return " ".join(parts)
 
 
-def _parse_spec(line: str, where: str) -> dict:
-    fields = {}
-    for tok in line.split():
-        if "=" not in tok:
-            raise CheckpointError(f"{where}: bad token {tok!r}")
-        key, _, val = tok.partition("=")
-        if key in fields:
-            raise CheckpointError(f"{where}: duplicate field {key!r}")
-        fields[key] = val
-    try:
-        spec = parse_layer_spec(fields)
-    except ValueError as exc:
-        raise CheckpointError(f"{where}.{exc}") from None
-    written = _format_spec(spec)
-    if written != line:
-        raise CheckpointError(f"{where}: saving would write {written!r}")
-    return spec
+def _read_spec(line: str) -> dict:
+    """A layer line's spec; the ValueError names the field at fault."""
+    return parse_layer_spec(dict(tok.partition("=")[::2] for tok in line.split()))
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    if ckpt.task not in TASKS:
-        raise CheckpointError(f"unknown task {ckpt.task!r}")
-    expected = nn.spec_param_count(ckpt.layer_specs)
-    if ckpt.params.shape != (expected,):
-        raise CheckpointError(
-            f"params hold {ckpt.params.shape} values, layer specs need {expected}"
-        )
-    if not np.all(np.isfinite(ckpt.params)):
-        raise CheckpointError("params contain non-finite values")
-    lines = [
+def _header(ckpt: Checkpoint) -> list[str]:
+    """The header lines saving writes, between the magic and the blank line."""
+    return [
         f"task = {ckpt.task}",
         f"seed = {ckpt.seed}",
         f"classes = {ckpt.num_classes}",
         f"layers = {len(ckpt.layer_specs)}",
+        *(f"layer.{i} = {_format_spec(spec)}" for i, spec in enumerate(ckpt.layer_specs)),
+        f"params = {np.size(ckpt.params)}",
     ]
-    for i, spec in enumerate(ckpt.layer_specs):
-        lines.append(f"layer.{i} = {_format_spec(spec)}")
-    lines.append(f"params = {expected}")
-    header = "".join(line + "\n" for line in lines)
+
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    header = ("".join(line + "\n" for line in _header(ckpt)) + "\n").encode("ascii", "replace")
     payload = np.ascontiguousarray(ckpt.params, dtype="<f8").tobytes()
+    _decode(_MAGIC + header + payload, path)  # refuses what would not load
     with atomic_open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(header.encode("ascii"))
-        fh.write(b"\n")
-        fh.write(payload)
+        for part in (_MAGIC, header, payload):
+            fh.write(part)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -122,59 +102,49 @@ def load_checkpoint(path) -> Checkpoint:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+    return _decode(blob, path)
+
+
+def _decode(blob: bytes, path) -> Checkpoint:
+    """The checkpoint in a file's bytes, if they load; errors name ``path``."""
     if not blob.startswith(_MAGIC):
         raise CheckpointError(f"{path}: missing DFC1 magic")
     sep = blob.find(b"\n\n", len(_MAGIC) - 1)
     if sep < 0:
         raise CheckpointError(f"{path}: missing header/payload separator")
-    header = blob[len(_MAGIC) : sep].decode("ascii", errors="replace")
+    lines = blob[len(_MAGIC) : sep].decode("ascii", errors="replace").split("\n")
     payload = blob[sep + 2 :]
-
     fields: dict[str, str] = {}
-    for line in header.splitlines():
-        key, eq, val = line.partition(" = ")
+    for line in lines:
+        key, eq, value = line.partition(" = ")
         if not eq:
             raise CheckpointError(f"{path}: bad header line {line!r}")
-        if key in fields:
-            raise CheckpointError(f"{path}: duplicate header key {key!r}")
-        fields[key] = val
-    missing = [k for k in _KEYS if k not in fields]
-    if missing:
-        raise CheckpointError(f"{path}: incomplete header, no {missing[0]!r}")
-    unknown = [k for k in fields if k not in _KEYS and not k.startswith("layer.")]
-    if unknown:
-        raise CheckpointError(f"{path}: unknown header key {unknown[0]!r}")
-    # integers as save_checkpoint writes them: no sign on a positive
-    # value, no leading zero, separator or space
-    bad = [k for k in _INT_KEYS if not re.fullmatch(r"0|-?[1-9][0-9]*", fields[k])]
-    if bad:
-        raise CheckpointError(f"{path}: {bad[0]}: expected a plain integer, got {fields[bad[0]]!r}")
-    task = fields["task"]
-    seed, num_classes, n_layers, n_params = (int(fields[k]) for k in _INT_KEYS)
-    if task not in TASKS:
-        raise CheckpointError(f"{path}: unknown task {task!r}")
-    # exactly layer.0 .. layer.<n-1>: no sign, separator or leading zero
-    layer_keys = [f"layer.{i}" for i in range(n_layers)]
-    found = [k for k in fields if k.startswith("layer.")]
-    if set(found) != set(layer_keys):
-        raise CheckpointError(f"{path}: header declares {n_layers} layers, holds {found}")
-    specs = [_parse_spec(fields[k], f"{path}: {k}") for k in layer_keys]
-    expected = nn.spec_param_count(specs)
-    if expected != n_params:
-        raise CheckpointError(
-            f"{path}: header claims {n_params} params, layers need {expected}"
-        )
-    if len(payload) != 8 * n_params:
-        raise CheckpointError(
-            f"{path}: payload holds {len(payload)} bytes, expected {8 * n_params}"
-        )
-    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(params)):
-        raise CheckpointError(f"{path}: payload contains non-finite values")
-    return Checkpoint(
-        task=task,
-        seed=seed,
-        num_classes=num_classes,
-        layer_specs=specs,
-        params=params,
-    )
+        fields.setdefault(key, value)  # a repeated line fails the comparison below
+
+    def field(at: int, key: str, read=str):
+        """``key``'s value read by ``read``; saving writes it on header line ``at``."""
+        if key not in fields:
+            got = f"is {lines[at - 1]!r}" if at <= len(lines) else "is missing"
+            raise CheckpointError(f"{path}: incomplete header, no {key!r}; header line {at} {got}")
+        try:
+            return read(fields[key])
+        except ValueError as exc:  # int() past Python's digit limit too
+            join = "." if key.startswith("layer.") else ": "  # layer.0.cap: ...
+            raise CheckpointError(f"{path}: {key}{join}{exc}") from None
+
+    specs = [field(5 + i, f"layer.{i}", _read_spec) for i in range(field(4, "layers", int))]
+    count = field(5 + len(specs), "params", int)
+    if len(payload) != 8 * count:
+        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, expected {8 * count}")
+    ckpt = Checkpoint(field(1, "task"), field(2, "seed", int), field(3, "classes", int),
+                      specs, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    for at, (got, want) in enumerate(zip_longest(lines, _header(ckpt), fillvalue=""), 1):
+        if got != want:
+            raise CheckpointError(f"{path}: header line {at} is {got!r}, saving writes {want!r}")
+    if not np.all(np.isfinite(ckpt.params)):
+        raise CheckpointError(f"{path}: params contain non-finite values")
+    try:
+        ckpt.build_stack()
+    except (ValueError, OverflowError) as exc:  # a size past float range overflows the init
+        raise CheckpointError(f"{path}: stack does not build: {exc}") from None
+    return ckpt

@@ -7,10 +7,10 @@
     deformconv export-filters    --config run.cfg ...
     deformconv compare-baselines --config run.cfg ...
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(missing or malformed dataset/checkpoint files), 3 internal check
-failed (``bench``'s fast forward disagrees with the oracle: a fault in
-the library, not in any input).
+Exit codes: 0 success, 1 usage or configuration error (``data.*``
+values included), 2 data error (missing or malformed dataset/checkpoint
+files), 3 internal check failed (``bench``'s fast forward disagrees
+with the oracle: a fault in the library, not in any input).
 
 Every run is a pure function of config + seed: outputs (logs, reports,
 checkpoints, generated data) are byte-identical across repeated runs.
@@ -121,12 +121,22 @@ def _load_dir_datasets(data_dir) -> dict[str, Dataset]:
 
 
 def _synth_split(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
+    """(train, test) synthesised from the data.* keys; values that
+    synth_dataset rejects are configuration errors."""
     kind = cfg.get_str("data.kind")
     n_train = cfg.get_int("data.train")
     n_test = cfg.get_int("data.test")
     points = cfg.get_int("data.points")
     noise = cfg.get_float("data.noise", 0.0)
-    full = synth_dataset(kind, n_train + n_test, points, noise, seed)
+    if n_train < 0 or n_test < 0:
+        raise ConfigError(f"need data.train >= 0 and data.test >= 0, got {n_train} and {n_test}")
+    try:
+        full = synth_dataset(kind, n_train + n_test, points, noise, seed)
+    except ValueError as exc:
+        raise ConfigError(
+            f"data.kind = {kind}, data.train + data.test = {n_train + n_test}, "
+            f"data.points = {points}, data.noise = {noise:g}: {exc}"
+        ) from None
     train = Dataset(full.clouds[:n_train], full.num_classes, full.task)
     test = Dataset(full.clouds[n_train:], full.num_classes, full.task)
     return train, test
@@ -140,6 +150,14 @@ def _datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
             raise XyzFormatError("manifest must provide train and test splits")
         return splits["train"], splits["test"]
     return _synth_split(cfg, seed)
+
+
+def _training_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
+    """_datasets; an empty split (only a synthesised one can be) is a config error."""
+    train, test = _datasets(cfg, seed)
+    if len(train) == 0 or len(test) == 0:
+        raise ConfigError(f"need data.train, data.test >= 1, got {len(train)} and {len(test)}")
+    return train, test
 
 
 # ------------------------------------------------------------ commands
@@ -210,7 +228,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     task = cfg.get_str("task")
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    train_set, test_set = _datasets(cfg, seed)
+    train_set, test_set = _training_datasets(cfg, seed)
     if train_set.task != task:
         raise ConfigError(
             f"config task {task!r} does not match dataset task {train_set.task!r}"
@@ -418,7 +436,7 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
     task = cfg.get_str("task")
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    train_set, test_set = _datasets(cfg, seed)
+    train_set, test_set = _training_datasets(cfg, seed)
     specs = cfg.layer_specs()
     hidden = cfg.int_list("pcc.hidden", [8, 8])
     pitch = cfg.get_float("voxel.pitch", 0.2)

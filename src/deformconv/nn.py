@@ -34,10 +34,6 @@ class LayerContext:
         self.threads = threads
         self._tables: dict[tuple[float, int], NeighborTable] = {}
 
-    def preset(self, table: NeighborTable) -> "LayerContext":
-        self._tables[(table.radius, table.cap)] = table
-        return self
-
     def table_for(self, radius: float, cap: int) -> NeighborTable:
         key = (radius, cap)
         if key not in self._tables:
@@ -366,19 +362,9 @@ def flatten_params(stack: LayerStack) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def stack_forward(
-    stack: LayerStack,
-    cloud: PointCloud,
-    neighbors: NeighborTable | None = None,
-    threads: int = 1,
-) -> np.ndarray:
-    """Run a stack on one cloud. A provided neighbour table is reused by
-    every conv layer whose (radius, cap) matches it; other geometries
-    trigger their own searches."""
-    ctx = LayerContext(cloud, threads=threads)
-    if neighbors is not None:
-        ctx.preset(neighbors)
-    return stack.forward(cloud, ctx)
+def stack_forward(stack: LayerStack, cloud: PointCloud, threads: int = 1) -> np.ndarray:
+    """Run a stack on one cloud; conv layers of one (radius, cap) share a search."""
+    return stack.forward(cloud, LayerContext(cloud, threads=threads))
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,6 +1,7 @@
 """Config and checkpoint formats plus end-to-end CLI command runs."""
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 
@@ -223,11 +224,14 @@ class TestCheckpoint:
         assert not p.exists()
 
     @pytest.mark.parametrize("edit,frag", [
-        ((b"seed = 3\n", b"seed = 3\nseed = 99\n"), "duplicate header key 'seed'"),
-        ((b"layer.1 = ", b"layer.1 = type=relu\nlayer.1 = "), "duplicate header key 'layer.1'"),
-        ((b"layer.1 = ", b"layer.01 = "), "declares 3 layers.*'layer.01'"),
-        ((b"layer.0 = ", b"layer.0_0 = "), "declares 3 layers.*'layer.0_0'"),
-        ((b"layer.1 = ", b"layer.+1 = "), "declares 3 layers.*'layer.\\+1'"),
+        ((b"seed = 3\n", b"seed = 3\nseed = 99\n"),
+         "header line 3 is 'seed = 99', saving writes 'classes = 2'"),
+        ((b"layer.1 = ", b"layer.1 = type=relu\nlayer.1 = "),
+         "header line 7 is 'layer.1 = type=relu', saving writes 'layer.2 = type=linear "),
+        ((b"layer.1 = ", b"layer.01 = "), "no 'layer.1'; header line 6 is 'layer.01 = type=relu'"),
+        ((b"layer.0 = ", b"layer.0_0 = "), "no 'layer.0'; header line 5 is 'layer.0_0 = type="),
+        ((b"layer.1 = ", b"layer.+1 = "),
+         "no 'layer.1'; header line 6 is 'layer.\\+1 = type=relu'"),
     ], ids=["seed-twice", "layer-twice", "layer-01", "layer-0_0", "layer-plus-1"])
     def test_ambiguous_header_key(self, tmp_path, edit, frag):
         # the last of two values does not win, and a layer index is
@@ -235,21 +239,64 @@ class TestCheckpoint:
         _assert_edit_rejected(tmp_path, edit, frag)
 
     @pytest.mark.parametrize("edit,frag", [
-        ((b"params = ", b"foo = bar\nparams = "), "unknown header key 'foo'"),
-        ((b"seed = 3\n", b"seed = 0_3\n"), "seed: expected a plain integer, got '0_3'"),
-        ((b"classes = 2\n", b"classes = +2\n"), "classes: .*'\\+2'"),
-        ((b"layers = 3\n", b"layers = 03\n"), "layers: .*'03'"),
-        ((b"params = ", b"params =  "), "params: .*' [0-9]+'"),
-        ((b" in=2 ", b" in=+2 "), "layer.0: saving would write 'type=deformable in=2 "),
-        ((b" cap=8 ", b" cap=08 "), "layer.0: saving would write .* cap=8 "),
+        ((b"params = ", b"foo = bar\nparams = "),
+         "header line 8 is 'foo = bar', saving writes 'params = [0-9]+'"),
+        ((b"seed = 3\n", b"seed = 0_3\n"),
+         "header line 2 is 'seed = 0_3', saving writes 'seed = 3'"),
+        ((b"classes = 2\n", b"classes = +2\n"),
+         "header line 3 is 'classes = \\+2', saving writes 'classes = 2'"),
+        ((b"layers = 3\n", b"layers = 03\n"),
+         "header line 4 is 'layers = 03', saving writes 'layers = 3'"),
+        ((b"params = ", b"params =  "),
+         "header line 8 is 'params =  ([0-9]+)', saving writes 'params = \\1'"),
+        ((b" in=2 ", b" in=+2 "),
+         "header line 5 is 'layer.0 = type=deformable in=\\+2 .*"
+         "saving writes 'layer.0 = type=deformable in=2 "),
+        ((b" cap=8 ", b" cap=08 "), "header line 5 is .* cap=08 .*saving writes .* cap=8 "),
         ((b"a=0.20000000000000001,0.20000000000000001,", b"a=0.2,0.2,"),
-         "layer.0: saving would write .*a=0.20000000000000001,"),
-        ((b"out=2 skip=0", b"out=2"), "layer.2: saving would write 'type=linear in=4 out=2 skip=0'"),
+         "header line 5 is .*a=0.2,0.2,.*saving writes .*a=0.20000000000000001,"),
+        ((b"out=2 skip=0", b"out=2"), "header line 7 is 'layer.2 = type=linear in=4 out=2', "
+         "saving writes 'layer.2 = type=linear in=4 out=2 skip=0'"),
+        ((b"task = segmentation\nseed = 3\n", b"seed = 3\ntask = segmentation\n"),
+         "header line 1 is 'seed = 3', saving writes 'task = segmentation'"),
+        ((b"classes = 2\nlayers = 3\n", b"layers = 3\nclasses = 2\n"),
+         "header line 3 is 'layers = 3', saving writes 'classes = 2'"),
+        ((b"layer.1 = type=relu\nlayer.2 = type=linear in=4 out=2 skip=0\n",
+          b"layer.2 = type=linear in=4 out=2 skip=0\nlayer.1 = type=relu\n"),
+         "header line 6 is 'layer.2 = type=linear .*', saving writes 'layer.1 = type=relu'"),
     ], ids=["unknown-key", "seed-0_3", "classes-plus-2", "layers-03", "params-space",
-            "layer-in-plus-2", "layer-cap-08", "layer-a-short", "layer-skip-default"])
+            "layer-in-plus-2", "layer-cap-08", "layer-a-short", "layer-skip-default",
+            "seed-before-task", "layers-before-classes", "layer-2-before-1"])
     def test_header_that_does_not_round_trip(self, tmp_path, edit, frag):
         # saving what such a header loads would write other bytes
         _assert_edit_rejected(tmp_path, edit, frag)
+
+    @pytest.mark.parametrize("edit,frag", [
+        ((b" cap=8", b" r=0.10000000000000001 cap=8"),
+         "stack does not build: radius 0.1 smaller than filter support"),
+        ((b"task = segmentation", b"task = classification"),
+         "stack does not build: classification stacks need exactly one global pool"),
+    ], ids=["r-below-support", "no-pool"])
+    def test_unbuildable_checkpoint_is_rejected(self, tmp_path, edit, frag):
+        # the header round-trips and the parameter count is unchanged
+        _assert_edit_rejected(tmp_path, edit, frag)
+
+    @pytest.mark.parametrize("change,frag", [
+        (dict(layer_specs=[{**_specs()[0], "r": 0.1}, *_specs()[1:]]),
+         "radius 0.1 smaller than filter support"),
+        (dict(task="classification"), "classification stacks need exactly one global pool"),
+        # the stack builds, but one spacing is written where loading reads three
+        (dict(layer_specs=[{**_specs()[0], "a": 0.2}, *_specs()[1:]]),
+         "header line 5 is .* a=0.20000000000000001 cap=8 .*, saving writes .*,0.2"),
+        (dict(layer_specs=[*_specs()[:2], {"type": "linear", "in": 4, "skip": 0}]),
+         "layer.2.out: missing required field"),
+    ], ids=["r-below-support", "no-pool", "a-scalar", "field-missing"])
+    def test_save_refuses_what_would_not_load(self, tmp_path, change, frag):
+        bad = dataclasses.replace(_checkpoint(), **change)
+        p = tmp_path / "x.dfc"
+        with pytest.raises(CheckpointError, match=frag):
+            save_checkpoint(bad, p)
+        assert not p.exists()
 
     def test_missing_header_field(self, tmp_path):
         p = tmp_path / "x.dfc"
@@ -354,6 +401,16 @@ data.noise = 0
                   for f in os.listdir(tmp_path / "data")}
         assert first == second
 
+    def test_bad_data_setting_is_config_error(self, tmp_path, capsys):
+        with open(self._config(tmp_path), encoding="ascii") as fh:
+            text = fh.read()
+        cfg = _write(tmp_path / "gen.cfg", text.replace("data.noise = 0\n", "data.noise = -1\n"))
+        assert cli.main(["gen-data", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data.kind = shapes4, ")
+        assert err.endswith("data.noise = -1: noise_sigma must be >= 0\n")
+        assert not (tmp_path / "data").exists()
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg = self._config(tmp_path)
         cli.main(["gen-data", "--config", cfg])
@@ -428,8 +485,19 @@ class TestTrain:
         # zero sizes once reached the init's division as a bare traceback
         ({"layer.0.cap = 8": "layer.0.cap = 0"}, r"layer\.0\.cap: must be >= 1, got 0"),
         ({"layer.2.in = 4": "layer.2.in = 0"}, r"layer\.2\.in: must be >= 1, got 0"),
+        # data.* values that synth_dataset rejects, or that leave a split empty
+        ({"data.kind = two-surfaces-seg": "data.kind = cubes"},
+         "data.kind = cubes, .*: unknown dataset kind 'cubes'"),
+        ({"data.points = 48": "data.points = 7"},
+         "data.points = 7, .*points_per_cloud must be >= 8"),
+        ({"data.noise = 0.01": "data.noise = -0.01"},
+         "data.noise = -0.01: noise_sigma must be >= 0"),
+        ({"data.train = 8": "data.train = 0"}, "need data.train, data.test >= 1, got 0 and 3"),
+        ({"data.train = 8": "data.train = -1"},
+         "need data.train >= 0 and data.test >= 0, got -1 and 3"),
     ], ids=["lr-zero", "lr-negative", "batch-zero", "epochs-negative", "lr-times-wd", "relu-cap",
-            "cap-zero", "linear-in-zero"])
+            "cap-zero", "linear-in-zero", "data-kind-unknown", "data-points-7",
+            "data-noise-negative", "data-train-0", "data-train-minus-1"])
     def test_bad_settings_are_config_errors(self, tmp_path, capsys, command, edits, frag):
         with open(_train_config(tmp_path), encoding="ascii") as fh:
             text = fh.read()
@@ -534,6 +602,12 @@ eval.split = {split}
     def test_eval_all_split(self, trained):
         assert cli.main(
             ["eval", "--config", self._eval_config(trained, split="all")]) == 0
+
+    def test_eval_test_split_without_train_clouds(self, trained):
+        with open(self._eval_config(trained), encoding="ascii") as fh:
+            text = fh.read()
+        cfg = _write(trained / "eval.cfg", text.replace("data.train = 8\n", "data.train = 0\n"))
+        assert cli.main(["eval", "--config", cfg]) == 0
 
     def test_eval_bad_split(self, trained):
         assert cli.main(

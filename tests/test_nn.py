@@ -183,8 +183,8 @@ class TestStackForward:
         stack = nn.LayerStack(
             [nn.DeformConvLayer(spec, w1, b1), nn.DeformConvLayer(spec, w2, b2)],
             task="segmentation")
-        table = neighbor_table(cloud, r, 8)
-        got = nn.stack_forward(stack, cloud, neighbors=table)
+        table = neighbor_table(cloud, r, 8)  # the stack's own search at the same (r, cap)
+        got = nn.stack_forward(stack, cloud)
         f1 = conv.oracle_forward_features(
             cloud.features, table, conv.DeformableFilter(g, w1, b1))
         f2 = conv.oracle_forward_features(

@@ -1,5 +1,6 @@
 """Every reader either loads a damaged file or raises its documented
-error class; whatever loads saves back to the same contents."""
+error class; whatever loads saves back to the same contents, and a
+checkpoint that loads saves back to the same bytes."""
 from __future__ import annotations
 
 import numpy as np
@@ -105,19 +106,36 @@ def _equal(a, b) -> bool:
     return a == b
 
 
+# readers whose loaded contents save back to the very bytes they read
+_BYTE_EXACT = {"checkpoint"}
+
+_AT = st.floats(0, 1, exclude_max=True)
 _MUTATION = st.one_of(
-    st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
-    st.tuples(st.just("delete"), st.floats(0, 1, exclude_max=True), st.integers(1, 8)),
-    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True), st.just(0)),
+    st.tuples(st.just("flip"), _AT, st.integers(1, 255)),
+    st.tuples(st.just("delete"), _AT, st.integers(1, 8)),
+    st.tuples(st.just("truncate"), _AT, st.just(0)),
     st.tuples(st.just("insert"), st.floats(0, 1),
               st.sampled_from([b"nan", b"1e999", b"\xff"])),
+    # line edits, within the text before the first blank line (a
+    # checkpoint's header; all of any other file)
+    st.tuples(st.just("swap"), _AT, _AT),
+    st.tuples(st.just("repeat"), _AT, _AT),
 )
 
 
 def _mutate(blob: bytes, mutations) -> bytes:
     for kind, where, arg in mutations:
         at = int(where * (len(blob) + (kind == "insert")))
-        if kind == "flip" and blob:
+        if kind in ("swap", "repeat"):
+            head, sep, tail = blob.partition(b"\n\n")
+            lines = head.split(b"\n")
+            i, j = int(where * len(lines)), int(arg * len(lines))
+            if kind == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines.insert(j, lines[i])
+            blob = b"\n".join(lines) + sep + tail
+        elif kind == "flip" and blob:
             blob = blob[:at] + bytes([blob[at] ^ arg]) + blob[at + 1:]
         elif kind == "delete":
             blob = blob[:at] + blob[at + arg:]
@@ -159,3 +177,5 @@ def test_mutated_file_loads_or_raises_its_error(seeds, tmp_path_factory, reader,
     if save is not None:
         save(work / ("again-" + name), loaded)
         assert _equal(load(work / ("again-" + name)), loaded)
+        if reader in _BYTE_EXACT:
+            assert (work / ("again-" + name)).read_bytes() == path.read_bytes()
