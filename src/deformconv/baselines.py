@@ -1,11 +1,12 @@
 """Reference methods the deformable operator is measured against.
 
-Two baselines:
+Two baselines, each with one implementation:
 
   * continuous filters parameterised by a small MLP over the offset
-    (one weight per channel per pair, then a pointwise map), and
-  * voxelise-extend-restrict: average features into a fixed voxel grid,
-    then read each point's cell value back.
+    (one weight per channel per pair, then a pointwise map): PccLayer,
+  * a voxel cell mean: each point receives the mean feature of its cell
+    in a grid fixed in space (cell_mean), then a pointwise map:
+    VoxelConvLayer.
 
 The voxel path is the contrast case: any displacement that stays inside
 a cell is invisible to it, and shifting a cloud across cell boundaries
@@ -113,28 +114,6 @@ def _pcc_aggregate(
     return m, w
 
 
-def pcc_forward(
-    cloud: PointCloud,
-    neighbors: NeighborTable,
-    filt: MlpFilter,
-    pointwise: np.ndarray,
-) -> np.ndarray:
-    """Continuous-filter convolution with MLP-parameterised weights:
-
-    h(y) = pointwise^T sum_{x in N(y)} w_mlp(y - x) * f(x)
-
-    (elementwise product over channels inside the sum)."""
-    pw = np.asarray(pointwise, dtype=np.float64)
-    f = cloud.features
-    if filt.out_dim != f.shape[1]:
-        raise ValueError(
-            f"filter emits {filt.out_dim} channel weights, features have {f.shape[1]}"
-        )
-    if pw.ndim != 2 or pw.shape[0] != f.shape[1]:
-        raise ValueError(f"pointwise must be ({f.shape[1]}, D), got {pw.shape}")
-    return _pcc_aggregate(filt, neighbors, f)[0] @ pw
-
-
 class PccLayer(nn.Layer):
     """Trainable continuous-filter conv layer (MLP filter + pointwise)."""
 
@@ -144,6 +123,9 @@ class PccLayer(nn.Layer):
         super().__init__(*(a for wb in filt.layers for a in wb), pointwise, bias)
         self.radius, self.cap = float(radius), int(cap)
         *self.mlp_params, self.pointwise, self.bias = self.params()
+        if self.pointwise.ndim != 2 or self.pointwise.shape[0] != filt.out_dim:
+            raise ValueError(f"filter emits {filt.out_dim} channel weights, "
+                             f"pointwise map is {self.pointwise.shape}")
 
     def _filter(self) -> MlpFilter:
         return MlpFilter(tuple(zip(self.mlp_params[::2], self.mlp_params[1::2])))
@@ -173,130 +155,53 @@ class PccLayer(nn.Layer):
         return grad_f
 
 
-def _cells(positions: np.ndarray, pitch: float) -> np.ndarray:
-    """World cell of each point, floor(position / pitch): the one binning
-    of the voxel grid, of restrict and of the voxel layer."""
-    return np.floor(positions / pitch).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class VoxelGrid:
-    """Dense voxelisation of a cloud: mean feature and count per cell.
-
-    Cells are cubes of side ``pitch`` anchored at absolute multiples of
-    the pitch (cell of a point = floor(position / pitch)), so the grid
-    is fixed in space rather than attached to the cloud. ``corner`` is
-    the world cell of entry (0,0,0) of the stored array; empty cells
-    hold zeros.
-    """
-
-    corner: np.ndarray  # (3,) int64
-    pitch: float
-    features: np.ndarray  # (nx, ny, nz, D')
-    counts: np.ndarray  # (nx, ny, nz) int64
-
-    def __post_init__(self):
-        for name, dtype in (("corner", np.int64), ("features", np.float64), ("counts", np.int64)):
-            a = np.array(getattr(self, name), dtype=dtype, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        f, c = self.features, self.counts
-        if self.corner.shape != (3,) or f.ndim != 4 or c.shape != f.shape[:3]:
-            raise ValueError("need a (3,) corner, (nx,ny,nz,D') features and matching counts")
-        if not (self.pitch > 0 and np.isfinite(self.pitch)):
-            raise ValueError("pitch must be positive and finite")
-
-    def cell_of(self, positions: np.ndarray) -> np.ndarray:
-        """Index into the stored array of each position's cell."""
-        return _cells(positions, self.pitch) - self.corner
-
-
-def voxelize_extend(cloud: PointCloud, pitch: float, margin: int = 1) -> VoxelGrid:
-    """Average the cloud's features into a world-anchored voxel grid.
-
-    The stored array covers the occupied cell range plus ``margin``
-    empty cells on every side (so slightly displaced clouds still fall
-    inside the same grid).
-    """
+def _checked_pitch(pitch: float) -> float:
     if not (pitch > 0 and np.isfinite(pitch)):
         raise ValueError("pitch must be positive and finite")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    cells = _cells(cloud.positions, pitch)
-    cmin = cells.min(axis=0) - margin
-    cmax = cells.max(axis=0) + margin
-    dims = cmax - cmin + 1
-    total = int(dims[0]) * int(dims[1]) * int(dims[2])
-    if total > 100_000_000:
-        raise ValueError(f"voxel grid would hold {total} cells; pitch too small")
-    rel = cells - cmin
-    flat = (rel[:, 0] * dims[1] + rel[:, 1]) * dims[2] + rel[:, 2]
-    d = cloud.feature_dim
-    sums = _scatter_rows(flat, cloud.features, total)
-    counts = np.bincount(flat, minlength=total).astype(np.int64)
-    feats = np.zeros_like(sums)
-    occupied = counts > 0
-    feats[occupied] = sums[occupied] / counts[occupied, None]
-    return VoxelGrid(
-        corner=cmin,
-        pitch=float(pitch),
-        features=feats.reshape(int(dims[0]), int(dims[1]), int(dims[2]), d),
-        counts=counts.reshape(int(dims[0]), int(dims[1]), int(dims[2])),
-    )
+    return float(pitch)
 
 
-def restrict(grid: VoxelGrid, cloud: PointCloud) -> np.ndarray:
-    """Read each point's cell value back from the grid: (M, D').
+def cell_mean(positions: np.ndarray, values: np.ndarray, pitch: float) -> np.ndarray:
+    """Each point's row of values (M, D') replaced by the mean of the rows
+    of the points in its voxel: (M, D').
 
-    A point whose cell lies outside the stored array is an error: the
-    grid does not extend to it.
+    A point's cell is floor(position / pitch), a cube anchored at absolute
+    multiples of the pitch, so the grid is fixed in space rather than
+    attached to the cloud. Only occupied cells are formed, so memory grows
+    with the point count, not with the cloud's extent. The operator is
+    symmetric, so it is its own adjoint.
     """
-    cells = grid.cell_of(cloud.positions)
-    dims = np.array(grid.features.shape[:3], dtype=np.int64)
-    bad = np.any((cells < 0) | (cells >= dims), axis=1)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"point {i} at {cloud.positions[i].tolist()} falls outside the voxel grid"
-        )
-    return grid.features[cells[:, 0], cells[:, 1], cells[:, 2]]
+    cells = np.floor(positions / _checked_pitch(pitch)).astype(np.int64)
+    _, inv = np.unique(cells, axis=0, return_inverse=True)
+    counts = np.bincount(inv).astype(np.float64)
+    return _scatter_rows(inv, values, counts.shape[0])[inv] / counts[inv, None]
 
 
 class VoxelConvLayer(nn.Layer):
-    """Voxelise-extend-restrict, then a pointwise map, as one layer.
+    """Voxel cell mean, then a pointwise map, as one layer.
 
-    Every point receives the mean feature of its cell (the cells of
-    voxelize_extend), mapped by ``weights`` and ``bias``. The cell-mean
-    operator is symmetric, so it is its own adjoint: each cell's
-    incoming gradient is spread uniformly back over its points.
+    Every point receives the mean feature of its cell (cell_mean), mapped
+    by ``weights`` and ``bias``. The cell mean is its own adjoint: each
+    cell's incoming gradient is spread uniformly back over its points.
     """
 
     kind = "voxel"
 
     def __init__(self, pitch: float, weights, bias):
-        if not (pitch > 0 and np.isfinite(pitch)):
-            raise ValueError("pitch must be positive and finite")
+        self.pitch = _checked_pitch(pitch)
         super().__init__(weights, bias)
-        self.pitch = float(pitch)
         self.weights, self.bias = self.params()
 
     def out_channels(self, in_channels: int) -> int:
         return self._expect_channels(in_channels, *self.weights.shape)
 
     def forward(self, feats, ctx):
-        cells = _cells(ctx.cloud.positions, self.pitch)
-        _, self._inv = np.unique(cells, axis=0, return_inverse=True)
-        self._counts = np.bincount(self._inv).astype(np.float64)
-        self._mean = self._cell_mean(feats)
+        self._mean = cell_mean(ctx.cloud.positions, feats, self.pitch)
         return self._mean @ self.weights + self.bias
 
     def backward(self, upstream, ctx):
         self._accumulate(self._mean.T @ upstream, upstream.sum(axis=0))
-        return self._cell_mean(upstream @ self.weights.T)
-
-    def _cell_mean(self, x: np.ndarray) -> np.ndarray:
-        sums = _scatter_rows(self._inv, x, self._counts.shape[0])
-        return sums[self._inv] / self._counts[self._inv, None]
+        return cell_mean(ctx.cloud.positions, upstream @ self.weights.T, self.pitch)
 
 
 def _in_place_of_conv(record: nn.LayerType) -> dict[str, nn.LayerType]:
@@ -348,15 +253,14 @@ def subvoxel_discrimination(pitch: float, displacement: float, seed: int) -> Sub
     ``displacement`` without leaving its cell, and compares outputs on
     the original and displaced clouds:
 
-      * voxel path: voxelise at ``pitch`` then restrict (diff is 0, the
-        cell contents never change),
+      * voxel path: cell mean at ``pitch`` (diff is 0, the cell contents
+        never change),
       * deformable path: random filter with anchor spacing = pitch
         (diff is nonzero, the offsets moved).
 
     Raises if the displacement cannot avoid a boundary crossing.
     """
-    if not (pitch > 0 and np.isfinite(pitch)):
-        raise ValueError("pitch must be positive and finite")
+    _checked_pitch(pitch)
     if displacement < 0 or displacement >= pitch:
         raise ValueError("displacement must lie in [0, pitch)")
     rng = DetRng(seed)
@@ -380,11 +284,9 @@ def subvoxel_discrimination(pitch: float, displacement: float, seed: int) -> Sub
     moved_pos[target, 0] += displacement
     moved = PointCloud(moved_pos, feats)
 
-    grid_a = voxelize_extend(base, pitch)
-    grid_b = voxelize_extend(moved, pitch)
-    vox_a = restrict(grid_a, base)
-    vox_b = restrict(grid_b, moved)
-    voxel_diff = float(np.max(np.abs(vox_a - vox_b))) if vox_a.size else 0.0
+    vox_a = cell_mean(base.positions, base.features, pitch)
+    vox_b = cell_mean(moved.positions, moved.features, pitch)
+    voxel_diff = float(np.max(np.abs(vox_a - vox_b)))
 
     grid = conv.grid_from_spacing(3, pitch)
     radius = conv.default_radius(grid)

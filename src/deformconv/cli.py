@@ -291,6 +291,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         )
     else:
         raise ConfigError(f"eval.split must be train, test, or all, got {split!r}")
+    if len(dataset) == 0:
+        raise ConfigError(
+            f"eval.split = {split} holds no clouds "
+            f"(data.train = {len(train_set)}, data.test = {len(test_set)})"
+        )
     if dataset.task != ckpt.task:
         raise CheckpointError(
             f"checkpoint task {ckpt.task!r} does not match dataset task {dataset.task!r}"

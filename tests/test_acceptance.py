@@ -179,8 +179,8 @@ def test_5_subvoxel_discrimination():
     feats = rng.normal(size=(2, 3))
     cloud = pointcloud.PointCloud(pos, feats)
     moved = pointcloud.PointCloud(pos + np.array([0.1, 0.0, 0.0]), feats)
-    vox_before = baselines.restrict(baselines.voxelize_extend(cloud, 0.2), cloud)
-    vox_after = baselines.restrict(baselines.voxelize_extend(moved, 0.2), moved)
+    vox_before = baselines.cell_mean(cloud.positions, cloud.features, 0.2)
+    vox_after = baselines.cell_mean(moved.positions, moved.features, 0.2)
     vox_jump = float(np.max(np.abs(vox_after - vox_before)))
 
     grid = conv.grid_from_spacing(3, 0.2)

@@ -1,10 +1,12 @@
-"""Reference baselines: MLP-filter continuous conv and voxelize/restrict."""
+"""Reference baselines: MLP-filter continuous conv and the voxel cell mean."""
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from deformconv import baselines, conv, nn, pointcloud, spatial
+from deformconv import baselines, conv, nn, pointcloud
 from deformconv.rng import DetRng
 from conftest import fd_grad, grad_rel, neighbor_table, random_cloud, rel_err
 
@@ -45,6 +47,8 @@ class TestMlpFilter:
 
 
 class TestPccForward:
+    # PccLayer.forward with a zero bias: h(y) = pointwise^T sum_{x in N(y)}
+    # w_mlp(y - x) * f(x), the product taken channel by channel
     def _instance(self, seed=0, m=20, d_in=2, d_out=3):
         rng = np.random.default_rng(seed)
         cloud = random_cloud(rng, m, d_in, extent=0.5)
@@ -53,15 +57,18 @@ class TestPccForward:
         table = neighbor_table(cloud, 0.7, 12)
         return cloud, table, filt, pointwise
 
+    @staticmethod
+    def _forward(cloud, filt, pointwise, radius=0.7, cap=12):
+        layer = baselines.PccLayer(radius, cap, filt, pointwise, np.zeros(pointwise.shape[1]))
+        return layer.forward(cloud.features, nn.LayerContext(cloud))
+
     def test_single_point_worked_example(self):
         filt = _mlp(out_dim=2)
         pos = np.zeros((1, 3))
         feats = np.array([[2.0, -1.0]])
         cloud = pointcloud.PointCloud(positions=pos, features=feats)
-        index = spatial.build_index(pos, 0.7)
-        table = spatial.radius_neighbors(index, pos, 0.7, 4)
         pointwise = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
-        out = baselines.pcc_forward(cloud, table, filt, pointwise)
+        out = self._forward(cloud, filt, pointwise, cap=4)
         u = baselines.mlp_eval(filt, np.zeros((1, 3)))[0]
         expect = (u * feats[0]) @ pointwise
         assert np.allclose(out[0], expect, atol=1e-15)
@@ -69,7 +76,7 @@ class TestPccForward:
     def test_matches_direct_reevaluation(self):
         for seed in range(4):
             cloud, table, filt, pointwise = self._instance(seed)
-            out = baselines.pcc_forward(cloud, table, filt, pointwise)
+            out = self._forward(cloud, filt, pointwise)
             expect = np.zeros_like(out)
             for q in range(table.num_queries):
                 idx, offs = table.neighbors_of(q)
@@ -81,23 +88,22 @@ class TestPccForward:
 
     def test_translation_and_permutation_equivariance(self):
         rng = np.random.default_rng(6)
-        cloud, table, filt, pointwise = self._instance(6, m=24)
-        base = baselines.pcc_forward(cloud, table, filt, pointwise)
+        cloud, _, filt, pointwise = self._instance(6, m=24)
+        base = self._forward(cloud, filt, pointwise)
         moved = cloud.translated(np.array([40.0, -7.0, 2.0]))
-        out = baselines.pcc_forward(
-            moved, neighbor_table(moved, 0.7, 12), filt, pointwise)
+        out = self._forward(moved, filt, pointwise)
         assert rel_err(out, base) <= 1e-9
         perm = rng.permutation(cloud.num_points)
         shuffled = pointcloud.PointCloud(positions=cloud.positions[perm],
                                          features=cloud.features[perm])
-        out2 = baselines.pcc_forward(
-            shuffled, neighbor_table(shuffled, 0.7, 12), filt, pointwise)
+        out2 = self._forward(shuffled, filt, pointwise)
         assert rel_err(out2, base[perm]) <= 1e-9
 
     def test_dim_mismatch_rejected(self):
-        cloud, table, filt, pointwise = self._instance(1)
-        with pytest.raises(ValueError):
-            baselines.pcc_forward(cloud, table, filt, pointwise[:1])
+        # the MLP emits 2 channel weights; a 1-row pointwise map takes 1 channel
+        _, _, filt, pointwise = self._instance(1)
+        with pytest.raises(ValueError, match="filter emits 2 channel weights"):
+            baselines.PccLayer(0.7, 12, filt, pointwise[:1], np.zeros(3))
 
 
 class TestPccLayerGradients:
@@ -136,73 +142,62 @@ class TestPccLayerGradients:
 
 class TestVoxelize:
     def test_one_point_one_cell(self):
-        cloud = pointcloud.PointCloud(positions=np.array([[0.05, 0.25, -0.15]]),
-                                      features=np.array([[7.0]]))
-        grid = baselines.voxelize_extend(cloud, 0.2)
-        occupied = np.nonzero(grid.counts)
-        assert len(occupied[0]) == 1
-        assert grid.features[occupied][0] == 7.0
+        out = baselines.cell_mean(np.array([[0.05, 0.25, -0.15]]), np.array([[7.0]]), 0.2)
+        assert np.array_equal(out, [[7.0]])
 
     def test_same_cell_mean(self):
-        cloud = pointcloud.PointCloud(
-            positions=np.array([[0.05, 0.05, 0.05], [0.15, 0.05, 0.05]]),
-            features=np.array([[1.0], [3.0]]))
-        grid = baselines.voxelize_extend(cloud, 0.2)
-        cell = grid.cell_of(cloud.positions)
-        assert np.array_equal(cell[0], cell[1])
-        back = baselines.restrict(grid, cloud)
-        assert np.array_equal(back, [[2.0], [2.0]])
+        pos = np.array([[0.05, 0.05, 0.05], [0.15, 0.05, 0.05]])
+        out = baselines.cell_mean(pos, np.array([[1.0], [3.0]]), 0.2)
+        assert np.array_equal(out, [[2.0], [2.0]])
 
     def test_within_cell_move_identical_grids(self):
         rng = np.random.default_rng(4)
         pos = rng.uniform(0.01, 0.19, (12, 3)) + rng.integers(0, 3, (12, 3)) * 0.2
         feats = rng.normal(size=(12, 2))
-        a = pointcloud.PointCloud(positions=pos, features=feats)
         moved = pos.copy()
         moved[5] = moved[5] + np.array([0.004, -0.003, 0.002])  # stays in cell
-        b = pointcloud.PointCloud(positions=moved, features=feats)
-        ga = baselines.voxelize_extend(a, 0.2)
-        gb = baselines.voxelize_extend(b, 0.2)
-        assert np.array_equal(ga.features, gb.features)
-        assert np.array_equal(ga.counts, gb.counts)
+        assert np.array_equal(baselines.cell_mean(pos, feats, 0.2),
+                              baselines.cell_mean(moved, feats, 0.2))
 
-    def test_extend_restrict_identity_one_point_per_cell(self):
+    def test_identity_one_point_per_cell(self):
         pos = np.array([[0.1, 0.1, 0.1], [0.5, 0.1, 0.1], [0.1, 0.7, 0.3]])
         feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        cloud = pointcloud.PointCloud(positions=pos, features=feats)
-        grid = baselines.voxelize_extend(cloud, 0.2)
-        assert np.array_equal(baselines.restrict(grid, cloud), feats)
+        assert np.array_equal(baselines.cell_mean(pos, feats, 0.2), feats)
 
-    def test_restrict_matches_index_recompute(self):
+    def test_matches_per_point_oracle(self):
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, 40, 3, extent=0.9)
-        grid = baselines.voxelize_extend(cloud, 0.25)
-        got = baselines.restrict(grid, cloud)
-        cells = np.floor(cloud.positions / 0.25).astype(np.int64)
+        got = baselines.cell_mean(cloud.positions, cloud.features, 0.25)
+        cells = np.floor(cloud.positions / 0.25)
         for i in range(40):
-            c = cells[i] - grid.corner
-            assert np.array_equal(got[i], grid.features[c[0], c[1], c[2]])
-
-    def test_restrict_outside_errors(self):
-        cloud = pointcloud.PointCloud(positions=np.zeros((1, 3)),
-                                      features=np.ones((1, 1)))
-        grid = baselines.voxelize_extend(cloud, 0.2)
-        far = pointcloud.PointCloud(positions=np.array([[5.0, 0.0, 0.0]]),
-                                    features=np.ones((1, 1)))
-        with pytest.raises(ValueError):
-            baselines.restrict(grid, far)
+            same = np.all(cells == cells[i], axis=1)
+            assert np.allclose(got[i], cloud.features[same].mean(axis=0), rtol=0, atol=1e-15)
 
     def test_pitch_validated(self):
-        cloud = pointcloud.PointCloud(positions=np.zeros((1, 3)),
-                                      features=np.ones((1, 1)))
-        with pytest.raises(ValueError):
-            baselines.voxelize_extend(cloud, 0.0)
+        for pitch in (0.0, -0.2, np.inf, np.nan):
+            with pytest.raises(ValueError, match="pitch must be positive and finite"):
+                baselines.cell_mean(np.zeros((1, 3)), np.ones((1, 1)), pitch)
+
+    def test_memory_grows_with_points_not_extent(self):
+        # 20,000 points 60 m wide at a 0.05 m pitch span about 1.7e9 cells;
+        # only the occupied ones may be formed
+        rng = np.random.default_rng(11)
+        pos = rng.uniform(-30.0, 30.0, (20_000, 3))
+        feats = rng.normal(size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            out = baselines.cell_mean(pos, feats, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == feats.shape
+        assert peak <= 8 * (pos.nbytes + feats.nbytes)
 
 
 class TestVoxelNotTranslationEquivariant:
     def test_constructive_boundary_crossing(self):
         # two points share a cell; a +0.1 shift along x splits them,
-        # changing the restricted features. The deformable path moves
+        # changing their cell means. The deformable path moves
         # with the cloud and stays put.
         pos = np.array([[0.04, 0.05, 0.05], [0.16, 0.05, 0.05]])
         feats = np.array([[1.0], [3.0]])
@@ -210,8 +205,8 @@ class TestVoxelNotTranslationEquivariant:
         shift = np.array([0.1, 0.0, 0.0])
         moved = cloud.translated(shift)
 
-        base = baselines.restrict(baselines.voxelize_extend(cloud, 0.2), cloud)
-        after = baselines.restrict(baselines.voxelize_extend(moved, 0.2), moved)
+        base = baselines.cell_mean(cloud.positions, feats, 0.2)
+        after = baselines.cell_mean(moved.positions, feats, 0.2)
         assert float(np.max(np.abs(after - base))) > 0.5  # mean 2.0 splits to 1 and 3
 
         filt = conv.DeformableFilter(
@@ -224,28 +219,27 @@ class TestVoxelNotTranslationEquivariant:
 
 
 class TestVoxelConvLayer:
-    def test_forward_equals_voxelize_restrict(self):
+    def test_forward_equals_cell_mean(self):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, 30, 2, extent=0.8)
         layer = baselines.VoxelConvLayer(0.2, np.eye(2), np.zeros(2))
         got = layer.forward(cloud.features, nn.LayerContext(cloud))
-        grid = baselines.voxelize_extend(cloud, 0.2)
-        assert np.array_equal(got, baselines.restrict(grid, cloud))
+        assert np.array_equal(got, baselines.cell_mean(cloud.positions, cloud.features, 0.2))
 
     def test_points_on_pitch_multiples(self):
         # x / 0.2 rounds below an integer for some multiples of 0.2 (a
-        # point at x = -1.8 is binned in cell -10), so the grid, restrict
-        # and the layer must all bin with the same floor(x / pitch)
+        # point at x = -1.8 is binned in cell -10), so the cell mean must
+        # bin with the same floor(x / pitch) as the oracle below
         ticks = np.arange(-40, 41) / 5.0
         rng = np.random.default_rng(12)
         for x in ticks:
             lone = pointcloud.PointCloud(positions=np.array([[x, -x, 0.0]]),
                                          features=np.array([[x + 1.0]]))
-            grid = baselines.voxelize_extend(lone, 0.2)
-            assert np.array_equal(baselines.restrict(grid, lone), lone.features)
+            assert np.array_equal(
+                baselines.cell_mean(lone.positions, lone.features, 0.2), lone.features)
         pos = np.stack([ticks, ticks[::-1], np.roll(ticks, 7)], axis=1)
         cloud = pointcloud.PointCloud(positions=pos, features=rng.normal(size=(81, 2)))
-        got = baselines.restrict(baselines.voxelize_extend(cloud, 0.2), cloud)
+        got = baselines.cell_mean(pos, cloud.features, 0.2)
         cells = np.floor(pos / 0.2)
         for i in range(81):
             same = np.all(cells == cells[i], axis=1)

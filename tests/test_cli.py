@@ -900,13 +900,26 @@ eval.checkpoint = {ckpt}
         assert text.count("layer.2.out = 2\n") == 1
         return _write(tmp_path / "wide.cfg", text.replace("layer.2.out = 2\n", "layer.2.out = 3\n"))
 
-    @pytest.mark.parametrize("command", ["train", "eval", "compare-baselines"])
-    def test_class_count_mismatch_is_config_error(self, tmp_path, capsys, command):
+    _WIDE = "bad layer configuration: stack emits 3 channels but dataset has 2 classes"
+
+    @pytest.mark.parametrize("command,edit,message", [
+        ("train", None, _WIDE),
+        ("eval", None, _WIDE),
+        ("compare-baselines", None, _WIDE),
+        # an empty chosen split is the config's doing, and is found first
+        ("eval", ("data.test = 1\n", "data.test = 0\n"),
+         "eval.split = test holds no clouds (data.train = 2, data.test = 0)"),
+    ], ids=["train", "eval", "compare-baselines", "eval-empty-split"])
+    def test_class_count_mismatch_is_config_error(self, tmp_path, capsys, command, edit,
+                                                  message):
         cfg = self._three_channel_config(tmp_path, command)
+        if edit is not None:
+            with open(cfg, encoding="ascii") as fh:
+                text = fh.read()
+            assert text.count(edit[0]) == 1
+            cfg = _write(tmp_path / "edited.cfg", text.replace(*edit))
         assert cli.main([command, "--config", cfg]) == 1
-        assert capsys.readouterr().err == (
-            "config error: bad layer configuration: "
-            "stack emits 3 channels but dataset has 2 classes\n")
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not any(p.is_dir() for p in tmp_path.iterdir())  # no output directory
 
     def test_corrupt_data_file_is_data_error(self, tmp_path):
