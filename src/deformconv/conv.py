@@ -28,7 +28,9 @@ Two implementations of the forward pass are kept side by side:
     pairs whose weight is zero at all eight corners are left out of the
     map. Both filters run in query blocks and one input channel at a
     time on that map, and threads > 1 spreads the full filter's (block,
-    channel) parts over a thread pool.
+    channel) parts over a thread pool. The full filter's backward reads
+    each part's anchor sums from the list its forward kept, when given
+    one, and rebuilds them otherwise, with the same bits either way.
   * oracle_forward_features: a deliberately naive full scan over all
     k^3 anchors for every pair. It exists to cross-check the fast path
     and is used by tests and the benchmark command.
@@ -398,7 +400,7 @@ def _kernel_map(table: NeighborTable, grid: AnchorGrid):
 
 
 def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, work,
-                   threads: int = 1):
+                   threads: int = 1, sums=None):
     """(i, rows, pairs, work(i, rows, pairs, keys, S)) for every part of
     the full operator, in part order.
 
@@ -410,29 +412,39 @@ def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, w
         S[q, a] = sum over the (pair, corner)s of q at anchor a of
                   trilinear weight * f_i(neighbour),
 
-    one bincount adding in ascending (corner, pair) order. Blocks are cut
-    so that keys, the (8, pairs) values and S each hold at most the block
-    budget (``spatial._spans``). With threads > 1 a block's channels run
-    on a thread pool; results are still yielded in part order, so callers
-    that add them in that order get bit-identical sums for any thread
-    count.
+    one bincount adding in ascending (corner, pair) order, or read from
+    ``sums``, the list of every part's S in part order that a forward
+    kept (ValueError when their count or shapes do not match the parts).
+    Blocks are cut so that keys, the (8, pairs) values and S each hold at
+    most the block budget (``spatial._spans``). With threads > 1 a
+    block's channels run on a thread pool; results are still yielded in
+    part order, so callers that add them in that order get bit-identical
+    sums for any thread count.
     """
     starts, nbr, ids, w = _kernel_map(neighbors, filt.grid)
     num_anchors = filt.grid.num_anchors
+    blocks = spatial._spans(8 * starts, num_anchors)
+    if sums is not None:
+        shapes = [(q1 - q0, num_anchors) for q0, q1 in blocks for _ in range(filt.in_dim)]
+        if [np.shape(s) for s in sums] != shapes:
+            raise ValueError(f"{len(sums)} kept anchor sums do not match the "
+                             f"{len(shapes)} parts of this table and filter")
+    kept = iter(sums or ())
 
     def run(part):
-        i, (rows, pairs, keys) = part
-        vals = w[:, pairs] * features[nbr[pairs], i]
-        size = (rows.stop - rows.start) * num_anchors
-        s = np.bincount(keys.ravel(), vals.ravel(), minlength=size).reshape(-1, num_anchors)
+        i, (rows, pairs, keys, s) = part
+        if s is None:
+            vals = w[:, pairs] * features[nbr[pairs], i]
+            size = (rows.stop - rows.start) * num_anchors
+            s = np.bincount(keys.ravel(), vals.ravel(), minlength=size).reshape(-1, num_anchors)
         return i, rows, pairs, work(i, rows, pairs, keys, s)
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for q0, q1 in spatial._spans(8 * starts, num_anchors):
+        for q0, q1 in blocks:
             rows, pairs = slice(q0, q1), slice(starts[q0], starts[q1])
             local = np.arange(q1 - q0) * num_anchors
             keys = np.repeat(local, np.diff(starts[q0:q1 + 1])) + ids[:, pairs]
-            parts = [(i, (rows, pairs, keys)) for i in range(filt.in_dim)]
+            parts = [(i, (rows, pairs, keys, next(kept, None))) for i in range(filt.in_dim)]
             yield from (pool.map if pool else map)(run, parts)
 
 
@@ -463,6 +475,7 @@ def forward_features(
     neighbors: NeighborTable,
     filt: DeformableFilter,
     threads: int = 1,
+    sums: list | None = None,
 ) -> np.ndarray:
     """Fast-path convolution of an (M, D') feature matrix; one output
     row per query.
@@ -471,15 +484,20 @@ def forward_features(
     S_i from the kernel map, contracted with anchor weights[:, i, :] and
     added into the block's rows, h[q] = sum_{i,a} S_i[q, a] *
     weights[a, i, :] (+ bias). threads > 1 runs the parts on a pool.
+    Given a list ``sums``, each part's S_i is appended to it in part
+    order, for a backward_features that follows to read.
     """
     features, _ = _check_args(features, neighbors, filt)
     out = np.zeros((neighbors.num_queries, filt.out_dim))
 
     def work(i, rows, pairs, keys, s):
-        return s @ filt.weights[:, i]
+        return s @ filt.weights[:, i], s if sums is not None else None
 
-    for _, rows, _, h in _channel_parts(features, neighbors, filt, work, threads):
+    # appended here, as the parts arrive in order, never on the pool
+    for _, rows, _, (h, s) in _channel_parts(features, neighbors, filt, work, threads):
         out[rows] += h
+        if sums is not None:
+            sums.append(s)
     if filt.bias is not None:
         out += filt.bias
     return out
@@ -512,15 +530,21 @@ def backward_features(
     neighbors: NeighborTable,
     filt: DeformableFilter,
     upstream: np.ndarray,
+    sums: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum(upstream * forward) w.r.t. features, weights, bias.
 
-    Runs the forward pass's parts again. Per part (query block, input
-    channel i): grad_weights[:, i] gains S_i^T @ upstream; each pair
-    blends (upstream @ weights[:, i, :]^T) of its query over its corners,
-    and one bincount over neighbour ids adds those into grad_features[:,
-    i]. grad_bias is the column sum of upstream. Parts add in a fixed
-    order, so repeated runs are bit-identical.
+    Walks the forward pass's parts. Each part's anchor sums S_i are kept
+    or rebuilt: read from ``sums`` when given (the list that
+    forward_features kept on the same features, table and grid; a list
+    whose count or shapes do not match the parts raises ValueError), else
+    rebuilt with the forward's bincount, so both give the same bits. Per
+    part (query block, input channel i): grad_weights[:, i] gains S_i^T @
+    upstream; each pair blends (upstream @ weights[:, i, :]^T) of its
+    query over its corners, and one bincount over neighbour ids adds
+    those into grad_features[:, i]. grad_bias is the column sum of
+    upstream. Parts add in a fixed order, so repeated runs are
+    bit-identical.
     """
     features, up = _check_args(features, neighbors, filt, upstream)
     _, nbr, _, w = _kernel_map(neighbors, filt.grid)
@@ -532,7 +556,7 @@ def backward_features(
         dsum = (up[rows] @ filt.weights[:, i].T).ravel()
         return s.T @ up[rows], np.einsum("cp,cp->p", w[:, pairs], dsum.take(keys))
 
-    for i, _, pairs, (gw, g) in _channel_parts(features, neighbors, filt, work):
+    for i, _, pairs, (gw, g) in _channel_parts(features, neighbors, filt, work, sums=sums):
         grad_w[:, i] += gw
         grad_f[:, i] += np.bincount(nbr[pairs], g, minlength=features.shape[0])
     return grad_f, grad_w, up.sum(axis=0)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import conv
+from . import conv, spatial
 from .conv import ConvLayerSpec, DeformableFilter, SeparableFilter
 from .pointcloud import CLASSIFICATION, SEGMENTATION, Dataset, PointCloud
 from .rng import DetRng
@@ -26,12 +26,16 @@ class LayerContext:
 
     Caches neighbour tables keyed by (radius, cap) so several conv
     layers with the same geometry share one search, and so a table can
-    be reused across epochs when the context is kept around.
+    be reused across epochs when the context is kept around. ``training``
+    is True only during a forward that a backward follows: train_stack
+    sets it around each training forward, so scoring forwards on the same
+    context keep no anchor sums.
     """
 
     def __init__(self, cloud: PointCloud, threads: int = 1):
         self.cloud = cloud
         self.threads = threads
+        self.training = False
         self._tables: dict[tuple[float, int], NeighborTable] = {}
 
     def table_for(self, radius: float, cap: int) -> NeighborTable:
@@ -88,12 +92,22 @@ class Layer:
 
 
 class DeformConvLayer(Layer):
+    """Full deformable convolution on the context's (radius, cap) table.
+
+    A training forward (``ctx.training``) keeps its anchor sums when the
+    layer's in x queries x k^3 sums fit the block budget
+    (``spatial._BLOCK_VALUES``); the backward reads and releases them.
+    Every forward first drops an earlier forward's sums, so none is read
+    stale.
+    """
+
     kind = "deformable"
 
     def __init__(self, spec: ConvLayerSpec, weights: np.ndarray, bias: np.ndarray):
         super().__init__(weights, bias)
         self.spec = spec
         self.weights, self.bias = self.params()
+        self._sums = None
 
     def out_channels(self, in_channels: int) -> int:
         return self._expect_channels(in_channels, *self.weights.shape[1:])
@@ -102,13 +116,19 @@ class DeformConvLayer(Layer):
         return DeformableFilter(self.spec.grid, self.weights, self.bias)
 
     def forward(self, feats, ctx):
-        self._feats = feats
+        self._feats, self._sums = feats, None
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        return conv.forward_features(feats, table, self._filter(), threads=ctx.threads)
+        size = feats.shape[1] * table.num_queries * self.spec.grid.num_anchors
+        sums = [] if ctx.training and size <= spatial._BLOCK_VALUES else None
+        out = conv.forward_features(feats, table, self._filter(), threads=ctx.threads, sums=sums)
+        self._sums = sums
+        return out
 
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        gf, *grads = conv.backward_features(self._feats, table, self._filter(), upstream)
+        sums, self._sums = self._sums, None
+        gf, *grads = conv.backward_features(self._feats, table, self._filter(), upstream,
+                                            sums=sums)
         self._accumulate(*grads)
         return gf
 
@@ -606,7 +626,9 @@ def train_stack(
         for pos in order:
             cloud = train_set.clouds[int(pos)]
             ctx = contexts[int(pos)]
+            ctx.training = True  # the backward below reads the kept sums
             logits = stack.forward(cloud, ctx)
+            ctx.training = False
             loss, grad = cross_entropy(logits, _targets(cloud, train_set.task))
             if not np.isfinite(loss):
                 raise _diverged(epoch, state.step + 1, "non-finite loss")

@@ -178,7 +178,7 @@ def _untied_capped_instance(seed: int, m: int, cap: int, separable: bool):
 
 def _multi_block_instance(seed: int, d_out: int = 4):
     """A 10,240-pair k = 7 table with 24 input channels: the full operator
-    runs it as 24 parts, one per channel."""
+    runs it as two query blocks of 24 parts, one per channel."""
     rng = np.random.default_rng(seed)
     cloud = random_cloud(rng, 640, 24, extent=1.0)
     filt = random_filter(rng, 7, 0.2, 24, d_out)
@@ -200,7 +200,7 @@ def _record_parts(monkeypatch) -> tuple[list, list]:
     class Pool(real_pool):
         def map(self, fn, *iterables, **kwargs):
             items = list(iterables[0])
-            pooled.append([(i, rows.start, rows.stop) for i, (rows, _, _) in items])
+            pooled.append([(i, rows.start, rows.stop) for i, (rows, _, _, _) in items])
             return super().map(fn, items, **kwargs)
 
     monkeypatch.setattr(conv, "_channel_parts", recording)
@@ -208,20 +208,28 @@ def _record_parts(monkeypatch) -> tuple[list, list]:
     return parts, pooled
 
 
-def _forward_on_threads(monkeypatch, feats, table, filt) -> tuple[np.ndarray, list]:
-    """The forward on 1, 2 and 4 threads, checked bit-identical, with the
-    threaded runs mapping every part on their pool (one map per query
-    block) and several parts; returns it and the list that keeps
-    recording parts (see _record_parts)."""
+def _forward_on_threads(monkeypatch, feats, table, filt) -> tuple[np.ndarray, list, list]:
+    """The keeping forward on 1, 2 and 4 threads, checked bit-identical,
+    with the threaded runs mapping every part on their pool (one map per
+    query block) and several parts, and keeping equal anchor sums in part
+    order; returns it, the list that keeps recording parts (see
+    _record_parts) and the 1-thread forward's kept sums."""
     parts, pooled = _record_parts(monkeypatch)
-    one = conv.forward_features(feats, table, filt, threads=1)
+    sums = []
+    one = conv.forward_features(feats, table, filt, threads=1, sums=sums)
     assert not pooled and len(parts) > 1
     single = list(parts)
+    assert [s.shape for s in sums] == [(q1 - q0, filt.grid.num_anchors) for _, q0, q1 in single]
+    assert np.array_equal(conv.forward_features(feats, table, filt), one)
     for threads in (2, 4):
-        assert np.array_equal(conv.forward_features(feats, table, filt, threads=threads), one)
+        kept = []
+        assert np.array_equal(
+            conv.forward_features(feats, table, filt, threads=threads, sums=kept), one)
         assert [part for block in pooled for part in block] == single
+        assert len(kept) == len(sums)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, sums))
         pooled.clear()
-    return one, parts
+    return one, parts, sums
 
 
 def _adjoint_gap(lhs: float, grad: np.ndarray, x: np.ndarray) -> float:
@@ -370,7 +378,7 @@ class TestForward:
 
     def test_threads_equivalent(self, monkeypatch):
         feats, table, filt, _ = _multi_block_instance(8)
-        out, _ = _forward_on_threads(monkeypatch, feats, table, filt)
+        out, _, _ = _forward_on_threads(monkeypatch, feats, table, filt)
         assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
 
     def test_feature_dim_mismatch_rejected(self):
@@ -522,7 +530,7 @@ class TestBackward:
     def test_adjoint_identity_multi_block(self, monkeypatch):
         feats, table, filt, rng = _multi_block_instance(12)
         up = rng.normal(size=(table.num_queries, filt.out_dim))
-        out, _ = _forward_on_threads(monkeypatch, feats, table, filt)
+        out, _, _ = _forward_on_threads(monkeypatch, feats, table, filt)
         assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
         gf, gw, _ = conv.backward_features(feats, table, filt, up)
         lhs = float(np.sum(up * out))
@@ -540,7 +548,7 @@ class TestBackward:
         blocks = spatial._spans(8 * starts, filt.grid.num_anchors)
         assert len(blocks) > 1
         up = rng.normal(size=(table.num_queries, filt.out_dim))
-        out, parts = _forward_on_threads(monkeypatch, cloud.features, table, filt)
+        out, parts, _ = _forward_on_threads(monkeypatch, cloud.features, table, filt)
         assert rel_err(out, conv.oracle_forward_features(cloud.features, table, filt)) <= 1e-12
         parts.clear()
         gf, gw, _ = conv.backward_features(cloud.features, table, filt, up)
@@ -555,6 +563,56 @@ class TestBackward:
         one_f, one_w, _ = conv.backward_features(cloud.features, table, filt, up)
         assert {(q0, q1) for _, q0, q1 in parts} == {(0, table.num_queries)}
         assert rel_err(gf, one_f) <= 1e-12 and rel_err(gw, one_w) <= 1e-12
+
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    def test_kept_sums_give_the_same_bits(self, monkeypatch, blocks):
+        # test_several_query_blocks' instance, with a budget that holds
+        # every query in one block or the default one that cuts several
+        rng = np.random.default_rng(21)
+        cloud = random_cloud(rng, 1600, 2, extent=1.5)
+        filt = random_filter(rng, 7, 0.2, 2, 3, bias=True)
+        table = neighbor_table(cloud, conv.default_radius(filt.grid), 8)
+        starts = conv._kernel_map(table, filt.grid)[0]
+        if blocks == "one":
+            monkeypatch.setattr(spatial, "_BLOCK_VALUES", max(
+                table.num_queries * filt.grid.num_anchors, 8 * int(starts[-1])))
+        count = len(spatial._spans(8 * starts, filt.grid.num_anchors))
+        assert (count == 1) == (blocks == "one")
+        up = rng.normal(size=(table.num_queries, filt.out_dim))
+        sums = []
+        conv.forward_features(cloud.features, table, filt, sums=sums)
+        assert len(sums) == count * filt.in_dim
+        kept = conv.backward_features(cloud.features, table, filt, up, sums=sums)
+        rebuilt = conv.backward_features(cloud.features, table, filt, up)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, rebuilt))
+        # the sums given are the ones read: zero sums zero only grad_weights
+        zero = [np.zeros_like(s) for s in sums]
+        gf, gw, gb = conv.backward_features(cloud.features, table, filt, up, sums=zero)
+        assert np.array_equal(gf, rebuilt[0]) and np.array_equal(gb, rebuilt[2])
+        assert not np.any(gw)
+
+    @pytest.mark.parametrize("source", ["other table", "other k", "one part short",
+                                        "one part extra"])
+    def test_mismatched_sums_rejected(self, source):
+        rng = np.random.default_rng(22)
+        cloud = random_cloud(rng, 30, 2, extent=0.5)
+        filt = random_filter(rng, 3, 0.2, 2, 3)
+        table = neighbor_table(cloud, conv.default_radius(filt.grid), 8)
+        up = rng.normal(size=(table.num_queries, filt.out_dim))
+        sums = []
+        if source == "other table":
+            other = random_cloud(rng, 20, 2, extent=0.5)
+            conv.forward_features(other.features, neighbor_table(other, table.radius, 8),
+                                  filt, sums=sums)
+        elif source == "other k":
+            k5 = random_filter(rng, 5, 0.2, 2, 3)
+            k5_table = neighbor_table(cloud, conv.default_radius(k5.grid), 8)
+            conv.forward_features(cloud.features, k5_table, k5, sums=sums)
+        else:
+            conv.forward_features(cloud.features, table, filt, sums=sums)
+            sums = sums[:-1] if source == "one part short" else sums + sums[:1]
+        with pytest.raises(ValueError, match="kept anchor sums"):
+            conv.backward_features(cloud.features, table, filt, up, sums=sums)
 
     def test_upstream_shape_rejected(self):
         feats, w, b, build, table, up = self._instance(8)

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from deformconv import baselines, cli, conv, nn, pointcloud
+from deformconv import baselines, cli, conv, nn, pointcloud, spatial
 from deformconv.rng import DetRng
 from conftest import fd_grad, grad_rel, neighbor_table, random_cloud
 
@@ -299,6 +299,138 @@ class TestDeformConvLayer:
         for p, g in zip(layer.params(), grads):
             assert grad_rel(g, fd_grad(loss, p)) <= 1e-6
         assert grad_rel(grad_f, fd_grad(loss, feats)) <= 1e-6
+
+
+def _two_conv_specs(d_in=2):
+    """A skip-wrapped deformable layer and a plain one."""
+    conv_spec = {"type": "deformable", "k": 3, "a": [0.2, 0.2, 0.2], "r": None, "cap": 8}
+    return [
+        {**conv_spec, "in": d_in, "out": 2, "skip": 1},
+        {"type": "relu"},
+        {**conv_spec, "in": d_in + 2, "out": 3, "skip": 0},
+        {"type": "relu"},
+        {"type": "linear", "in": 3, "out": 2},
+    ]
+
+
+def _conv_layers(stack) -> list:
+    return [l for l in (getattr(l, "inner", l) for l in stack.layers)
+            if isinstance(l, nn.DeformConvLayer)]
+
+
+class TestKeptSums:
+    """A training forward keeps each deformable layer's anchor sums for
+    the backward that follows; no other forward keeps any."""
+
+    def _training_forward(self, stack, cloud, ctx):
+        ctx.training = True
+        logits = stack.forward(cloud, ctx)
+        ctx.training = False
+        return logits
+
+    def test_backward_releases_the_sums(self):
+        rng = np.random.default_rng(30)
+        cloud = _seg_cloud(rng, 20)
+        stack = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
+        ctx = nn.LayerContext(cloud)
+        logits = self._training_forward(stack, cloud, ctx)
+        assert all(l._sums for l in _conv_layers(stack))
+        stack.backward(nn.cross_entropy(logits, cloud.labels)[1], ctx)
+        assert all(l._sums is None for l in _conv_layers(stack))
+
+    def test_scoring_forwards_keep_none(self):
+        ds = _seg_dataset(seed=31, n=3, m=20)
+        stack = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
+        for score in (lambda: nn.evaluate(stack, ds),
+                      lambda: nn.stack_forward(stack, ds.clouds[0])):
+            cloud = ds.clouds[-1]
+            self._training_forward(stack, cloud, nn.LayerContext(cloud))
+            score()
+            assert all(l._sums is None for l in _conv_layers(stack))
+
+    def test_train_stack_keeps_on_training_forwards_only(self, monkeypatch):
+        # scoring the training set reuses the training contexts
+        ds = _seg_dataset(seed=32, n=3, m=20)
+        stack = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
+        kept, real = [], conv.forward_features
+
+        def recording(*args, sums=None, **kwargs):
+            kept.append(sums is not None)
+            return real(*args, sums=sums, **kwargs)
+
+        monkeypatch.setattr(conv, "forward_features", recording)
+        nn.train_stack(stack, ds, lr=1e-3, weight_decay=0.0, epochs=2, batch_size=2,
+                       rng=DetRng(0))
+        # per epoch: 3 training forwards, then 3 scoring forwards, 2 layers each
+        assert kept == ([True] * 6 + [False] * 6) * 2
+
+    def test_eval_forward_drops_stale_sums(self):
+        rng = np.random.default_rng(33)
+        first, second = _seg_cloud(rng, 20), _seg_cloud(rng, 14)
+        up = rng.normal(size=(second.num_points, 2))
+
+        def eval_forward_then_backward(stack):
+            ctx = nn.LayerContext(second)
+            stack.forward(second, ctx)
+            return [stack.backward(up, ctx)] + [g.copy() for g in stack.gradients()]
+
+        kept = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
+        self._training_forward(kept, first, nn.LayerContext(first))
+        plain = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
+        assert all(np.array_equal(a, b) for a, b in zip(eval_forward_then_backward(kept),
+                                                        eval_forward_then_backward(plain)))
+
+    def test_layer_over_the_budget_keeps_none(self, monkeypatch):
+        # 2,500 points x 27 anchors: 1 input channel fits the 2^17-value
+        # block budget, 3 do not
+        rng = np.random.default_rng(34)
+        cloud = _seg_cloud(rng, 2500, dim=1)
+        stack = nn.build_stack(_two_conv_specs(d_in=1), "segmentation", rng=DetRng(3))
+        sizes = [l.weights.shape[1] * cloud.num_points * 27 for l in _conv_layers(stack)]
+        assert sizes[0] <= spatial._BLOCK_VALUES < sizes[1]
+        self._training_forward(stack, cloud, nn.LayerContext(cloud))
+        assert [l._sums is not None for l in _conv_layers(stack)] == [True, False]
+        # the budget bounds the sums a layer keeps, at its exact size
+        monkeypatch.setattr(spatial, "_BLOCK_VALUES", sizes[1])
+        self._training_forward(stack, cloud, nn.LayerContext(cloud))
+        assert [l._sums is not None for l in _conv_layers(stack)] == [True, True]
+        monkeypatch.setattr(spatial, "_BLOCK_VALUES", sizes[1] - 1)
+        self._training_forward(stack, cloud, nn.LayerContext(cloud))
+        assert [l._sums is not None for l in _conv_layers(stack)] == [True, False]
+
+    def test_training_bits_match_rebuilt_sums(self, monkeypatch):
+        # the gate-6 stack and optimiser settings on a smaller dataset
+        full = pointcloud.synth_dataset("two-surfaces-seg", 12, 256, 0.01, 11)
+        train = pointcloud.Dataset(full.clouds[:8], 2, "segmentation")
+        test = pointcloud.Dataset(full.clouds[8:], 2, "segmentation")
+        conv_spec = {"type": "deformable", "k": 3, "a": [0.2, 0.2, 0.2], "r": None,
+                     "cap": 16, "skip": 0}
+        specs = [{**conv_spec, "in": 2, "out": 8}, {"type": "relu"},
+                 {**conv_spec, "in": 8, "out": 16}, {"type": "relu"},
+                 {"type": "linear", "in": 16, "out": 2, "skip": 0}]
+        given, real = [], conv.backward_features
+
+        def run():
+            rng = DetRng(11)
+            stack = nn.build_stack(specs, "segmentation", rng=rng)
+            logs = nn.train_stack(stack, train, lr=1e-4, weight_decay=5e-4, epochs=2,
+                                  batch_size=4, rng=rng, eval_set=test)
+            return logs, nn.flatten_params(stack)
+
+        def reading(*args, sums=None):
+            given.append(sums is not None)
+            return real(*args, sums=sums)
+
+        monkeypatch.setattr(conv, "backward_features", reading)
+        logs, params = run()
+        assert given and all(given)
+        given.clear()
+        # no forward is a training one, so no layer keeps sums
+        monkeypatch.setattr(nn.LayerContext, "training",
+                            property(lambda ctx: False, lambda ctx, value: None), raising=False)
+        rebuilt_logs, rebuilt = run()
+        assert given and not any(given)
+        assert np.array_equal(params, rebuilt) and logs == rebuilt_logs
 
 
 class TestBuildStack:
