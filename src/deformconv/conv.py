@@ -26,20 +26,30 @@ Two implementations of the forward pass are kept side by side:
     gathered once per (neighbour table, anchor grid), over row slices
     of the table, and shared by every layer and pass on that table;
     pairs whose weight is zero at all eight corners are left out of the
-    map. Both filters run in query blocks and one input channel at a
-    time on that map, and threads > 1 spreads the full filter's (block,
-    channel) parts over a thread pool. The full filter's backward reads
-    each part's anchor sums from the list its forward kept, when given
-    one, and rebuilds them otherwise, with the same bits either way.
+    map. The full filter has two passes on that map:
+      - the dense pass, for a table whose per-query interpolation matrix
+        H (queries x k^3 x slots, slots the most map pairs any query
+        holds) fits the block budget: H is built once per (table, grid)
+        and kept with the map, and each pass is a few batched GEMMs over
+        all input channels at once (the way KPConv evaluates its kernel);
+      - the channel pass, for every other table: query blocks, one input
+        channel at a time, with threads > 1 spreading the (block,
+        channel) parts over a thread pool.
+    The separable filter runs in query blocks, one channel at a time.
+    The full filter's backward reads the anchor sums its forward kept,
+    when given them, and rebuilds them otherwise, with the same bits
+    either way.
   * oracle_forward_features: a deliberately naive full scan over all
     k^3 anchors for every pair. It exists to cross-check the fast path
     and is used by tests and the benchmark command.
 
 The search's block budget, ``spatial._BLOCK_VALUES``, bounds the large
-temporaries here too: a map slice holds budget / 8 rows, and a query
-block's (8, pairs) corner keys and values and its dense (queries x k^3)
-sums (m and its output rows for the separable filter) hold at most the
-budget each (``spatial._spans``).
+temporaries here too: a map slice holds budget / 8 rows; a query block's
+(8, pairs) corner keys and values and its dense (queries x k^3) sums (m
+and its output rows for the separable filter) hold at most the budget
+each (``spatial._spans``); and a table takes the dense pass only when
+its H, its gathered features and its sums each fit the budget. The two
+passes agree to rounding.
 
 All arithmetic is float64. Summation over a neighbourhood follows the
 stored pair order, so repeated runs are bit-identical.
@@ -357,24 +367,18 @@ def _blend(w: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-# grid key (k, unit bytes) -> (weak reference to a table, its kernel map)
+# grid key (k, unit bytes) -> [weak reference to a table, its kernel map,
+# its dense map once a dense pass has asked for it]
 _KERNEL_MAPS: dict = {}
 
 
-def _kernel_map(table: NeighborTable, grid: AnchorGrid):
-    """(starts, nbr, ids, w): the table's pairs with a nonzero weight at
-    some corner, as a CSR over the same queries, with their corners
-    stored corner-major (ids and w are (8, pairs)).
-
-    Dropped pairs would only add exact zeros to every sum. One map per
-    grid is kept, for the most recent table and while that table lives,
-    so search tables (read-only) are gathered once for all their layers,
-    passes and epochs.
-    """
+def _map_entry(table: NeighborTable, grid: AnchorGrid) -> list:
+    """The cache entry of the table's kernel map on grid (see _kernel_map),
+    built on a miss."""
     key = (grid.k, grid.unit.tobytes())
     hit = _KERNEL_MAPS.get(key)
     if hit is not None and hit[0]() is table:
-        return hit[1]
+        return hit
     # gathered over row slices whose (8, rows) arrays fit the block budget
     # (one empty slice for an empty table, so the map keeps its dtypes)
     step = max(1, spatial._BLOCK_VALUES // 8)
@@ -395,8 +399,75 @@ def _kernel_map(table: NeighborTable, grid: AnchorGrid):
         if _KERNEL_MAPS.get(key, (None,))[0] is ref:
             _KERNEL_MAPS.pop(key, None)
 
-    _KERNEL_MAPS[key] = (weakref.ref(table, evict), kmap)
-    return kmap
+    entry = _KERNEL_MAPS[key] = [weakref.ref(table, evict), kmap, None]
+    return entry
+
+
+def _kernel_map(table: NeighborTable, grid: AnchorGrid):
+    """(starts, nbr, ids, w): the table's pairs with a nonzero weight at
+    some corner, as a CSR over the same queries, with their corners
+    stored corner-major (ids and w are (8, pairs)).
+
+    Dropped pairs would only add exact zeros to every sum. One map per
+    grid is kept, for the most recent table and while that table lives,
+    so search tables (read-only) are gathered once for all their layers,
+    passes and epochs.
+    """
+    return _map_entry(table, grid)[1]
+
+
+def _dense_map(table: NeighborTable, grid: AnchorGrid, in_dim: int):
+    """(H, cols, pads) for the full operator's dense pass, or None when
+    the table does not take it.
+
+    Each query has slots rows, slots being the most kernel-map pairs any
+    query holds: row q * slots + j stands for q's j-th map pair, or is a
+    pad past q's last pair. H (queries, k^3, slots) holds at [q, a, j]
+    the trilinear weight of that pair at anchor a, 0 at pads; cols holds
+    each row's neighbour id, 0 at pads, and pads lists the pad rows. A
+    table takes the dense pass when H, the gathered features (queries,
+    slots, in_dim) and the sums (queries, k^3, in_dim) each hold at most
+    the block budget. The three are built once per (table, grid) and
+    kept in the map's cache entry.
+    """
+    q, a = table.num_queries, grid.num_anchors
+    if q * a * in_dim > spatial._BLOCK_VALUES:  # the sums alone do not fit
+        return None
+    entry = _map_entry(table, grid)
+    starts, nbr, ids, w = entry[1]
+    counts = np.diff(starts)
+    slots = int(counts.max(initial=0))
+    if q * slots * max(a, in_dim) > spatial._BLOCK_VALUES:
+        return None
+    if entry[2] is None:
+        qid = np.repeat(np.arange(q, dtype=np.int64), counts)
+        j = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
+        # a pair's corners are distinct anchors, but for the zero-weight
+        # corners clamped into the lattice: adding keeps every weight exact
+        h = np.bincount(((qid * a + ids) * slots + j).ravel(), w.ravel(),
+                        minlength=q * a * slots)
+        cols = np.zeros(q * slots, dtype=np.int64)
+        cols[qid * slots + j] = nbr
+        pads = np.flatnonzero(np.arange(slots) >= counts[:, None])
+        entry[2] = h.reshape(q, a, slots), cols, pads
+    return entry[2]
+
+
+def _dense_sums(features: np.ndarray, dense) -> np.ndarray:
+    """The dense pass's anchor sums S = H @ F (queries, k^3, in), F
+    (queries, slots, in) the features of each query's map pairs in its
+    slots, so a query's sums read no other query's features."""
+    h, cols, pads = dense
+    f = features.take(cols, axis=0)
+    f[pads] = 0.0  # exact zeros, whatever feature row 0 holds
+    return h @ f.reshape(h.shape[0], h.shape[2], features.shape[1])
+
+
+def _check_sums(sums, shapes: list) -> None:
+    """ValueError unless sums (when given) hold one array of each shape."""
+    if sums is not None and [np.shape(s) for s in sums] != shapes:
+        raise ValueError(f"{len(sums)} kept anchor sums do not match the "
+                         f"{len(shapes)} parts of this table and filter")
 
 
 def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, work,
@@ -424,11 +495,7 @@ def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, w
     starts, nbr, ids, w = _kernel_map(neighbors, filt.grid)
     num_anchors = filt.grid.num_anchors
     blocks = spatial._spans(8 * starts, num_anchors)
-    if sums is not None:
-        shapes = [(q1 - q0, num_anchors) for q0, q1 in blocks for _ in range(filt.in_dim)]
-        if [np.shape(s) for s in sums] != shapes:
-            raise ValueError(f"{len(sums)} kept anchor sums do not match the "
-                             f"{len(shapes)} parts of this table and filter")
+    _check_sums(sums, [(q1 - q0, num_anchors) for q0, q1 in blocks for _ in range(filt.in_dim)])
     kept = iter(sums or ())
 
     def run(part):
@@ -478,26 +545,37 @@ def forward_features(
     sums: list | None = None,
 ) -> np.ndarray:
     """Fast-path convolution of an (M, D') feature matrix; one output
-    row per query.
+    row per query, h[q] = sum_{i,a} S[q, a, i] * weights[a, i, :] (+ bias)
+    over the anchor sums S.
 
-    One part per (query block, input channel i): channel i's anchor sums
-    S_i from the kernel map, contracted with anchor weights[:, i, :] and
-    added into the block's rows, h[q] = sum_{i,a} S_i[q, a] *
-    weights[a, i, :] (+ bias). threads > 1 runs the parts on a pool.
-    Given a list ``sums``, each part's S_i is appended to it in part
-    order, for a backward_features that follows to read.
+    A table that takes the dense pass (``_dense_map``) is one part: S =
+    H @ F for all input channels at once, and h = S (queries, k^3 * in)
+    @ weights (k^3 * in, out). Otherwise one part per (query block,
+    input channel i): channel i's sums S_i from the kernel map,
+    contracted with weights[:, i, :] and added into the block's rows;
+    threads > 1 runs these parts on a pool. Given a list ``sums``, each
+    part's sums are appended to it in part order, for a
+    backward_features that follows to read.
     """
     features, _ = _check_args(features, neighbors, filt)
-    out = np.zeros((neighbors.num_queries, filt.out_dim))
-
-    def work(i, rows, pairs, keys, s):
-        return s @ filt.weights[:, i], s if sums is not None else None
-
-    # appended here, as the parts arrive in order, never on the pool
-    for _, rows, _, (h, s) in _channel_parts(features, neighbors, filt, work, threads):
-        out[rows] += h
+    dense = _dense_map(neighbors, filt.grid, filt.in_dim)
+    if dense is not None:
+        q, (a, i, o) = neighbors.num_queries, filt.weights.shape
+        s = _dense_sums(features, dense)
+        out = s.reshape(q, a * i) @ filt.weights.reshape(a * i, o)
         if sums is not None:
             sums.append(s)
+    else:
+        out = np.zeros((neighbors.num_queries, filt.out_dim))
+
+        def work(i, rows, pairs, keys, s):
+            return s @ filt.weights[:, i], s if sums is not None else None
+
+        # appended here, as the parts arrive in order, never on the pool
+        for _, rows, _, (h, s) in _channel_parts(features, neighbors, filt, work, threads):
+            out[rows] += h
+            if sums is not None:
+                sums.append(s)
     if filt.bias is not None:
         out += filt.bias
     return out
@@ -534,22 +612,40 @@ def backward_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum(upstream * forward) w.r.t. features, weights, bias.
 
-    Walks the forward pass's parts. Each part's anchor sums S_i are kept
-    or rebuilt: read from ``sums`` when given (the list that
+    Walks the forward pass's parts. Their anchor sums are kept or
+    rebuilt: read from ``sums`` when given (the list that
     forward_features kept on the same features, table and grid; a list
     whose count or shapes do not match the parts raises ValueError), else
-    rebuilt with the forward's bincount, so both give the same bits. Per
-    part (query block, input channel i): grad_weights[:, i] gains S_i^T @
-    upstream; each pair blends (upstream @ weights[:, i, :]^T) of its
-    query over its corners, and one bincount over neighbour ids adds
-    those into grad_features[:, i]. grad_bias is the column sum of
-    upstream. Parts add in a fixed order, so repeated runs are
-    bit-identical.
+    rebuilt as the forward builds them, so both give the same bits.
+    grad_bias is the column sum of upstream.
+
+    On the dense pass, grad_weights is S^T @ upstream over all channels;
+    H^T @ (upstream @ weights^T) carries dL/dS to every map pair, and one
+    bincount per input channel i adds the pairs' values into
+    grad_features[:, i]. Otherwise, per part (query block, input channel
+    i): grad_weights[:, i] gains S_i^T @ upstream; each pair blends
+    (upstream @ weights[:, i, :]^T) of its query over its corners, and
+    one bincount over neighbour ids adds those into grad_features[:, i].
+    Parts add in a fixed order, so repeated runs are bit-identical.
     """
     features, up = _check_args(features, neighbors, filt, upstream)
+    dense = _dense_map(neighbors, filt.grid, filt.in_dim)
+    if dense is not None:
+        (h, cols, pads), q, (a, i, o) = dense, neighbors.num_queries, filt.weights.shape
+        _check_sums(sums, [(q, a, i)])
+        wide = filt.weights.reshape(a * i, o)
+        # dL/dS[q, a, i] = up[q] . weights[a, i, :], carried to each slot.
+        # Made before S is rebuilt, and never named, so S can reuse its
+        # memory: with both live, a toy 8 -> 16 call took 0.3 ms more
+        g = (h.transpose(0, 2, 1) @ (up @ wide.T).reshape(q, a, i)).reshape(q * h.shape[2], i)
+        g[pads] = 0.0  # the pads add exact zeros into point 0's bin
+        grad_f = np.empty_like(features)
+        for c in range(i):
+            grad_f[:, c] = np.bincount(cols, g[:, c], minlength=features.shape[0])
+        s = sums[0] if sums is not None else _dense_sums(features, dense)
+        return grad_f, (s.reshape(q, a * i).T @ up).reshape(a, i, o), up.sum(axis=0)
     _, nbr, _, w = _kernel_map(neighbors, filt.grid)
-    grad_f = np.zeros_like(features)
-    grad_w = np.zeros_like(filt.weights)
+    grad_f, grad_w = np.zeros_like(features), np.zeros_like(filt.weights)
 
     def work(i, rows, pairs, keys, s):
         # dL/dS_i[q, a] = up[q] . weights[a, i, :], read at each pair's corners

@@ -1,10 +1,16 @@
 """Shared test fixtures and numeric helpers."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import pytest
 
 from deformconv import cli, conv, pointcloud, spatial
 from deformconv.rng import DetRng
+
+# the full operator's two passes (conv.forward_features)
+PASSES = ("dense", "channel")
 
 
 def random_cloud(rng: np.random.Generator, m: int, dim: int, extent: float = 1.0):
@@ -67,3 +73,28 @@ def benchmark_cloud(name: str):
         return cli._bench_cloud(20_000, 16, r3, DetRng(11).spawn(10), 2).positions, r3
     r7 = conv.default_radius(conv.grid_from_spacing(7, 0.2))
     return cli._bench_cloud(5_000, 16, r7, DetRng(11).spawn(10), 2).positions, r7
+
+
+def full_pass(mp: pytest.MonkeyPatch, name: str) -> None:
+    """Send every table to one pass of the full operator: "dense" lifts
+    the block budget so that every table takes the dense pass, "channel"
+    lets none take it."""
+    if name == "dense":
+        mp.setattr(spatial, "_BLOCK_VALUES", 1 << 40)
+    else:
+        mp.setattr(conv, "_dense_map", lambda *args: None)
+
+
+def on_both_passes(test):
+    """Run a test once on each pass of the full operator (full_pass). A
+    test that takes ``monkeypatch`` is handed the pass's own, so its
+    patches end with the pass."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for name in PASSES:
+            with pytest.MonkeyPatch.context() as mp:
+                full_pass(mp, name)
+                if "monkeypatch" in kwargs:
+                    kwargs["monkeypatch"] = mp
+                test(*args, **kwargs)
+    return run

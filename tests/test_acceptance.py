@@ -17,7 +17,7 @@ from deformconv.checkpoint import load_checkpoint
 from deformconv.rng import DetRng
 from deformconv.spatial import build_index, radius_neighbors
 
-from conftest import fd_grad, grad_rel, neighbor_table, random_cloud, rel_err
+from conftest import fd_grad, grad_rel, neighbor_table, on_both_passes, random_cloud, rel_err
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -43,6 +43,7 @@ def _instance(rng, *, max_m=64, max_dim=8, k_choices=(1, 3, 7), bias=True):
     return cloud, table, filt
 
 
+@on_both_passes
 def test_1_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
@@ -57,6 +58,7 @@ def test_1_oracle_equivalence():
             f"100 instances, max rel err {worst:.3e}, {elapsed:.2f}s")
 
 
+@on_both_passes
 def test_2_gradient_checks():
     t0 = time.perf_counter()
     worst = 0.0

@@ -1,6 +1,7 @@
 """The block budget: search, kernel-map build and both operators run in
 blocks of at most ``spatial._BLOCK_VALUES`` values, and the cut never
-shows in a result."""
+shows in a result. It also decides which pass the full operator takes:
+the dense pass only where its whole-table arrays fit one block."""
 from __future__ import annotations
 
 import tracemalloc
@@ -127,7 +128,11 @@ class TestOperatorsInBlocks:
     bits as in one block, the backwards agree to rounding. Every block
     holds two or more queries: numpy multiplies a one-row matrix as a
     vector, which can round the full operator's contraction differently.
+    The full operator runs its channel pass throughout: the one-block
+    reference budget holds that pass's blocks but not the dense pass's H.
     """
+
+    ONE_CHANNEL_BLOCK = 50_000
 
     def _instance(self, seed, k):
         rng = np.random.default_rng(seed)
@@ -152,13 +157,16 @@ class TestOperatorsInBlocks:
     @pytest.mark.parametrize("k", [3, 5])
     def test_forward_bits_and_backward(self, monkeypatch, k, budget):
         feats, table, filt, sf, up = self._instance(k, k)
-        monkeypatch.setattr(spatial, "_BLOCK_VALUES", ONE_BLOCK)
+        monkeypatch.setattr(spatial, "_BLOCK_VALUES", self.ONE_CHANNEL_BLOCK)
+        starts = conv._kernel_map(table, filt.grid)[0]
+        for width in (filt.grid.num_anchors, 4):
+            assert len(spatial._spans(8 * starts, width)) == 1
+        assert conv._dense_map(table, filt.grid, filt.in_dim) is None
         full, threaded, sep, grads, sep_grads = self._passes(feats, table, filt, sf, up)
         assert np.array_equal(threaded, full)
         assert rel_err(full, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
 
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", budget)
-        starts = conv._kernel_map(table, filt.grid)[0]
         for width in (filt.grid.num_anchors, 4):
             blocks = spatial._spans(8 * starts, width)
             assert len(blocks) > 2 and min(b - a for a, b in blocks) >= 2
@@ -169,6 +177,21 @@ class TestOperatorsInBlocks:
         assert b_sep.tobytes() == sep.tobytes()
         for got, want in zip(b_grads + b_sep_grads, grads + sep_grads):
             assert rel_err(got, want) <= 1e-12
+
+
+class TestPassChoice:
+    """At cap 16 the benchmark's clouds keep to the pass measured for
+    them: the toy-seg table takes the dense pass at both of its layers'
+    input widths, the scene tables the channel pass."""
+
+    @pytest.mark.parametrize("name, k, dense", [("toy-seg", 3, True), ("scene-k3", 3, False),
+                                                ("scene-k7", 7, False)])
+    def test_benchmark_tables(self, name, k, dense):
+        pos, r = benchmark_cloud(name)
+        table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
+        grid = conv.grid_from_spacing(k, 0.2)
+        for in_dim in (2, 8):
+            assert (conv._dense_map(table, grid, in_dim) is not None) == dense
 
 
 def _peak(fn):
@@ -186,9 +209,10 @@ def _peak(fn):
 class TestMemoryBound:
     """At M = 2*10^4 (the scene-k3 bench cloud, k = 3, cap 16), the
     search and the kernel-map build peak at no more than twice their
-    output plus BUDGETS blocks of the budget, and the full forward at no
-    more than its output plus BUDGETS blocks. numpy reports its buffers
-    to tracemalloc, so the peaks are exact."""
+    output plus BUDGETS blocks of the budget, and the full forward (its
+    channel pass) at no more than its output plus BUDGETS blocks. So do
+    the dense pass's forward and backward on a toy-seg table. numpy
+    reports its buffers to tracemalloc, so the peaks are exact."""
 
     BUDGETS = 8
 
@@ -209,3 +233,22 @@ class TestMemoryBound:
         feats = rng.normal(size=(pos.shape[0], 8))
         out, peak = _peak(lambda: conv.forward_features(feats, table, filt))
         assert peak <= out.nbytes + self.BUDGETS * block
+
+    def test_dense_forward_and_backward_peaks(self):
+        # the toy-seg table at 16 input channels, near the budget: its
+        # (256, 27, 16) sums hold 110,592 values, as does its H
+        pos, r = benchmark_cloud("toy-seg")
+        table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
+        grid = conv.grid_from_spacing(3, 0.2)
+        conv._kernel_map(table, grid)
+        rng = np.random.default_rng(1)
+        filt = conv.DeformableFilter(grid, rng.normal(size=(27, 16, 16)))
+        feats = rng.normal(size=(pos.shape[0], 16))
+        up = rng.normal(size=(pos.shape[0], 16))
+        block = 8 * spatial._BLOCK_VALUES
+        # the first forward builds H and keeps it in the map's cache entry
+        out, peak = _peak(lambda: conv.forward_features(feats, table, filt))
+        assert conv._dense_map(table, grid, 16) is not None
+        assert peak <= out.nbytes + self.BUDGETS * block
+        grads, peak = _peak(lambda: conv.backward_features(feats, table, filt, up))
+        assert peak <= sum(g.nbytes for g in grads) + self.BUDGETS * block

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deformconv import conv, pointcloud, spatial
-from conftest import (benchmark_cloud, fd_grad, grad_rel, neighbor_table,
-                      random_cloud, random_filter, rel_err)
+from conftest import (benchmark_cloud, fd_grad, full_pass, grad_rel, neighbor_table,
+                      on_both_passes, random_cloud, random_filter, rel_err)
 
 
 class TestAnchorGrid:
@@ -238,6 +238,7 @@ def _adjoint_gap(lhs: float, grad: np.ndarray, x: np.ndarray) -> float:
 
 
 class TestForward:
+    @on_both_passes
     def test_two_point_worked_example(self):
         # Filter: 1 at the center anchor, 3 at the +x anchor, 0 elsewhere.
         # Query p0 sees itself (offset 0, deformed weight 1) and p1 at
@@ -260,6 +261,7 @@ class TestForward:
         assert np.array_equal(out, oracle)
 
     @pytest.mark.parametrize("k", [1, 3, 7])
+    @on_both_passes
     def test_fast_equals_oracle(self, k):
         rng = np.random.default_rng(k)
         for _ in range(8):
@@ -274,6 +276,7 @@ class TestForward:
             oracle = conv.oracle_forward_features(cloud.features, table, filt)
             assert rel_err(fast, oracle) <= 1e-12
 
+    @on_both_passes
     def test_single_point_identity(self):
         # a lone point sees only itself at offset 0, where the deformed
         # filter is exactly the centre anchor matrix
@@ -288,6 +291,7 @@ class TestForward:
         expect = feats[0] @ filt.weights[centre] + filt.bias
         assert np.allclose(out[0], expect, atol=1e-15)
 
+    @on_both_passes
     def test_zero_features_zero_output(self):
         rng = np.random.default_rng(14)
         cloud = random_cloud(rng, 16, 2, extent=0.5)
@@ -297,6 +301,7 @@ class TestForward:
         out = conv.forward_features(np.zeros((16, 2)), table, filt)
         assert not np.any(out)
 
+    @on_both_passes
     def test_linear_in_features(self):
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, 30, 3, extent=0.5)
@@ -311,6 +316,7 @@ class TestForward:
                + b * conv.forward_features(f2, table, filt))
         assert rel_err(lhs, rhs) <= 1e-12
 
+    @on_both_passes
     def test_linear_in_weights(self):
         rng = np.random.default_rng(15)
         cloud = random_cloud(rng, 24, 2, extent=0.5)
@@ -323,6 +329,7 @@ class TestForward:
             cloud.features, table, conv.DeformableFilter(grid=g, weights=2.5 * w))
         assert rel_err(scaled, 2.5 * base) <= 1e-12
 
+    @on_both_passes
     def test_kernel_support_far_point_inert(self):
         # a neighbour inside the search radius but beyond the filter's
         # spatial support contributes exactly nothing
@@ -341,6 +348,7 @@ class TestForward:
         alone = conv.forward_features(feats[:1], solo, filt)
         assert rel_err(out[:1], alone) <= 1e-12
 
+    @on_both_passes
     def test_bias_is_additive(self):
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 20, 2, extent=0.5)
@@ -352,6 +360,7 @@ class TestForward:
         without = conv.forward_features(cloud.features, table, bare)
         assert np.allclose(with_b, without + filt.bias, atol=1e-15)
 
+    @on_both_passes
     def test_query_subset(self):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, 40, 2, extent=0.5)
@@ -366,6 +375,7 @@ class TestForward:
         full = conv.forward_features(cloud.features, full_table, filt)
         assert np.allclose(out, full[::3], atol=1e-15)
 
+    @on_both_passes
     def test_empty_neighborhood_gives_bias(self):
         filt = random_filter(np.random.default_rng(1), 3, 0.2, 1, 2, bias=True)
         pos = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]])
@@ -397,6 +407,7 @@ class TestForward:
 
 
 class TestEquivariance:
+    @on_both_passes
     def test_translation(self):
         rng = np.random.default_rng(10)
         for _ in range(6):
@@ -411,6 +422,7 @@ class TestEquivariance:
                 moved.features, neighbor_table(moved, spec.radius, spec.cap), filt)
             assert rel_err(out, base) <= 1e-9
 
+    @on_both_passes
     def test_permutation(self):
         rng = np.random.default_rng(11)
         for _ in range(6):
@@ -429,6 +441,7 @@ class TestEquivariance:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(12, 40), st.integers(2, 8), st.booleans(),
            st.tuples(*[st.floats(-100, 100)] * 3))
+    @on_both_passes
     def test_translation_with_cap_cutting(self, seed, m, cap, separable, shift):
         instance = _untied_capped_instance(seed, m, cap, separable)
         assume(instance is not None)
@@ -439,6 +452,7 @@ class TestEquivariance:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(12, 40), st.integers(2, 8), st.booleans())
+    @on_both_passes
     def test_permutation_with_cap_cutting(self, seed, m, cap, separable):
         instance = _untied_capped_instance(seed, m, cap, separable)
         assume(instance is not None)
@@ -449,6 +463,7 @@ class TestEquivariance:
         base = _capped_pass(filt, cloud, cap)
         assert rel_err(_capped_pass(filt, shuffled, cap), base[perm]) <= 1e-9
 
+    @on_both_passes
     def test_rotation_in_cylindrical_coordinates(self):
         # points expressed as (rho, phi, z) and neighbourhoods computed in
         # that coordinate space: a rotation is a shift of phi, so outputs
@@ -490,6 +505,7 @@ class TestBackward:
 
         return feats, w, b, build, table, up
 
+    @on_both_passes
     def test_gradients_match_finite_differences(self):
         for seed in range(4):
             feats, w, b, build, table, up = self._instance(seed)
@@ -502,16 +518,19 @@ class TestBackward:
             assert grad_rel(gf, fd_grad(loss, feats)) <= 1e-6
             assert grad_rel(gb, fd_grad(loss, b)) <= 1e-6
 
+    @on_both_passes
     def test_zero_upstream_zero_grads(self):
         feats, w, b, build, table, up = self._instance(4)
         gf, gw, gb = conv.backward_features(feats, table, build(), np.zeros_like(up))
         assert not np.any(gf) and not np.any(gw) and not np.any(gb)
 
+    @on_both_passes
     def test_grad_bias_is_upstream_sum(self):
         feats, w, b, build, table, up = self._instance(5)
         _, _, gb = conv.backward_features(feats, table, build(), up)
         assert np.allclose(gb, up.sum(axis=0), atol=1e-15)
 
+    @on_both_passes
     def test_single_point_one_hot_upstream(self):
         # one point sees only itself at offset 0; the whole weight gradient
         # lands on the centre anchor as f outer one-hot
@@ -564,24 +583,31 @@ class TestBackward:
         assert {(q0, q1) for _, q0, q1 in parts} == {(0, table.num_queries)}
         assert rel_err(gf, one_f) <= 1e-12 and rel_err(gw, one_w) <= 1e-12
 
-    @pytest.mark.parametrize("blocks", ["one", "several"])
+    @pytest.mark.parametrize("blocks", ["one", "several", "dense"])
     def test_kept_sums_give_the_same_bits(self, monkeypatch, blocks):
-        # test_several_query_blocks' instance, with a budget that holds
-        # every query in one block or the default one that cuts several
+        # on the channel pass, test_several_query_blocks' instance with a
+        # budget that holds every query in one block or the default one
+        # that cuts several; on the dense pass, a table whose H fits
         rng = np.random.default_rng(21)
-        cloud = random_cloud(rng, 1600, 2, extent=1.5)
-        filt = random_filter(rng, 7, 0.2, 2, 3, bias=True)
-        table = neighbor_table(cloud, conv.default_radius(filt.grid), 8)
+        m, k, cap = (300, 3, 16) if blocks == "dense" else (1600, 7, 8)
+        cloud = random_cloud(rng, m, 2, extent=0.6 if blocks == "dense" else 1.5)
+        filt = random_filter(rng, k, 0.2, 2, 3, bias=True)
+        table = neighbor_table(cloud, conv.default_radius(filt.grid), cap)
         starts = conv._kernel_map(table, filt.grid)[0]
         if blocks == "one":
             monkeypatch.setattr(spatial, "_BLOCK_VALUES", max(
                 table.num_queries * filt.grid.num_anchors, 8 * int(starts[-1])))
-        count = len(spatial._spans(8 * starts, filt.grid.num_anchors))
-        assert (count == 1) == (blocks == "one")
+        dense = conv._dense_map(table, filt.grid, filt.in_dim) is not None
+        assert dense == (blocks == "dense")
+        cut = spatial._spans(8 * starts, filt.grid.num_anchors)
+        assert dense or (len(cut) == 1) == (blocks == "one")
         up = rng.normal(size=(table.num_queries, filt.out_dim))
         sums = []
         conv.forward_features(cloud.features, table, filt, sums=sums)
-        assert len(sums) == count * filt.in_dim
+        # one part of all channels on the dense pass, else one per (block, channel)
+        assert [s.shape for s in sums] == (
+            [(m, filt.grid.num_anchors, 2)] if dense
+            else [(q1 - q0, filt.grid.num_anchors) for q0, q1 in cut for _ in range(2)])
         kept = conv.backward_features(cloud.features, table, filt, up, sums=sums)
         rebuilt = conv.backward_features(cloud.features, table, filt, up)
         assert all(np.array_equal(a, b) for a, b in zip(kept, rebuilt))
@@ -592,7 +618,8 @@ class TestBackward:
         assert not np.any(gw)
 
     @pytest.mark.parametrize("source", ["other table", "other k", "one part short",
-                                        "one part extra"])
+                                        "one part extra", "other pass"])
+    @on_both_passes
     def test_mismatched_sums_rejected(self, source):
         rng = np.random.default_rng(22)
         cloud = random_cloud(rng, 30, 2, extent=0.5)
@@ -608,6 +635,12 @@ class TestBackward:
             k5 = random_filter(rng, 5, 0.2, 2, 3)
             k5_table = neighbor_table(cloud, conv.default_radius(k5.grid), 8)
             conv.forward_features(cloud.features, k5_table, k5, sums=sums)
+        elif source == "other pass":
+            # the sums the other pass keeps for this one-block table
+            if conv._dense_map(table, filt.grid, 2) is None:
+                sums = [np.zeros((30, 27, 2))]
+            else:
+                sums = [np.zeros((30, 27))] * 2
         else:
             conv.forward_features(cloud.features, table, filt, sums=sums)
             sums = sums[:-1] if source == "one part short" else sums + sums[:1]
@@ -618,6 +651,90 @@ class TestBackward:
         feats, w, b, build, table, up = self._instance(8)
         with pytest.raises(ValueError):
             conv.backward_features(feats, table, build(), up[:, :1])
+
+
+class TestDensePass:
+    """A table whose per-query interpolation matrix H fits the block
+    budget takes the dense pass: batched GEMMs over H, all input channels
+    at once."""
+
+    def _toy(self, seed: int, d_in: int, d_out: int):
+        """(features, table, filter, upstream) on the toy-seg cloud's
+        table, which takes the dense pass."""
+        pos, r = benchmark_cloud("toy-seg")
+        table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
+        rng = np.random.default_rng(seed)
+        filt = random_filter(rng, 3, 0.2, d_in, d_out, bias=True)
+        assert conv._dense_map(table, filt.grid, d_in) is not None
+        return (rng.normal(size=(pos.shape[0], d_in)), table, filt,
+                rng.normal(size=(pos.shape[0], d_out)))
+
+    @pytest.mark.parametrize("k, m", [(1, 200), (3, 256), (5, 60)])
+    def test_both_passes_agree(self, k, m):
+        rng = np.random.default_rng(40 + k)
+        cloud = random_cloud(rng, m, 4, extent=0.6)
+        filt = random_filter(rng, k, 0.2, 4, 5, bias=True)
+        table = neighbor_table(cloud, conv.default_radius(filt.grid), 16)
+        up = rng.normal(size=(m, 5))
+        assert conv._dense_map(table, filt.grid, 4) is not None
+        dense = (conv.forward_features(cloud.features, table, filt),
+                 *conv.backward_features(cloud.features, table, filt, up))
+        with pytest.MonkeyPatch.context() as mp:
+            full_pass(mp, "channel")
+            channel = (conv.forward_features(cloud.features, table, filt),
+                       *conv.backward_features(cloud.features, table, filt, up))
+        for got, want in zip(dense, channel):
+            assert rel_err(got, want) <= 1e-12
+        # the dense pass's adjoint identity
+        lhs = float(np.sum(up * (dense[0] - filt.bias)))
+        assert _adjoint_gap(lhs, dense[1], cloud.features) <= 1e-12
+        assert _adjoint_gap(lhs, dense[2], filt.weights) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_value_stays_with_its_pairs(self, bad):
+        feats, table, filt, up = self._toy(41, 2, 8)
+        clean = conv.forward_features(feats, table, filt)
+        qid = np.repeat(np.arange(table.num_queries), table.counts)
+        # row 0 is the one the pad slots are gathered from
+        for row in (0, 100):
+            broken = feats.copy()
+            broken[row, 1] = bad
+            with np.errstate(invalid="ignore"):
+                out = conv.forward_features(broken, table, filt)
+            others = np.setdiff1d(np.arange(table.num_queries), qid[table.indices == row])
+            assert others.size > table.num_queries // 2
+            assert np.array_equal(out[others], clean[others])
+        # a non-finite upstream row reaches only its query's neighbours; the
+        # query has pad slots, and point 0 is not among its neighbours
+        clean = conv.backward_features(feats, table, filt, up)[0]
+        slots = conv._dense_map(table, filt.grid, 2)[0].shape[2]
+        held = np.diff(conv._kernel_map(table, filt.grid)[0])
+        q = next(q for q in np.flatnonzero(held < slots) if 0 not in table.neighbors_of(q)[0])
+        broken = up.copy()
+        broken[q, 3] = bad
+        with np.errstate(invalid="ignore"):
+            gf = conv.backward_features(feats, table, filt, broken)[0]
+        others = np.setdiff1d(np.arange(feats.shape[0]), table.neighbors_of(q)[0])
+        assert 0 in others and np.array_equal(gf[others], clean[others])
+
+    def test_interpolation_matrix_is_the_kernel_map(self):
+        # H holds each map pair's corner weights at their anchors, built
+        # once per table and kept while the table's map is
+        _, table, filt, _ = self._toy(42, 8, 16)
+        h, cols, pads = conv._dense_map(table, filt.grid, 8)
+        starts, nbr, ids, w = conv._kernel_map(table, filt.grid)
+        assert conv._dense_map(table, filt.grid, 2)[0] is h
+        slots = h.shape[2]
+        for q in (0, 17, 255):
+            for j, p in enumerate(range(starts[q], starts[q + 1])):
+                want = np.zeros(27)
+                np.add.at(want, ids[:, p], w[:, p])
+                assert np.array_equal(h[q, :, j], want) and cols[q * slots + j] == nbr[p]
+        rows = np.arange(h.shape[0] * slots)
+        real = np.concatenate([q * slots + np.arange(starts[q + 1] - starts[q])
+                               for q in range(h.shape[0])])
+        assert np.array_equal(pads, np.setdiff1d(rows, real)) and pads.size
+        assert not h.transpose(0, 2, 1).reshape(-1, 27)[pads].any()
 
 
 class TestSeparable:
@@ -762,6 +879,7 @@ class TestKernelMap:
         assert rel_err(fresh_b, oracle) <= 1e-12
 
     @pytest.mark.parametrize("separable", [False, True], ids=["full", "separable"])
+    @on_both_passes
     def test_all_zero_weight_pairs_give_exactly_the_bias(self, separable):
         filt = random_filter(np.random.default_rng(4), 3, 0.2, 2, 3, bias=True)
         reach = (filt.grid.half + 1) * 0.2

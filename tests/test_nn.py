@@ -8,7 +8,7 @@ import pytest
 
 from deformconv import baselines, cli, conv, nn, pointcloud, spatial
 from deformconv.rng import DetRng
-from conftest import fd_grad, grad_rel, neighbor_table, random_cloud
+from conftest import fd_grad, grad_rel, neighbor_table, on_both_passes, random_cloud
 
 
 def _seg_cloud(rng, m=20, dim=2, classes=2):
@@ -328,6 +328,7 @@ class TestKeptSums:
         ctx.training = False
         return logits
 
+    @on_both_passes
     def test_backward_releases_the_sums(self):
         rng = np.random.default_rng(30)
         cloud = _seg_cloud(rng, 20)
@@ -364,6 +365,7 @@ class TestKeptSums:
         # per epoch: 3 training forwards, then 3 scoring forwards, 2 layers each
         assert kept == ([True] * 6 + [False] * 6) * 2
 
+    @on_both_passes
     def test_eval_forward_drops_stale_sums(self):
         rng = np.random.default_rng(33)
         first, second = _seg_cloud(rng, 20), _seg_cloud(rng, 14)
@@ -398,6 +400,7 @@ class TestKeptSums:
         self._training_forward(stack, cloud, nn.LayerContext(cloud))
         assert [l._sums is not None for l in _conv_layers(stack)] == [True, False]
 
+    @on_both_passes
     def test_training_bits_match_rebuilt_sums(self, monkeypatch):
         # the gate-6 stack and optimiser settings on a smaller dataset
         full = pointcloud.synth_dataset("two-surfaces-seg", 12, 256, 0.01, 11)

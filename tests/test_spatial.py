@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deformconv import conv, spatial
-from conftest import benchmark_cloud
+from conftest import benchmark_cloud, on_both_passes
 
 
 def _tables_equal(a: spatial.NeighborTable, b: spatial.NeighborTable) -> bool:
@@ -378,6 +378,7 @@ class TestSearchLimits:
 
 class TestEmptyQueries:
     @pytest.mark.parametrize("search", ["grid", "brute"])
+    @on_both_passes
     def test_empty_query_array_gives_empty_table(self, search):
         pos = np.random.default_rng(0).uniform(-1.0, 1.0, size=(30, 3))
         q = np.empty((0, 3))
@@ -392,6 +393,9 @@ class TestEmptyQueries:
                                      np.ones((27, 2, 5)), np.ones(5))
         out = conv.forward_features(np.ones((30, 2)), table, filt)
         assert out.shape == (0, 5)
+        gf, gw, gb = conv.backward_features(np.ones((30, 2)), table, filt, np.ones((0, 5)))
+        assert gf.shape == (30, 2) and gw.shape == (27, 2, 5) and gb.shape == (5,)
+        assert not (gf.any() or gw.any() or gb.any())
 
 
 class TestReadOnlyTables:
