@@ -1,26 +1,33 @@
 """Radius-limited, count-capped neighbour queries over 3D point sets.
 
-Two query paths produce bit-identical tables: a grid-hash accelerated
-search and a brute-force all-pairs reference. Both feed their candidate
-(query, point) pairs to one function, ``_assemble``, that does the pair
-arithmetic and the (distance, index) ordering, so their results can be
-compared with exact equality, not a tolerance.
+``radius_neighbors`` has two paths, and ``brute_force_neighbors``, an
+all-pairs reference, is the arbiter both are tested against. All three
+produce bit-identical tables: they compute each squared distance with
+the same arithmetic and order pairs with one function,
+``_first_in_order``, so their results can be compared with exact
+equality, not a tolerance.
 
-The grid search needs cells at least as wide as the search radius, so
-each query's window floor((q - r) / cell_size) .. floor((q + r) / cell_size)
-spans 2 to 4 cells per axis at r = cell_size (3 as a rule; rounding in
-the floors moves a bound by one). Queries that share a window share its
-candidates, so the cell sweep runs once per distinct window.
+A search whose (queries, points) distances fit one block of the block
+budget ``_BLOCK_VALUES`` (which also bounds the kernel-map build and the
+conv passes) takes the one-block path, ``_all_pairs``: it forms the whole
+matrix, partitions each row at its cap-th smallest distance, and orders
+only the pairs at most that far and within r.
 
-``_assemble`` works through the queries in spans of consecutive ids,
-each holding at most ``_BLOCK_VALUES`` candidates (the block budget,
-which also bounds the kernel-map build and the conv passes). Each query
-of a span takes a copy of its window's point list, and ``_rank`` orders
-the span's pairs with one sort on an int64 key (query id in the high
-bits, the top bits of the squared distance in the low bits), then
-re-sorts exactly the runs of equal keys. The kept rows of every span are
-then written into the table, so no temporary grows with the whole
-candidate set.
+Every other search takes the grid path. It needs cells at least as wide
+as the search radius, so each query's window floor((q - r) / cell_size)
+.. floor((q + r) / cell_size) spans 2 to 4 cells per axis at
+r = cell_size (3 as a rule; rounding in the floors moves a bound by one).
+Queries that share a window share its candidates, so the cell sweep runs
+once per distinct window. ``_assemble`` works through the queries in
+spans of consecutive ids, each holding at most ``_BLOCK_VALUES``
+candidates; the brute-force reference runs through it too, with every
+point a candidate of every query. Each query of a span takes a copy of
+its window's point list, and ``_first_in_order`` orders the span's
+in-ball pairs with one sort on an int64 key (query id in the high bits,
+the top bits of the squared distance in the low bits), then re-sorts
+exactly the runs of equal keys. The kept rows of every span are then
+written into the table, so no temporary grows with the whole candidate
+set.
 
 Conventions:
   * a point at distance exactly r from the query is included,
@@ -185,20 +192,27 @@ def _rank(qcols: np.ndarray, pcols: np.ndarray, pid: np.ndarray, counts: np.ndar
     ids for each query q of the span in turn, none repeated.
     """
     n = counts.shape[0]
-    qid = np.repeat(np.arange(n, dtype=np.int64), counts)
     # the squared norm of query - point, summed one axis at a time in the
     # order x, y, z; where it overflows, d2 is inf and the ball test drops
     # the pair
-    d2 = np.zeros(qid.shape[0])
+    d2 = np.zeros(pid.shape[0])
     with np.errstate(over="ignore"):
         for qcol, pcol in zip(qcols, pcols):
-            diff = qcol.take(qid)
+            diff = np.repeat(qcol, counts)
             diff -= pcol.take(pid)
             diff *= diff
             d2 += diff
     keep = np.flatnonzero(d2 <= r * r)
-    qid, pid, d2 = qid[keep], pid[keep], d2[keep]
+    qid = np.repeat(np.arange(n, dtype=np.int64), counts)
+    return _first_in_order(qid[keep], pid[keep], d2[keep], n, cap)
 
+
+def _first_in_order(qid: np.ndarray, pid: np.ndarray, d2: np.ndarray, n: int,
+                    cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows per query, point ids in table order) of the in-ball pairs
+    (qid, pid) at squared distances d2, for queries 0..n-1: each query's
+    pairs ordered by (d2, point id), the first cap kept. A query may
+    leave out in-ball pairs past its first cap."""
     # One int64 key per pair: the query id in the high bits, then the bit
     # pattern of d2, which rises with the value for non-negative floats,
     # less its low `shift` bits. Runs of equal keys hold the exact ties and
@@ -226,9 +240,10 @@ def _assemble(queries: np.ndarray, positions: np.ndarray, counts: np.ndarray, ca
     counts[q] is the number of candidate points of query q, and
     candidates(a, b) returns the candidate point ids of queries a..b-1
     in turn. Queries are ranked in spans of at most _BLOCK_VALUES
-    candidates, so no temporary grows with the whole candidate set. This
-    is the single code path both search strategies funnel through, which
-    is what makes them comparable bit-for-bit.
+    candidates, so no temporary grows with the whole candidate set. The
+    grid path and the brute-force reference both funnel through it, and
+    the one-block path shares its ordering and its table writing, which
+    is what makes the three comparable bit-for-bit.
     """
     qcols, pcols = queries.T.copy(), positions.T.copy()
     rows = np.zeros(queries.shape[0], dtype=np.int64)
@@ -238,11 +253,19 @@ def _assemble(queries: np.ndarray, positions: np.ndarray, counts: np.ndarray, ca
         rows[a:b], pid = _rank(qcols[:, a:b], pcols, candidates(a, b), counts[a:b], r, cap)
         pieces.append(pid)
     del candidates  # the candidate lists go before the offsets are made
-    starts = np.concatenate(([0], np.cumsum(rows))).astype(np.int64)
     # one span's rows are the table's as they are: copying them would cost
     # a second allocation of their size on every small table
     indices = pieces[0] if len(pieces) == 1 else np.concatenate([np.zeros(0, np.int64), *pieces])
     del pieces
+    return _table(queries, positions, rows, indices, spans, r, cap)
+
+
+def _table(queries: np.ndarray, positions: np.ndarray, rows: np.ndarray, indices: np.ndarray,
+           spans, r: float, cap: int) -> NeighborTable:
+    """The read-only CSR table of rows[q] neighbours per query, whose ids
+    are ``indices`` in table order; the offsets are written one span of
+    queries at a time."""
+    starts = np.concatenate(([0], np.cumsum(rows))).astype(np.int64)
     offsets = np.empty((indices.shape[0], 3))
     for a, b in spans:
         at = slice(starts[a], starts[b])
@@ -253,6 +276,47 @@ def _assemble(queries: np.ndarray, positions: np.ndarray, counts: np.ndarray, ca
     for arr in (starts, indices, offsets):
         arr.setflags(write=False)
     return NeighborTable(starts, indices, offsets, radius=float(r), cap=int(cap))
+
+
+def _all_pairs(index: GridHashIndex, q: np.ndarray, r: float, cap: int) -> NeighborTable:
+    """The search as one (queries, points) matrix of squared distances,
+    for a search whose matrix fits the block budget.
+
+    Each row is partitioned at its cap-th smallest d2, and only the pairs
+    at most that far and within r (every pair tied at the bound among
+    them) go to the key sort: a superset of each query's first cap
+    in-ball pairs, in place of every candidate of its grid window.
+    """
+    pos = index.positions
+    n, m = q.shape[0], pos.shape[0]
+    # d2 by _rank's arithmetic, x, then y, then z, so its bits are the
+    # same; _rank's first step, 0 + dx^2, is dx^2 exactly
+    with np.errstate(over="ignore"):
+        d2 = np.subtract(q[:, :1], pos[:, 0])
+        d2 *= d2
+        diff = np.empty_like(d2)
+        for axis in (1, 2):
+            np.subtract(q[:, axis, None], pos[:, axis], out=diff)
+            diff *= diff
+            d2 += diff
+    bound = np.full((n, 1), r * r)
+    if cap < m:
+        diff[...] = d2
+        diff.partition(cap - 1, axis=1)
+        np.minimum(bound, diff[:, cap - 1:cap], out=bound)
+    # each matrix goes before the next array is made: fewer page faults
+    # per small search
+    del diff
+    qid, pid = np.nonzero(d2 <= bound)
+    rows, indices = _first_in_order(qid, pid, d2[qid, pid], n, cap)
+    del d2, qid, pid
+    return _table(q, pos, rows, indices, [(0, n)], r, cap)
+
+
+def _grid_search(index: GridHashIndex, q: np.ndarray, r: float, cap: int) -> NeighborTable:
+    """The search over each query's grid window of candidates."""
+    # unnamed here, so _assemble holds the only reference to the window lists
+    return _assemble(q, index.positions, *_window_candidates(index, q, r), r, cap)
 
 
 def _candidate_ranges(index: GridHashIndex, lo: np.ndarray, hi: np.ndarray):
@@ -332,8 +396,9 @@ def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> Neigh
         raise ValueError("cap must be >= 1")
     if r > index.cell_size:
         raise ValueError(f"radius {r} exceeds the index cell_size {index.cell_size}")
-    # unnamed here, so _assemble holds the only reference to the window lists
-    return _assemble(q, index.positions, *_window_candidates(index, q, r), r, cap)
+    if q.shape[0] * index.positions.shape[0] <= _BLOCK_VALUES:
+        return _all_pairs(index, q, r, cap)
+    return _grid_search(index, q, r, cap)
 
 
 def brute_force_neighbors(positions, queries, r: float, cap: int) -> NeighborTable:

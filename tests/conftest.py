@@ -11,6 +11,8 @@ from deformconv.rng import DetRng
 
 # the full operator's two passes (conv.forward_features)
 PASSES = ("dense", "channel")
+# the two paths of spatial.radius_neighbors
+SEARCHES = ("grid", "one-block")
 
 
 def random_cloud(rng: np.random.Generator, m: int, dim: int, extent: float = 1.0):
@@ -75,26 +77,85 @@ def benchmark_cloud(name: str):
     return cli._bench_cloud(5_000, 16, r7, DetRng(11).spawn(10), 2).positions, r7
 
 
+def lift_budget(mp: pytest.MonkeyPatch, values: int) -> None:
+    """Set the block budget to ``values``, except in the search's choice
+    of its one-block path, which keeps the budget it had: under a lifted
+    budget a large cloud would otherwise form its whole (queries, points)
+    distance matrix, 3.2 GB for 20,000 points."""
+    budget, one_block = spatial._BLOCK_VALUES, spatial._all_pairs
+
+    def within_budget(index, q, r, cap):
+        if q.shape[0] * index.positions.shape[0] <= budget:
+            return one_block(index, q, r, cap)
+        return spatial._grid_search(index, q, r, cap)
+
+    mp.setattr(spatial, "_BLOCK_VALUES", values)
+    mp.setattr(spatial, "_all_pairs", within_budget)
+
+
 def full_pass(mp: pytest.MonkeyPatch, name: str) -> None:
     """Send every table to one pass of the full operator: "dense" lifts
-    the block budget so that every table takes the dense pass, "channel"
-    lets none take it."""
+    the block budget (lift_budget) so that every table takes the dense
+    pass, "channel" lets none take it."""
     if name == "dense":
-        mp.setattr(spatial, "_BLOCK_VALUES", 1 << 40)
+        lift_budget(mp, 1 << 40)
     else:
         mp.setattr(conv, "_dense_map", lambda *args: None)
+
+
+def _join_tables(tables: list[spatial.NeighborTable]) -> spatial.NeighborTable:
+    """One read-only table holding the queries of ``tables`` in turn."""
+    if len(tables) == 1:
+        return tables[0]
+    pairs = np.cumsum([0] + [t.num_pairs for t in tables])
+    starts = np.concatenate([[0]] + [t.starts[1:] + p for t, p in zip(tables, pairs)])
+    indices = np.concatenate([t.indices for t in tables])
+    offsets = np.concatenate([t.offsets for t in tables])
+    for arr in (starts, indices, offsets):
+        arr.setflags(write=False)
+    return spatial.NeighborTable(starts, indices, offsets, tables[0].radius, tables[0].cap)
+
+
+def search_path(mp: pytest.MonkeyPatch, name: str) -> None:
+    """Send every ``radius_neighbors`` search to one of its paths: "grid"
+    to the grid sweep; "one-block" to the all-pairs matrix, in runs of
+    queries whose matrices each fit the block budget and whose tables are
+    joined, so a large cloud never forms one matrix."""
+    if name == "grid":
+        mp.setattr(spatial, "_all_pairs", spatial._grid_search)
+        return
+    one_block = spatial._all_pairs
+
+    def in_runs(index, q, r, cap):
+        run = max(1, spatial._BLOCK_VALUES // index.positions.shape[0])
+        return _join_tables([one_block(index, q[a:a + run], r, cap)
+                            for a in range(0, q.shape[0], run)])
+
+    mp.setattr(spatial, "_grid_search", in_runs)
+
+
+def _on_each(names, setup, test):
+    """test, run once per name under its own setup(mp, name)."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for name in names:
+            with pytest.MonkeyPatch.context() as mp:
+                setup(mp, name)
+                if "monkeypatch" in kwargs:
+                    kwargs["monkeypatch"] = mp
+                test(*args, **kwargs)
+    return run
 
 
 def on_both_passes(test):
     """Run a test once on each pass of the full operator (full_pass). A
     test that takes ``monkeypatch`` is handed the pass's own, so its
     patches end with the pass."""
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        for name in PASSES:
-            with pytest.MonkeyPatch.context() as mp:
-                full_pass(mp, name)
-                if "monkeypatch" in kwargs:
-                    kwargs["monkeypatch"] = mp
-                test(*args, **kwargs)
-    return run
+    return _on_each(PASSES, full_pass, test)
+
+
+def on_both_searches(test):
+    """Run a test once on each path of ``radius_neighbors``
+    (search_path), with the same handling of ``monkeypatch`` as
+    on_both_passes."""
+    return _on_each(SEARCHES, search_path, test)

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deformconv import conv, spatial
-from conftest import benchmark_cloud, random_cloud, random_filter, rel_err
+from conftest import (benchmark_cloud, full_pass, lift_budget, random_cloud, random_filter,
+                      rel_err, search_path)
 
-# a budget no test input reaches: everything runs as one block
+# a budget no test input reaches: everything runs as one block (set with
+# lift_budget, so no search forms a distance matrix past the real budget)
 ONE_BLOCK = 1 << 40
 
 
@@ -75,8 +77,12 @@ class TestSearchInBlocks:
     def test_tables_identical(self, monkeypatch, seed, budget):
         pos, queries, r, cap = _search_instance(seed)
         index = spatial.build_index(pos, r)
-        monkeypatch.setattr(spatial, "_BLOCK_VALUES", ONE_BLOCK)
+        # its 242 x 400 distances fit one block: the one-block path
+        one_block = _table_bytes(spatial.radius_neighbors(index, queries, r, cap))
+        search_path(monkeypatch, "grid")
+        lift_budget(monkeypatch, ONE_BLOCK)
         one = _table_bytes(spatial.radius_neighbors(index, queries, r, cap))
+        assert one == one_block
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", budget)
         spans = []
         real = spatial._rank
@@ -100,6 +106,37 @@ class TestSearchInBlocks:
         assert table.starts.tolist() == [0] * 6 and table.num_pairs == 0
 
 
+class TestLiftedBudget:
+    """The helpers that lift the block budget lift it for everything but
+    the search's choice of its one-block path: a cloud whose distances do
+    not fit the real budget keeps to the grid path."""
+
+    @pytest.mark.parametrize("lift", ["full_pass dense", "lift_budget"])
+    def test_large_cloud_keeps_to_the_grid_path(self, monkeypatch, lift):
+        budget = spatial._BLOCK_VALUES
+        big, r = benchmark_cloud("scene-k7")
+        toy, toy_r = benchmark_cloud("toy-seg")
+        want = _table_bytes(spatial.radius_neighbors(spatial.build_index(big, r), big, r, 16))
+        sizes, one_block = [], spatial._all_pairs
+
+        def all_pairs(index, q, r, cap):
+            # fails before it forms a matrix past the real budget
+            sizes.append(q.shape[0] * index.positions.shape[0])
+            assert sizes[-1] <= budget
+            return one_block(index, q, r, cap)
+
+        monkeypatch.setattr(spatial, "_all_pairs", all_pairs)
+        if lift == "lift_budget":
+            lift_budget(monkeypatch, ONE_BLOCK)
+        else:
+            full_pass(monkeypatch, "dense")
+        assert spatial._BLOCK_VALUES > big.shape[0] ** 2
+        got = spatial.radius_neighbors(spatial.build_index(big, r), big, r, 16)
+        assert _table_bytes(got) == want
+        spatial.radius_neighbors(spatial.build_index(toy, toy_r), toy, toy_r, 16)
+        assert sizes == [toy.shape[0] ** 2]
+
+
 class TestKernelMapInBlocks:
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("k", [3, 5])
@@ -108,7 +145,7 @@ class TestKernelMapInBlocks:
         grid = conv.grid_from_spacing(k, 0.2)
         r = conv.default_radius(grid)
         table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
-        monkeypatch.setattr(spatial, "_BLOCK_VALUES", ONE_BLOCK)
+        lift_budget(monkeypatch, ONE_BLOCK)
         one = _map_bytes(conv._kernel_map(_fresh(table), grid))
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", 8 * rows)
         calls = []
@@ -211,8 +248,9 @@ class TestMemoryBound:
     search and the kernel-map build peak at no more than twice their
     output plus BUDGETS blocks of the budget, and the full forward (its
     channel pass) at no more than its output plus BUDGETS blocks. So do
-    the dense pass's forward and backward on a toy-seg table. numpy
-    reports its buffers to tracemalloc, so the peaks are exact."""
+    the dense pass's forward and backward on a toy-seg table. A search on
+    the one-block path peaks at no more than its table plus 3 blocks.
+    numpy reports its buffers to tracemalloc, so the peaks are exact."""
 
     BUDGETS = 8
 
@@ -233,6 +271,16 @@ class TestMemoryBound:
         feats = rng.normal(size=(pos.shape[0], 8))
         out, peak = _peak(lambda: conv.forward_features(feats, table, filt))
         assert peak <= out.nbytes + self.BUDGETS * block
+
+    def test_one_block_search_peak(self):
+        # 256 queries x 512 points: a distance matrix of exactly one block
+        rng = np.random.default_rng(2)
+        pos = rng.uniform(-1, 1, (512, 3))
+        index = spatial.build_index(pos, 0.5)
+        assert 256 * 512 == spatial._BLOCK_VALUES
+        table, peak = _peak(lambda: spatial.radius_neighbors(index, pos[:256], 0.5, 16))
+        table_bytes = table.starts.nbytes + table.indices.nbytes + table.offsets.nbytes
+        assert peak <= table_bytes + 3 * 8 * spatial._BLOCK_VALUES
 
     def test_dense_forward_and_backward_peaks(self):
         # the toy-seg table at 16 input channels, near the budget: its

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deformconv import conv, spatial
-from conftest import benchmark_cloud, on_both_passes
+from conftest import benchmark_cloud, on_both_passes, on_both_searches
 
 
 def _tables_equal(a: spatial.NeighborTable, b: spatial.NeighborTable) -> bool:
@@ -74,6 +74,7 @@ class TestWorkedExamples:
 
 class TestGridEqualsBrute:
     @pytest.mark.parametrize("seed", range(8))
+    @on_both_searches
     def test_random_clouds(self, seed):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 80))
@@ -85,6 +86,7 @@ class TestGridEqualsBrute:
         assert _tables_equal(grid, brute)
 
     @pytest.mark.parametrize("scale", [1.0, 1.8])
+    @on_both_searches
     def test_cell_size_independent(self, scale):
         rng = np.random.default_rng(99)
         pos = rng.uniform(-1, 1, (60, 3))
@@ -93,6 +95,7 @@ class TestGridEqualsBrute:
         brute = spatial.brute_force_neighbors(pos, pos, r, 8)
         assert _tables_equal(grid, brute)
 
+    @on_both_searches
     def test_queries_not_inputs(self):
         rng = np.random.default_rng(7)
         pos = rng.uniform(-1, 1, (50, 3))
@@ -102,6 +105,7 @@ class TestGridEqualsBrute:
         assert _tables_equal(grid, brute)
         assert grid.num_queries == 17
 
+    @on_both_searches
     def test_empty_neighborhoods(self):
         pos = np.zeros((3, 3))
         q = np.array([[10.0, 0.0, 0.0]])
@@ -109,6 +113,7 @@ class TestGridEqualsBrute:
         assert table.counts[0] == 0
         assert table.num_pairs == 0
 
+    @on_both_searches
     def test_duplicates_heavy(self):
         rng = np.random.default_rng(3)
         base = rng.uniform(-0.5, 0.5, (10, 3))
@@ -120,6 +125,7 @@ class TestGridEqualsBrute:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 40),
            st.floats(0.1, 1.0), st.integers(1, 12))
+    @on_both_searches
     def test_property_equality(self, seed, m, r, cap):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(-1, 1, (m, 3))
@@ -144,22 +150,25 @@ def _reference_table(pos, queries, r, cap) -> spatial.NeighborTable:
 
 
 def _assert_grid_equals_brute(pos, queries, r, cap, cell_size=None):
-    # both searches share _assemble, so each is also held to the reference
+    # the searches share their ordering step, so each is also held to the
+    # reference
     grid = _grid_table(pos, queries, r, cap, cell_size)
     assert _tables_equal(grid, spatial.brute_force_neighbors(pos, queries, r, cap))
     assert _tables_equal(grid, _reference_table(pos, queries, r, cap))
 
 
 class TestGridEqualsBruteProperties:
-    """The regimes where the grid search's window grouping and sort key
-    could part from the brute-force order: exact distance ties, windows
-    clipped to the occupied cells, several windows per cell, squared
-    distances the sort key cannot tell apart, and packed keys near the
-    int64 limit."""
+    """The regimes where the grid search's window grouping, the one-block
+    path's partition or the sort key could part from the brute-force
+    order: exact distance ties, windows clipped to the occupied cells,
+    several windows per cell, squared distances the sort key cannot tell
+    apart, and packed keys near the int64 limit. Like the other tests of
+    the search's results, each runs on both of its paths."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 60),
            st.floats(0.05, 1.0), st.integers(1, 20))
+    @on_both_searches
     def test_duplicate_points(self, seed, distinct, m, r, cap):
         # many points at d2 = 0 from each other: order is by point id alone
         rng = np.random.default_rng(seed)
@@ -169,6 +178,7 @@ class TestGridEqualsBruteProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([0.1, 0.25, 0.3, 1.0]), st.integers(2, 6), st.integers(-4, 4),
            st.sampled_from([1.0, 2 ** 0.5, 3 ** 0.5, 1.5, 2.0]), st.integers(1, 30))
+    @on_both_searches
     def test_lattice_clouds(self, spacing, n, shift, reach, cap):
         # exact distance ties, and neighbours exactly on the ball's surface
         i, j, l = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
@@ -178,6 +188,7 @@ class TestGridEqualsBruteProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 50), st.floats(0.1, 1.0),
            st.integers(1, 12), st.sampled_from([2.0, 10.0, 1e3, 1e6]))
+    @on_both_searches
     def test_queries_outside_occupied_cells(self, seed, m, r, cap, far):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0.5, 2.0, (m, 3))
@@ -190,6 +201,7 @@ class TestGridEqualsBruteProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.floats(0.05, 1.0),
            st.floats(1.0, 4.0), st.integers(1, 16))
+    @on_both_searches
     def test_radius_below_cell_size(self, seed, m, r, ratio, cap):
         pos = np.random.default_rng(seed).uniform(-1, 1, (m, 3))
         _assert_grid_equals_brute(pos, pos, r, cap, cell_size=r * ratio)
@@ -197,6 +209,7 @@ class TestGridEqualsBruteProperties:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.floats(0.2, 1.0),
            st.sampled_from(["one", "below", "above"]))
+    @on_both_searches
     def test_cap_against_ball_count(self, seed, m, r, which):
         pos = np.random.default_rng(seed).uniform(-1, 1, (m, 3))
         in_ball = spatial.brute_force_neighbors(pos, pos, r, m).counts
@@ -204,6 +217,7 @@ class TestGridEqualsBruteProperties:
                "above": int(in_ball.max()) + 3}[which]
         _assert_grid_equals_brute(pos, pos, r, cap)
 
+    @on_both_searches
     def test_cell_with_three_and_four_cell_windows(self):
         # with cell_size == r, x = -0.2 lies in cell -2 and rounding gives it
         # a 4-cell window along x; x = -0.15 in the same cell has 3 cells
@@ -218,6 +232,7 @@ class TestGridEqualsBruteProperties:
             _assert_grid_equals_brute(pos, queries, r, cap)
             _assert_grid_equals_brute(pos, np.concatenate([queries, pos]), r, cap)
 
+    @on_both_searches
     def test_distances_equal_in_the_sort_key(self):
         # 1024 queries leave the key 53 bits of d2, so two squared
         # distances that differ only in their 10 lowest bits share a key.
@@ -237,6 +252,7 @@ class TestGridEqualsBruteProperties:
         _assert_grid_equals_brute(pos, queries, 0.5, 4)
         _assert_grid_equals_brute(pos, queries, 0.5, 1)
 
+    @on_both_searches
     def test_extent_at_packing_limit(self):
         # occupied cells span exactly 2^62 keys: window keys and their
         # grouping stay inside int64
@@ -260,7 +276,8 @@ def _table_digest(table: spatial.NeighborTable) -> str:
 
 class TestPinnedTables:
     """Seeded tables of the benchmark's clouds at cap 16 keep the bytes
-    they had before the window-grouped search and the key sort."""
+    they had before the window-grouped search and the key sort, on both
+    search paths."""
 
     DIGESTS = {
         "toy-seg": "40d32c7aaf77db6847395257ddfe937992512e73b0a12571d1c045efe8d7a967",
@@ -269,6 +286,7 @@ class TestPinnedTables:
     }
 
     @pytest.mark.parametrize("name", list(DIGESTS))
+    @on_both_searches
     def test_table_bytes(self, name):
         pos, r = benchmark_cloud(name)
         table = _grid_table(pos, pos, r, 16)
@@ -281,12 +299,14 @@ class TestInvariants:
         pos = rng.uniform(-1, 1, (m, 3))
         return pos, _grid_table(pos, pos, r, cap)
 
+    @on_both_searches
     def test_counts_capped_and_radius_respected(self):
         pos, table = self._table()
         assert np.all(table.counts <= 9)
         d = np.linalg.norm(table.offsets, axis=1)
         assert np.all(d <= 0.7 + 1e-12)
 
+    @on_both_searches
     def test_sorted_by_distance_then_index(self):
         pos, table = self._table()
         d2 = np.einsum("ij,ij->i", table.offsets, table.offsets)
@@ -295,11 +315,13 @@ class TestInvariants:
             keys = list(zip(d2[s:e], table.indices[s:e]))
             assert keys == sorted(keys)
 
+    @on_both_searches
     def test_self_first_for_distinct_points(self):
         pos, table = self._table(seed=5)
         for q in range(table.num_queries):
             assert table.indices[table.starts[q]] == q
 
+    @on_both_searches
     def test_translation_stable_offsets(self):
         pos, table = self._table(seed=8)
         shifted = _grid_table(pos + np.array([3.0, -7.0, 11.0]),
@@ -310,6 +332,7 @@ class TestInvariants:
 
 
 class TestSearchLimits:
+    @on_both_searches
     def test_unpackable_extent_rejected(self):
         # coordinate extent far beyond the packed 2^62 budget
         pos = np.array([[0.0, 0.0, 0.0],
@@ -321,6 +344,7 @@ class TestSearchLimits:
         grid = _grid_table(pos, pos, 1000.0, 4)
         assert _tables_equal(grid, spatial.brute_force_neighbors(pos, pos, 1000.0, 4))
 
+    @on_both_searches
     def test_far_queries_get_empty_rows_without_warnings(self):
         # window bounds past int64 (|x| / cell_size >= 2^63), and squared
         # distances past the float range
@@ -335,6 +359,7 @@ class TestSearchLimits:
         assert np.all(grid.counts[:5] > 0) and not grid.counts[5:].any()
 
     @pytest.mark.parametrize("x", [1e18, 1e19, 1e300])
+    @on_both_searches
     def test_far_point_rejected(self, x):
         # 1e18 spans too many cells; 1e19 and 1e300 lie too far from the origin
         pos = np.random.default_rng(4).uniform(-1.0, 1.0, (20, 3))
@@ -344,6 +369,7 @@ class TestSearchLimits:
             with pytest.raises(ValueError, match="2\\^62"):
                 spatial.build_index(pos, 0.3)
 
+    @on_both_searches
     def test_cloud_far_from_the_origin(self):
         # cells near 3.3e18 (below 2^62) are indexed, as the span is small
         pos = np.array([[1e18, 0.0, 0.0], [1e18 + 512.0, 0.0, 0.0], [1e18, 0.2, 0.0]])
@@ -354,6 +380,7 @@ class TestSearchLimits:
         (12, 40, 0.05, 0.04, 0.001, 6),
         (99, 60, 1.0, 0.5, 0.5 * 0.45, 8),
     ], ids=["cell-0.001-r-0.04", "cell-0.45r"])
+    @on_both_searches
     def test_cell_smaller_than_radius_rejected(self, seed, m, half, r, cell, cap):
         pos = np.random.default_rng(seed).uniform(-half, half, (m, 3))
         index = spatial.build_index(pos, cell)
@@ -363,6 +390,7 @@ class TestSearchLimits:
         grid = _grid_table(pos, pos, r, cap)
         assert _tables_equal(grid, spatial.brute_force_neighbors(pos, pos, r, cap))
 
+    @on_both_searches
     def test_grid_aligned_four_cell_windows(self):
         # with cell_size == r, rounding in floor((q +- r) / cell_size) widens
         # some windows from 3 to 4 cells; the sweep must visit all of them
@@ -376,9 +404,100 @@ class TestSearchLimits:
         assert _tables_equal(grid, spatial.brute_force_neighbors(pos, pos, r, 30))
 
 
+def _paths_taken(monkeypatch) -> list[str]:
+    """Record the path each later search takes. Every table is then built
+    by the grid sweep, so a search sent to the wrong path never forms its
+    distance matrix."""
+    taken, grid = [], spatial._grid_search
+
+    def path(name):
+        def run(*args):
+            taken.append(name)
+            return grid(*args)
+        return run
+
+    monkeypatch.setattr(spatial, "_all_pairs", path("one-block"))
+    monkeypatch.setattr(spatial, "_grid_search", path("grid"))
+    return taken
+
+
+class TestOneBlockPath:
+    """A search whose (queries, points) distances fit one block of the
+    budget ranks them as one matrix: each row is partitioned at its cap-th
+    smallest d2, and the pairs at most that far and within r are ordered.
+    Its tables are the grid path's and the reference's, bit for bit."""
+
+    @pytest.mark.parametrize("name, path", [("toy-seg", "one-block"), ("scene-k3", "grid"),
+                                            ("scene-k7", "grid")])
+    def test_benchmark_tables(self, monkeypatch, name, path):
+        pos, r = benchmark_cloud(name)
+        taken = _paths_taken(monkeypatch)
+        _grid_table(pos, pos, r, 16)
+        assert taken == [path]
+
+    @pytest.mark.parametrize("q, m, path", [(256, 512, "one-block"), (3, 43_691, "grid"),
+                                            (1, 131_072, "one-block"), (131_073, 1, "grid")])
+    def test_budget_boundary(self, monkeypatch, q, m, path):
+        # queries x points at the budget, or one above it
+        assert q * m - spatial._BLOCK_VALUES == (0 if path == "one-block" else 1)
+        rng = np.random.default_rng(q)
+        pos, queries = rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, (q, 3))
+        table = _grid_table(pos, queries, 0.1, 8)
+        assert _tables_equal(table, spatial.brute_force_neighbors(pos, queries, 0.1, 8))
+        taken = _paths_taken(monkeypatch)
+        _grid_table(pos, queries, 0.1, 8)
+        assert taken == [path]
+
+    @pytest.mark.parametrize("r, nearest", [(0.15, [4]), (0.2, [4, 0, 2, 3]),
+                                            (0.3, [4, 0, 2, 3, 1])])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
+    @on_both_searches
+    def test_tie_at_the_cap_th_distance(self, cap, r, nearest):
+        # from the origin: point 4 at 0.1, points 0, 2 and 3 at exactly
+        # d2 = 0.2^2 (one per axis, so the sums are the same bits), point 1
+        # at 0.25; the cap-th d2 falls inside the tie at caps 2 to 4
+        pos = np.array([[0.0, 0.2, 0.0], [0.25, 0.0, 0.0], [0.0, 0.0, -0.2],
+                        [-0.2, 0.0, 0.0], [0.1, 0.0, 0.0]])
+        queries = np.zeros((2, 3))
+        queries[1] = 5.0  # sees nothing
+        table = _grid_table(pos, queries, r, cap)
+        assert table.neighbors_of(0)[0].tolist() == nearest[:cap]
+        assert table.counts[1] == 0
+        _assert_grid_equals_brute(pos, queries, r, cap)
+
+    @pytest.mark.parametrize("cap", range(1, 30))
+    @on_both_searches
+    def test_lattice_shells(self, cap):
+        # around each inner point, shells of 6, 12 and 8 points at exactly
+        # equal d2, the last on the ball's surface: every cap from 1 to 29
+        # puts the cap-th d2 inside a shell or at its edge
+        i, j, l = np.meshgrid(*[np.arange(5)] * 3, indexing="ij")
+        pos = np.stack([i.ravel(), j.ravel(), l.ravel()], axis=1) * 0.25
+        _assert_grid_equals_brute(pos, pos, 0.25 * 3 ** 0.5, cap)
+
+    @pytest.mark.parametrize("cap", [1, 3, 7, 8, 9, 20])
+    @on_both_searches
+    def test_duplicate_groups(self, cap):
+        # groups of 4 points at one place: the cap-th d2 ties inside a group
+        rng = np.random.default_rng(8)
+        pos = np.repeat(rng.uniform(-0.3, 0.3, (6, 3)), 4, axis=0)[rng.permutation(24)]
+        _assert_grid_equals_brute(pos, np.concatenate([pos, rng.uniform(-0.5, 0.5, (10, 3))]),
+                                  0.4, cap)
+
+    @pytest.mark.parametrize("cap", [1, 29, 30, 31, 500])
+    @on_both_searches
+    def test_caps_up_to_and_past_the_cloud(self, cap):
+        # cap 1, cap below, at and above the 30 points, and far past them
+        rng = np.random.default_rng(9)
+        pos = rng.uniform(-1, 1, (30, 3))
+        _assert_grid_equals_brute(pos, np.concatenate([pos, rng.uniform(-2, 2, (9, 3))]),
+                                  1.5, cap)
+
+
 class TestEmptyQueries:
     @pytest.mark.parametrize("search", ["grid", "brute"])
     @on_both_passes
+    @on_both_searches
     def test_empty_query_array_gives_empty_table(self, search):
         pos = np.random.default_rng(0).uniform(-1.0, 1.0, size=(30, 3))
         q = np.empty((0, 3))
