@@ -38,6 +38,7 @@ from .pointcloud import (
     PointCloud,
     TASKS,
     XyzFormatError,
+    label_fault,
     load_xyz,
     save_xyz,
     synth_dataset,
@@ -91,6 +92,8 @@ def _read_manifest(path):
         raise XyzFormatError(f"{path}:1: unknown task {task!r}")
     try:
         num_classes = int(head[2])
+        if num_classes < 1:
+            raise ValueError
     except ValueError:
         raise XyzFormatError(f"{path}:1: bad class count") from None
     if lines[1] != "file,label,split":
@@ -112,7 +115,11 @@ def _load_dir_datasets(data_dir) -> dict[str, Dataset]:
     task, num_classes, rows = _read_manifest(os.path.join(data_dir, "manifest.csv"))
     by_split: dict[str, list[PointCloud]] = {}
     for name, _label, split in rows:
-        cloud = load_xyz(os.path.join(data_dir, name))
+        path = os.path.join(data_dir, name)
+        cloud = load_xyz(path)
+        fault = label_fault(cloud, num_classes, task)
+        if fault is not None:
+            raise XyzFormatError(f"{path}: {fault} (manifest: task={task} classes={num_classes})")
         by_split.setdefault(split, []).append(cloud)
     return {
         split: Dataset(clouds, num_classes=num_classes, task=task)

@@ -36,9 +36,8 @@ Two implementations of the forward pass are kept side by side:
         channel at a time, with threads > 1 spreading the (block,
         channel) parts over a thread pool.
     The separable filter runs in query blocks, one channel at a time.
-    The full filter's backward reads the anchor sums its forward kept,
-    when given them, and rebuilds them otherwise, with the same bits
-    either way.
+    Only the dense pass keeps its anchor sums for the backward; the
+    backward rebuilds them when given none, with the same bits.
   * oracle_forward_features: a deliberately naive full scan over all
     k^3 anchors for every pair. It exists to cross-check the fast path
     and is used by tests and the benchmark command.
@@ -463,15 +462,8 @@ def _dense_sums(features: np.ndarray, dense) -> np.ndarray:
     return h @ f.reshape(h.shape[0], h.shape[2], features.shape[1])
 
 
-def _check_sums(sums, shapes: list) -> None:
-    """ValueError unless sums (when given) hold one array of each shape."""
-    if sums is not None and [np.shape(s) for s in sums] != shapes:
-        raise ValueError(f"{len(sums)} kept anchor sums do not match the "
-                         f"{len(shapes)} parts of this table and filter")
-
-
 def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, work,
-                   threads: int = 1, sums=None):
+                   threads: int = 1):
     """(i, rows, pairs, work(i, rows, pairs, keys, S)) for every part of
     the full operator, in part order.
 
@@ -483,35 +475,29 @@ def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, w
         S[q, a] = sum over the (pair, corner)s of q at anchor a of
                   trilinear weight * f_i(neighbour),
 
-    one bincount adding in ascending (corner, pair) order, or read from
-    ``sums``, the list of every part's S in part order that a forward
-    kept (ValueError when their count or shapes do not match the parts).
-    Blocks are cut so that keys, the (8, pairs) values and S each hold at
-    most the block budget (``spatial._spans``). With threads > 1 a
-    block's channels run on a thread pool; results are still yielded in
-    part order, so callers that add them in that order get bit-identical
-    sums for any thread count.
+    one bincount adding in ascending (corner, pair) order. Blocks are cut
+    so that keys, the (8, pairs) values and S each hold at most the block
+    budget (``spatial._spans``). With threads > 1 a block's channels run
+    on a thread pool; results are still yielded in part order, so callers
+    that add them in that order get bit-identical sums for any thread
+    count.
     """
     starts, nbr, ids, w = _kernel_map(neighbors, filt.grid)
     num_anchors = filt.grid.num_anchors
-    blocks = spatial._spans(8 * starts, num_anchors)
-    _check_sums(sums, [(q1 - q0, num_anchors) for q0, q1 in blocks for _ in range(filt.in_dim)])
-    kept = iter(sums or ())
 
     def run(part):
-        i, (rows, pairs, keys, s) = part
-        if s is None:
-            vals = w[:, pairs] * features[nbr[pairs], i]
-            size = (rows.stop - rows.start) * num_anchors
-            s = np.bincount(keys.ravel(), vals.ravel(), minlength=size).reshape(-1, num_anchors)
+        i, (rows, pairs, keys) = part
+        vals = w[:, pairs] * features[nbr[pairs], i]
+        size = (rows.stop - rows.start) * num_anchors
+        s = np.bincount(keys.ravel(), vals.ravel(), minlength=size).reshape(-1, num_anchors)
         return i, rows, pairs, work(i, rows, pairs, keys, s)
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for q0, q1 in blocks:
+        for q0, q1 in spatial._spans(8 * starts, num_anchors):
             rows, pairs = slice(q0, q1), slice(starts[q0], starts[q1])
             local = np.arange(q1 - q0) * num_anchors
             keys = np.repeat(local, np.diff(starts[q0:q1 + 1])) + ids[:, pairs]
-            parts = [(i, (rows, pairs, keys, next(kept, None))) for i in range(filt.in_dim)]
+            parts = [(i, (rows, pairs, keys)) for i in range(filt.in_dim)]
             yield from (pool.map if pool else map)(run, parts)
 
 
@@ -550,12 +536,12 @@ def forward_features(
 
     A table that takes the dense pass (``_dense_map``) is one part: S =
     H @ F for all input channels at once, and h = S (queries, k^3 * in)
-    @ weights (k^3 * in, out). Otherwise one part per (query block,
-    input channel i): channel i's sums S_i from the kernel map,
-    contracted with weights[:, i, :] and added into the block's rows;
-    threads > 1 runs these parts on a pool. Given a list ``sums``, each
-    part's sums are appended to it in part order, for a
-    backward_features that follows to read.
+    @ weights (k^3 * in, out); given a list ``sums``, S (at most one
+    block budget) is appended to it, for a backward_features that follows
+    to read. Otherwise one part per (query block, input channel i):
+    channel i's sums S_i from the kernel map, contracted with
+    weights[:, i, :] and added into the block's rows, and kept nowhere;
+    threads > 1 runs these parts on a pool.
     """
     features, _ = _check_args(features, neighbors, filt)
     dense = _dense_map(neighbors, filt.grid, filt.in_dim)
@@ -569,13 +555,10 @@ def forward_features(
         out = np.zeros((neighbors.num_queries, filt.out_dim))
 
         def work(i, rows, pairs, keys, s):
-            return s @ filt.weights[:, i], s if sums is not None else None
+            return s @ filt.weights[:, i]
 
-        # appended here, as the parts arrive in order, never on the pool
-        for _, rows, _, (h, s) in _channel_parts(features, neighbors, filt, work, threads):
+        for _, rows, _, h in _channel_parts(features, neighbors, filt, work, threads):
             out[rows] += h
-            if sums is not None:
-                sums.append(s)
     if filt.bias is not None:
         out += filt.bias
     return out
@@ -612,11 +595,12 @@ def backward_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum(upstream * forward) w.r.t. features, weights, bias.
 
-    Walks the forward pass's parts. Their anchor sums are kept or
-    rebuilt: read from ``sums`` when given (the list that
-    forward_features kept on the same features, table and grid; a list
-    whose count or shapes do not match the parts raises ValueError), else
-    rebuilt as the forward builds them, so both give the same bits.
+    Walks the forward pass's parts. On the dense pass, S is read from
+    ``sums`` when that list is not empty (the list that forward_features
+    kept on the same features, table and grid), else rebuilt as the
+    forward builds it, so both give the same bits; the channel pass
+    always rebuilds its sums. A non-empty ``sums`` other than the one
+    (queries, k^3, in) array the dense pass keeps raises ValueError.
     grad_bias is the column sum of upstream.
 
     On the dense pass, grad_weights is S^T @ upstream over all channels;
@@ -630,9 +614,12 @@ def backward_features(
     """
     features, up = _check_args(features, neighbors, filt, upstream)
     dense = _dense_map(neighbors, filt.grid, filt.in_dim)
+    q, (a, i, o) = neighbors.num_queries, filt.weights.shape
+    keeps = [(q, a, i)] if dense is not None else []
+    if sums and [np.shape(s) for s in sums] != keeps:
+        raise ValueError(f"kept anchor sums do not match this table and filter, which keep {keeps}")
     if dense is not None:
-        (h, cols, pads), q, (a, i, o) = dense, neighbors.num_queries, filt.weights.shape
-        _check_sums(sums, [(q, a, i)])
+        h, cols, pads = dense
         wide = filt.weights.reshape(a * i, o)
         # dL/dS[q, a, i] = up[q] . weights[a, i, :], carried to each slot.
         # Made before S is rebuilt, and never named, so S can reuse its
@@ -642,7 +629,7 @@ def backward_features(
         grad_f = np.empty_like(features)
         for c in range(i):
             grad_f[:, c] = np.bincount(cols, g[:, c], minlength=features.shape[0])
-        s = sums[0] if sums is not None else _dense_sums(features, dense)
+        s = sums[0] if sums else _dense_sums(features, dense)
         return grad_f, (s.reshape(q, a * i).T @ up).reshape(a, i, o), up.sum(axis=0)
     _, nbr, _, w = _kernel_map(neighbors, filt.grid)
     grad_f, grad_w = np.zeros_like(features), np.zeros_like(filt.weights)
@@ -652,7 +639,7 @@ def backward_features(
         dsum = (up[rows] @ filt.weights[:, i].T).ravel()
         return s.T @ up[rows], np.einsum("cp,cp->p", w[:, pairs], dsum.take(keys))
 
-    for i, _, pairs, (gw, g) in _channel_parts(features, neighbors, filt, work, sums=sums):
+    for i, _, pairs, (gw, g) in _channel_parts(features, neighbors, filt, work):
         grad_w[:, i] += gw
         grad_f[:, i] += np.bincount(nbr[pairs], g, minlength=features.shape[0])
     return grad_f, grad_w, up.sum(axis=0)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import conv, spatial
+from . import conv
 from .conv import ConvLayerSpec, DeformableFilter, SeparableFilter
 from .pointcloud import CLASSIFICATION, SEGMENTATION, Dataset, PointCloud
 from .rng import DetRng
@@ -26,16 +26,12 @@ class LayerContext:
 
     Caches neighbour tables keyed by (radius, cap) so several conv
     layers with the same geometry share one search, and so a table can
-    be reused across epochs when the context is kept around. ``training``
-    is True only during a forward that a backward follows: train_stack
-    sets it around each training forward, so scoring forwards on the same
-    context keep no anchor sums.
+    be reused across epochs when the context is kept around.
     """
 
     def __init__(self, cloud: PointCloud, threads: int = 1):
         self.cloud = cloud
         self.threads = threads
-        self.training = False
         self._tables: dict[tuple[float, int], NeighborTable] = {}
 
     def table_for(self, radius: float, cap: int) -> NeighborTable:
@@ -94,11 +90,11 @@ class Layer:
 class DeformConvLayer(Layer):
     """Full deformable convolution on the context's (radius, cap) table.
 
-    A training forward (``ctx.training``) keeps its anchor sums when the
-    layer's in x queries x k^3 sums fit the block budget
-    (``spatial._BLOCK_VALUES``); the backward reads and releases them.
-    Every forward first drops an earlier forward's sums, so none is read
-    stale.
+    Every forward keeps, in a fresh list, the anchor sums that
+    conv.forward_features keeps: one (queries, k^3, in) array, at most
+    one block budget, on the dense pass, none on the channel pass. The
+    backward reads and releases them, and rebuilds the sums it is not
+    given, with the same bits.
     """
 
     kind = "deformable"
@@ -107,7 +103,6 @@ class DeformConvLayer(Layer):
         super().__init__(weights, bias)
         self.spec = spec
         self.weights, self.bias = self.params()
-        self._sums = None
 
     def out_channels(self, in_channels: int) -> int:
         return self._expect_channels(in_channels, *self.weights.shape[1:])
@@ -116,13 +111,10 @@ class DeformConvLayer(Layer):
         return DeformableFilter(self.spec.grid, self.weights, self.bias)
 
     def forward(self, feats, ctx):
-        self._feats, self._sums = feats, None
+        self._feats, self._sums = feats, []
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        size = feats.shape[1] * table.num_queries * self.spec.grid.num_anchors
-        sums = [] if ctx.training and size <= spatial._BLOCK_VALUES else None
-        out = conv.forward_features(feats, table, self._filter(), threads=ctx.threads, sums=sums)
-        self._sums = sums
-        return out
+        return conv.forward_features(feats, table, self._filter(), threads=ctx.threads,
+                                     sums=self._sums)
 
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
@@ -626,9 +618,7 @@ def train_stack(
         for pos in order:
             cloud = train_set.clouds[int(pos)]
             ctx = contexts[int(pos)]
-            ctx.training = True  # the backward below reads the kept sums
             logits = stack.forward(cloud, ctx)
-            ctx.training = False
             loss, grad = cross_entropy(logits, _targets(cloud, train_set.task))
             if not np.isfinite(loss):
                 raise _diverged(epoch, state.step + 1, "non-finite loss")

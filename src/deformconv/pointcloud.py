@@ -99,17 +99,24 @@ class Dataset:
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         for i, cloud in enumerate(self.clouds):
-            if cloud.labels is None:
-                raise ValueError(f"cloud {i}: labelled task requires labels")
-            if np.any(cloud.labels >= self.num_classes):
-                raise ValueError(f"cloud {i}: label out of range")
-            if self.task == CLASSIFICATION and np.unique(cloud.labels).size != 1:
-                raise ValueError(
-                    f"cloud {i}: classification clouds must carry one uniform label"
-                )
+            fault = label_fault(cloud, self.num_classes, self.task)
+            if fault is not None:
+                raise ValueError(f"cloud {i}: {fault}")
 
     def __len__(self) -> int:
         return len(self.clouds)
+
+
+def label_fault(cloud: PointCloud, num_classes: int, task: str) -> str | None:
+    """Why a dataset of num_classes classes for task cannot hold cloud,
+    or None when it can."""
+    if cloud.labels is None:
+        return "labelled task requires labels"
+    if np.any(cloud.labels >= num_classes):
+        return "label out of range"
+    if task == CLASSIFICATION and np.unique(cloud.labels).size != 1:
+        return "classification clouds must carry one uniform label"
+    return None
 
 
 def save_xyz(cloud: PointCloud, path) -> None:

@@ -941,3 +941,57 @@ opt.lr = 0.001
 opt.epochs = 1
 """)
         assert cli.main(["train", "--config", cfg]) == 2
+
+    def _data_dir_config(self, tmp_path, task, classes, clouds, layers):
+        """A train config on a data dir whose manifest (task, classes)
+        lists train.xyz and test.xyz, one-channel labelled dfc-xyz files
+        holding the data lines ``clouds`` gives each."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.csv").write_text(
+            f"# dfc-manifest task={task} classes={classes}\n"
+            "file,label,split\ntrain.xyz,-1,train\ntest.xyz,-1,test\n")
+        for name, lines in clouds.items():
+            (data / name).write_text("# dfc-xyz D=1 labeled=1\n" + lines)
+        return _write(tmp_path / "t.cfg", f"""
+task = {task}
+seed = 1
+out = {tmp_path / 'o'}
+data.dir = {data}
+{layers}
+opt.lr = 0.001
+opt.epochs = 1
+""")
+
+    @pytest.mark.parametrize("task,lines,fault", [
+        ("segmentation", "0 0 0 1 0\n0.1 0 0 1 2\n", "label out of range"),
+        ("classification", "0 0 0 1 0\n0.1 0 0 1 1\n",
+         "classification clouds must carry one uniform label"),
+    ], ids=["label-out-of-range", "mixed-classification-labels"])
+    def test_label_fault_names_its_file(self, tmp_path, capsys, task, lines, fault):
+        layers = "layer.count = 2\nlayer.0.type = relu\nlayer.1.type = pool"
+        cfg = self._data_dir_config(tmp_path, task, 2, {
+            "train.xyz": "0 0 0 1 0\n", "test.xyz": lines}, layers)
+        assert cli.main(["train", "--config", cfg]) == 2
+        path = tmp_path / "data" / "test.xyz"
+        assert capsys.readouterr().err == (
+            f"data error: {path}: {fault} (manifest: task={task} classes=2)\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_class_manifest_is_data_error(self, tmp_path, capsys):
+        cfg = self._data_dir_config(tmp_path, "segmentation", 0, {
+            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, "layer.count = 0")
+        assert cli.main(["train", "--config", cfg]) == 2
+        path = tmp_path / "data" / "manifest.csv"
+        assert capsys.readouterr().err == f"data error: {path}:1: bad class count\n"
+
+    def test_coordinate_past_the_grid_is_data_error(self, tmp_path, capsys):
+        # 1e300 m lies past 2^62 cells of the deformable layer's search
+        # grid, whose keys would not pack into int64
+        layers = ("layer.count = 1\nlayer.0.type = deformable\nlayer.0.in = 1\n"
+                  "layer.0.out = 2\nlayer.0.k = 3\nlayer.0.a = 0.2\nlayer.0.cap = 8")
+        cfg = self._data_dir_config(tmp_path, "segmentation", 2, {
+            "train.xyz": "0 0 0 1 0\n1e300 0 0 1 1\n", "test.xyz": "0 0 0 1 0\n"}, layers)
+        assert cli.main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("data error: points lie 2^62 or more cells")
+        assert not (tmp_path / "o").exists()

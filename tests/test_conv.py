@@ -200,7 +200,7 @@ def _record_parts(monkeypatch) -> tuple[list, list]:
     class Pool(real_pool):
         def map(self, fn, *iterables, **kwargs):
             items = list(iterables[0])
-            pooled.append([(i, rows.start, rows.stop) for i, (rows, _, _, _) in items])
+            pooled.append([(i, rows.start, rows.stop) for i, (rows, _, _) in items])
             return super().map(fn, items, **kwargs)
 
     monkeypatch.setattr(conv, "_channel_parts", recording)
@@ -208,28 +208,20 @@ def _record_parts(monkeypatch) -> tuple[list, list]:
     return parts, pooled
 
 
-def _forward_on_threads(monkeypatch, feats, table, filt) -> tuple[np.ndarray, list, list]:
-    """The keeping forward on 1, 2 and 4 threads, checked bit-identical,
-    with the threaded runs mapping every part on their pool (one map per
-    query block) and several parts, and keeping equal anchor sums in part
-    order; returns it, the list that keeps recording parts (see
-    _record_parts) and the 1-thread forward's kept sums."""
+def _forward_on_threads(monkeypatch, feats, table, filt) -> tuple[np.ndarray, list]:
+    """The forward on 1, 2 and 4 threads, checked bit-identical, with the
+    threaded runs mapping every part on their pool (one map per query
+    block) and several parts; returns it and the list that keeps
+    recording parts (see _record_parts)."""
     parts, pooled = _record_parts(monkeypatch)
-    sums = []
-    one = conv.forward_features(feats, table, filt, threads=1, sums=sums)
+    one = conv.forward_features(feats, table, filt, threads=1)
     assert not pooled and len(parts) > 1
     single = list(parts)
-    assert [s.shape for s in sums] == [(q1 - q0, filt.grid.num_anchors) for _, q0, q1 in single]
-    assert np.array_equal(conv.forward_features(feats, table, filt), one)
     for threads in (2, 4):
-        kept = []
-        assert np.array_equal(
-            conv.forward_features(feats, table, filt, threads=threads, sums=kept), one)
+        assert np.array_equal(conv.forward_features(feats, table, filt, threads=threads), one)
         assert [part for block in pooled for part in block] == single
-        assert len(kept) == len(sums)
-        assert all(np.array_equal(a, b) for a, b in zip(kept, sums))
         pooled.clear()
-    return one, parts, sums
+    return one, parts
 
 
 def _adjoint_gap(lhs: float, grad: np.ndarray, x: np.ndarray) -> float:
@@ -388,7 +380,7 @@ class TestForward:
 
     def test_threads_equivalent(self, monkeypatch):
         feats, table, filt, _ = _multi_block_instance(8)
-        out, _, _ = _forward_on_threads(monkeypatch, feats, table, filt)
+        out, _ = _forward_on_threads(monkeypatch, feats, table, filt)
         assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
 
     def test_feature_dim_mismatch_rejected(self):
@@ -549,7 +541,7 @@ class TestBackward:
     def test_adjoint_identity_multi_block(self, monkeypatch):
         feats, table, filt, rng = _multi_block_instance(12)
         up = rng.normal(size=(table.num_queries, filt.out_dim))
-        out, _, _ = _forward_on_threads(monkeypatch, feats, table, filt)
+        out, _ = _forward_on_threads(monkeypatch, feats, table, filt)
         assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
         gf, gw, _ = conv.backward_features(feats, table, filt, up)
         lhs = float(np.sum(up * out))
@@ -567,7 +559,7 @@ class TestBackward:
         blocks = spatial._spans(8 * starts, filt.grid.num_anchors)
         assert len(blocks) > 1
         up = rng.normal(size=(table.num_queries, filt.out_dim))
-        out, parts, _ = _forward_on_threads(monkeypatch, cloud.features, table, filt)
+        out, parts = _forward_on_threads(monkeypatch, cloud.features, table, filt)
         assert rel_err(out, conv.oracle_forward_features(cloud.features, table, filt)) <= 1e-12
         parts.clear()
         gf, gw, _ = conv.backward_features(cloud.features, table, filt, up)
@@ -604,48 +596,49 @@ class TestBackward:
         up = rng.normal(size=(table.num_queries, filt.out_dim))
         sums = []
         conv.forward_features(cloud.features, table, filt, sums=sums)
-        # one part of all channels on the dense pass, else one per (block, channel)
-        assert [s.shape for s in sums] == (
-            [(m, filt.grid.num_anchors, 2)] if dense
-            else [(q1 - q0, filt.grid.num_anchors) for q0, q1 in cut for _ in range(2)])
+        # the dense pass keeps one part of all channels, the channel pass none
+        assert [s.shape for s in sums] == ([(m, filt.grid.num_anchors, 2)] if dense else [])
         kept = conv.backward_features(cloud.features, table, filt, up, sums=sums)
         rebuilt = conv.backward_features(cloud.features, table, filt, up)
         assert all(np.array_equal(a, b) for a, b in zip(kept, rebuilt))
-        # the sums given are the ones read: zero sums zero only grad_weights
-        zero = [np.zeros_like(s) for s in sums]
-        gf, gw, gb = conv.backward_features(cloud.features, table, filt, up, sums=zero)
-        assert np.array_equal(gf, rebuilt[0]) and np.array_equal(gb, rebuilt[2])
-        assert not np.any(gw)
+        if dense:
+            # the sums given are the ones read: zero sums zero only grad_weights
+            gf, gw, gb = conv.backward_features(cloud.features, table, filt, up,
+                                                sums=[np.zeros_like(sums[0])])
+            assert np.array_equal(gf, rebuilt[0]) and np.array_equal(gb, rebuilt[2])
+            assert not np.any(gw)
 
     @pytest.mark.parametrize("source", ["other table", "other k", "one part short",
                                         "one part extra", "other pass"])
     @on_both_passes
     def test_mismatched_sums_rejected(self, source):
+        # the dense pass takes only the one (queries, k^3, in) array it
+        # keeps, the channel pass only an empty list; an empty list, like
+        # none, makes either pass rebuild its sums
         rng = np.random.default_rng(22)
         cloud = random_cloud(rng, 30, 2, extent=0.5)
         filt = random_filter(rng, 3, 0.2, 2, 3)
         table = neighbor_table(cloud, conv.default_radius(filt.grid), 8)
         up = rng.normal(size=(table.num_queries, filt.out_dim))
-        sums = []
-        if source == "other table":
-            other = random_cloud(rng, 20, 2, extent=0.5)
-            conv.forward_features(other.features, neighbor_table(other, table.radius, 8),
-                                  filt, sums=sums)
-        elif source == "other k":
-            k5 = random_filter(rng, 5, 0.2, 2, 3)
-            k5_table = neighbor_table(cloud, conv.default_radius(k5.grid), 8)
-            conv.forward_features(cloud.features, k5_table, k5, sums=sums)
-        elif source == "other pass":
-            # the sums the other pass keeps for this one-block table
-            if conv._dense_map(table, filt.grid, 2) is None:
-                sums = [np.zeros((30, 27, 2))]
-            else:
-                sums = [np.zeros((30, 27))] * 2
-        else:
-            conv.forward_features(cloud.features, table, filt, sums=sums)
-            sums = sums[:-1] if source == "one part short" else sums + sums[:1]
+        own = []  # the sums this pass keeps
+        conv.forward_features(cloud.features, table, filt, sums=own)
+        dense = conv._dense_map(table, filt.grid, 2) is not None
+        assert [s.shape for s in own] == ([(30, 27, 2)] if dense else [])
+        sums = {
+            "other table": [np.zeros((20, 27, 2))],
+            "other k": [np.zeros((30, 125, 2))],
+            "one part short": [np.zeros((30, 27, 1))],  # one input channel short
+            "one part extra": own + [np.zeros((30, 27, 2))],
+            # the dense pass's sums, or per-(block, channel) sums, which no
+            # pass keeps
+            "other pass": [np.zeros((30, 27))] * 2 if dense else [np.zeros((30, 27, 2))],
+        }[source]
         with pytest.raises(ValueError, match="kept anchor sums"):
             conv.backward_features(cloud.features, table, filt, up, sums=sums)
+        expect = conv.backward_features(cloud.features, table, filt, up)
+        for given in (own, []):
+            got = conv.backward_features(cloud.features, table, filt, up, sums=given)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
     def test_upstream_shape_rejected(self):
         feats, w, b, build, table, up = self._instance(8)

@@ -319,14 +319,9 @@ def _conv_layers(stack) -> list:
 
 
 class TestKeptSums:
-    """A training forward keeps each deformable layer's anchor sums for
-    the backward that follows; no other forward keeps any."""
-
-    def _training_forward(self, stack, cloud, ctx):
-        ctx.training = True
-        logits = stack.forward(cloud, ctx)
-        ctx.training = False
-        return logits
+    """Every forward keeps the anchor sums of each deformable layer that
+    takes the dense pass, for a backward that follows to read; a layer on
+    the channel pass keeps none."""
 
     @on_both_passes
     def test_backward_releases_the_sums(self):
@@ -334,36 +329,76 @@ class TestKeptSums:
         cloud = _seg_cloud(rng, 20)
         stack = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
         ctx = nn.LayerContext(cloud)
-        logits = self._training_forward(stack, cloud, ctx)
-        assert all(l._sums for l in _conv_layers(stack))
+        logits = stack.forward(cloud, ctx)
+        assert all(l._sums is not None for l in _conv_layers(stack))
         stack.backward(nn.cross_entropy(logits, cloud.labels)[1], ctx)
         assert all(l._sums is None for l in _conv_layers(stack))
 
-    def test_scoring_forwards_keep_none(self):
+    def test_dense_pass_layers_keep_sums_after_any_forward(self):
+        # 20 points take the dense pass; 2,500 points x 27 anchors x 2
+        # input channels of sums exceed the block budget, so the channel pass
         ds = _seg_dataset(seed=31, n=3, m=20)
+        big = _seg_cloud(np.random.default_rng(34), 2500)
         stack = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
-        for score in (lambda: nn.evaluate(stack, ds),
-                      lambda: nn.stack_forward(stack, ds.clouds[0])):
-            cloud = ds.clouds[-1]
-            self._training_forward(stack, cloud, nn.LayerContext(cloud))
+
+        def kept():
+            return [[s.shape for s in l._sums] for l in _conv_layers(stack)]
+
+        for forward in (lambda: nn.stack_forward(stack, ds.clouds[0]),
+                        lambda: nn.evaluate(stack, ds),
+                        # ends on the epoch's scoring forwards
+                        lambda: nn.train_stack(stack, ds, lr=1e-3, weight_decay=0.0,
+                                               epochs=1, batch_size=2, rng=DetRng(0))):
+            forward()
+            assert kept() == [[(20, 27, 2)], [(20, 27, 4)]]
+            nn.stack_forward(stack, big)
+            assert kept() == [[], []]
+
+    def test_scoring_forwards_keep_none(self):
+        # on the channel pass a scoring forward keeps no sums, and drops
+        # those an earlier dense-pass forward kept
+        rng = np.random.default_rng(31)
+        small = _seg_cloud(rng, 20)
+        big = pointcloud.Dataset(clouds=(_seg_cloud(rng, 2500),), num_classes=2,
+                                 task="segmentation")
+        stack = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
+        for score in (lambda: nn.evaluate(stack, big),
+                      lambda: nn.stack_forward(stack, big.clouds[0])):
+            stack.forward(small, nn.LayerContext(small))
+            assert all(l._sums for l in _conv_layers(stack))
             score()
-            assert all(l._sums is None for l in _conv_layers(stack))
+            assert all(l._sums == [] for l in _conv_layers(stack))
 
     def test_train_stack_keeps_on_training_forwards_only(self, monkeypatch):
-        # scoring the training set reuses the training contexts
+        # every forward keeps its dense-pass sums, but only a training
+        # forward's reach a backward: the epoch's scoring forwards follow
+        # its last backward, and the next training forward replaces them
         ds = _seg_dataset(seed=32, n=3, m=20)
         stack = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
-        kept, real = [], conv.forward_features
+        events, real_forward, real_backward = [], conv.forward_features, conv.backward_features
 
-        def recording(*args, sums=None, **kwargs):
-            kept.append(sums is not None)
-            return real(*args, sums=sums, **kwargs)
+        def forward(*args, sums=None, **kwargs):
+            out = real_forward(*args, sums=sums, **kwargs)
+            events.append(("f", sums, [s.shape for s in sums]))
+            return out
 
-        monkeypatch.setattr(conv, "forward_features", recording)
+        def backward(*args, sums=None):
+            events.append(("b", sums, None))
+            return real_backward(*args, sums=sums)
+
+        monkeypatch.setattr(conv, "forward_features", forward)
+        monkeypatch.setattr(conv, "backward_features", backward)
         nn.train_stack(stack, ds, lr=1e-3, weight_decay=0.0, epochs=2, batch_size=2,
                        rng=DetRng(0))
-        # per epoch: 3 training forwards, then 3 scoring forwards, 2 layers each
-        assert kept == ([True] * 6 + [False] * 6) * 2
+        # per epoch: 3 training forwards, each followed by its backward
+        # through the 2 layers in reverse, then 3 scoring forwards
+        epoch = ["f", "f", "b", "b"] * 3 + ["f", "f"] * 3
+        assert [e[0] for e in events] == epoch * 2
+        forwards = [e[2] for e in events if e[0] == "f"]
+        assert forwards == [[(20, 27, 2)], [(20, 27, 4)]] * 12
+        # each backward reads the list its own training forward kept
+        for j in (j0 + 4 * t for j0 in (0, len(epoch)) for t in range(3)):
+            assert events[j + 2][1] is events[j + 1][1] and events[j + 3][1] is events[j][1]
 
     @on_both_passes
     def test_eval_forward_drops_stale_sums(self):
@@ -377,28 +412,28 @@ class TestKeptSums:
             return [stack.backward(up, ctx)] + [g.copy() for g in stack.gradients()]
 
         kept = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
-        self._training_forward(kept, first, nn.LayerContext(first))
+        kept.forward(first, nn.LayerContext(first))
         plain = nn.build_stack(_two_conv_specs(), "segmentation", rng=DetRng(3))
         assert all(np.array_equal(a, b) for a, b in zip(eval_forward_then_backward(kept),
                                                         eval_forward_then_backward(plain)))
 
     def test_layer_over_the_budget_keeps_none(self, monkeypatch):
-        # 2,500 points x 27 anchors: 1 input channel fits the 2^17-value
-        # block budget, 3 do not
+        # 600 points x 27 anchors: 7 input channels of sums fit the
+        # 2^17-value block budget and take the dense pass, 9 do not
         rng = np.random.default_rng(34)
-        cloud = _seg_cloud(rng, 2500, dim=1)
-        stack = nn.build_stack(_two_conv_specs(d_in=1), "segmentation", rng=DetRng(3))
+        cloud = _seg_cloud(rng, 600, dim=7)
+        stack = nn.build_stack(_two_conv_specs(d_in=7), "segmentation", rng=DetRng(3))
         sizes = [l.weights.shape[1] * cloud.num_points * 27 for l in _conv_layers(stack)]
         assert sizes[0] <= spatial._BLOCK_VALUES < sizes[1]
-        self._training_forward(stack, cloud, nn.LayerContext(cloud))
-        assert [l._sums is not None for l in _conv_layers(stack)] == [True, False]
-        # the budget bounds the sums a layer keeps, at its exact size
+        stack.forward(cloud, nn.LayerContext(cloud))
+        assert [bool(l._sums) for l in _conv_layers(stack)] == [True, False]
+        # the budget bounds the sums a layer keeps, at their exact size
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", sizes[1])
-        self._training_forward(stack, cloud, nn.LayerContext(cloud))
-        assert [l._sums is not None for l in _conv_layers(stack)] == [True, True]
+        stack.forward(cloud, nn.LayerContext(cloud))
+        assert [bool(l._sums) for l in _conv_layers(stack)] == [True, True]
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", sizes[1] - 1)
-        self._training_forward(stack, cloud, nn.LayerContext(cloud))
-        assert [l._sums is not None for l in _conv_layers(stack)] == [True, False]
+        stack.forward(cloud, nn.LayerContext(cloud))
+        assert [bool(l._sums) for l in _conv_layers(stack)] == [True, False]
 
     @on_both_passes
     def test_training_bits_match_rebuilt_sums(self, monkeypatch):
@@ -411,28 +446,28 @@ class TestKeptSums:
         specs = [{**conv_spec, "in": 2, "out": 8}, {"type": "relu"},
                  {**conv_spec, "in": 8, "out": 16}, {"type": "relu"},
                  {"type": "linear", "in": 16, "out": 2, "skip": 0}]
+        spec = nn.conv_spec(specs[2])
+        table = nn.LayerContext(train.clouds[0]).table_for(spec.radius, spec.cap)
+        dense = conv._dense_map(table, spec.grid, 8) is not None
         given, real = [], conv.backward_features
 
-        def run():
+        def run(keep):
+            def reading(*args, sums=None):
+                given.append(bool(sums))
+                return real(*args, sums=sums if keep else None)
+
+            monkeypatch.setattr(conv, "backward_features", reading)
             rng = DetRng(11)
             stack = nn.build_stack(specs, "segmentation", rng=rng)
             logs = nn.train_stack(stack, train, lr=1e-4, weight_decay=5e-4, epochs=2,
                                   batch_size=4, rng=rng, eval_set=test)
             return logs, nn.flatten_params(stack)
 
-        def reading(*args, sums=None):
-            given.append(sums is not None)
-            return real(*args, sums=sums)
-
-        monkeypatch.setattr(conv, "backward_features", reading)
-        logs, params = run()
-        assert given and all(given)
-        given.clear()
-        # no forward is a training one, so no layer keeps sums
-        monkeypatch.setattr(nn.LayerContext, "training",
-                            property(lambda ctx: False, lambda ctx, value: None), raising=False)
-        rebuilt_logs, rebuilt = run()
-        assert given and not any(given)
+        # every backward is given the sums its forward kept, on the dense pass
+        logs, params = run(keep=True)
+        assert given == [dense] * 32
+        # the rebuild forced by dropping them
+        rebuilt_logs, rebuilt = run(keep=False)
         assert np.array_equal(params, rebuilt) and logs == rebuilt_logs
 
 
