@@ -1,12 +1,16 @@
 """Reference methods the deformable operator is measured against.
 
-Two baselines, each with one implementation:
+Two baselines, each a spatial aggregation wrapped around nn's own
+layers, so their maps and gradients are nn.LinearLayer's and
+nn.ReluLayer's:
 
-  * continuous filters parameterised by a small MLP over the offset
-    (one weight per channel per pair, then a pointwise map): PccLayer,
+  * parametric continuous convolution (Wang et al., CVPR 2018): a small
+    MLP over the offset gives one weight per channel per pair, the
+    weighted features are summed per query (conv._scatter_rows), then a
+    pointwise map: PccLayer,
   * a voxel cell mean: each point receives the mean feature of its cell
     in a grid fixed in space (cell_mean), then a pointwise map:
-    VoxelConvLayer.
+    VoxelConvLayer, an nn.LinearLayer.
 
 The voxel path is the contrast case: any displacement that stays inside
 a cell is invisible to it, and shifting a cloud across cell boundaries
@@ -22,137 +26,66 @@ import numpy as np
 from . import conv, nn
 from .pointcloud import PointCloud
 from .rng import DetRng
-from .spatial import NeighborTable, build_index, radius_neighbors
-
-
-def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(n, C) sums of the rows of values (P, C) into rows index (P,): one
-    bincount per column, adding in ascending row order (bit-identical runs)."""
-    out = np.empty((n, values.shape[1]))
-    for c in range(values.shape[1]):
-        out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
-    return out
-
-
-@dataclass(frozen=True)
-class MlpFilter:
-    """Offset -> per-channel filter weight, as a tiny dense network.
-
-    Input is the 3-vector offset; hidden layers use ReLU; the final
-    layer is linear and emits one weight per input feature channel.
-    ``layers`` holds (W, b) pairs applied left to right.
-    """
-
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ValueError("MlpFilter needs at least one layer")
-        prev = 3
-        frozen = []
-        for i, (w, b) in enumerate(self.layers):
-            w = np.array(w, dtype=np.float64, copy=True)
-            b = np.array(b, dtype=np.float64, copy=True).reshape(-1)
-            if w.ndim != 2 or w.shape[0] != prev or b.shape[0] != w.shape[1]:
-                raise ValueError(f"MLP layer {i}: bad shapes {w.shape}, {b.shape}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"MLP layer {i}: non-finite parameters")
-            w.setflags(write=False)
-            b.setflags(write=False)
-            frozen.append((w, b))
-            prev = w.shape[1]
-        object.__setattr__(self, "layers", tuple(frozen))
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
-
-
-def mlp_eval(filt: MlpFilter, offsets: np.ndarray) -> np.ndarray:
-    """Evaluate the filter network on a batch of offsets: (P, out_dim)."""
-    x = np.asarray(offsets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != 3:
-        raise ValueError(f"offsets must be (P, 3), got {x.shape}")
-    return _mlp_tape(filt, x)[-1]
-
-
-def _mlp_tape(filt: MlpFilter, offsets: np.ndarray) -> list[np.ndarray]:
-    """Forward pass keeping every pre-activation input for backprop."""
-    acts = [np.asarray(offsets, dtype=np.float64)]
-    n = len(filt.layers)
-    for i, (w, b) in enumerate(filt.layers):
-        x = acts[-1] @ w + b
-        if i < n - 1:
-            x = np.maximum(x, 0.0)
-        acts.append(x)
-    return acts
-
-
-def _mlp_backward(
-    filt: MlpFilter, acts: list[np.ndarray], upstream: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of the MLP parameters given d(loss)/d(output)."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(filt.layers)
-    grad = upstream
-    for i in range(len(filt.layers) - 1, -1, -1):
-        w, _ = filt.layers[i]
-        if i < len(filt.layers) - 1:
-            grad = np.where(acts[i + 1] > 0, grad, 0.0)
-        grads[i] = (acts[i].T @ grad, grad.sum(axis=0))
-        grad = grad @ w.T
-    return grads
-
-
-def _pcc_aggregate(
-    filt: MlpFilter, neighbors: NeighborTable, feats: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query sums m of w_mlp(offset) * f(neighbour), and the pair
-    weights w, as (Q, D') and (P, D')."""
-    w = mlp_eval(filt, neighbors.offsets)
-    qid = np.repeat(np.arange(neighbors.num_queries, dtype=np.int64), neighbors.counts)
-    m = _scatter_rows(qid, w * feats[neighbors.indices], neighbors.num_queries)
-    return m, w
+from .spatial import build_index, radius_neighbors
 
 
 class PccLayer(nn.Layer):
-    """Trainable continuous-filter conv layer (MLP filter + pointwise)."""
+    """Trainable continuous-filter conv layer: per pair, an MLP over the
+    offset gives one weight per input channel; each query sums its
+    weighted neighbour features; a pointwise map follows.
+
+    ``mlp`` holds (W, b) pairs, applied left to right to the offset, and
+    becomes nn.LinearLayers with an nn.ReluLayer between each pair; the
+    pointwise map and bias are one more nn.LinearLayer. Parameters are
+    stored as the MLP's (W, b) pairs, then the pointwise map and bias.
+    """
 
     kind = "pcc"
 
-    def __init__(self, radius: float, cap: int, filt: MlpFilter, pointwise, bias):
-        super().__init__(*(a for wb in filt.layers for a in wb), pointwise, bias)
+    def __init__(self, radius: float, cap: int, mlp, pointwise, bias):
+        if not mlp:
+            raise ValueError("the MLP filter needs at least one layer")
         self.radius, self.cap = float(radius), int(cap)
-        *self.mlp_params, self.pointwise, self.bias = self.params()
-        if self.pointwise.ndim != 2 or self.pointwise.shape[0] != filt.out_dim:
-            raise ValueError(f"filter emits {filt.out_dim} channel weights, "
+        self.mlp: list[nn.Layer] = []
+        width = 3
+        for i, (w, b) in enumerate(mlp):
+            lin = nn.LinearLayer(w, np.reshape(b, -1))
+            w, b = lin.params()
+            if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+                raise ValueError(f"MLP layer {i}: bad shapes {w.shape}, {b.shape}")
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ValueError(f"MLP layer {i}: non-finite parameters")
+            self.mlp += [nn.ReluLayer(), lin] if self.mlp else [lin]
+            width = w.shape[1]
+        self.head = nn.LinearLayer(pointwise, bias)
+        self.mlp_params = [p for l in self.mlp for p in l.params()]
+        self.pointwise, self.bias = self.head.params()
+        if self.pointwise.ndim != 2 or self.pointwise.shape[0] != width:
+            raise ValueError(f"filter emits {width} channel weights, "
                              f"pointwise map is {self.pointwise.shape}")
-
-    def _filter(self) -> MlpFilter:
-        return MlpFilter(tuple(zip(self.mlp_params[::2], self.mlp_params[1::2])))
+        self._params = [*self.mlp_params, self.pointwise, self.bias]
+        self._grads = [g for l in (*self.mlp, self.head) for g in l.grads()]
 
     def out_channels(self, in_channels: int) -> int:
-        return self._expect_channels(in_channels, *self.pointwise.shape)
+        return self.head.out_channels(in_channels)
 
     def forward(self, feats, ctx):
-        self._feats = feats
         table = ctx.table_for(self.radius, self.cap)
-        self._m, self._w = _pcc_aggregate(self._filter(), table, feats)
-        return self._m @ self.pointwise + self.bias
+        w = table.offsets
+        for layer in self.mlp:
+            w = layer.forward(w, ctx)
+        self._feats, self._w = feats, w  # (M, D'), (P, D')
+        self._qid = np.repeat(np.arange(table.num_queries, dtype=np.int64), table.counts)
+        m = conv._scatter_rows(self._qid, w * feats[table.indices], table.num_queries)
+        return self.head.forward(m, ctx)
 
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.radius, self.cap)
-        feats = self._feats
-        grad_m = upstream @ self.pointwise.T  # (Q, D')
-        qid = np.repeat(np.arange(table.num_queries, dtype=np.int64), table.counts)
-        gm_pairs = grad_m[qid]  # (P, D')
-        grad_f = _scatter_rows(table.indices, self._w * gm_pairs, feats.shape[0])
-        filt = self._filter()
-        acts = _mlp_tape(filt, table.offsets)
-        mlp_grads = _mlp_backward(filt, acts, feats[table.indices] * gm_pairs)
-        self._accumulate(
-            *(g for wb in mlp_grads for g in wb), self._m.T @ upstream, upstream.sum(axis=0)
-        )
-        return grad_f
+        gm_pairs = self.head.backward(upstream, ctx)[self._qid]  # dL/dm at each pair
+        grad = self._feats[table.indices] * gm_pairs
+        for layer in reversed(self.mlp):
+            grad = layer.backward(grad, ctx)
+        return conv._scatter_rows(table.indices, self._w * gm_pairs, self._feats.shape[0])
 
 
 def _checked_pitch(pitch: float) -> float:
@@ -174,11 +107,11 @@ def cell_mean(positions: np.ndarray, values: np.ndarray, pitch: float) -> np.nda
     cells = np.floor(positions / _checked_pitch(pitch)).astype(np.int64)
     _, inv = np.unique(cells, axis=0, return_inverse=True)
     counts = np.bincount(inv).astype(np.float64)
-    return _scatter_rows(inv, values, counts.shape[0])[inv] / counts[inv, None]
+    return conv._scatter_rows(inv, values, counts.shape[0])[inv] / counts[inv, None]
 
 
-class VoxelConvLayer(nn.Layer):
-    """Voxel cell mean, then a pointwise map, as one layer.
+class VoxelConvLayer(nn.LinearLayer):
+    """Voxel cell mean, then the linear layer's pointwise map.
 
     Every point receives the mean feature of its cell (cell_mean), mapped
     by ``weights`` and ``bias``. The cell mean is its own adjoint: each
@@ -190,18 +123,12 @@ class VoxelConvLayer(nn.Layer):
     def __init__(self, pitch: float, weights, bias):
         self.pitch = _checked_pitch(pitch)
         super().__init__(weights, bias)
-        self.weights, self.bias = self.params()
-
-    def out_channels(self, in_channels: int) -> int:
-        return self._expect_channels(in_channels, *self.weights.shape)
 
     def forward(self, feats, ctx):
-        self._mean = cell_mean(ctx.cloud.positions, feats, self.pitch)
-        return self._mean @ self.weights + self.bias
+        return super().forward(cell_mean(ctx.cloud.positions, feats, self.pitch), ctx)
 
     def backward(self, upstream, ctx):
-        self._accumulate(self._mean.T @ upstream, upstream.sum(axis=0))
-        return cell_mean(ctx.cloud.positions, upstream @ self.weights.T, self.pitch)
+        return cell_mean(ctx.cloud.positions, super().backward(upstream, ctx), self.pitch)
 
 
 def _in_place_of_conv(record: nn.LayerType) -> dict[str, nn.LayerType]:
@@ -224,8 +151,7 @@ def pcc_types(hidden: list[int]) -> dict[str, nn.LayerType]:
 
     def build(spec, params):
         geom, (*mlp, pointwise, bias) = nn.conv_spec(spec), params
-        filt = MlpFilter(tuple(zip(mlp[::2], mlp[1::2])))
-        return PccLayer(geom.radius, geom.cap, filt, pointwise, bias)
+        return PccLayer(geom.radius, geom.cap, list(zip(mlp[::2], mlp[1::2])), pointwise, bias)
 
     return _in_place_of_conv(nn.LayerType(nn.CONV_FIELDS, arrays, build))
 

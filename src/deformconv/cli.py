@@ -76,6 +76,8 @@ def _write_manifest(path, rows, task: str, num_classes: int) -> None:
 
 
 def _read_manifest(path):
+    """(task, classes, rows) of a manifest, each row (line number, file,
+    label, split)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [l.rstrip("\n") for l in fh]
@@ -105,21 +107,28 @@ def _read_manifest(path):
         parts = line.split(",")
         if len(parts) != 3:
             raise XyzFormatError(f"{path}:{lineno}: expected 3 fields")
-        rows.append((parts[0], parts[1], parts[2]))
+        if parts[2] not in ("train", "test"):
+            raise XyzFormatError(f"{path}:{lineno}: unknown split {parts[2]!r} (train or test)")
+        rows.append((lineno, *parts))
     if not rows:
         raise XyzFormatError(f"{path}: manifest lists no clouds")
     return task, num_classes, rows
 
 
 def _load_dir_datasets(data_dir) -> dict[str, Dataset]:
-    task, num_classes, rows = _read_manifest(os.path.join(data_dir, "manifest.csv"))
+    manifest = os.path.join(data_dir, "manifest.csv")
+    task, num_classes, rows = _read_manifest(manifest)
     by_split: dict[str, list[PointCloud]] = {}
-    for name, _label, split in rows:
+    for lineno, name, label, split in rows:
         path = os.path.join(data_dir, name)
         cloud = load_xyz(path)
         fault = label_fault(cloud, num_classes, task)
         if fault is not None:
             raise XyzFormatError(f"{path}: {fault} (manifest: task={task} classes={num_classes})")
+        # a segmentation row's label is not read (gen-data writes -1)
+        if task == CLASSIFICATION and not (label.isdigit() and int(label) == cloud.labels[0]):
+            raise XyzFormatError(
+                f"{manifest}:{lineno}: label {label!r}, but {name} holds class {cloud.labels[0]}")
         by_split.setdefault(split, []).append(cloud)
     return {
         split: Dataset(clouds, num_classes=num_classes, task=task)

@@ -366,6 +366,15 @@ def _blend(w: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, C) sums of the rows of values (P, C) into rows index (P,): one
+    bincount per column, adding in ascending row order (bit-identical runs)."""
+    out = np.empty((n, values.shape[1]))
+    for c in range(values.shape[1]):
+        out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
+    return out
+
+
 # grid key (k, unit bytes) -> [weak reference to a table, its kernel map,
 # its dense map once a dense pass has asked for it]
 _KERNEL_MAPS: dict = {}
@@ -626,9 +635,7 @@ def backward_features(
         # memory: with both live, a toy 8 -> 16 call took 0.3 ms more
         g = (h.transpose(0, 2, 1) @ (up @ wide.T).reshape(q, a, i)).reshape(q * h.shape[2], i)
         g[pads] = 0.0  # the pads add exact zeros into point 0's bin
-        grad_f = np.empty_like(features)
-        for c in range(i):
-            grad_f[:, c] = np.bincount(cols, g[:, c], minlength=features.shape[0])
+        grad_f = _scatter_rows(cols, g, features.shape[0])
         s = sums[0] if sums else _dense_sums(features, dense)
         return grad_f, (s.reshape(q, a * i).T @ up).reshape(a, i, o), up.sum(axis=0)
     _, nbr, _, w = _kernel_map(neighbors, filt.grid)

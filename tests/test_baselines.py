@@ -1,6 +1,7 @@
 """Reference baselines: MLP-filter continuous conv and the voxel cell mean."""
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -12,38 +13,51 @@ from conftest import fd_grad, grad_rel, neighbor_table, random_cloud, rel_err
 
 
 def _mlp(seed=0, out_dim=2, hidden=(4, 4)):
-    """He-initialised MlpFilter with the given hidden widths."""
+    """He-initialised MLP filter (W, b) pairs with the given hidden widths."""
     rng, dims = DetRng(seed), [3, *hidden, out_dim]
-    return baselines.MlpFilter(tuple(
-        (rng.normals(a * b, 0.0, np.sqrt(2.0 / a)).reshape(a, b), np.zeros(b))
-        for a, b in zip(dims[:-1], dims[1:])))
+    return [(rng.normals(a * b, 0.0, np.sqrt(2.0 / a)).reshape(a, b), np.zeros(b))
+            for a, b in zip(dims[:-1], dims[1:])]
+
+
+def _pcc(mlp, pointwise, bias=None, radius=0.7, cap=12):
+    bias = np.zeros(np.shape(pointwise)[1]) if bias is None else bias
+    return baselines.PccLayer(radius, cap, mlp, pointwise, bias)
+
+
+def _filter_weights(layer, offsets):
+    """Per-offset channel weights (P, D') of a PccLayer, read from its own
+    MLP layers."""
+    w = np.asarray(offsets, dtype=np.float64)
+    for mlp_layer in layer.mlp:
+        w = mlp_layer.forward(w, None)
+    return w
 
 
 class TestMlpFilter:
+    # the PccLayer's MLP filter, offset -> one weight per input channel
     def test_eval_shape_and_determinism(self):
-        f = _mlp(out_dim=3)
+        layer = _pcc(_mlp(out_dim=3), np.eye(3))
         offs = np.random.default_rng(0).uniform(-0.5, 0.5, (10, 3))
-        a = baselines.mlp_eval(f, offs)
+        a = _filter_weights(layer, offs)
         assert a.shape == (10, 3)
-        assert np.array_equal(a, baselines.mlp_eval(f, offs))
+        assert np.array_equal(a, _filter_weights(layer, offs))
 
     def test_nonlinear_in_offsets(self):
         # a linear map with v(0)=0 would be odd; the rectifier is not
         # (zero-bias rectifier nets are positively homogeneous, so probing
         # v(2x) vs 2 v(x) along one ray would not detect anything)
-        f = _mlp(out_dim=1)
+        layer = _pcc(_mlp(out_dim=1), np.eye(1))
         offs = np.array([[0.3, 0.1, -0.2], [-0.3, -0.1, 0.2]])
-        vals = baselines.mlp_eval(f, offs)
+        vals = _filter_weights(layer, offs)
         assert abs(vals[0, 0] + vals[1, 0]) > 1e-8
 
     def test_zero_final_layer_gives_zero(self):
-        f = _mlp(out_dim=2)
-        w_last, b_last = f.layers[-1]
-        layers = tuple(f.layers[:-1]) + ((np.zeros_like(w_last),
-                                          np.zeros_like(b_last)),)
-        g = baselines.MlpFilter(layers=layers)
+        mlp = _mlp(out_dim=2)
+        w_last, b_last = mlp[-1]
+        mlp[-1] = (np.zeros_like(w_last), np.zeros_like(b_last))
+        layer = _pcc(mlp, np.eye(2))
         offs = np.random.default_rng(1).uniform(-0.4, 0.4, (6, 3))
-        assert not np.any(baselines.mlp_eval(g, offs))
+        assert not np.any(_filter_weights(layer, offs))
 
 
 class TestPccForward:
@@ -52,62 +66,80 @@ class TestPccForward:
     def _instance(self, seed=0, m=20, d_in=2, d_out=3):
         rng = np.random.default_rng(seed)
         cloud = random_cloud(rng, m, d_in, extent=0.5)
-        filt = _mlp(seed=seed, out_dim=d_in)
+        mlp = _mlp(seed=seed, out_dim=d_in)
         pointwise = rng.normal(size=(d_in, d_out))
         table = neighbor_table(cloud, 0.7, 12)
-        return cloud, table, filt, pointwise
+        return cloud, table, mlp, pointwise
 
     @staticmethod
-    def _forward(cloud, filt, pointwise, radius=0.7, cap=12):
-        layer = baselines.PccLayer(radius, cap, filt, pointwise, np.zeros(pointwise.shape[1]))
+    def _forward(cloud, layer):
         return layer.forward(cloud.features, nn.LayerContext(cloud))
 
     def test_single_point_worked_example(self):
-        filt = _mlp(out_dim=2)
         pos = np.zeros((1, 3))
         feats = np.array([[2.0, -1.0]])
         cloud = pointcloud.PointCloud(positions=pos, features=feats)
         pointwise = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
-        out = self._forward(cloud, filt, pointwise, cap=4)
-        u = baselines.mlp_eval(filt, np.zeros((1, 3)))[0]
+        layer = _pcc(_mlp(out_dim=2), pointwise, cap=4)
+        out = self._forward(cloud, layer)
+        u = _filter_weights(layer, np.zeros((1, 3)))[0]
         expect = (u * feats[0]) @ pointwise
         assert np.allclose(out[0], expect, atol=1e-15)
 
     def test_matches_direct_reevaluation(self):
         for seed in range(4):
-            cloud, table, filt, pointwise = self._instance(seed)
-            out = self._forward(cloud, filt, pointwise)
+            cloud, table, mlp, pointwise = self._instance(seed)
+            layer = _pcc(mlp, pointwise)
+            out = self._forward(cloud, layer)
             expect = np.zeros_like(out)
             for q in range(table.num_queries):
                 idx, offs = table.neighbors_of(q)
                 acc = np.zeros(cloud.feature_dim)
                 for j, off in zip(idx, offs):
-                    acc += baselines.mlp_eval(filt, off[None])[0] * cloud.features[j]
+                    acc += _filter_weights(layer, off[None])[0] * cloud.features[j]
                 expect[q] = acc @ pointwise
             assert rel_err(out, expect) <= 1e-12
 
     def test_translation_and_permutation_equivariance(self):
         rng = np.random.default_rng(6)
-        cloud, _, filt, pointwise = self._instance(6, m=24)
-        base = self._forward(cloud, filt, pointwise)
+        cloud, _, mlp, pointwise = self._instance(6, m=24)
+        layer = _pcc(mlp, pointwise)
+        base = self._forward(cloud, layer)
         moved = cloud.translated(np.array([40.0, -7.0, 2.0]))
-        out = self._forward(moved, filt, pointwise)
+        out = self._forward(moved, layer)
         assert rel_err(out, base) <= 1e-9
         perm = rng.permutation(cloud.num_points)
         shuffled = pointcloud.PointCloud(positions=cloud.positions[perm],
                                          features=cloud.features[perm])
-        out2 = self._forward(shuffled, filt, pointwise)
+        out2 = self._forward(shuffled, layer)
         assert rel_err(out2, base[perm]) <= 1e-9
 
     def test_dim_mismatch_rejected(self):
         # the MLP emits 2 channel weights; a 1-row pointwise map takes 1 channel
-        _, _, filt, pointwise = self._instance(1)
+        _, _, mlp, pointwise = self._instance(1)
         with pytest.raises(ValueError, match="filter emits 2 channel weights"):
-            baselines.PccLayer(0.7, 12, filt, pointwise[:1], np.zeros(3))
+            baselines.PccLayer(0.7, 12, mlp, pointwise[:1], np.zeros(3))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda mlp: [], "needs at least one layer"),
+        (lambda mlp: [(np.ones((2, 4)), np.zeros(4))] + mlp[1:], r"MLP layer 0: bad shapes"),
+        (lambda mlp: mlp[:1] + [(np.ones((3, 4)), np.zeros(4))] + mlp[2:],
+         r"MLP layer 1: bad shapes \(3, 4\), \(4,\)"),
+        (lambda mlp: mlp[:2] + [(mlp[2][0], np.zeros(3))], r"MLP layer 2: bad shapes"),
+        (lambda mlp: [(np.full((3, 4), np.nan), np.zeros(4))] + mlp[1:],
+         "MLP layer 0: non-finite parameters"),
+        (lambda mlp: mlp[:2] + [(mlp[2][0], np.array([0.0, np.inf]))],
+         "MLP layer 2: non-finite parameters"),
+    ], ids=["no-layer", "first-rows", "unchained", "bias-width", "nan-weight", "inf-bias"])
+    def test_constructor_rejections(self, edit, message):
+        _, _, mlp, pointwise = self._instance(1)
+        with pytest.raises(ValueError, match=message):
+            baselines.PccLayer(0.7, 12, edit(mlp), pointwise, np.zeros(3))
 
 
 class TestPccLayerGradients:
-    def test_gradcheck(self):
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 4)], ids=["no-hidden", "4", "4-4"])
+    def test_gradcheck(self, hidden):
         # the MLP gets nonzero biases here: self-pairs feed it the zero
         # offset, and with zero biases every hidden unit would sit exactly
         # on its rectifier kink, where finite differences disagree with
@@ -118,13 +150,12 @@ class TestPccLayerGradients:
             positions=rng.uniform(-0.4, 0.4, (m, 3)),
             features=rng.normal(size=(m, 2)),
             labels=rng.integers(0, 2, m))
-        base = _mlp(seed=3, out_dim=2)
-        layers = tuple((w.copy(), rng.normal(size=b.shape) * 0.3)
-                       for w, b in base.layers)
-        filt = baselines.MlpFilter(layers=layers)
-        layer = baselines.PccLayer(0.7, 6, filt,
+        mlp = [(w.copy(), rng.normal(size=b.shape) * 0.3)
+               for w, b in _mlp(seed=3, out_dim=2, hidden=hidden)]
+        layer = baselines.PccLayer(0.7, 6, mlp,
                                    rng.normal(size=(2, 2)),
                                    rng.normal(size=2))
+        assert len(layer.mlp) == 2 * len(hidden) + 1  # a ReluLayer between each pair
         ctx = nn.LayerContext(cloud)
         up = rng.normal(size=(m, 2))
         feats = cloud.features.copy()
@@ -306,6 +337,51 @@ class TestBaselineStacks:
         for p, g in zip(stack.parameters(), stack.gradients()):
             assert grad_rel(g, fd_grad(loss, p)) <= 1e-6
         assert grad_rel(down, fd_grad(loss, feats)) <= 1e-6
+
+
+def _trained_digest(types) -> str:
+    """sha256 of a seeded baseline stack's parameters after 3 epochs on
+    four 64-point two-surfaces clouds. The second conv layer's input
+    gradient trains the first, so every backward output is in the bits."""
+    specs = [
+        {"type": "deformable", "in": 2, "out": 4, "k": 3,
+         "a": [0.2, 0.2, 0.2], "r": None, "cap": 8, "skip": 0},
+        {"type": "relu"},
+        {"type": "deformable", "in": 4, "out": 4, "k": 3,
+         "a": [0.2, 0.2, 0.2], "r": None, "cap": 8, "skip": 1},
+        {"type": "relu"},
+        {"type": "linear", "in": 8, "out": 2, "skip": 0},
+    ]
+    stack = nn.build_stack(specs, "segmentation", rng=DetRng(5), types=types)
+    nn.train_stack(stack, pointcloud.synth_dataset("two-surfaces-seg", 4, 64, 0.01, 3),
+                   lr=1e-2, weight_decay=5e-4, epochs=3, batch_size=2, rng=DetRng(6))
+    return hashlib.sha256(nn.flatten_params(stack).astype("<f8").tobytes()).hexdigest()
+
+
+class TestPinnedTraining:
+    """Trained baseline parameters, bit for bit, as recorded when each
+    baseline had its own MLP and linear-head code (numpy 2.4 with its
+    bundled OpenBLAS, the same at one and two BLAS threads): building
+    them from nn's layers must not move a bit. A different BLAS may
+    round its products differently; re-record the digests there only
+    after the gradchecks above pass."""
+
+    DIGESTS = {
+        "pcc-no-hidden":
+            "4ade92b282bd7fdeb45789ad2a93c8c0c972f7e26fc2211fb837a0ee7bcf3bf3",
+        "pcc-4":
+            "bb1d30cad262a807edf103c5081bf29e0cf69607b7ad5721f351b9a787431cf2",
+        "pcc-4-4":
+            "8a99dad3e2f86b07ddd67a0caba423e155876a9e41e6e5ce59551a9972fe9911",
+        "voxel":
+            "161a3f6d561d5e07559f5138a29f80a8e8ef9662e7349adeb30dbfa5502f0fa9",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_trained_parameters(self, name):
+        hidden = {"pcc-no-hidden": [], "pcc-4": [4], "pcc-4-4": [4, 4]}
+        types = baselines.pcc_types(hidden[name]) if name in hidden else baselines.voxel_types(0.2)
+        assert _trained_digest(types) == self.DIGESTS[name]
 
 
 class TestSubvoxelDiscrimination:

@@ -945,12 +945,14 @@ opt.epochs = 1
     def _data_dir_config(self, tmp_path, task, classes, clouds, layers):
         """A train config on a data dir whose manifest (task, classes)
         lists train.xyz and test.xyz, one-channel labelled dfc-xyz files
-        holding the data lines ``clouds`` gives each."""
+        holding the data lines ``clouds`` gives each. Their manifest label
+        is 0 for classification, -1 (not read) for segmentation."""
         data = tmp_path / "data"
         data.mkdir()
+        label = 0 if task == "classification" else -1
         (data / "manifest.csv").write_text(
             f"# dfc-manifest task={task} classes={classes}\n"
-            "file,label,split\ntrain.xyz,-1,train\ntest.xyz,-1,test\n")
+            f"file,label,split\ntrain.xyz,{label},train\ntest.xyz,{label},test\n")
         for name, lines in clouds.items():
             (data / name).write_text("# dfc-xyz D=1 labeled=1\n" + lines)
         return _write(tmp_path / "t.cfg", f"""
@@ -976,6 +978,32 @@ opt.epochs = 1
         path = tmp_path / "data" / "test.xyz"
         assert capsys.readouterr().err == (
             f"data error: {path}: {fault} (manifest: task={task} classes=2)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("train_line,label", [
+        ("0 0 0 1 1\n", "0"), ("0 0 0 1 0\n", "+0"), ("0 0 0 1 0\n", ""),
+    ], ids=["other-class", "not-as-written", "empty"])
+    def test_manifest_label_must_match_its_cloud(self, tmp_path, capsys, train_line, label):
+        layers = "layer.count = 2\nlayer.0.type = relu\nlayer.1.type = pool"
+        cfg = self._data_dir_config(tmp_path, "classification", 2, {
+            "train.xyz": train_line, "test.xyz": "0 0 0 1 0\n"}, layers)
+        manifest = tmp_path / "data" / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("train.xyz,0,", f"train.xyz,{label},"))
+        assert cli.main(["train", "--config", cfg]) == 2
+        held = train_line.split()[-1]
+        assert capsys.readouterr().err == (
+            f"data error: {manifest}:3: label {label!r}, but train.xyz holds class {held}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_split_is_data_error(self, tmp_path, capsys):
+        # a misspelt split must not drop its row while train runs on the rest
+        cfg = self._data_dir_config(tmp_path, "segmentation", 2, {
+            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, "layer.count = 0")
+        manifest = tmp_path / "data" / "manifest.csv"
+        manifest.write_text(manifest.read_text() + "train.xyz,-1,tran\n")
+        assert cli.main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {manifest}:5: unknown split 'tran' (train or test)\n")
         assert not (tmp_path / "o").exists()
 
     def test_zero_class_manifest_is_data_error(self, tmp_path, capsys):

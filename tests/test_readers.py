@@ -70,6 +70,11 @@ def _config_load(path):
     return cfg.values
 
 
+def _manifest_load(path):
+    task, classes, rows = cli._read_manifest(path)
+    return task, classes, [row[1:] for row in rows]  # rows without their line numbers
+
+
 def _manifest_save(path, loaded):
     task, classes, rows = loaded
     cli._write_manifest(path, rows, task, classes)
@@ -93,7 +98,7 @@ _READERS = {
     "xyz": ("cloud.xyz", _xyz_load, XyzFormatError, _xyz_save),
     "checkpoint": ("ckpt.dfc", _ckpt_load, CheckpointError, _ckpt_save),
     "config": ("run.cfg", _config_load, ConfigError, None),
-    "manifest": ("manifest.csv", cli._read_manifest, XyzFormatError, _manifest_save),
+    "manifest": ("manifest.csv", _manifest_load, XyzFormatError, _manifest_save),
 }
 
 
