@@ -21,34 +21,30 @@ Two implementations of the forward pass are kept side by side:
 
   * forward_features / backward_features and their separable twins
     (forward_separable_features, backward_separable_features): the
-    production path. Only the <= 8 anchors that enclose each offset
-    are touched. Those corners and their weights (the kernel map) are
-    gathered once per (neighbour table, anchor grid), over row slices
-    of the table, and shared by every layer and pass on that table;
-    pairs whose weight is zero at all eight corners are left out of the
-    map. The full filter has two passes on that map:
+    production path, which touches only the <= 8 anchors that enclose
+    each offset. The full filter has two passes:
       - the dense pass, for a table whose per-query interpolation matrix
-        H (queries x k^3 x slots, slots the most map pairs any query
-        holds) fits the block budget: H is built once per (table, grid)
-        and kept with the map, and each pass is a few batched GEMMs over
-        all input channels at once (the way KPConv evaluates its kernel);
+        H (queries x k^3 x slots, slots the most pairs any query holds)
+        fits the block budget: H is the product of per-axis hats of the
+        table's offsets, and each pass is a few batched GEMMs over all
+        input channels at once (the way KPConv evaluates its kernel);
       - the channel pass, for every other table: query blocks, one input
-        channel at a time, with threads > 1 spreading the (block,
-        channel) parts over a thread pool.
-    The separable filter runs in query blocks, one channel at a time.
-    Only the dense pass keeps its anchor sums for the backward; the
-    backward rebuilds them when given none, with the same bits.
+        channel at a time, on the kernel map (each pair's corners and
+        weights, for pairs nonzero at some corner), with threads > 1
+        spreading the parts over a thread pool.
+    The separable filter runs on the kernel map too. H and the map are
+    built once per (table, grid) for all layers and passes. Only the
+    dense pass keeps its sums for the backward, which rebuilds them,
+    with the same bits, when given none.
   * oracle_forward_features: a deliberately naive full scan over all
     k^3 anchors for every pair. It exists to cross-check the fast path
     and is used by tests and the benchmark command.
 
 The search's block budget, ``spatial._BLOCK_VALUES``, bounds the large
-temporaries here too: a map slice holds budget / 8 rows; a query block's
-(8, pairs) corner keys and values and its dense (queries x k^3) sums (m
-and its output rows for the separable filter) hold at most the budget
-each (``spatial._spans``); and a table takes the dense pass only when
-its H, its gathered features and its sums each fit the budget. The two
-passes agree to rounding.
+temporaries here too: a map slice holds budget / 8 rows, a query block's
+(8, pairs) corner keys and values and its (queries x k^3) sums at most
+the budget each (``spatial._spans``), and the dense pass's H, gathered
+features and sums must each fit it. The two passes agree to rounding.
 
 All arithmetic is float64. Summation over a neighbourhood follows the
 stored pair order, so repeated runs are bit-identical.
@@ -56,6 +52,7 @@ stored pair order, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -307,6 +304,16 @@ def interpolate_filter(z, filt: DeformableFilter) -> np.ndarray:
     return out
 
 
+def _axis_hats(o: np.ndarray, planes: np.ndarray, unit: float) -> np.ndarray:
+    """max(1 - |o - planes * unit| / unit, 0), trilinear_weight's hat on
+    one axis, of offsets o (P,) at lattice planes (rows of planes)."""
+    t = o - planes * unit
+    np.abs(t, out=t)
+    t /= unit
+    np.subtract(1.0, t, out=t)
+    return np.maximum(t, 0.0, out=t)
+
+
 def _corner_gather(offsets: np.ndarray, grid: AnchorGrid):
     """Vectorised enclosing-anchor lookup for a batch of offsets.
 
@@ -316,8 +323,8 @@ def _corner_gather(offsets: np.ndarray, grid: AnchorGrid):
     corners around each kept offset, corners ordered by ascending (i, j,
     l); ids use the smallest unsigned dtype that holds k^3 - 1. Corners
     outside the lattice carry weight exactly 0 (their id is clamped into
-    range so it is safe to gather with). Per-axis weights use the same
-    formula as trilinear_weight, so nonzero weights agree with it
+    range so it is safe to gather with). Per-axis weights are _axis_hats,
+    trilinear_weight's formula, so nonzero weights agree with it
     bit-for-bit. Every step runs on one axis's contiguous (2, P) lower
     and upper lattice planes.
     """
@@ -330,14 +337,7 @@ def _corner_gather(offsets: np.ndarray, grid: AnchorGrid):
         np.add(corner[0], 1.0, out=corner[1])
         inside = (corner >= -h) & (corner <= h)
         corner *= inside  # planes outside the lattice read the centre plane
-        wd = corner * u[d]
-        np.subtract(o, wd, out=wd)
-        np.abs(wd, out=wd)
-        wd /= u[d]
-        np.subtract(1.0, wd, out=wd)
-        np.maximum(wd, 0.0, out=wd)
-        wd *= inside
-        axis_w.append(wd)
+        axis_w.append(_axis_hats(o, corner, u[d]) * inside)
         axis_c.append(corner)
     # rounding is monotone, so the largest corner weight is the product of
     # the per-axis maxima: an offset has a nonzero corner iff it is nonzero
@@ -375,96 +375,101 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-# grid key (k, unit bytes) -> [weak reference to a table, its kernel map,
-# its dense map once a dense pass has asked for it]
+# (builder name, k, unit bytes) -> (weak reference to a table, its value)
 _KERNEL_MAPS: dict = {}
 
 
-def _map_entry(table: NeighborTable, grid: AnchorGrid) -> list:
-    """The cache entry of the table's kernel map on grid (see _kernel_map),
-    built on a miss."""
-    key = (grid.k, grid.unit.tobytes())
-    hit = _KERNEL_MAPS.get(key)
-    if hit is not None and hit[0]() is table:
-        return hit
-    # gathered over row slices whose (8, rows) arrays fit the block budget
-    # (one empty slice for an empty table, so the map keeps its dtypes)
+def _per_table(build):
+    """build(table, grid), kept for the most recent table of each grid
+    while that table lives; a hit does no per-table work."""
+    @functools.wraps(build)
+    def cached(table: NeighborTable, grid: AnchorGrid):
+        key = (build.__name__, grid.k, grid.unit.tobytes())
+        hit = _KERNEL_MAPS.get(key)
+        if hit is not None and hit[0]() is table:
+            return hit[1]
+        value = build(table, grid)
+
+        # no lock: a race between threads can only cost a rebuild, since a
+        # value is served only to the table it was built from
+        def evict(ref):
+            if _KERNEL_MAPS.get(key, (None,))[0] is ref:
+                _KERNEL_MAPS.pop(key, None)
+
+        _KERNEL_MAPS[key] = (weakref.ref(table, evict), value)
+        return value
+    return cached
+
+
+@_per_table
+def _kernel_map(table: NeighborTable, grid: AnchorGrid):
+    """(starts, nbr, ids, w): the table's pairs with a nonzero weight at
+    some corner (the others would only add exact zeros to every sum), as
+    a CSR over the same queries, corners stored corner-major (ids and w
+    are (8, pairs)), gathered over row slices whose (8, rows) arrays fit
+    the block budget (one empty slice for an empty table keeps dtypes)."""
     step = max(1, spatial._BLOCK_VALUES // 8)
     parts = []
     for p0 in range(0, max(table.num_pairs, 1), step):
         kept, ids, w = _corner_gather(table.offsets[p0:p0 + step], grid)
         parts.append((kept + p0, ids, w))
-    # a single slice is the map as it is: copying it would cost a second
-    # allocation of its size on every small table
-    kept, ids, w = (arrs[0] if len(arrs) == 1 else np.concatenate(arrs, axis=-1)
-                    for arrs in zip(*parts))
+    kept, ids, w = (np.concatenate(arrs, axis=-1) for arrs in zip(*parts))
     del parts  # the slices go before the neighbour ids are taken
-    kmap = (np.searchsorted(kept, table.starts), table.indices[kept], ids, w)
-
-    # no lock: a race between threads can only cost a rebuild, since a
-    # map is served only to the table it was built from
-    def evict(ref):
-        if _KERNEL_MAPS.get(key, (None,))[0] is ref:
-            _KERNEL_MAPS.pop(key, None)
-
-    entry = _KERNEL_MAPS[key] = [weakref.ref(table, evict), kmap, None]
-    return entry
+    return np.searchsorted(kept, table.starts), table.indices[kept], ids, w
 
 
-def _kernel_map(table: NeighborTable, grid: AnchorGrid):
-    """(starts, nbr, ids, w): the table's pairs with a nonzero weight at
-    some corner, as a CSR over the same queries, with their corners
-    stored corner-major (ids and w are (8, pairs)).
-
-    Dropped pairs would only add exact zeros to every sum. One map per
-    grid is kept, for the most recent table and while that table lives,
-    so search tables (read-only) are gathered once for all their layers,
-    passes and epochs.
-    """
-    return _map_entry(table, grid)[1]
+@_per_table
+def _interpolation(table: NeighborTable, grid: AnchorGrid):
+    """(H, cols, pads) of the table (see _dense_map), or None when H does
+    not fit the block budget. The offsets go to their slots, +inf to the
+    pads past a row's end, whose hats are then exactly 0. H, the product
+    of the per-axis hats at the k lattice planes in the kernel map's
+    corner order, (x * y) * z, has the map's weights. It is anchor-major,
+    (k^3, queries, slots), seen as (queries, k^3, slots) by the GEMMs."""
+    q, a, h = table.num_queries, grid.num_anchors, grid.half
+    slots = int(table.counts.max(initial=0))
+    if q * slots * a > spatial._BLOCK_VALUES:
+        return None
+    rows = spatial._expand(np.arange(q, dtype=np.int64) * slots, table.counts)
+    offsets = np.full((3, q * slots), np.inf)
+    offsets[:, rows] = table.offsets.T
+    planes = np.arange(-h, h + 1, dtype=np.float64)[:, None]
+    x, y, z = hats = [_axis_hats(offsets[d], planes, grid.unit[d]) for d in range(3)]
+    hmat = (x[:, None, None] * y[None, :, None]) * z[None, None]
+    # a slot weighs 0 at every corner when all its hats on some axis are 0
+    pads = np.flatnonzero(~np.all([t.any(axis=0) for t in hats], axis=0))
+    cols = np.zeros(q * slots, dtype=np.int64)
+    cols[rows] = table.indices
+    cols[pads] = 0
+    return hmat.reshape(a, q, slots).transpose(1, 0, 2), cols, pads
 
 
 def _dense_map(table: NeighborTable, grid: AnchorGrid, in_dim: int):
-    """(H, cols, pads) for the full operator's dense pass, or None when
-    the table does not take it.
+    """(H, cols, pads) for the full operator's dense pass, built from the
+    table alone once per (table, grid), or None when H, the gathered
+    features (queries, slots, in_dim) or the sums (queries, k^3, in_dim)
+    would hold more than the block budget.
 
-    Each query has slots rows, slots being the most kernel-map pairs any
-    query holds: row q * slots + j stands for q's j-th map pair, or is a
-    pad past q's last pair. H (queries, k^3, slots) holds at [q, a, j]
-    the trilinear weight of that pair at anchor a, 0 at pads; cols holds
-    each row's neighbour id, 0 at pads, and pads lists the pad rows. A
-    table takes the dense pass when H, the gathered features (queries,
-    slots, in_dim) and the sums (queries, k^3, in_dim) each hold at most
-    the block budget. The three are built once per (table, grid) and
-    kept in the map's cache entry.
+    Row q * slots + j stands for q's j-th pair, slots being the most
+    pairs any query of the table holds. H (queries, k^3, slots) holds at
+    [q, a, j] that pair's trilinear weight at anchor a, and cols its
+    neighbour id. pads lists the rows past a row's end and those of pairs
+    zero at all eight corners, where H and cols are 0 and the gathered
+    features are zeroed.
     """
     q, a = table.num_queries, grid.num_anchors
     if q * a * in_dim > spatial._BLOCK_VALUES:  # the sums alone do not fit
         return None
-    entry = _map_entry(table, grid)
-    starts, nbr, ids, w = entry[1]
-    counts = np.diff(starts)
-    slots = int(counts.max(initial=0))
-    if q * slots * max(a, in_dim) > spatial._BLOCK_VALUES:
+    dense = _interpolation(table, grid)
+    if dense is None or q * dense[0].shape[2] * in_dim > spatial._BLOCK_VALUES:
         return None
-    if entry[2] is None:
-        qid = np.repeat(np.arange(q, dtype=np.int64), counts)
-        j = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
-        # a pair's corners are distinct anchors, but for the zero-weight
-        # corners clamped into the lattice: adding keeps every weight exact
-        h = np.bincount(((qid * a + ids) * slots + j).ravel(), w.ravel(),
-                        minlength=q * a * slots)
-        cols = np.zeros(q * slots, dtype=np.int64)
-        cols[qid * slots + j] = nbr
-        pads = np.flatnonzero(np.arange(slots) >= counts[:, None])
-        entry[2] = h.reshape(q, a, slots), cols, pads
-    return entry[2]
+    return dense
 
 
 def _dense_sums(features: np.ndarray, dense) -> np.ndarray:
     """The dense pass's anchor sums S = H @ F (queries, k^3, in), F
-    (queries, slots, in) the features of each query's map pairs in its
-    slots, so a query's sums read no other query's features."""
+    (queries, slots, in) the features of each query's pairs in its slots,
+    zero at pads, so a query's sums read no other query's features."""
     h, cols, pads = dense
     f = features.take(cols, axis=0)
     f[pads] = 0.0  # exact zeros, whatever feature row 0 holds
@@ -613,8 +618,8 @@ def backward_features(
     grad_bias is the column sum of upstream.
 
     On the dense pass, grad_weights is S^T @ upstream over all channels;
-    H^T @ (upstream @ weights^T) carries dL/dS to every map pair, and one
-    bincount per input channel i adds the pairs' values into
+    H^T @ (upstream @ weights^T) carries dL/dS to every pair's slot, and
+    one bincount per input channel i adds the slots' values into
     grad_features[:, i]. Otherwise, per part (query block, input channel
     i): grad_weights[:, i] gains S_i^T @ upstream; each pair blends
     (upstream @ weights[:, i, :]^T) of its query over its corners, and

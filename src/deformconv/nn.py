@@ -90,7 +90,8 @@ class Layer:
 class DeformConvLayer(Layer):
     """Full deformable convolution on the context's (radius, cap) table.
 
-    Every forward keeps, in a fresh list, the anchor sums that
+    Every forward builds the filter for itself and the backward that
+    follows, and keeps, in a fresh list, the anchor sums that
     conv.forward_features keeps: one (queries, k^3, in) array, at most
     one block budget, on the dense pass, none on the channel pass. The
     backward reads and releases them, and rebuilds the sums it is not
@@ -107,19 +108,17 @@ class DeformConvLayer(Layer):
     def out_channels(self, in_channels: int) -> int:
         return self._expect_channels(in_channels, *self.weights.shape[1:])
 
-    def _filter(self) -> DeformableFilter:
-        return DeformableFilter(self.spec.grid, self.weights, self.bias)
-
     def forward(self, feats, ctx):
+        self._filt = DeformableFilter(self.spec.grid, self.weights, self.bias)
         self._feats, self._sums = feats, []
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        return conv.forward_features(feats, table, self._filter(), threads=ctx.threads,
+        return conv.forward_features(feats, table, self._filt, threads=ctx.threads,
                                      sums=self._sums)
 
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
         sums, self._sums = self._sums, None
-        gf, *grads = conv.backward_features(self._feats, table, self._filter(), upstream,
+        gf, *grads = conv.backward_features(self._feats, table, self._filt, upstream,
                                             sums=sums)
         self._accumulate(*grads)
         return gf
@@ -142,19 +141,15 @@ class SeparableConvLayer(Layer):
     def out_channels(self, in_channels: int) -> int:
         return self._expect_channels(in_channels, self.spatial.shape[1], self.pointwise.shape[1])
 
-    def _filter(self) -> SeparableFilter:
-        return SeparableFilter(self.spec.grid, self.spatial, self.pointwise, self.bias)
-
     def forward(self, feats, ctx):
+        self._filt = SeparableFilter(self.spec.grid, self.spatial, self.pointwise, self.bias)
         self._feats = feats
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        return conv.forward_separable_features(feats, table, self._filter())
+        return conv.forward_separable_features(feats, table, self._filt)
 
     def backward(self, upstream, ctx):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        gf, *grads = conv.backward_separable_features(
-            self._feats, table, self._filter(), upstream
-        )
+        gf, *grads = conv.backward_separable_features(self._feats, table, self._filt, upstream)
         self._accumulate(*grads)
         return gf
 

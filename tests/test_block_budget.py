@@ -231,6 +231,29 @@ class TestPassChoice:
             assert (conv._dense_map(table, grid, in_dim) is not None) == dense
 
 
+class TestDensePassBudget:
+    """H holds queries x k^3 x slots values, slots being the table's
+    largest row count, zero-weight pairs included."""
+
+    @pytest.mark.parametrize("over, dense", [(0, True), (1, False)])
+    def test_largest_table_row_decides(self, monkeypatch, over, dense):
+        # one value above the budget sends the table to the channel pass,
+        # though its kernel map's rows are shorter
+        grid = conv.grid_from_spacing(3, 0.2)
+        offsets = np.array([[0.05, 0.0, 0.0], [0.1, -0.1, 0.02], [0.45, 0.0, 0.0],
+                            [0.0, 0.0, 0.0], [0.1, 0.1, 0.1]])
+        table = spatial.NeighborTable(np.array([0, 3, 5]), np.array([0, 1, 2, 1, 2]),
+                                      offsets, grid.support_radius(), 3)
+        assert np.diff(conv._kernel_map(table, grid)[0]).tolist() == [2, 2]
+        monkeypatch.setattr(spatial, "_BLOCK_VALUES", 2 * 27 * 3 - over)
+        assert (conv._dense_map(table, grid, 2) is not None) == dense
+        rng = np.random.default_rng(3)
+        filt = conv.DeformableFilter(grid, rng.normal(size=(27, 2, 3)))
+        feats = rng.normal(size=(3, 2))
+        got = conv.forward_features(feats, table, filt)
+        assert rel_err(got, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
+
+
 def _peak(fn):
     """(result, tracemalloc peak in bytes above the memory in use before)."""
     tracemalloc.start()
@@ -288,13 +311,12 @@ class TestMemoryBound:
         pos, r = benchmark_cloud("toy-seg")
         table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
         grid = conv.grid_from_spacing(3, 0.2)
-        conv._kernel_map(table, grid)
         rng = np.random.default_rng(1)
         filt = conv.DeformableFilter(grid, rng.normal(size=(27, 16, 16)))
         feats = rng.normal(size=(pos.shape[0], 16))
         up = rng.normal(size=(pos.shape[0], 16))
         block = 8 * spatial._BLOCK_VALUES
-        # the first forward builds H and keeps it in the map's cache entry
+        # the first forward builds H from the table and caches it
         out, peak = _peak(lambda: conv.forward_features(feats, table, filt))
         assert conv._dense_map(table, grid, 16) is not None
         assert peak <= out.nbytes + self.BUDGETS * block

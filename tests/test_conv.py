@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from deformconv import conv, pointcloud, spatial
+from deformconv import conv, nn, pointcloud, spatial
+from deformconv.rng import DetRng
 from conftest import (benchmark_cloud, fd_grad, full_pass, grad_rel, neighbor_table,
                       on_both_passes, random_cloud, random_filter, rel_err)
 
@@ -700,9 +701,9 @@ class TestDensePass:
         # a non-finite upstream row reaches only its query's neighbours; the
         # query has pad slots, and point 0 is not among its neighbours
         clean = conv.backward_features(feats, table, filt, up)[0]
-        slots = conv._dense_map(table, filt.grid, 2)[0].shape[2]
-        held = np.diff(conv._kernel_map(table, filt.grid)[0])
-        q = next(q for q in np.flatnonzero(held < slots) if 0 not in table.neighbors_of(q)[0])
+        h, _, pads = conv._dense_map(table, filt.grid, 2)
+        padded = np.unique(pads // h.shape[2])  # queries with a pad slot
+        q = next(q for q in padded if 0 not in table.neighbors_of(q)[0])
         broken = up.copy()
         broken[q, 3] = bad
         with np.errstate(invalid="ignore"):
@@ -710,24 +711,106 @@ class TestDensePass:
         others = np.setdiff1d(np.arange(feats.shape[0]), table.neighbors_of(q)[0])
         assert 0 in others and np.array_equal(gf[others], clean[others])
 
+    def _is_the_kernel_map(self, table, grid):
+        # H, cols and pads, built from the table alone, hold each kernel-map
+        # pair's corner weights and neighbour in the slot the pair takes in
+        # its table row; every other slot is a pad. Built once per table
+        h, cols, pads = conv._dense_map(table, grid, 2)
+        assert conv._dense_map(table, grid, 1)[0] is h
+        want = _dense_from_kernel_map(table, grid)
+        for got, ref in zip((h, cols, pads), want):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+        assert not h.transpose(0, 2, 1).reshape(-1, grid.num_anchors)[pads].any()
+
     def test_interpolation_matrix_is_the_kernel_map(self):
-        # H holds each map pair's corner weights at their anchors, built
-        # once per table and kept while the table's map is
-        _, table, filt, _ = self._toy(42, 8, 16)
-        h, cols, pads = conv._dense_map(table, filt.grid, 8)
-        starts, nbr, ids, w = conv._kernel_map(table, filt.grid)
-        assert conv._dense_map(table, filt.grid, 2)[0] is h
-        slots = h.shape[2]
-        for q in (0, 17, 255):
-            for j, p in enumerate(range(starts[q], starts[q + 1])):
-                want = np.zeros(27)
-                np.add.at(want, ids[:, p], w[:, p])
-                assert np.array_equal(h[q, :, j], want) and cols[q * slots + j] == nbr[p]
-        rows = np.arange(h.shape[0] * slots)
-        real = np.concatenate([q * slots + np.arange(starts[q + 1] - starts[q])
-                               for q in range(h.shape[0])])
-        assert np.array_equal(pads, np.setdiff1d(rows, real)) and pads.size
-        assert not h.transpose(0, 2, 1).reshape(-1, 27)[pads].any()
+        self._is_the_kernel_map(*_dense_case("toy-seg", 3))
+
+    @pytest.mark.parametrize("case, k", [("sparse", 1), ("sparse", 3), ("sparse", 5),
+                                         ("no queries", 3), ("cap 1", 3)])
+    def test_interpolation_matrix_of_uneven_tables(self, case, k):
+        table, grid = _dense_case(case, k)
+        self._is_the_kernel_map(table, grid)
+        if case == "sparse":
+            # rows of different lengths, empty rows, and pairs zero at every corner
+            counts, held = table.counts, np.diff(conv._kernel_map(table, grid)[0])
+            assert counts.min() == 0 < held.max() < counts.max() and held.sum() < counts.sum()
+
+    def test_dense_pass_builds_no_kernel_map(self, monkeypatch):
+        # forward, backward and a training epoch on dense-pass tables
+        def gather(*args):
+            raise AssertionError("the dense pass built a kernel map")
+
+        monkeypatch.setattr(conv, "_corner_gather", gather)
+        feats, table, filt, up = self._toy(43, 2, 8)
+        out = conv.forward_features(feats, table, filt)
+        conv.backward_features(feats, table, filt, up)
+        rng = np.random.default_rng(44)
+        clouds = tuple(pointcloud.PointCloud(c.positions, c.features, rng.integers(0, 2, 30))
+                       for c in (random_cloud(rng, 30, 2, extent=0.5) for _ in range(3)))
+        ds = pointcloud.Dataset(clouds=clouds, num_classes=2, task="segmentation")
+        specs = [{"type": "deformable", "k": 3, "a": [0.2] * 3, "r": None, "cap": 16,
+                  "in": 2, "out": 4, "skip": 0}, {"type": "relu"},
+                 {"type": "linear", "in": 4, "out": 2}]
+        stack = nn.build_stack(specs, "segmentation", rng=DetRng(5))
+        nn.train_stack(stack, ds, lr=1e-3, weight_decay=0.0, epochs=1, batch_size=2,
+                       rng=DetRng(6))
+        assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_value_on_a_zero_weight_pair(self, bad):
+        # a pair whose weight is zero at all eight corners is a pad: its
+        # neighbour's features never reach its query
+        feats, table, filt, _ = self._toy(45, 2, 8)
+        clean = conv.forward_features(feats, table, filt)
+        qid = np.repeat(np.arange(table.num_queries), table.counts)
+        weighs = conv._hat_all(table.offsets, filt.grid).any(axis=1)
+        assert not weighs.all()
+        row = table.indices[np.flatnonzero(~weighs)[0]]
+        # the queries that hold row only in zero-weight pairs
+        zero_only = np.setdiff1d(qid[table.indices == row], qid[(table.indices == row) & weighs])
+        assert zero_only.size
+        broken = feats.copy()
+        broken[row] = bad
+        with np.errstate(invalid="ignore"):
+            out = conv.forward_features(broken, table, filt)
+        assert np.array_equal(out[zero_only], clean[zero_only])
+        assert not np.isfinite(out[row]).all()  # row weighs itself
+
+
+def _dense_case(case: str, k: int):
+    """(table, grid) of one dense-pass case: the toy-seg table; a sparse
+    search whose rows differ in length, some empty, some holding pairs
+    zero at every corner; a table with no queries; and cap 1."""
+    grid = conv.grid_from_spacing(k, 0.2)
+    r = conv.default_radius(grid)
+    if case == "toy-seg":
+        pos, r = benchmark_cloud("toy-seg")
+        return spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16), grid
+    rng = np.random.default_rng(46 + k)
+    pos = rng.uniform(-0.3 * k, 0.3 * k, (40, 3))
+    queries = {"sparse": np.concatenate([pos[:20], rng.uniform(5, 6, (3, 3))]),
+               "no queries": np.empty((0, 3)), "cap 1": pos}[case]
+    cap = 1 if case == "cap 1" else 16
+    return spatial.radius_neighbors(spatial.build_index(pos, r), queries, r, cap), grid
+
+
+def _dense_from_kernel_map(table: spatial.NeighborTable, grid: conv.AnchorGrid):
+    """(H, cols, pads) assembled pair by pair from the kernel map, with
+    the table's largest row count as slots."""
+    starts, nbr, ids, w = conv._kernel_map(table, grid)
+    q, a = table.num_queries, grid.num_anchors
+    slots = int(table.counts.max(initial=0))
+    h, cols = np.zeros((q, a, slots)), np.zeros(q * slots, dtype=np.int64)
+    held = []
+    for i in range(q):
+        row = list(table.neighbors_of(i)[0])
+        for p in range(starts[i], starts[i + 1]):
+            j = row.index(nbr[p])
+            np.add.at(h[i, :, j], ids[:, p], w[:, p])
+            cols[i * slots + j] = nbr[p]
+            held.append(i * slots + j)
+    return h, cols, np.setdiff1d(np.arange(q * slots), held)
 
 
 class TestSeparable:
@@ -844,6 +927,9 @@ class TestKernelMap:
                                      table.radius, table.cap)
 
     def test_one_gather_for_two_layers_forward_and_backward(self, monkeypatch):
+        # on the channel pass: the dense pass gathers no map at all
+        # (TestDensePass::test_dense_pass_builds_no_kernel_map)
+        full_pass(monkeypatch, "channel")
         feats, table, first, second, rng = self._instance(1)
         calls = []
         real = conv._corner_gather
