@@ -28,23 +28,26 @@ Two implementations of the forward pass are kept side by side:
         fits the block budget: H is the product of per-axis hats of the
         table's offsets, and each pass is a few batched GEMMs over all
         input channels at once (the way KPConv evaluates its kernel);
-      - the channel pass, for every other table: query blocks, one input
-        channel at a time, on the kernel map (each pair's corners and
-        weights, for pairs nonzero at some corner), with threads > 1
-        spreading the parts over a thread pool.
-    The separable filter runs on the kernel map too. H and the map are
-    built once per (table, grid) for all layers and passes. Only the
-    dense pass keeps its sums for the backward, which rebuilds them,
-    with the same bits, when given none.
+      - the channel pass, for every other table: the kernel map's query
+        blocks, one input channel at a time, with threads > 1 spreading
+        the parts over a thread pool.
+    The separable filter runs on the kernel map's blocks too. The map
+    holds only the nonzero (pair, corner) entries, each as a block-local
+    (query, anchor) key, a neighbour id and a weight, so no product or
+    bincount sees a zero corner. H and the map are built once per
+    (table, grid) for all layers and passes. Only the dense pass keeps
+    its sums for the backward, which rebuilds them, with the same bits,
+    when given none.
   * oracle_forward_features: a deliberately naive full scan over all
     k^3 anchors for every pair. It exists to cross-check the fast path
     and is used by tests and the benchmark command.
 
 The search's block budget, ``spatial._BLOCK_VALUES``, bounds the large
-temporaries here too: a map slice holds budget / 8 rows, a query block's
-(8, pairs) corner keys and values and its (queries x k^3) sums at most
-the budget each (``spatial._spans``), and the dense pass's H, gathered
-features and sums must each fit it. The two passes agree to rounding.
+temporaries here too: a kernel-map block's (8, pairs) gather, and so its
+entries, and its (queries x k^3) sums hold at most the budget each
+(``spatial._spans``), every operator runs one block at a time, and the
+dense pass's H, gathered features and sums must each fit it. The two
+passes agree to rounding.
 
 All arithmetic is float64. Summation over a neighbourhood follows the
 stored pair order, so repeated runs are bit-identical.
@@ -304,9 +307,9 @@ def interpolate_filter(z, filt: DeformableFilter) -> np.ndarray:
     return out
 
 
-def _axis_hats(o: np.ndarray, planes: np.ndarray, unit: float) -> np.ndarray:
+def _axis_hats(o: np.ndarray, planes: np.ndarray, unit) -> np.ndarray:
     """max(1 - |o - planes * unit| / unit, 0), trilinear_weight's hat on
-    one axis, of offsets o (P,) at lattice planes (rows of planes)."""
+    one axis, of offsets o at lattice planes, all three broadcast."""
     t = o - planes * unit
     np.abs(t, out=t)
     t /= unit
@@ -325,45 +328,39 @@ def _corner_gather(offsets: np.ndarray, grid: AnchorGrid):
     outside the lattice carry weight exactly 0 (their id is clamped into
     range so it is safe to gather with). Per-axis weights are _axis_hats,
     trilinear_weight's formula, so nonzero weights agree with it
-    bit-for-bit. Every step runs on one axis's contiguous (2, P) lower
-    and upper lattice planes.
+    bit-for-bit. Every step runs on all three axes' (3, 2, P) lower and
+    upper lattice planes at once, and a corner's weight is (x * y) * z.
     """
-    u, h, k = grid.unit, grid.half, grid.k
-    axis_w, axis_c = [], []
-    for d in range(3):
-        o = np.ascontiguousarray(offsets[:, d])
-        corner = np.empty((2, o.shape[0]))
-        np.floor(o / u[d], out=corner[0])
-        np.add(corner[0], 1.0, out=corner[1])
-        inside = (corner >= -h) & (corner <= h)
-        corner *= inside  # planes outside the lattice read the centre plane
-        axis_w.append(_axis_hats(o, corner, u[d]) * inside)
-        axis_c.append(corner)
+    h, k = grid.half, grid.k
+    unit = grid.unit[:, None, None]
+    # an offset at least reach from 0 on some axis divides by unit to past
+    # +-(h + 1) despite rounding (the 2^-40 margin), so both its planes on
+    # that axis lie outside the lattice and all its corners weigh 0: only
+    # the other offsets are gathered
+    reach = (h + 1) * (1 + 2.0 ** -40) * grid.unit[:, None]
+    o = np.ascontiguousarray(offsets.T)
+    near = np.flatnonzero((np.abs(o) < reach).all(axis=0))
+    o = o.take(near, axis=1)[:, None]  # (3, 1, P)
+    corner = np.empty((3, 2, o.shape[2]))
+    np.divide(o[:, 0], unit[:, 0], out=corner[:, 0])
+    np.floor(corner[:, 0], out=corner[:, 0])
+    np.add(corner[:, 0], 1.0, out=corner[:, 1])
+    inside = np.abs(corner) <= h
+    corner *= inside  # planes outside the lattice read the centre plane
+    hats = _axis_hats(o, corner, unit)
+    hats *= inside
     # rounding is monotone, so the largest corner weight is the product of
     # the per-axis maxima: an offset has a nonzero corner iff it is nonzero
-    x, y, z = (np.maximum(*wd) for wd in axis_w)
-    kept = np.flatnonzero(x * y * z > 0)
-    dtype = np.min_scalar_type(k ** 3 - 1)
-    axis_w = [wd.take(kept, axis=1) for wd in axis_w]
-    axis_c = [((c.take(kept, axis=1) + h) * k ** (2 - d)).astype(dtype)
-              for d, c in enumerate(axis_c)]
-    ids = np.empty((8, kept.shape[0]), dtype=dtype)
-    w = np.empty(ids.shape)
-    for c in range(8):
-        b0, b1, b2 = (c >> 2) & 1, (c >> 1) & 1, c & 1
-        np.multiply(axis_w[0][b0], axis_w[1][b1], out=w[c])
-        w[c] *= axis_w[2][b2]
-        ids[c] = axis_c[0][b0] + axis_c[1][b1] + axis_c[2][b2]
-    return kept, ids, w
-
-
-def _blend(w: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per pair, sum over its 8 corners of corner weight * values[corner
-    id], added corner by corner, so no temporary exceeds one (pairs,) row."""
-    out = w[0] * values.take(ids[0])
-    for c in range(1, 8):
-        out += w[c] * values.take(ids[c])
-    return out
+    x, y, z = np.maximum(hats[:, 0], hats[:, 1])
+    nonzero = np.flatnonzero(x * y * z > 0)
+    x, y, z = hats.take(nonzero, axis=2)
+    c = corner.take(nonzero, axis=2)
+    c += h
+    c *= np.array([k * k, k, 1.0])[:, None, None]
+    cx, cy, cz = c.astype(np.min_scalar_type(k ** 3 - 1))
+    ids = cx[:, None, None] + cy[None, :, None] + cz[None, None]
+    w = (x[:, None, None] * y[None, :, None]) * z[None, None]
+    return near.take(nonzero), ids.reshape(8, -1), w.reshape(8, -1)
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -402,20 +399,37 @@ def _per_table(build):
 
 
 @_per_table
-def _kernel_map(table: NeighborTable, grid: AnchorGrid):
-    """(starts, nbr, ids, w): the table's pairs with a nonzero weight at
-    some corner (the others would only add exact zeros to every sum), as
-    a CSR over the same queries, corners stored corner-major (ids and w
-    are (8, pairs)), gathered over row slices whose (8, rows) arrays fit
-    the block budget (one empty slice for an empty table keeps dtypes)."""
-    step = max(1, spatial._BLOCK_VALUES // 8)
-    parts = []
-    for p0 in range(0, max(table.num_pairs, 1), step):
-        kept, ids, w = _corner_gather(table.offsets[p0:p0 + step], grid)
-        parts.append((kept + p0, ids, w))
-    kept, ids, w = (np.concatenate(arrs, axis=-1) for arrs in zip(*parts))
-    del parts  # the slices go before the neighbour ids are taken
-    return np.searchsorted(kept, table.starts), table.indices[kept], ids, w
+def _kernel_map(table: NeighborTable, grid: AnchorGrid) -> list:
+    """The table's nonzero (pair, corner) entries, as a list of query
+    blocks (rows, keys, nbr, w). rows is the block's slice of queries;
+    per entry, keys holds (query - rows.start) * k^3 + anchor and nbr the
+    neighbour id, both int64, and w the trilinear weight. The corners
+    whose weight is exactly 0 are not stored, since they would only add
+    zeros to every sum.
+
+    Each block is gathered on its own (_corner_gather) and its entries
+    taken, by flatnonzero, from its (8, kept) weights, so they stay in
+    (corner, pair) order. Blocks are cut (spatial._spans) so that a
+    block's (8, pairs) gather, and so its entries, and its (queries x
+    k^3) sums each hold at most the block budget, and each block keeps
+    its own arrays, so no temporary of the build outgrows one block.
+    """
+    a, counts = grid.num_anchors, table.counts
+    blocks = []
+    for q0, q1 in spatial._spans(8 * table.starts, a):
+        p0, p1 = table.starts[q0], table.starts[q1]
+        kept, ids, w = _corner_gather(table.offsets[p0:p1], grid)
+        nonzero = w > 0
+        at = np.flatnonzero(nonzero)
+        # each entry's kept pair: its flat index less its corner's row start
+        pair = at - np.repeat(np.arange(8, dtype=np.int64) * kept.shape[0],
+                              np.count_nonzero(nonzero, axis=1))
+        query = np.repeat(np.arange(q1 - q0, dtype=np.int64) * a, counts[q0:q1])
+        keys = query.take(kept).take(pair)
+        keys += ids.ravel().take(at)
+        nbr = table.indices[p0:p1].take(kept).take(pair)
+        blocks.append((slice(q0, q1), keys, nbr, w.ravel().take(at)))
+    return blocks
 
 
 @_per_table
@@ -478,40 +492,34 @@ def _dense_sums(features: np.ndarray, dense) -> np.ndarray:
 
 def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, work,
                    threads: int = 1):
-    """(i, rows, pairs, work(i, rows, pairs, keys, S)) for every part of
-    the full operator, in part order.
+    """(i, rows, work(i, block, S)) for every part of the full operator,
+    in part order.
 
-    A part is one input channel i of one block of queries (rows, a
-    slice); pairs slices its kernel-map pairs and keys (8, pairs) holds
-    their corner keys (block-local query * k^3 + anchor), formed once per
-    block. S (block queries, k^3) is channel i's anchor sums,
+    A part is one input channel i of one kernel-map block (rows, keys,
+    nbr, w). S (block queries, k^3) is channel i's anchor sums,
 
         S[q, a] = sum over the (pair, corner)s of q at anchor a of
                   trilinear weight * f_i(neighbour),
 
-    one bincount adding in ascending (corner, pair) order. Blocks are cut
-    so that keys, the (8, pairs) values and S each hold at most the block
-    budget (``spatial._spans``). With threads > 1 a block's channels run
-    on a thread pool; results are still yielded in part order, so callers
-    that add them in that order get bit-identical sums for any thread
-    count.
+    one bincount over the block's keys, adding in its (corner, pair)
+    order; the features are read by a contiguous take per channel. With
+    threads > 1 a block's channels run on a thread pool; results are
+    still yielded in part order, so callers that add them in that order
+    get bit-identical sums for any thread count.
     """
-    starts, nbr, ids, w = _kernel_map(neighbors, filt.grid)
     num_anchors = filt.grid.num_anchors
+    columns = np.ascontiguousarray(features.T)
 
     def run(part):
-        i, (rows, pairs, keys) = part
-        vals = w[:, pairs] * features[nbr[pairs], i]
+        i, block = part
+        rows, keys, nbr, w = block
         size = (rows.stop - rows.start) * num_anchors
-        s = np.bincount(keys.ravel(), vals.ravel(), minlength=size).reshape(-1, num_anchors)
-        return i, rows, pairs, work(i, rows, pairs, keys, s)
+        s = np.bincount(keys, w * columns[i].take(nbr), minlength=size)
+        return i, rows, work(i, block, s.reshape(-1, num_anchors))
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for q0, q1 in spatial._spans(8 * starts, num_anchors):
-            rows, pairs = slice(q0, q1), slice(starts[q0], starts[q1])
-            local = np.arange(q1 - q0) * num_anchors
-            keys = np.repeat(local, np.diff(starts[q0:q1 + 1])) + ids[:, pairs]
-            parts = [(i, (rows, pairs, keys)) for i in range(filt.in_dim)]
+        for block in _kernel_map(neighbors, filt.grid):
+            parts = [(i, block) for i in range(filt.in_dim)]
             yield from (pool.map if pool else map)(run, parts)
 
 
@@ -568,10 +576,10 @@ def forward_features(
     else:
         out = np.zeros((neighbors.num_queries, filt.out_dim))
 
-        def work(i, rows, pairs, keys, s):
+        def work(i, block, s):
             return s @ filt.weights[:, i]
 
-        for _, rows, _, h in _channel_parts(features, neighbors, filt, work, threads):
+        for _, rows, h in _channel_parts(features, neighbors, filt, work, threads):
             out[rows] += h
     if filt.bias is not None:
         out += filt.bias
@@ -643,17 +651,18 @@ def backward_features(
         grad_f = _scatter_rows(cols, g, features.shape[0])
         s = sums[0] if sums else _dense_sums(features, dense)
         return grad_f, (s.reshape(q, a * i).T @ up).reshape(a, i, o), up.sum(axis=0)
-    _, nbr, _, w = _kernel_map(neighbors, filt.grid)
     grad_f, grad_w = np.zeros_like(features), np.zeros_like(filt.weights)
 
-    def work(i, rows, pairs, keys, s):
-        # dL/dS_i[q, a] = up[q] . weights[a, i, :], read at each pair's corners
+    def work(i, block, s):
+        rows, keys, nbr, w = block
+        # dL/dS_i[q, a] = up[q] . weights[a, i, :], read at each entry's key
         dsum = (up[rows] @ filt.weights[:, i].T).ravel()
-        return s.T @ up[rows], np.einsum("cp,cp->p", w[:, pairs], dsum.take(keys))
+        g = np.bincount(nbr, w * dsum.take(keys), minlength=features.shape[0])
+        return s.T @ up[rows], g
 
-    for i, _, pairs, (gw, g) in _channel_parts(features, neighbors, filt, work):
+    for i, _, (gw, g) in _channel_parts(features, neighbors, filt, work):
         grad_w[:, i] += gw
-        grad_f[:, i] += np.bincount(nbr[pairs], g, minlength=features.shape[0])
+        grad_f[:, i] += g
     return grad_f, grad_w, up.sum(axis=0)
 
 
@@ -664,25 +673,25 @@ def forward_separable_features(
     m[y, i] = sum_{x in N(y)} ghat1_i(y - x) * f_i(x), then the
     pointwise map m @ pointwise (+ bias).
 
-    One block of queries at a time, cut like the full operator's blocks
-    with the wider of m's and the output's rows in place of k^3, and one
-    input channel i at a time within it: ghat1_i of every pair blends
-    spatial[:, i] over the pair's corners, m[:, i] sums over each
-    query's pairs in stored order (bit-identical runs), and the block's
-    m @ pointwise fills its output rows. Corners blend one at a time, so
-    no temporary exceeds one block's (pairs,) row.
+    One kernel-map block at a time, and one input channel i at a time
+    within it: m[:, i] sums, per query, its entries' weight *
+    spatial[anchor, i] * f_i(neighbour) in the block's (corner, pair)
+    order (bit-identical runs), and the block's m @ pointwise fills its
+    output rows. m and those rows hold the block's queries times in and
+    out values: within the block budget while neither exceeds k^3.
     """
     features, _ = _check_args(features, neighbors, sf)
-    starts, nbr, ids, w = _kernel_map(neighbors, sf.grid)
+    columns, a = np.ascontiguousarray(features.T), sf.grid.num_anchors
     out = np.empty((neighbors.num_queries, sf.out_dim))
-    for q0, q1 in spatial._spans(8 * starts, max(sf.in_dim, sf.out_dim)):
-        pairs = slice(starts[q0], starts[q1])
-        qid = np.repeat(np.arange(q1 - q0, dtype=np.int64), np.diff(starts[q0:q1 + 1]))
-        m = np.empty((q1 - q0, sf.in_dim))
+    for rows, keys, nbr, w in _kernel_map(neighbors, sf.grid):
+        n = rows.stop - rows.start
+        query = keys // a
+        anchor = keys - query * a  # keys % a, at less cost
+        m = np.empty((n, sf.in_dim))
         for i, column in enumerate(sf.spatial.T):
-            g = _blend(w[:, pairs], ids[:, pairs], column)
-            m[:, i] = np.bincount(qid, weights=g * features[nbr[pairs], i], minlength=q1 - q0)
-        out[q0:q1] = m @ sf.pointwise
+            m[:, i] = np.bincount(query, w * column.take(anchor) * columns[i].take(nbr),
+                                  minlength=n)
+        out[rows] = m @ sf.pointwise
     if sf.bias is not None:
         out += sf.bias
     return out
@@ -696,24 +705,28 @@ def backward_separable_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients for the separable form: (features, spatial, pointwise, bias).
 
-    Runs the forward pass's channel loop again and takes every gradient
-    but the bias's from each channel's m[:, i] as it is built, so no
-    array holds m or dL/dm for all channels at once.
+    Runs the forward pass's blocks and channels again. Per block, dL/dm
+    is upstream @ pointwise^T on its rows; per channel i, one bincount
+    each over the block's entries adds m[:, i], grad_features[:, i] and
+    grad_spatial[:, i]; the block's m^T @ upstream adds into
+    grad_pointwise. No temporary holds more than one block.
     """
     features, up = _check_args(features, neighbors, sf, upstream)
-    starts, nbr, ids, w = _kernel_map(neighbors, sf.grid)
-    q = neighbors.num_queries
-    qid = np.repeat(np.arange(q, dtype=np.int64), np.diff(starts))
-    grad_f, grad_s, grad_p = (np.empty_like(a) for a in (features, sf.spatial, sf.pointwise))
-    for i, column in enumerate(sf.spatial.T):
-        g = _blend(w, ids, column)
-        f = features[nbr, i]
-        m_i = np.bincount(qid, weights=g * f, minlength=q)
-        grad_p[i] = m_i @ up
-        u = (up @ sf.pointwise[i])[qid]  # dL/dm[:, i] at each pair's query
-        grad_f[:, i] = np.bincount(nbr, weights=g * u, minlength=features.shape[0])
-        # dL/dspatial[a, i] sums w * f * u over the (pair, corner)s at anchor a
-        fu = f * u
-        grad_s[:, i] = sum(np.bincount(ids[c], w[c] * fu, minlength=sf.grid.num_anchors)
-                           for c in range(8))
+    columns, a = np.ascontiguousarray(features.T), sf.grid.num_anchors
+    grad_f, grad_s, grad_p = (np.zeros_like(x) for x in (features, sf.spatial, sf.pointwise))
+    for rows, keys, nbr, w in _kernel_map(neighbors, sf.grid):
+        n = rows.stop - rows.start
+        query = keys // a
+        anchor = keys - query * a  # keys % a, at less cost
+        dm = sf.pointwise @ up[rows].T  # dL/dm, (in, block queries)
+        m = np.empty((n, sf.in_dim))
+        for i, column in enumerate(sf.spatial.T):
+            f = columns[i].take(nbr)
+            g = w * column.take(anchor)  # ghat1_i's share of each entry
+            m[:, i] = np.bincount(query, g * f, minlength=n)
+            u = dm[i].take(query)
+            grad_f[:, i] += np.bincount(nbr, g * u, minlength=features.shape[0])
+            # dL/dspatial[a, i] sums w * f * u over the entries at anchor a
+            grad_s[:, i] += np.bincount(anchor, w * f * u, minlength=a)
+        grad_p += m.T @ up[rows]
     return grad_f, grad_s, grad_p, up.sum(axis=0)

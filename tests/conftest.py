@@ -77,6 +77,29 @@ def benchmark_cloud(name: str):
     return cli._bench_cloud(5_000, 16, r7, DetRng(11).spawn(10), 2).positions, r7
 
 
+def fresh_table(table: spatial.NeighborTable) -> spatial.NeighborTable:
+    """A new table object with the same pairs, so its kernel map is built
+    again, in the blocks that the block budget then in force cuts."""
+    return spatial.NeighborTable(table.starts, table.indices, table.offsets,
+                                 table.radius, table.cap)
+
+
+def map_entries(kmap: list, num_anchors: int):
+    """(query, anchor, nbr, w) of every entry of a kernel map, block after
+    block, with each block's keys turned back into table query ids."""
+    keys = [b[0].start * num_anchors + b[1] for b in kmap]
+    query, anchor = np.divmod(np.concatenate([np.empty(0, np.int64)] + keys), num_anchors)
+    nbr = np.concatenate([np.empty(0, np.int64)] + [b[2] for b in kmap])
+    return query, anchor, nbr, np.concatenate([np.empty(0)] + [b[3] for b in kmap])
+
+
+def map_pairs_per_query(table: spatial.NeighborTable, grid: conv.AnchorGrid) -> np.ndarray:
+    """How many of each query's pairs hold an entry of its kernel map."""
+    query, _, nbr, _ = map_entries(conv._kernel_map(table, grid), grid.num_anchors)
+    pairs = np.unique(np.stack([query, nbr]), axis=1)[0]
+    return np.bincount(pairs, minlength=table.num_queries)
+
+
 def lift_budget(mp: pytest.MonkeyPatch, values: int) -> None:
     """Set the block budget to ``values``, except in the search's choice
     of its one-block path, which keeps the budget it had: under a lifted

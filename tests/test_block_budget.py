@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deformconv import conv, spatial
-from conftest import (benchmark_cloud, full_pass, lift_budget, random_cloud, random_filter,
-                      rel_err, search_path)
+from conftest import (benchmark_cloud, fresh_table, full_pass, lift_budget, map_entries,
+                      map_pairs_per_query, random_cloud, random_filter, rel_err, search_path)
 
 # a budget no test input reaches: everything runs as one block (set with
 # lift_budget, so no search forms a distance matrix past the real budget)
@@ -24,14 +24,16 @@ def _table_bytes(table: spatial.NeighborTable) -> list[bytes]:
                                                           table.offsets)]
 
 
-def _map_bytes(kmap) -> list[bytes]:
-    return [a.dtype.str.encode() + np.ascontiguousarray(a).tobytes() for a in kmap]
+def _entries_by_query(kmap, num_anchors: int) -> list[bytes]:
+    """A map's entries, query after query, each query's in stored order:
+    the same for any cut into blocks."""
+    entries = map_entries(kmap, num_anchors)
+    order = np.argsort(entries[0], kind="stable")
+    return [a.dtype.str.encode() + a[order].tobytes() for a in entries]
 
 
-def _fresh(table: spatial.NeighborTable) -> spatial.NeighborTable:
-    # a new table object with the same pairs, so its kernel map is rebuilt
-    return spatial.NeighborTable(table.starts, table.indices, table.offsets,
-                                 table.radius, table.cap)
+def _map_bytes(kmap) -> int:
+    return sum(a.nbytes for block in kmap for a in block[1:])
 
 
 def _search_instance(seed: int):
@@ -146,7 +148,8 @@ class TestKernelMapInBlocks:
         r = conv.default_radius(grid)
         table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
         lift_budget(monkeypatch, ONE_BLOCK)
-        one = _map_bytes(conv._kernel_map(_fresh(table), grid))
+        one = conv._kernel_map(fresh_table(table), grid)
+        assert len(one) == 1
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", 8 * rows)
         calls = []
         real = conv._corner_gather
@@ -156,8 +159,61 @@ class TestKernelMapInBlocks:
             return real(offsets, grid)
 
         monkeypatch.setattr(conv, "_corner_gather", gather)
-        assert _map_bytes(conv._kernel_map(_fresh(table), grid)) == one
-        assert max(calls) == rows and len(calls) == -(-table.num_pairs // rows)
+        blocks = conv._kernel_map(fresh_table(table), grid)
+        # one gather per block, of the block's pairs
+        spans = spatial._spans(8 * table.starts, grid.num_anchors)
+        assert [(b[0].start, b[0].stop) for b in blocks] == spans
+        assert calls == [int(table.starts[b] - table.starts[a]) for a, b in spans]
+        assert len(blocks) > 10
+        a = grid.num_anchors
+        assert _entries_by_query(blocks, a) == _entries_by_query(one, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 5]),
+           st.sampled_from([1, 2, 10 ** 6]))
+    def test_entries_are_the_nonzero_corners(self, seed, k, per_block):
+        # a random table; the budget holds per_block queries' sums, so the
+        # blocks hold one query, two (or one, where its pairs fill the
+        # budget) or all of them
+        rng = np.random.default_rng(seed)
+        grid = conv.grid_from_spacing(k, 0.2)
+        a = grid.num_anchors
+        counts = rng.integers(0, 9, rng.integers(0, 12))
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        reach = (grid.half + 1) * 0.2
+        offsets = rng.uniform(-1.5 * reach, 1.5 * reach, (starts[-1], 3))
+        # offsets on lattice planes and on the faces of the support box
+        offsets[::4] = np.round(offsets[::4] / 0.2) * 0.2
+        offsets[1::5, 1] = reach
+        table = spatial.NeighborTable(starts, rng.integers(0, 50, starts[-1]), offsets, 9.0, 8)
+        budget = per_block * a
+        real = spatial._BLOCK_VALUES  # set by hand: hypothesis reruns the body
+        spatial._BLOCK_VALUES = budget
+        try:
+            kmap = conv._kernel_map(table, grid)
+            spans = spatial._spans(8 * starts, a)
+        finally:
+            spatial._BLOCK_VALUES = real
+        bounds = [(b[0].start, b[0].stop) for b in kmap]
+        assert bounds == spans and sum(q1 - q0 for q0, q1 in bounds) == len(counts)
+        for q0, q1 in bounds:
+            assert (8 * (starts[q1] - starts[q0]) <= budget and (q1 - q0) * a <= budget
+                    or q1 == q0 + 1)
+            assert per_block != 1 or q1 == q0 + 1
+        assert per_block < 10 ** 6 or len(kmap) <= 1
+        # each block's entries are the gather's nonzero (pair, corner)s, each
+        # once, in (corner, pair) order, and no weight is zero
+        kept, ids, w = conv._corner_gather(table.offsets, grid)
+        qid = np.repeat(np.arange(len(counts)), counts)
+        for rows, keys, nbr, wv in kmap:
+            mine = (kept >= starts[rows.start]) & (kept < starts[rows.stop])
+            corner, pair = np.nonzero(w[:, mine] > 0)
+            pairs = kept[mine][pair]
+            assert keys.dtype == nbr.dtype == np.int64
+            assert np.array_equal(keys, (qid[pairs] - rows.start) * a + ids[:, mine][corner, pair])
+            assert np.array_equal(nbr, table.indices[pairs])
+            assert wv.tobytes() == w[:, mine][corner, pair].tobytes() and np.all(wv > 0)
+        assert sum(b[1].shape[0] for b in kmap) == np.count_nonzero(w)
 
 
 class TestOperatorsInBlocks:
@@ -184,6 +240,7 @@ class TestOperatorsInBlocks:
         return cloud.features, table, filt, sf, up
 
     def _passes(self, feats, table, filt, sf, up):
+        # both operators run on the map's blocks
         return (conv.forward_features(feats, table, filt),
                 conv.forward_features(feats, table, filt, threads=2),
                 conv.forward_separable_features(feats, table, sf),
@@ -195,18 +252,17 @@ class TestOperatorsInBlocks:
     def test_forward_bits_and_backward(self, monkeypatch, k, budget):
         feats, table, filt, sf, up = self._instance(k, k)
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", self.ONE_CHANNEL_BLOCK)
-        starts = conv._kernel_map(table, filt.grid)[0]
-        for width in (filt.grid.num_anchors, 4):
-            assert len(spatial._spans(8 * starts, width)) == 1
+        assert len(conv._kernel_map(table, filt.grid)) == 1
         assert conv._dense_map(table, filt.grid, filt.in_dim) is None
         full, threaded, sep, grads, sep_grads = self._passes(feats, table, filt, sf, up)
         assert np.array_equal(threaded, full)
         assert rel_err(full, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
 
+        # a new table object, so that its map is cut under the smaller budget
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", budget)
-        for width in (filt.grid.num_anchors, 4):
-            blocks = spatial._spans(8 * starts, width)
-            assert len(blocks) > 2 and min(b - a for a, b in blocks) >= 2
+        table = fresh_table(table)
+        blocks = [b[0].stop - b[0].start for b in conv._kernel_map(table, filt.grid)]
+        assert len(blocks) > 2 and min(blocks) >= 2
         b_full, b_threaded, b_sep, b_grads, b_sep_grads = self._passes(
             feats, table, filt, sf, up)
         assert b_full.tobytes() == full.tobytes()
@@ -244,7 +300,7 @@ class TestDensePassBudget:
                             [0.0, 0.0, 0.0], [0.1, 0.1, 0.1]])
         table = spatial.NeighborTable(np.array([0, 3, 5]), np.array([0, 1, 2, 1, 2]),
                                       offsets, grid.support_radius(), 3)
-        assert np.diff(conv._kernel_map(table, grid)[0]).tolist() == [2, 2]
+        assert map_pairs_per_query(table, grid).tolist() == [2, 2]
         monkeypatch.setattr(spatial, "_BLOCK_VALUES", 2 * 27 * 3 - over)
         assert (conv._dense_map(table, grid, 2) is not None) == dense
         rng = np.random.default_rng(3)
@@ -268,12 +324,14 @@ def _peak(fn):
 
 class TestMemoryBound:
     """At M = 2*10^4 (the scene-k3 bench cloud, k = 3, cap 16), the
-    search and the kernel-map build peak at no more than twice their
-    output plus BUDGETS blocks of the budget, and the full forward (its
-    channel pass) at no more than its output plus BUDGETS blocks. So do
-    the dense pass's forward and backward on a toy-seg table. A search on
-    the one-block path peaks at no more than its table plus 3 blocks.
-    numpy reports its buffers to tracemalloc, so the peaks are exact."""
+    search peaks at no more than twice its table plus BUDGETS blocks of
+    the budget, the kernel-map build at no more than 1.5 times its map
+    plus BUDGETS blocks, the full forward (its channel pass) at no more
+    than its output plus BUDGETS blocks, and the separable backward at no
+    more than its gradients plus 4 blocks. So do the dense pass's forward
+    and backward on a toy-seg table. A search on the one-block path peaks
+    at no more than its table plus 3 blocks. numpy reports its buffers to
+    tracemalloc, so the peaks are exact."""
 
     BUDGETS = 8
 
@@ -287,13 +345,26 @@ class TestMemoryBound:
 
         grid = conv.grid_from_spacing(3, 0.2)
         kmap, peak = _peak(lambda: conv._kernel_map(table, grid))
-        assert peak <= 2 * sum(a.nbytes for a in kmap) + self.BUDGETS * block
+        assert peak <= 1.5 * _map_bytes(kmap) + self.BUDGETS * block
 
         rng = np.random.default_rng(0)
         filt = conv.DeformableFilter(grid, rng.normal(size=(27, 8, 16)))
         feats = rng.normal(size=(pos.shape[0], 8))
         out, peak = _peak(lambda: conv.forward_features(feats, table, filt))
         assert peak <= out.nbytes + self.BUDGETS * block
+
+    def test_separable_backward_peak(self):
+        pos, r = benchmark_cloud("scene-k3")
+        table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
+        grid = conv.grid_from_spacing(3, 0.2)
+        rng = np.random.default_rng(3)
+        sf = conv.SeparableFilter(grid, rng.normal(size=(27, 8)), rng.normal(size=(8, 16)))
+        feats = rng.normal(size=(pos.shape[0], 8))
+        up = rng.normal(size=(pos.shape[0], 16))
+        conv._kernel_map(table, grid)  # built and kept before the backward
+        grads, peak = _peak(lambda: conv.backward_separable_features(feats, table, sf, up))
+        # it runs one kernel-map block at a time
+        assert peak <= sum(g.nbytes for g in grads) + 4 * 8 * spatial._BLOCK_VALUES
 
     def test_one_block_search_peak(self):
         # 256 queries x 512 points: a distance matrix of exactly one block

@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from deformconv import conv, nn, pointcloud, spatial
 from deformconv.rng import DetRng
-from conftest import (benchmark_cloud, fd_grad, full_pass, grad_rel, neighbor_table,
-                      on_both_passes, random_cloud, random_filter, rel_err)
+from conftest import (benchmark_cloud, fd_grad, fresh_table, full_pass, grad_rel,
+                      map_entries, map_pairs_per_query, neighbor_table, on_both_passes,
+                      random_cloud, random_filter, rel_err)
 
 
 class TestAnchorGrid:
@@ -114,6 +115,46 @@ class TestEnclosingAnchors:
         pairs = conv.enclosing_anchors(np.array([0.2, 0.2, 0.2]), g)
         assert pairs == [(g.anchor_index(1, 1, 1), 1.0)]
 
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_corner_gather_at_the_support_edge(self, k):
+        # offsets on, and a few ulps either side of, the lattice planes and
+        # +-(h + 1) * unit: the batched gather keeps exactly the offsets
+        # with a nonzero corner of their two floor planes per axis, with
+        # those corners' ids and weights. (Within ulps of a plane,
+        # enclosing_anchors can also hold a third plane's ~1e-16 weight.)
+        g = conv.grid_from_spacing(k, [0.2, 0.3, 0.1])
+        rng = np.random.default_rng(k)
+        planes = np.arange(-g.half - 2, g.half + 3)[:, None] * g.unit
+        values, up, down = [planes], planes, planes
+        for _ in range(3):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            values += [up, down]
+        values = np.concatenate(values)  # per axis, its candidate coordinates
+        offsets = np.stack([rng.choice(values[:, d], 600) for d in range(3)], axis=1)
+        kept, ids, w = conv._corner_gather(offsets, g)
+        for row, z in enumerate(offsets):
+            want = _floor_corners(z, g)
+            if row not in kept:
+                assert want == []
+                continue
+            col = int(np.searchsorted(kept, row))
+            assert [(int(a), float(v)) for a, v in zip(ids[:, col], w[:, col]) if v] == want
+
+
+def _floor_corners(z: np.ndarray, g: conv.AnchorGrid) -> list[tuple[int, float]]:
+    """The nonzero corners of offset z on the planes floor(z / unit) and
+    one above it per axis, one offset at a time: the gather's rule."""
+    axes = []
+    for d in range(3):
+        u = float(g.unit[d])
+        base = float(np.floor(z[d] / u))
+        axes.append([(int(p), max(1.0 - abs(z[d] - p * u) / u, 0.0) if abs(p) <= g.half else 0.0)
+                     for p in (base, base + 1.0)])
+    corners = [(g.anchor_index(i, j, l), (wi * wj) * wl)
+               for i, wi in axes[0] for j, wj in axes[1] for l, wl in axes[2]
+               if max(abs(i), abs(j), abs(l)) <= g.half]
+    return [(a, v) for a, v in corners if v]
+
 
 class TestInterpolateFilter:
     def test_midpoint_worked_example(self):
@@ -194,14 +235,14 @@ def _record_parts(monkeypatch) -> tuple[list, list]:
     real_parts, real_pool = conv._channel_parts, conv.ThreadPoolExecutor
 
     def recording(*args, **kwargs):
-        for i, rows, pairs, result in real_parts(*args, **kwargs):
+        for i, rows, result in real_parts(*args, **kwargs):
             parts.append((i, rows.start, rows.stop))
-            yield i, rows, pairs, result
+            yield i, rows, result
 
     class Pool(real_pool):
         def map(self, fn, *iterables, **kwargs):
             items = list(iterables[0])
-            pooled.append([(i, rows.start, rows.stop) for i, (rows, _, _) in items])
+            pooled.append([(i, block[0].start, block[0].stop) for i, block in items])
             return super().map(fn, items, **kwargs)
 
     monkeypatch.setattr(conv, "_channel_parts", recording)
@@ -556,8 +597,8 @@ class TestBackward:
         cloud = random_cloud(rng, 1600, 2, extent=1.5)
         filt = random_filter(rng, 7, 0.2, 2, 3, bias=True)
         table = neighbor_table(cloud, conv.default_radius(filt.grid), 8)
-        starts = conv._kernel_map(table, filt.grid)[0]
-        blocks = spatial._spans(8 * starts, filt.grid.num_anchors)
+        blocks = [(b[0].start, b[0].stop) for b in conv._kernel_map(table, filt.grid)]
+        assert blocks == spatial._spans(8 * table.starts, filt.grid.num_anchors)
         assert len(blocks) > 1
         up = rng.normal(size=(table.num_queries, filt.out_dim))
         out, parts = _forward_on_threads(monkeypatch, cloud.features, table, filt)
@@ -568,11 +609,12 @@ class TestBackward:
         lhs = float(np.sum(up * (out - filt.bias)))
         assert _adjoint_gap(lhs, gf, cloud.features) <= 1e-12
         assert _adjoint_gap(lhs, gw, filt.weights) <= 1e-12
-        # the same gradients from a single block, up to rounding
+        # the same gradients from a single block, up to rounding: a new
+        # table object, so that its map is cut under the larger budget
         monkeypatch.setattr(spatial, "_BLOCK_VALUES",
-                            max(table.num_queries * filt.grid.num_anchors, 8 * int(starts[-1])))
+                            max(table.num_queries * filt.grid.num_anchors, 8 * table.num_pairs))
         parts.clear()
-        one_f, one_w, _ = conv.backward_features(cloud.features, table, filt, up)
+        one_f, one_w, _ = conv.backward_features(cloud.features, fresh_table(table), filt, up)
         assert {(q0, q1) for _, q0, q1 in parts} == {(0, table.num_queries)}
         assert rel_err(gf, one_f) <= 1e-12 and rel_err(gw, one_w) <= 1e-12
 
@@ -586,14 +628,12 @@ class TestBackward:
         cloud = random_cloud(rng, m, 2, extent=0.6 if blocks == "dense" else 1.5)
         filt = random_filter(rng, k, 0.2, 2, 3, bias=True)
         table = neighbor_table(cloud, conv.default_radius(filt.grid), cap)
-        starts = conv._kernel_map(table, filt.grid)[0]
         if blocks == "one":
             monkeypatch.setattr(spatial, "_BLOCK_VALUES", max(
-                table.num_queries * filt.grid.num_anchors, 8 * int(starts[-1])))
+                table.num_queries * filt.grid.num_anchors, 8 * table.num_pairs))
         dense = conv._dense_map(table, filt.grid, filt.in_dim) is not None
         assert dense == (blocks == "dense")
-        cut = spatial._spans(8 * starts, filt.grid.num_anchors)
-        assert dense or (len(cut) == 1) == (blocks == "one")
+        assert dense or (len(conv._kernel_map(table, filt.grid)) == 1) == (blocks == "one")
         up = rng.normal(size=(table.num_queries, filt.out_dim))
         sums = []
         conv.forward_features(cloud.features, table, filt, sums=sums)
@@ -733,7 +773,7 @@ class TestDensePass:
         self._is_the_kernel_map(table, grid)
         if case == "sparse":
             # rows of different lengths, empty rows, and pairs zero at every corner
-            counts, held = table.counts, np.diff(conv._kernel_map(table, grid)[0])
+            counts, held = table.counts, map_pairs_per_query(table, grid)
             assert counts.min() == 0 < held.max() < counts.max() and held.sum() < counts.sum()
 
     def test_dense_pass_builds_no_kernel_map(self, monkeypatch):
@@ -796,21 +836,18 @@ def _dense_case(case: str, k: int):
 
 
 def _dense_from_kernel_map(table: spatial.NeighborTable, grid: conv.AnchorGrid):
-    """(H, cols, pads) assembled pair by pair from the kernel map, with
+    """(H, cols, pads) assembled entry by entry from the kernel map, with
     the table's largest row count as slots."""
-    starts, nbr, ids, w = conv._kernel_map(table, grid)
     q, a = table.num_queries, grid.num_anchors
     slots = int(table.counts.max(initial=0))
     h, cols = np.zeros((q, a, slots)), np.zeros(q * slots, dtype=np.int64)
-    held = []
-    for i in range(q):
-        row = list(table.neighbors_of(i)[0])
-        for p in range(starts[i], starts[i + 1]):
-            j = row.index(nbr[p])
-            np.add.at(h[i, :, j], ids[:, p], w[:, p])
-            cols[i * slots + j] = nbr[p]
-            held.append(i * slots + j)
-    return h, cols, np.setdiff1d(np.arange(q * slots), held)
+    held = set()
+    for i, anchor, nbr, w in zip(*map_entries(conv._kernel_map(table, grid), a)):
+        j = list(table.neighbors_of(i)[0]).index(nbr)
+        h[i, anchor, j] += w
+        cols[i * slots + j] = nbr
+        held.add(i * slots + j)
+    return h, cols, np.setdiff1d(np.arange(q * slots), sorted(held))
 
 
 class TestSeparable:
@@ -921,11 +958,6 @@ class TestKernelMap:
         table = neighbor_table(cloud, conv.default_radius(first.grid), 16)
         return cloud.features, table, first, second, rng
 
-    def _copy(self, table):
-        # a new table object holding the same pairs: its map is built fresh
-        return spatial.NeighborTable(table.starts, table.indices, table.offsets,
-                                     table.radius, table.cap)
-
     def test_one_gather_for_two_layers_forward_and_backward(self, monkeypatch):
         # on the channel pass: the dense pass gathers no map at all
         # (TestDensePass::test_dense_pass_builds_no_kernel_map)
@@ -949,8 +981,8 @@ class TestKernelMap:
     def test_alternating_tables_match_fresh_calls(self):
         feats_a, table_a, filt, _, _ = self._instance(2, m=60)
         feats_b, table_b, _, _, _ = self._instance(3, m=45)
-        fresh_a = conv.forward_features(feats_a, self._copy(table_a), filt)
-        fresh_b = conv.forward_features(feats_b, self._copy(table_b), filt)
+        fresh_a = conv.forward_features(feats_a, fresh_table(table_a), filt)
+        fresh_b = conv.forward_features(feats_b, fresh_table(table_b), filt)
         for _ in range(2):
             assert np.array_equal(conv.forward_features(feats_a, table_a, filt), fresh_a)
             assert np.array_equal(conv.forward_features(feats_b, table_b, filt), fresh_b)
@@ -969,7 +1001,7 @@ class TestKernelMap:
             starts=np.array([0, 1, 4]), indices=np.array([0, 1, 2, 0]),
             offsets=offsets, radius=3 * filt.grid.support_radius(), cap=4)
         feats = np.random.default_rng(5).normal(size=(3, 2))
-        assert conv._kernel_map(table, filt.grid)[1].shape == (0,)
+        assert map_entries(conv._kernel_map(table, filt.grid), 27)[0].shape == (0,)
         if separable:
             filt = _separable(filt.grid, np.random.default_rng(6), 2, 3)
             out = conv.forward_separable_features(feats, table, filt)
@@ -982,9 +1014,10 @@ class TestKernelMap:
 
     def test_map_released_with_its_table(self):
         _, table, filt, _, _ = self._instance(6)
-        released = weakref.ref(conv._kernel_map(table, filt.grid)[3])
+        # the weights of each map's one block stand for the map
+        released = weakref.ref(conv._kernel_map(table, filt.grid)[0][3])
         _, other, _, _, _ = self._instance(7)
-        kept = weakref.ref(conv._kernel_map(other, filt.grid)[3])
+        kept = weakref.ref(conv._kernel_map(other, filt.grid)[0][3])
         assert released() is None  # replaced by the newer table's map
         del other
         gc.collect()
@@ -995,33 +1028,54 @@ class TestKernelMap:
         conv._kernel_map(table, filt.grid)
         reader = dict(conv._KERNEL_MAPS)  # still holds the older entry
         _, other, _, _, _ = self._instance(9)
-        kept = weakref.ref(conv._kernel_map(other, filt.grid)[3])
+        kept = weakref.ref(conv._kernel_map(other, filt.grid)[0][3])
         del table
         gc.collect()
         assert kept() is not None
-        assert conv._kernel_map(other, filt.grid)[3] is kept()
+        assert conv._kernel_map(other, filt.grid)[0][3] is kept()
         del reader
 
 
 class TestPinnedKernelMaps:
-    """The kernel maps of the benchmark's clouds at cap 16 keep the values
-    they had when ids and w were stored pair-major, (pairs, 8)."""
+    """The kernel maps of the benchmark's clouds at cap 16. DIGESTS pins
+    the pair map (starts, nbr, ids, w) that the corner gather gives, as it
+    was when ids and w were stored pair-major, (pairs, 8), reassembled
+    from one gather over the whole table. BLOCK_DIGESTS pins the stored
+    map: each block's query bounds, keys, neighbour ids and weights."""
 
     DIGESTS = {
         "toy-seg": ("5ffe6a7813a190bfedd04828501886f9a18c42f626df714da6fe41e2ac287e1d", 3),
         "scene-k3": ("1b5dbb368f646c68d7871967187067cfb3028331b6224660db81dac99b10b6de", 3),
         "scene-k7": ("7b041125b082463d383f44b94191af5dff484679952e5fec40508dfeb99f8b87", 7),
     }
+    BLOCK_DIGESTS = {
+        "toy-seg": "51e6cc1efd806e40a17067c823998a8e0a334c7401270f54934c7cbc7d732636",
+        "scene-k3": "2199486608ebb7a49c396d378b8489a892103ca44cf330c9fb3dad72b4ab952d",
+        "scene-k7": "e70d7e486b269c2293d356b7478d6b631d4a6fc19895b58545258e17f93654de",
+    }
+
+    def _table(self, name):
+        pos, r = benchmark_cloud(name)
+        grid = conv.grid_from_spacing(self.DIGESTS[name][1], 0.2)
+        return spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16), grid
 
     @pytest.mark.parametrize("name", list(DIGESTS))
     def test_map_bytes(self, name):
-        digest, k = self.DIGESTS[name]
-        pos, r = benchmark_cloud(name)
-        table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r, 16)
+        table, grid = self._table(name)
+        kept, ids, w = conv._corner_gather(table.offsets, grid)
         h = hashlib.sha256()
-        for arr in conv._kernel_map(table, conv.grid_from_spacing(k, 0.2)):
+        for arr in (np.searchsorted(kept, table.starts), table.indices[kept], ids, w):
             h.update(np.ascontiguousarray(arr).tobytes())
-        assert h.hexdigest() == digest
+        assert h.hexdigest() == self.DIGESTS[name][0]
+
+    @pytest.mark.parametrize("name", list(BLOCK_DIGESTS))
+    def test_block_bytes(self, name):
+        table, grid = self._table(name)
+        h = hashlib.sha256()
+        for rows, keys, nbr, w in conv._kernel_map(table, grid):
+            for arr in (np.array([rows.start, rows.stop], dtype=np.int64), keys, nbr, w):
+                h.update(arr.tobytes())
+        assert h.hexdigest() == self.BLOCK_DIGESTS[name]
 
 
 class TestFilterValidation:
