@@ -79,7 +79,7 @@ class PccLayer(nn.Layer):
         m = conv._scatter_rows(self._qid, w * feats[table.indices], table.num_queries)
         return self.head.forward(m, ctx)
 
-    def backward(self, upstream, ctx):
+    def backward(self, upstream, ctx, *, input_grad=True):
         table = ctx.table_for(self.radius, self.cap)
         gm_pairs = self.head.backward(upstream, ctx)[self._qid]  # dL/dm at each pair
         grad = self._feats[table.indices] * gm_pairs
@@ -127,7 +127,7 @@ class VoxelConvLayer(nn.LinearLayer):
     def forward(self, feats, ctx):
         return super().forward(cell_mean(ctx.cloud.positions, feats, self.pitch), ctx)
 
-    def backward(self, upstream, ctx):
+    def backward(self, upstream, ctx, *, input_grad=True):
         return cell_mean(ctx.cloud.positions, super().backward(upstream, ctx), self.pitch)
 
 

@@ -37,7 +37,10 @@ Two implementations of the forward pass are kept side by side:
     bincount sees a zero corner. H and the map are built once per
     (table, grid) for all layers and passes. Only the dense pass keeps
     its sums for the backward, which rebuilds them, with the same bits,
-    when given none.
+    when given none. A backward told ``input_grad=False`` (a stack's
+    first layer, whose input gradient nothing reads) builds no feature
+    gradient; where one is built, the channel pass and the separable
+    backward add it channel-major, into contiguous rows.
   * oracle_forward_features: a deliberately naive full scan over all
     k^3 anchors for every pair. It exists to cross-check the fast path
     and is used by tests and the benchmark command.
@@ -327,9 +330,16 @@ def _corner_gather(offsets: np.ndarray, grid: AnchorGrid):
     l); ids use the smallest unsigned dtype that holds k^3 - 1. Corners
     outside the lattice carry weight exactly 0 (their id is clamped into
     range so it is safe to gather with). Per-axis weights are _axis_hats,
-    trilinear_weight's formula, so nonzero weights agree with it
-    bit-for-bit. Every step runs on all three axes' (3, 2, P) lower and
-    upper lattice planes at once, and a corner's weight is (x * y) * z.
+    trilinear_weight's formula, so the weights of the corners it keeps
+    agree with it bit-for-bit. It keeps the planes floor(o / unit) and
+    one above per axis. Where a plane's position q * unit is inexact
+    (|q| >= 3, so k >= 7), an offset on or a few ulps below the next
+    plane can have o / unit land on that plane while its hat at q is
+    still a rounding-level positive value: that corner is dropped (its
+    weight is below 2^-50), where enclosing_anchors and the oracle's
+    full scan keep it. Every step runs on all three axes' (3, 2, P)
+    lower and upper lattice planes at once, and a corner's weight is
+    (x * y) * z.
     """
     h, k = grid.half, grid.k
     unit = grid.unit[:, None, None]
@@ -370,6 +380,12 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     for c in range(values.shape[1]):
         out[:, c] = np.bincount(index, weights=values[:, c], minlength=n)
     return out
+
+
+def _channel_last(grad: np.ndarray | None) -> np.ndarray | None:
+    """A channel-major (in, M) gradient as a C-contiguous (M, in) copy;
+    None stays None."""
+    return None if grad is None else np.ascontiguousarray(grad.T)
 
 
 # (builder name, k, unit bytes) -> (weak reference to a table, its value)
@@ -614,7 +630,9 @@ def backward_features(
     filt: DeformableFilter,
     upstream: np.ndarray,
     sums: list | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    *,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of sum(upstream * forward) w.r.t. features, weights, bias.
 
     Walks the forward pass's parts. On the dense pass, S is read from
@@ -631,8 +649,15 @@ def backward_features(
     grad_features[:, i]. Otherwise, per part (query block, input channel
     i): grad_weights[:, i] gains S_i^T @ upstream; each pair blends
     (upstream @ weights[:, i, :]^T) of its query over its corners, and
-    one bincount over neighbour ids adds those into grad_features[:, i].
-    Parts add in a fixed order, so repeated runs are bit-identical.
+    one bincount over neighbour ids adds those into row i of a
+    channel-major (in, M) sum, returned as C-contiguous (M, in). Parts
+    add in a fixed order, so repeated runs are bit-identical.
+
+    With ``input_grad=False`` (the caller discards it, as for a stack's
+    first layer) grad_features is None and none of its work is done: no
+    H^T product or scatter on the dense pass, no dL/dS, take or (M,)-long
+    bincount per part on the channel pass. The other gradients keep
+    their bits.
     """
     features, up = _check_args(features, neighbors, filt, upstream)
     dense = _dense_map(neighbors, filt.grid, filt.in_dim)
@@ -643,27 +668,30 @@ def backward_features(
     if dense is not None:
         h, cols, pads = dense
         wide = filt.weights.reshape(a * i, o)
-        # dL/dS[q, a, i] = up[q] . weights[a, i, :], carried to each slot.
-        # Made before S is rebuilt, and never named, so S can reuse its
-        # memory: with both live, a toy 8 -> 16 call took 0.3 ms more
-        g = (h.transpose(0, 2, 1) @ (up @ wide.T).reshape(q, a, i)).reshape(q * h.shape[2], i)
-        g[pads] = 0.0  # the pads add exact zeros into point 0's bin
-        grad_f = _scatter_rows(cols, g, features.shape[0])
+        grad_f = None
+        if input_grad:
+            # dL/dS[q, a, i] = up[q] . weights[a, i, :], carried to each slot.
+            # Made before S is rebuilt, and never named, so S can reuse its
+            # memory: with both live, a toy 8 -> 16 call took 0.3 ms more
+            g = (h.transpose(0, 2, 1) @ (up @ wide.T).reshape(q, a, i)).reshape(q * h.shape[2], i)
+            g[pads] = 0.0  # the pads add exact zeros into point 0's bin
+            grad_f = _scatter_rows(cols, g, features.shape[0])
         s = sums[0] if sums else _dense_sums(features, dense)
         return grad_f, (s.reshape(q, a * i).T @ up).reshape(a, i, o), up.sum(axis=0)
-    grad_f, grad_w = np.zeros_like(features), np.zeros_like(filt.weights)
+    grad_w = np.zeros_like(filt.weights)
+    grad_f = np.zeros((i, features.shape[0])) if input_grad else None
 
     def work(i, block, s):
         rows, keys, nbr, w = block
-        # dL/dS_i[q, a] = up[q] . weights[a, i, :], read at each entry's key
-        dsum = (up[rows] @ filt.weights[:, i].T).ravel()
-        g = np.bincount(nbr, w * dsum.take(keys), minlength=features.shape[0])
-        return s.T @ up[rows], g
+        if input_grad:
+            # dL/dS_i[q, a] = up[q] . weights[a, i, :], read at each entry's key
+            dsum = (up[rows] @ filt.weights[:, i].T).ravel()
+            grad_f[i] += np.bincount(nbr, w * dsum.take(keys), minlength=features.shape[0])
+        return s.T @ up[rows]
 
-    for i, _, (gw, g) in _channel_parts(features, neighbors, filt, work):
+    for i, _, gw in _channel_parts(features, neighbors, filt, work):
         grad_w[:, i] += gw
-        grad_f[:, i] += g
-    return grad_f, grad_w, up.sum(axis=0)
+    return _channel_last(grad_f), grad_w, up.sum(axis=0)
 
 
 def forward_separable_features(
@@ -702,18 +730,24 @@ def backward_separable_features(
     neighbors: NeighborTable,
     sf: SeparableFilter,
     upstream: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    *,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients for the separable form: (features, spatial, pointwise, bias).
 
     Runs the forward pass's blocks and channels again. Per block, dL/dm
     is upstream @ pointwise^T on its rows; per channel i, one bincount
-    each over the block's entries adds m[:, i], grad_features[:, i] and
-    grad_spatial[:, i]; the block's m^T @ upstream adds into
-    grad_pointwise. No temporary holds more than one block.
+    each over the block's entries adds m[:, i], grad_spatial[:, i] and,
+    into row i of a channel-major (in, M) sum returned as C-contiguous
+    (M, in), grad_features[:, i]; the block's m^T @ upstream adds into
+    grad_pointwise. No temporary holds more than one block. With
+    ``input_grad=False`` grad_features is None and its bincounts are not
+    run; the other gradients keep their bits.
     """
     features, up = _check_args(features, neighbors, sf, upstream)
     columns, a = np.ascontiguousarray(features.T), sf.grid.num_anchors
-    grad_f, grad_s, grad_p = (np.zeros_like(x) for x in (features, sf.spatial, sf.pointwise))
+    grad_f = np.zeros_like(columns) if input_grad else None
+    grad_s, grad_p = np.zeros_like(sf.spatial), np.zeros_like(sf.pointwise)
     for rows, keys, nbr, w in _kernel_map(neighbors, sf.grid):
         n = rows.stop - rows.start
         query = keys // a
@@ -725,8 +759,9 @@ def backward_separable_features(
             g = w * column.take(anchor)  # ghat1_i's share of each entry
             m[:, i] = np.bincount(query, g * f, minlength=n)
             u = dm[i].take(query)
-            grad_f[:, i] += np.bincount(nbr, g * u, minlength=features.shape[0])
+            if input_grad:
+                grad_f[i] += np.bincount(nbr, g * u, minlength=features.shape[0])
             # dL/dspatial[a, i] sums w * f * u over the entries at anchor a
             grad_s[:, i] += np.bincount(anchor, w * f * u, minlength=a)
         grad_p += m.T @ up[rows]
-    return grad_f, grad_s, grad_p, up.sum(axis=0)
+    return _channel_last(grad_f), grad_s, grad_p, up.sum(axis=0)

@@ -83,7 +83,12 @@ class Layer:
     def forward(self, feats: np.ndarray, ctx: LayerContext) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, upstream: np.ndarray, ctx: LayerContext) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, ctx: LayerContext, *,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Add the parameter gradients of sum(upstream * forward) into
+        grads() and return the gradient w.r.t. the forward's input. With
+        ``input_grad=False`` the caller discards that gradient: a layer
+        may skip building it and return None (the conv layers do)."""
         raise NotImplementedError
 
 
@@ -115,11 +120,11 @@ class DeformConvLayer(Layer):
         return conv.forward_features(feats, table, self._filt, threads=ctx.threads,
                                      sums=self._sums)
 
-    def backward(self, upstream, ctx):
+    def backward(self, upstream, ctx, *, input_grad=True):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
         sums, self._sums = self._sums, None
         gf, *grads = conv.backward_features(self._feats, table, self._filt, upstream,
-                                            sums=sums)
+                                            sums=sums, input_grad=input_grad)
         self._accumulate(*grads)
         return gf
 
@@ -147,9 +152,10 @@ class SeparableConvLayer(Layer):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
         return conv.forward_separable_features(feats, table, self._filt)
 
-    def backward(self, upstream, ctx):
+    def backward(self, upstream, ctx, *, input_grad=True):
         table = ctx.table_for(self.spec.radius, self.spec.cap)
-        gf, *grads = conv.backward_separable_features(self._feats, table, self._filt, upstream)
+        gf, *grads = conv.backward_separable_features(self._feats, table, self._filt, upstream,
+                                                      input_grad=input_grad)
         self._accumulate(*grads)
         return gf
 
@@ -166,9 +172,11 @@ class LinearLayer(Layer):
 
     def forward(self, feats, ctx):
         self._feats = feats
-        return feats @ self.weights + self.bias
+        out = feats @ self.weights
+        out += self.bias
+        return out
 
-    def backward(self, upstream, ctx):
+    def backward(self, upstream, ctx, *, input_grad=True):
         self._accumulate(self._feats.T @ upstream, upstream.sum(axis=0))
         return upstream @ self.weights.T
 
@@ -178,9 +186,11 @@ class ReluLayer(Layer):
 
     def forward(self, feats, ctx):
         self._mask = feats > 0
-        return np.where(self._mask, feats, 0.0)
+        out = np.fmax(feats, 0.0)  # NaN -> 0.0, as the mask gives
+        out += 0.0  # -0.0 -> +0.0, as the mask gives
+        return out
 
-    def backward(self, upstream, ctx):
+    def backward(self, upstream, ctx, *, input_grad=True):
         return np.where(self._mask, upstream, 0.0)
 
 
@@ -195,7 +205,7 @@ class GlobalMaxPoolLayer(Layer):
         self._rows = feats.shape[0]
         return feats[self._argmax, np.arange(feats.shape[1])][None, :]
 
-    def backward(self, upstream, ctx):
+    def backward(self, upstream, ctx, *, input_grad=True):
         grad = np.zeros((self._rows, upstream.shape[1]))
         grad[self._argmax, np.arange(upstream.shape[1])] = upstream[0]
         return grad
@@ -222,9 +232,10 @@ class ConcatSkipLayer(Layer):
         self._in_channels = feats.shape[1]
         return np.concatenate([feats, self.inner.forward(feats, ctx)], axis=1)
 
-    def backward(self, upstream, ctx):
+    def backward(self, upstream, ctx, *, input_grad=True):
         split = self._in_channels
-        return upstream[:, :split] + self.inner.backward(upstream[:, split:], ctx)
+        inner = self.inner.backward(upstream[:, split:], ctx, input_grad=input_grad)
+        return upstream[:, :split] + inner if input_grad else None
 
 
 class LayerStack:
@@ -268,10 +279,16 @@ class LayerStack:
             feats = l.forward(feats, ctx)
         return feats
 
-    def backward(self, upstream: np.ndarray, ctx: LayerContext) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, ctx: LayerContext, *,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Backward through every layer in reverse, each adding its
+        parameter gradients into its grads(); returns the gradient w.r.t.
+        the cloud's features. With ``input_grad=False`` the first layer is
+        told that nothing reads it: a conv layer then builds no input
+        gradient and the stack returns None (train_stack's use)."""
         grad = upstream
-        for l in reversed(self.layers):
-            grad = l.backward(grad, ctx)
+        for j, l in reversed(list(enumerate(self.layers))):
+            grad = l.backward(grad, ctx, input_grad=input_grad or j > 0)
         return grad
 
 
@@ -618,7 +635,7 @@ def train_stack(
             if not np.isfinite(loss):
                 raise _diverged(epoch, state.step + 1, "non-finite loss")
             losses.append(loss)
-            stack.backward(grad, ctx)
+            stack.backward(grad, ctx, input_grad=False)
             pending += 1
             if pending == batch_size:
                 _checked_adam_step(state, stack, epoch)

@@ -140,6 +140,37 @@ class TestEnclosingAnchors:
             col = int(np.searchsorted(kept, row))
             assert [(int(a), float(v)) for a, v in zip(ids[:, col], w[:, col]) if v] == want
 
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_corner_gather_a_few_ulps_below_a_plane(self, k):
+        # offsets on, and 1 to 4 ulps below, the lattice planes. At k = 7
+        # the planes +-3 * unit are inexact, and an offset there can have
+        # o / unit land on the next plane while its hat at the inexact one
+        # is ~1e-16: the gather keeps the two planes from the floor and
+        # drops that one. The corners it keeps have trilinear_weight's
+        # bits, and the ones it drops weigh below 2^-50. At k = 3 every
+        # plane (0, +-unit) is exact, rounding is monotone, and none drops
+        g = conv.grid_from_spacing(k, [0.2, 0.3, 0.1])
+        rng = np.random.default_rng(k)
+        below = np.arange(-g.half, g.half + 2)[:, None] * g.unit
+        values = [below]
+        for _ in range(4):
+            below = np.nextafter(below, -np.inf)
+            values.append(below)
+        values = np.concatenate(values)  # per axis, its candidate coordinates
+        offsets = np.stack([rng.choice(values[:, d], 300) for d in range(3)], axis=1)
+        kept, ids, w = conv._corner_gather(offsets, g)
+        anchors, scan = g.anchor_positions(), conv._hat_all(offsets, g)
+        dropped = 0
+        for row, z in enumerate(offsets):
+            got = {}
+            if row in kept:
+                col = int(np.searchsorted(kept, row))
+                got = {int(a): v for a, v in zip(ids[:, col], w[:, col]) if v}
+            assert all(v == conv.trilinear_weight(z, anchors[a], g.unit) for a, v in got.items())
+            missed = [v for a, v in enumerate(scan[row]) if v and a not in got]
+            assert all(v < 2.0 ** -50 for v in missed)
+            dropped += len(missed)
+        assert (dropped > 0) == (k == 7)
 
 def _floor_corners(z: np.ndarray, g: conv.AnchorGrid) -> list[tuple[int, float]]:
     """The nonzero corners of offset z on the planes floor(z / unit) and
@@ -563,6 +594,21 @@ class TestBackward:
         feats, w, b, build, table, up = self._instance(5)
         _, _, gb = conv.backward_features(feats, table, build(), up)
         assert np.allclose(gb, up.sum(axis=0), atol=1e-15)
+
+    @on_both_passes
+    def test_input_grad_false_builds_none(self):
+        # both operators return the feature gradient as a C-contiguous
+        # (M, in) array, or None in its place when told nothing reads it,
+        # with the other gradients' bits unchanged
+        feats, w, b, build, table, up = self._instance(6, d_in=3)
+        sf = _separable(build().grid, np.random.default_rng(6), 3, 2)
+        for backward, filt in ((conv.backward_features, build()),
+                               (conv.backward_separable_features, sf)):
+            full = backward(feats, table, filt, up)
+            assert full[0].shape == feats.shape and full[0].flags.c_contiguous
+            none = backward(feats, table, filt, up, input_grad=False)
+            assert none[0] is None
+            assert all(np.array_equal(x, y) for x, y in zip(full[1:], none[1:]))
 
     @on_both_passes
     def test_single_point_one_hot_upstream(self):

@@ -5,10 +5,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deformconv import baselines, cli, conv, nn, pointcloud, spatial
 from deformconv.rng import DetRng
-from conftest import fd_grad, grad_rel, neighbor_table, on_both_passes, random_cloud
+from conftest import (PASSES, fd_grad, full_pass, grad_rel, neighbor_table, on_both_passes,
+                      random_cloud)
 
 
 def _seg_cloud(rng, m=20, dim=2, classes=2):
@@ -246,6 +248,26 @@ class TestPoolBackward:
         assert np.array_equal(down[:, 0], [0.0, 2.0, 0.0, 0.0])
 
 
+# values where a ReLU's bits are easy to get wrong: NaNs of either sign,
+# signed zeros and infinities, subnormals and the smallest normal
+_RELU_SPECIAL = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                 1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308]
+
+
+class TestReluForward:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_RELU_SPECIAL), st.floats()),
+                    min_size=1, max_size=60),
+           st.integers(1, 4))
+    def test_bytes_match_the_mask_form(self, values, cols):
+        x = np.array(values * cols, dtype=np.float64).reshape(-1, cols)
+        before = x.tobytes()
+        out = nn.ReluLayer().forward(x, None)
+        assert out.dtype == np.float64 and out.shape == x.shape
+        assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert x.tobytes() == before
+
+
 class TestStackGradients:
     def test_full_stack_gradcheck(self):
         rng = np.random.default_rng(6)
@@ -382,9 +404,9 @@ class TestKeptSums:
             events.append(("f", sums, [s.shape for s in sums]))
             return out
 
-        def backward(*args, sums=None):
+        def backward(*args, sums=None, **kwargs):
             events.append(("b", sums, None))
-            return real_backward(*args, sums=sums)
+            return real_backward(*args, sums=sums, **kwargs)
 
         monkeypatch.setattr(conv, "forward_features", forward)
         monkeypatch.setattr(conv, "backward_features", backward)
@@ -452,9 +474,9 @@ class TestKeptSums:
         given, real = [], conv.backward_features
 
         def run(keep):
-            def reading(*args, sums=None):
+            def reading(*args, sums=None, **kwargs):
                 given.append(bool(sums))
-                return real(*args, sums=sums if keep else None)
+                return real(*args, sums=sums if keep else None, **kwargs)
 
             monkeypatch.setattr(conv, "backward_features", reading)
             rng = DetRng(11)
@@ -778,3 +800,101 @@ class TestTrainStack:
                               epochs=50, batch_size=1, rng=DetRng(1),
                               stop_accuracy=0.0)
         assert len(logs) == 1  # any accuracy clears a zero bar
+
+
+def _operator_stack(first: str, skip: int = 0) -> list[dict]:
+    """``first`` conv layer (2 -> 3 channels, skip-wrapped when ``skip``),
+    relu, the other conv type, relu, linear: both conv operators."""
+    second = {"deformable": "separable", "separable": "deformable"}[first]
+    spec = {"k": 3, "a": [0.2, 0.2, 0.2], "r": None, "cap": 8}
+    return [
+        {"type": first, **spec, "in": 2, "out": 3, "skip": skip},
+        {"type": "relu"},
+        {"type": second, **spec, "in": 2 * skip + 3, "out": 3, "skip": 0},
+        {"type": "relu"},
+        {"type": "linear", "in": 3, "out": 2, "skip": 0},
+    ]
+
+
+class TestTrainingInputGradient:
+    """train_stack discards the gradient w.r.t. the cloud's features, so
+    the stack's first layer is asked for none and builds none; every
+    gradient that is read keeps its bits."""
+
+    STACKS = {
+        "deformable-first": _operator_stack("deformable"),
+        "separable-first": _operator_stack("separable"),
+        "skip-wrapped-first": _operator_stack("deformable", skip=1),
+    }
+
+    @pytest.mark.parametrize("name", list(STACKS))
+    @on_both_passes
+    def test_first_layer_builds_none_with_the_same_bits(self, name, monkeypatch):
+        ds = _seg_dataset(seed=41, n=3, m=20)
+        convs = []
+
+        def train():
+            stack = nn.build_stack(self.STACKS[name], "segmentation", rng=DetRng(5))
+            convs[:] = [l for l in (getattr(l, "inner", l) for l in stack.layers)
+                        if isinstance(l, (nn.DeformConvLayer, nn.SeparableConvLayer))]
+            logs = nn.train_stack(stack, ds, lr=1e-2, weight_decay=5e-4, epochs=2,
+                                  batch_size=2, rng=DetRng(6))
+            return logs, nn.flatten_params(stack)
+
+        # the reference: every layer builds its input gradient
+        real_backward = nn.LayerStack.backward
+        with monkeypatch.context() as mp:
+            mp.setattr(nn.LayerStack, "backward",
+                       lambda self, up, ctx, **_: real_backward(self, up, ctx))
+            want_logs, want = train()
+
+        calls = []
+        for attr in ("backward_features", "backward_separable_features"):
+            def spy(*args, real=getattr(conv, attr), **kwargs):
+                result = real(*args, **kwargs)
+                full = real(*args, **{**kwargs, "input_grad": True})
+                layer = [j for j, l in enumerate(convs) if l._filt is args[2]]
+                calls.append((layer, kwargs.get("input_grad", True), result, full))
+                return result
+            monkeypatch.setattr(conv, attr, spy)
+        logs, params = train()
+        # every conv layer's backward, 2 epochs x 3 clouds each, goes
+        # through the operator's backward function
+        assert sorted(c[0] for c in calls) == [[0]] * 6 + [[1]] * 6
+        for layer, input_grad, result, full in calls:
+            first = layer == [0]
+            assert input_grad is not first
+            assert (result[0] is None) is first and full[0] is not None
+            assert all(np.array_equal(a, b) for a, b in zip(result[1:], full[1:]))
+            if not first:
+                assert np.array_equal(result[0], full[0])
+        assert np.array_equal(params, want) and logs == want_logs
+
+
+class TestPinnedOperatorTraining:
+    """Trained parameters of a seeded deformable -> relu -> separable ->
+    relu -> linear stack, bit for bit, on each pass of the full operator,
+    as recorded while every layer still built its input gradient (numpy
+    2.4 with its bundled OpenBLAS, the same at one and two BLAS threads).
+    The separable layer's input gradient trains the first layer, so
+    every backward output that training reads is in the bits. A
+    different BLAS may round its products differently; re-record the
+    digests there only after the gradchecks pass."""
+
+    DIGESTS = {
+        "dense": "1a2d72a15943a0a67223b6214245b1bd713df1995e6c269c46d6cd9f3d961df8",
+        "channel": "2bb15d2d7e7f75788679c93559f186e3ece1451ba21e3d72940d3d39d7b63d2b",
+    }
+
+    @pytest.mark.parametrize("name", PASSES)
+    def test_trained_parameters(self, name, monkeypatch):
+        full_pass(monkeypatch, name)
+        spec = {"k": 3, "a": [0.2, 0.2, 0.2], "r": None, "cap": 8, "skip": 0}
+        specs = [{"type": "deformable", **spec, "in": 2, "out": 4}, {"type": "relu"},
+                 {"type": "separable", **spec, "in": 4, "out": 4}, {"type": "relu"},
+                 {"type": "linear", "in": 4, "out": 2, "skip": 0}]
+        stack = nn.build_stack(specs, "segmentation", rng=DetRng(5))
+        nn.train_stack(stack, pointcloud.synth_dataset("two-surfaces-seg", 4, 64, 0.01, 3),
+                       lr=1e-2, weight_decay=5e-4, epochs=3, batch_size=2, rng=DetRng(6))
+        digest = hashlib.sha256(nn.flatten_params(stack).astype("<f8").tobytes()).hexdigest()
+        assert digest == self.DIGESTS[name]
