@@ -83,8 +83,11 @@ class PccLayer(nn.Layer):
         table = ctx.table_for(self.radius, self.cap)
         gm_pairs = self.head.backward(upstream, ctx)[self._qid]  # dL/dm at each pair
         grad = self._feats[table.indices] * gm_pairs
-        for layer in reversed(self.mlp):
+        for layer in reversed(self.mlp[1:]):
             grad = layer.backward(grad, ctx)
+        self.mlp[0].backward(grad, ctx, input_grad=False)  # nothing reads dL/d(offsets)
+        if not input_grad:
+            return None
         return conv._scatter_rows(table.indices, self._w * gm_pairs, self._feats.shape[0])
 
 
@@ -128,7 +131,8 @@ class VoxelConvLayer(nn.LinearLayer):
         return super().forward(cell_mean(ctx.cloud.positions, feats, self.pitch), ctx)
 
     def backward(self, upstream, ctx, *, input_grad=True):
-        return cell_mean(ctx.cloud.positions, super().backward(upstream, ctx), self.pitch)
+        grad = super().backward(upstream, ctx, input_grad=input_grad)
+        return None if grad is None else cell_mean(ctx.cloud.positions, grad, self.pitch)
 
 
 def _in_place_of_conv(record: nn.LayerType) -> dict[str, nn.LayerType]:

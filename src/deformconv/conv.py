@@ -461,13 +461,14 @@ def _interpolation(table: NeighborTable, grid: AnchorGrid):
     if q * slots * a > spatial._BLOCK_VALUES:
         return None
     rows = spatial._expand(np.arange(q, dtype=np.int64) * slots, table.counts)
-    offsets = np.full((3, q * slots), np.inf)
-    offsets[:, rows] = table.offsets.T
+    offsets = np.full((3, 1, q * slots), np.inf)
+    offsets[:, 0, rows] = table.offsets.T
     planes = np.arange(-h, h + 1, dtype=np.float64)[:, None]
-    x, y, z = hats = [_axis_hats(offsets[d], planes, grid.unit[d]) for d in range(3)]
-    hmat = (x[:, None, None] * y[None, :, None]) * z[None, None]
+    x, y, z = hats = _axis_hats(offsets, planes, grid.unit[:, None, None])  # (3, k, q * slots)
+    with spatial._row_loops():
+        hmat = (x[:, None, None] * y[None, :, None]) * z[None, None]
     # a slot weighs 0 at every corner when all its hats on some axis are 0
-    pads = np.flatnonzero(~np.all([t.any(axis=0) for t in hats], axis=0))
+    pads = np.flatnonzero(~hats.any(axis=1).all(axis=0))
     cols = np.zeros(q * slots, dtype=np.int64)
     cols[rows] = table.indices
     cols[pads] = 0

@@ -88,7 +88,8 @@ class Layer:
         """Add the parameter gradients of sum(upstream * forward) into
         grads() and return the gradient w.r.t. the forward's input. With
         ``input_grad=False`` the caller discards that gradient: a layer
-        may skip building it and return None (the conv layers do)."""
+        may skip building it and return None (the conv, linear and
+        baseline layers do)."""
         raise NotImplementedError
 
 
@@ -178,7 +179,7 @@ class LinearLayer(Layer):
 
     def backward(self, upstream, ctx, *, input_grad=True):
         self._accumulate(self._feats.T @ upstream, upstream.sum(axis=0))
-        return upstream @ self.weights.T
+        return upstream @ self.weights.T if input_grad else None
 
 
 class ReluLayer(Layer):
@@ -284,8 +285,9 @@ class LayerStack:
         """Backward through every layer in reverse, each adding its
         parameter gradients into its grads(); returns the gradient w.r.t.
         the cloud's features. With ``input_grad=False`` the first layer is
-        told that nothing reads it: a conv layer then builds no input
-        gradient and the stack returns None (train_stack's use)."""
+        told that nothing reads it: a conv, linear or baseline layer then
+        builds no input gradient and the stack returns None (train_stack's
+        use)."""
         grad = upstream
         for j, l in reversed(list(enumerate(self.layers))):
             grad = l.backward(grad, ctx, input_grad=input_grad or j > 0)

@@ -11,7 +11,8 @@ A search whose (queries, points) distances fit one block of the block
 budget ``_BLOCK_VALUES`` (which also bounds the kernel-map build and the
 conv passes) takes the one-block path, ``_all_pairs``: it forms the whole
 matrix, partitions each row at its cap-th smallest distance, and orders
-only the pairs at most that far and within r.
+only the pairs at most that far and within r, which one mask over the
+flattened matrix selects.
 
 Every other search takes the grid path. It needs cells at least as wide
 as the search radius, so each query's window floor((q - r) / cell_size)
@@ -25,9 +26,9 @@ point a candidate of every query. Each query of a span takes a copy of
 its window's point list, and ``_first_in_order`` orders the span's
 in-ball pairs with one sort on an int64 key (query id in the high bits,
 the top bits of the squared distance in the low bits), then re-sorts
-exactly the runs of equal keys. The kept rows of every span are then
-written into the table, so no temporary grows with the whole candidate
-set.
+exactly the runs of equal keys, if any. The kept rows of every span
+are then written into the table, so no temporary grows with the whole
+candidate set.
 
 Conventions:
   * a point at distance exactly r from the query is included,
@@ -38,6 +39,7 @@ Conventions:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,22 @@ _CELL_LIMIT = 2.0 ** 62  # cell coordinates stay below it in magnitude
 # of the search, the kernel-map build or a conv pass may hold per block of
 # work, 2^17 values or 1 MB. Fixed, so outputs never depend on a setting.
 _BLOCK_VALUES = 1 << 17
+
+
+@contextmanager
+def _row_loops():
+    """numpy ufuncs copy the rows of a broadcast that are shorter than
+    their buffer (8,192 values by default) through it, to lengthen each
+    inner loop. Inside, the buffer is numpy's smallest, 16 values, so a
+    broadcast over rows of a few hundred values runs on the arrays in
+    place: a (256, 1) - (256,) subtraction takes a third of the time
+    (numpy 2.4). For elementwise ufuncs without casts only, whose results
+    do not depend on the buffer (a reduction's pairwise sums could)."""
+    old = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _check_positions(arr, name: str) -> np.ndarray:
@@ -223,9 +241,10 @@ def _first_in_order(qid: np.ndarray, pid: np.ndarray, d2: np.ndarray, n: int,
     perm = np.argsort(key)
     key = key[perm]
     tie = np.flatnonzero(key[1:] == key[:-1])
-    at = np.union1d(tie, tie + 1)
-    runs = perm[at]
-    perm[at] = runs[np.lexsort((pid[runs], d2[runs], key[at]))]
+    if tie.shape[0]:  # with no equal keys, the key order is the exact order
+        at = np.union1d(tie, tie + 1)
+        runs = perm[at]
+        perm[at] = runs[np.lexsort((pid[runs], d2[runs], key[at]))]
 
     qid = qid[perm]
     full_counts = np.bincount(qid, minlength=n)
@@ -289,27 +308,30 @@ def _all_pairs(index: GridHashIndex, q: np.ndarray, r: float, cap: int) -> Neigh
     """
     pos = index.positions
     n, m = q.shape[0], pos.shape[0]
+    cols = pos.T.copy()  # one contiguous row per axis
     # d2 by _rank's arithmetic, x, then y, then z, so its bits are the
     # same; _rank's first step, 0 + dx^2, is dx^2 exactly
-    with np.errstate(over="ignore"):
-        d2 = np.subtract(q[:, :1], pos[:, 0])
+    with _row_loops(), np.errstate(over="ignore"):
+        d2 = np.subtract(q[:, :1], cols[0])
         d2 *= d2
         diff = np.empty_like(d2)
         for axis in (1, 2):
-            np.subtract(q[:, axis, None], pos[:, axis], out=diff)
+            np.subtract(q[:, axis, None], cols[axis], out=diff)
             diff *= diff
             d2 += diff
-    bound = np.full((n, 1), r * r)
-    if cap < m:
-        diff[...] = d2
-        diff.partition(cap - 1, axis=1)
-        np.minimum(bound, diff[:, cap - 1:cap], out=bound)
-    # each matrix goes before the next array is made: fewer page faults
-    # per small search
-    del diff
-    qid, pid = np.nonzero(d2 <= bound)
-    rows, indices = _first_in_order(qid, pid, d2[qid, pid], n, cap)
-    del d2, qid, pid
+        bound = np.full(n, r * r)
+        if cap < m:
+            diff[...] = d2
+            diff.partition(cap - 1, axis=1)
+            np.minimum(bound, diff[:, cap - 1], out=bound)
+        # each matrix goes before the next array is made. Both lie above
+        # glibc's mmap threshold at 256 x 256 (512 KB), and their pages are
+        # faulted in again on every search: 200 minor faults a toy search
+        del diff
+        flat = np.flatnonzero(d2 <= bound[:, None])
+    qid = flat // m
+    rows, indices = _first_in_order(qid, flat - qid * m, d2.ravel().take(flat), n, cap)
+    del d2, flat, qid
     return _table(q, pos, rows, indices, [(0, n)], r, cap)
 
 

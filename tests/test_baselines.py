@@ -384,6 +384,62 @@ class TestPinnedTraining:
         assert _trained_digest(types) == self.DIGESTS[name]
 
 
+class TestTrainingInputGradient:
+    """train_stack asks a baseline stack's first layer for no input
+    gradient: the voxel layer then runs no cell mean on it, the PCC layer
+    no final scatter, and each returns None."""
+
+    SPECS = [
+        {"type": "deformable", "in": 2, "out": 4, "k": 3,
+         "a": [0.2, 0.2, 0.2], "r": None, "cap": 8, "skip": 0},
+        {"type": "relu"},
+        {"type": "linear", "in": 4, "out": 2, "skip": 0},
+    ]
+
+    @pytest.mark.parametrize("method,spied", [
+        ("pcc", (conv, "_scatter_rows")), ("voxel", (baselines, "cell_mean"))], ids=["pcc", "voxel"])
+    def test_first_layer_builds_none(self, method, spied, monkeypatch):
+        types = {"pcc": baselines.pcc_types([4]), "voxel": baselines.voxel_types(0.2)}[method]
+        stack = nn.build_stack(self.SPECS, "segmentation", rng=DetRng(3), types=types)
+        first = stack.layers[0]
+        inside, seen = [False], []
+
+        def spy(*args, real=getattr(*spied)):
+            if inside[0]:
+                seen[-1][1] += 1
+            return real(*args)
+
+        def backward(upstream, ctx, *, input_grad=True, real=first.backward):
+            seen.append([input_grad, 0])
+            inside[0] = True
+            try:
+                grad = real(upstream, ctx, input_grad=input_grad)
+            finally:
+                inside[0] = False
+            assert (grad is None) is not input_grad
+            return grad
+
+        monkeypatch.setattr(*spied, spy)
+        first.backward = backward
+        ds = pointcloud.synth_dataset("two-surfaces-seg", 2, 64, 0.01, 3)
+        nn.train_stack(stack, ds, lr=1e-2, weight_decay=5e-4, epochs=1, batch_size=1,
+                       rng=DetRng(6))
+        assert seen == [[False, 0]] * 2  # one step per cloud
+
+        # the same step asked for the input gradient builds it, with the
+        # same parameter gradients
+        ctx = nn.LayerContext(ds.clouds[0])
+        up = np.random.default_rng(1).normal(size=(64, 2))
+        kept = []
+        for input_grad in (False, True):
+            stack.zero_grads()
+            stack.forward(ds.clouds[0], ctx)
+            stack.backward(up, ctx, input_grad=input_grad)
+            kept.append([g.copy() for g in stack.gradients()])
+        assert seen[2:] == [[False, 0], [True, 1]]
+        assert all(np.array_equal(a, b) for a, b in zip(*kept))
+
+
 class TestSubvoxelDiscrimination:
     def test_zero_displacement_both_zero(self):
         rep = baselines.subvoxel_discrimination(0.2, 0.0, seed=1)

@@ -735,11 +735,12 @@ bench.reps = 5
         assert cli.main(["bench", "--config", cfg]) == 0
         lines = (tmp_path / "bench" / "bench.csv").read_text().splitlines()
         assert lines[0] == "op,M,K,k,ns_per_point"
-        assert len(lines) == 5  # two sizes, fast + oracle rows each
-        for line in lines[1:]:
-            op, m, cap, k, ns = line.split(",")
-            assert op in ("forward", "oracle_forward")
-            assert float(ns) > 0
+        # per size, in order: the search, the fast forward and the oracle
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(op, m, cap, k) for op, m, cap, k, _ in rows] == [
+            (op, m, cap, "3") for m, cap in (("1", "4"), ("300", "8"))
+            for op in ("search", "forward", "oracle_forward")]
+        assert all(float(ns) > 0 for *_, ns in rows)
 
     def test_oracle_mismatch_is_internal_check_failure(self, tmp_path, monkeypatch, capsys):
         # no input is at fault when the fast path and the oracle disagree

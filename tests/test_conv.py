@@ -1124,6 +1124,30 @@ class TestPinnedKernelMaps:
         assert h.hexdigest() == self.BLOCK_DIGESTS[name]
 
 
+class TestPinnedInterpolation:
+    """The dense pass's (H, cols, pads) at k = 3, cap 16, which no kernel
+    map pins: H as C-contiguous (queries, k^3, slots). "toy-seg" is the
+    benchmark's toy cloud, whose rows are all full; "short-rows" searches
+    it at a third of the radius, so most rows end before the last slot
+    and their pads are past a row's end."""
+
+    DIGESTS = {
+        "toy-seg": ("9f4e105609702e88c595d12e8eff0fda7b4a40ce9a860c09652ec5aa2ea292d7", 1),
+        "short-rows": ("1e405591c3a2246b6282c19853e8b034ab4543269fb486b8eeb7fdbdcfebb0ca", 3),
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_bytes(self, name):
+        digest, shrink = self.DIGESTS[name]
+        pos, r = benchmark_cloud("toy-seg")
+        table = spatial.radius_neighbors(spatial.build_index(pos, r), pos, r / shrink, 16)
+        assert (table.counts < 16).any() == (shrink > 1)
+        h = hashlib.sha256()
+        for arr in conv._interpolation(table, conv.grid_from_spacing(3, 0.2)):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestFilterValidation:
     def test_weight_shape_checked(self):
         g = conv.grid_from_spacing(3, 0.2)

@@ -494,6 +494,42 @@ class TestOneBlockPath:
                                   1.5, cap)
 
 
+class TestFirstInOrder:
+    """The one ordering step of every search, on its own: each query's
+    pairs in (d2, point id) order, the first cap kept, whatever the input
+    order. Exact ties and d2 values that differ only in the low bits the
+    sort key drops make equal keys, which are re-sorted; with neither,
+    the key order alone is used."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 300),
+           st.integers(1, 20), st.integers(0, 30), st.integers(0, 30))
+    def test_matches_lexsort(self, seed, n, pairs, cap, exact, near):
+        rng = np.random.default_rng(seed)
+        qid = rng.integers(0, n, pairs)
+        pid = rng.integers(0, 2 * pairs + 1, pairs)
+        _, first = np.unique(qid * (2 * pairs + 1) + pid, return_index=True)
+        qid, pid = qid[first], pid[first]  # no (query, point) pair twice
+        d2 = rng.uniform(0.0, 1.0, qid.shape[0]) ** 2
+        d2[rng.integers(0, d2.shape[0], min(exact, d2.shape[0]) // 3)] = 0.0
+        if d2.shape[0]:
+            to, frm = rng.integers(0, d2.shape[0], (2, exact))
+            d2[to] = d2[frm]  # exact ties, within a query or across queries
+            to, frm = rng.integers(0, d2.shape[0], (2, near))
+            # the same top bits as another pair: a low-bit near-tie
+            low = 2 ** max(n - 1, 0).bit_length()
+            d2[to] = (d2[frm].view(np.int64) // low * low
+                      + rng.integers(0, low, near)).view(np.float64)
+        perm = rng.permutation(qid.shape[0])
+        qid, pid, d2 = qid[perm], pid[perm], d2[perm]
+
+        rows, indices = spatial._first_in_order(qid, pid, d2, n, cap)
+        order = np.lexsort((pid, d2, qid))
+        rank = np.arange(order.shape[0]) - np.searchsorted(qid[order], qid[order])
+        assert rows.tolist() == np.minimum(np.bincount(qid, minlength=n), cap).tolist()
+        assert indices.tolist() == pid[order][rank < cap].tolist()
+
+
 class TestEmptyQueries:
     @pytest.mark.parametrize("search", ["grid", "brute"])
     @on_both_passes
