@@ -128,11 +128,11 @@ class VoxelConvLayer(nn.LinearLayer):
         super().__init__(weights, bias)
 
     def forward(self, feats, ctx):
-        return super().forward(cell_mean(ctx.cloud.positions, feats, self.pitch), ctx)
+        return super().forward(cell_mean(ctx.positions, feats, self.pitch), ctx)
 
     def backward(self, upstream, ctx, *, input_grad=True):
         grad = super().backward(upstream, ctx, input_grad=input_grad)
-        return None if grad is None else cell_mean(ctx.cloud.positions, grad, self.pitch)
+        return None if grad is None else cell_mean(ctx.positions, grad, self.pitch)
 
 
 def _in_place_of_conv(record: nn.LayerType) -> dict[str, nn.LayerType]:

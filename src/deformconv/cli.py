@@ -44,7 +44,7 @@ from .pointcloud import (
     synth_dataset,
 )
 from .rng import DetRng
-from .spatial import build_index, radius_neighbors
+from .spatial import NeighborTable
 
 
 class UsageError(Exception):
@@ -361,6 +361,16 @@ def _bench_cloud(m: int, cap: int, radius: float, rng: DetRng, dim: int) -> Poin
     return PointCloud(pos, feats)
 
 
+def _timed(fn, reps: int):
+    """(fn's last result, the median of reps timed calls in seconds)."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return out, median(times)
+
+
 def cmd_bench(cfg: RunConfig, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get_int("seed")
     out_dir = args.out if args.out else cfg.get_str("out")
@@ -376,18 +386,27 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         grid = conv.grid_from_spacing(k, spacing)
         radius = conv.default_radius(grid)
         cloud = _bench_cloud(m, cap, radius, rng, dim)
-        t_search = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            table = radius_neighbors(
-                build_index(cloud.positions, radius), cloud.positions, radius, cap
-            )
-            t_search.append(time.perf_counter() - t0)
+        times = {}
+
+        # each stage as a layer context runs it, in its cell order: the
+        # search of its first table includes the sort and the index it builds
+        def search():
+            ctx = nn.LayerContext(cloud)
+            ctx.arrange(radius)
+            return ctx, ctx.table_for(radius, cap)
+
+        (ctx, table), times["search"] = _timed(search, reps)
+        feats = ctx.rows(cloud.features)
         weights = 0.5 * rng.normals(grid.num_anchors * dim * dim).reshape(
             grid.num_anchors, dim, dim
         )
         filt = conv.DeformableFilter(grid, weights)
-        feats = cloud.features
+
+        def first_forward():  # on a new table object, so its map or H is built
+            fresh = NeighborTable(table.starts, table.indices, table.offsets, radius, cap)
+            return conv.forward_features(feats, fresh, filt, threads=args.threads)
+
+        _, times["first_forward"] = _timed(first_forward, reps)
         fast = conv.forward_features(feats, table, filt, threads=args.threads)
         slow = conv.oracle_forward_features(feats, table, filt)
         scale = max(float(np.max(np.abs(slow))), 1e-300)
@@ -396,25 +415,27 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             raise InternalCheckError(
                 f"fast path disagrees with reference (rel {rel:.3e}) at M={m} K={cap} k={k}"
             )
-        t_fast, t_slow = [], []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            conv.forward_features(feats, table, filt, threads=args.threads)
-            t_fast.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            conv.oracle_forward_features(feats, table, filt)
-            t_slow.append(time.perf_counter() - t0)
-        rows.append(("search", m, cap, k, median(t_search) / m * 1e9))
-        rows.append(("forward", m, cap, k, median(t_fast) / m * 1e9))
-        rows.append(("oracle_forward", m, cap, k, median(t_slow) / m * 1e9))
+        _, times["forward"] = _timed(
+            lambda: conv.forward_features(feats, table, filt, threads=args.threads), reps)
+        _, times["oracle_forward"] = _timed(
+            lambda: conv.oracle_forward_features(feats, table, filt), reps)
+        up = rng.normals(m * dim).reshape(m, dim)
+        _, times["backward"] = _timed(
+            lambda: conv.backward_features(feats, table, filt, up), reps)
+        (_, grad_w, _), times["weight_backward"] = _timed(
+            lambda: conv.backward_features(feats, table, filt, up, input_grad=False), reps)
+        params = [filt.weights.copy()]
+        state = nn.init_adam(params, lr=1e-3)
+        _, times["adam"] = _timed(lambda: nn.adam_step(state, params, [grad_w]), reps)
+        rows += [(op, m, cap, k, t / m * 1e9) for op, t in times.items()]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "bench.csv")
     with atomic_open(path) as fh:
         fh.write("op,M,K,k,ns_per_point\n")
         for op, m, cap, k, ns in rows:
-            fh.write(f"{op},{m},{cap},{k},{ns:.1f}\n")
+            fh.write(f"{op},{m},{cap},{k},{ns:.3f}\n")
     for op, m, cap, k, ns in rows:
-        print(f"{op:>15s} M={m:<7d} K={cap:<3d} k={k}: {ns:12.1f} ns/point")
+        print(f"{op:>15s} M={m:<7d} K={cap:<3d} k={k}: {ns:14.3f} ns/point")
     print(f"saved {path}")
     return 0
 

@@ -33,8 +33,9 @@ Two implementations of the forward pass are kept side by side:
         the parts over a thread pool.
     The separable filter runs on the kernel map's blocks too. The map
     holds only the nonzero (pair, corner) entries, each as a block-local
-    (query, anchor) key, a neighbour id and a weight, so no product or
-    bincount sees a zero corner. H and the map are built once per
+    (query, anchor) key, a neighbour id less the block's smallest and a
+    weight, so no product or bincount sees a zero corner, and a block
+    reads and adds into only its own range of neighbour ids. H and the map are built once per
     (table, grid) for all layers and passes. Only the dense pass keeps
     its sums for the backward, which rebuilds them, with the same bits,
     when given none. A backward told ``input_grad=False`` (a stack's
@@ -417,11 +418,14 @@ def _per_table(build):
 @_per_table
 def _kernel_map(table: NeighborTable, grid: AnchorGrid) -> list:
     """The table's nonzero (pair, corner) entries, as a list of query
-    blocks (rows, keys, nbr, w). rows is the block's slice of queries;
-    per entry, keys holds (query - rows.start) * k^3 + anchor and nbr the
-    neighbour id, both int64, and w the trilinear weight. The corners
-    whose weight is exactly 0 are not stored, since they would only add
-    zeros to every sum.
+    blocks (rows, keys, nbr, w, base). rows is the block's slice of
+    queries and base its smallest neighbour id (0 with no entries); per
+    entry, keys holds (query - rows.start) * k^3 + anchor and nbr the
+    neighbour id less base, both int64, and w the trilinear weight. So a
+    block reads and adds into only the ids base .. base + nbr.max(), a
+    short range when its queries' neighbours lie close in id, as in a
+    LayerContext's cell order. The corners whose weight is exactly 0 are
+    not stored, since they would only add zeros to every sum.
 
     Each block is gathered on its own (_corner_gather) and its entries
     taken, by flatnonzero, from its (8, kept) weights, so they stay in
@@ -444,7 +448,9 @@ def _kernel_map(table: NeighborTable, grid: AnchorGrid) -> list:
         keys = query.take(kept).take(pair)
         keys += ids.ravel().take(at)
         nbr = table.indices[p0:p1].take(kept).take(pair)
-        blocks.append((slice(q0, q1), keys, nbr, w.ravel().take(at)))
+        base = int(nbr.min()) if nbr.shape[0] else 0
+        nbr -= base
+        blocks.append((slice(q0, q1), keys, nbr, w.ravel().take(at), base))
     return blocks
 
 
@@ -513,25 +519,26 @@ def _channel_parts(features, neighbors: NeighborTable, filt: DeformableFilter, w
     in part order.
 
     A part is one input channel i of one kernel-map block (rows, keys,
-    nbr, w). S (block queries, k^3) is channel i's anchor sums,
+    nbr, w, base). S (block queries, k^3) is channel i's anchor sums,
 
         S[q, a] = sum over the (pair, corner)s of q at anchor a of
                   trilinear weight * f_i(neighbour),
 
     one bincount over the block's keys, adding in its (corner, pair)
-    order; the features are read by a contiguous take per channel. With
-    threads > 1 a block's channels run on a thread pool; results are
-    still yielded in part order, so callers that add them in that order
-    get bit-identical sums for any thread count.
+    order; the features are read by a take from the block's id range of
+    a contiguous per-channel copy. With threads > 1 a block's channels
+    run on a thread pool; results are still yielded in part order, so
+    callers that add them in that order get bit-identical sums for any
+    thread count.
     """
     num_anchors = filt.grid.num_anchors
     columns = np.ascontiguousarray(features.T)
 
     def run(part):
         i, block = part
-        rows, keys, nbr, w = block
+        rows, keys, nbr, w, base = block
         size = (rows.stop - rows.start) * num_anchors
-        s = np.bincount(keys, w * columns[i].take(nbr), minlength=size)
+        s = np.bincount(keys, w * columns[i, base:].take(nbr), minlength=size)
         return i, rows, work(i, block, s.reshape(-1, num_anchors))
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
@@ -650,13 +657,16 @@ def backward_features(
     grad_features[:, i]. Otherwise, per part (query block, input channel
     i): grad_weights[:, i] gains S_i^T @ upstream; each pair blends
     (upstream @ weights[:, i, :]^T) of its query over its corners, and
-    one bincount over neighbour ids adds those into row i of a
-    channel-major (in, M) sum, returned as C-contiguous (M, in). Parts
-    add in a fixed order, so repeated runs are bit-identical.
+    one bincount over the block's neighbour ids, as long as their range,
+    adds those into that range of row i of a channel-major (in, M) sum,
+    returned as C-contiguous (M, in). dL/dS is written into one buffer
+    per call: freeing a 1 MB temporary per part lets the heap's top be
+    trimmed and faulted back in by the next part. Parts add in a fixed
+    order, so repeated runs are bit-identical.
 
     With ``input_grad=False`` (the caller discards it, as for a stack's
     first layer) grad_features is None and none of its work is done: no
-    H^T product or scatter on the dense pass, no dL/dS, take or (M,)-long
+    H^T product or scatter on the dense pass, no dL/dS, take or neighbour
     bincount per part on the channel pass. The other gradients keep
     their bits.
     """
@@ -681,13 +691,18 @@ def backward_features(
         return grad_f, (s.reshape(q, a * i).T @ up).reshape(a, i, o), up.sum(axis=0)
     grad_w = np.zeros_like(filt.weights)
     grad_f = np.zeros((i, features.shape[0])) if input_grad else None
+    blocks = _kernel_map(neighbors, filt.grid)
+    if input_grad:
+        dsum = np.empty(max(((b[0].stop - b[0].start) * a for b in blocks), default=0))
 
     def work(i, block, s):
-        rows, keys, nbr, w = block
+        rows, keys, nbr, w, base = block
         if input_grad:
             # dL/dS_i[q, a] = up[q] . weights[a, i, :], read at each entry's key
-            dsum = (up[rows] @ filt.weights[:, i].T).ravel()
-            grad_f[i] += np.bincount(nbr, w * dsum.take(keys), minlength=features.shape[0])
+            ds = dsum[:(rows.stop - rows.start) * a]
+            np.matmul(up[rows], filt.weights[:, i].T, out=ds.reshape(-1, a))
+            add = np.bincount(nbr, w * ds.take(keys))
+            grad_f[i, base:base + add.shape[0]] += add
         return s.T @ up[rows]
 
     for i, _, gw in _channel_parts(features, neighbors, filt, work):
@@ -712,13 +727,13 @@ def forward_separable_features(
     features, _ = _check_args(features, neighbors, sf)
     columns, a = np.ascontiguousarray(features.T), sf.grid.num_anchors
     out = np.empty((neighbors.num_queries, sf.out_dim))
-    for rows, keys, nbr, w in _kernel_map(neighbors, sf.grid):
+    for rows, keys, nbr, w, base in _kernel_map(neighbors, sf.grid):
         n = rows.stop - rows.start
         query = keys // a
         anchor = keys - query * a  # keys % a, at less cost
         m = np.empty((n, sf.in_dim))
         for i, column in enumerate(sf.spatial.T):
-            m[:, i] = np.bincount(query, w * column.take(anchor) * columns[i].take(nbr),
+            m[:, i] = np.bincount(query, w * column.take(anchor) * columns[i, base:].take(nbr),
                                   minlength=n)
         out[rows] = m @ sf.pointwise
     if sf.bias is not None:
@@ -739,29 +754,30 @@ def backward_separable_features(
     Runs the forward pass's blocks and channels again. Per block, dL/dm
     is upstream @ pointwise^T on its rows; per channel i, one bincount
     each over the block's entries adds m[:, i], grad_spatial[:, i] and,
-    into row i of a channel-major (in, M) sum returned as C-contiguous
-    (M, in), grad_features[:, i]; the block's m^T @ upstream adds into
-    grad_pointwise. No temporary holds more than one block. With
-    ``input_grad=False`` grad_features is None and its bincounts are not
-    run; the other gradients keep their bits.
+    into the block's id range of row i of a channel-major (in, M) sum
+    returned as C-contiguous (M, in), grad_features[:, i]; the block's
+    m^T @ upstream adds into grad_pointwise. No temporary holds more than
+    one block. With ``input_grad=False`` grad_features is None and its
+    bincounts are not run; the other gradients keep their bits.
     """
     features, up = _check_args(features, neighbors, sf, upstream)
     columns, a = np.ascontiguousarray(features.T), sf.grid.num_anchors
     grad_f = np.zeros_like(columns) if input_grad else None
     grad_s, grad_p = np.zeros_like(sf.spatial), np.zeros_like(sf.pointwise)
-    for rows, keys, nbr, w in _kernel_map(neighbors, sf.grid):
+    for rows, keys, nbr, w, base in _kernel_map(neighbors, sf.grid):
         n = rows.stop - rows.start
         query = keys // a
         anchor = keys - query * a  # keys % a, at less cost
         dm = sf.pointwise @ up[rows].T  # dL/dm, (in, block queries)
         m = np.empty((n, sf.in_dim))
         for i, column in enumerate(sf.spatial.T):
-            f = columns[i].take(nbr)
+            f = columns[i, base:].take(nbr)
             g = w * column.take(anchor)  # ghat1_i's share of each entry
             m[:, i] = np.bincount(query, g * f, minlength=n)
             u = dm[i].take(query)
             if input_grad:
-                grad_f[i] += np.bincount(nbr, g * u, minlength=features.shape[0])
+                add = np.bincount(nbr, g * u)
+                grad_f[i, base:base + add.shape[0]] += add
             # dL/dspatial[a, i] sums w * f * u over the entries at anchor a
             grad_s[:, i] += np.bincount(anchor, w * f * u, minlength=a)
         grad_p += m.T @ up[rows]

@@ -1,9 +1,11 @@
 """Small network toolkit for point clouds: layers, loss, Adam, metrics.
 
 Everything here is plain numpy with hand-written backward passes. A
-LayerStack processes one cloud at a time (clouds vary in size); training
-iterates clouds in a seeded random order and steps Adam every
-``batch_size`` clouds with the accumulated gradients.
+LayerStack processes one cloud at a time (clouds vary in size), its
+layers seeing the cloud in the cell order of its LayerContext, and the
+caller in the cloud's own order; training iterates clouds in a seeded
+random order and steps Adam every ``batch_size`` clouds with the
+accumulated gradients.
 """
 
 from __future__ import annotations
@@ -18,11 +20,22 @@ from . import conv
 from .conv import ConvLayerSpec, DeformableFilter, SeparableFilter
 from .pointcloud import CLASSIFICATION, SEGMENTATION, Dataset, PointCloud
 from .rng import DetRng
-from .spatial import NeighborTable, build_index, radius_neighbors
+from .spatial import NeighborTable, build_index, cell_order, radius_neighbors
 
 
 class LayerContext:
     """Per-cloud state shared by the layers of one forward/backward pass.
+
+    The layers see the cloud in one point order, the context order: row
+    j of every feature array they pass, and point j of every neighbour
+    table, is the cloud's point ``order[j]``. A context starts in input
+    order (``order`` None). ``arrange(radius)``, which LayerStack.forward
+    calls before its first layer, sorts it once, by the grid cell of the
+    stack's first searched radius and then by x, y and z
+    (spatial.cell_order). So the order depends on the positions alone,
+    input ids breaking only ties between equal positions, and a block of
+    consecutive queries finds its neighbours in a short id range. The
+    index that sort built serves every table of that radius.
 
     Caches neighbour tables keyed by (radius, cap) so several conv
     layers with the same geometry share one search, and so a table can
@@ -32,15 +45,39 @@ class LayerContext:
     def __init__(self, cloud: PointCloud, threads: int = 1):
         self.cloud = cloud
         self.threads = threads
+        self.order: np.ndarray | None = None
+        self.positions = cloud.positions  # in context order
+        self._index = None
         self._tables: dict[tuple[float, int], NeighborTable] = {}
+
+    def arrange(self, radius: float | None) -> None:
+        """Sort the context into cell order at ``radius``, unless it is
+        sorted already, a table was searched in input order, or radius is
+        None (a stack that searches nothing)."""
+        if radius is None or self.order is not None or self._tables:
+            return
+        self.order, self._index = cell_order(self.cloud.positions, radius)
+        self.positions = self._index.positions
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """Per-point rows of the cloud, in context order."""
+        return values if self.order is None else values.take(self.order, axis=0)
+
+    def restore(self, values: np.ndarray) -> np.ndarray:
+        """Per-point rows in context order, back in the cloud's order."""
+        if self.order is None:
+            return values
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
 
     def table_for(self, radius: float, cap: int) -> NeighborTable:
         key = (radius, cap)
         if key not in self._tables:
-            index = build_index(self.cloud.positions, radius)
-            self._tables[key] = radius_neighbors(
-                index, self.cloud.positions, radius, cap
-            )
+            index = self._index
+            if index is None or index.cell_size != radius:
+                index = build_index(self.positions, radius)
+            self._tables[key] = radius_neighbors(index, self.positions, radius, cap)
         return self._tables[key]
 
 
@@ -50,7 +87,11 @@ class Layer:
     A trainable layer passes its parameter arrays to ``__init__`` in
     storage order. They are copied to float64, and each gets a zeroed
     gradient array of the same shape that backward passes add into.
+    ``radius`` is the radius a layer searches its context at, None for a
+    layer that searches nothing.
     """
+
+    radius: float | None = None
 
     def __init__(self, *params: np.ndarray):
         self._params = [np.array(p, dtype=np.float64) for p in params]
@@ -108,7 +149,7 @@ class DeformConvLayer(Layer):
 
     def __init__(self, spec: ConvLayerSpec, weights: np.ndarray, bias: np.ndarray):
         super().__init__(weights, bias)
-        self.spec = spec
+        self.spec, self.radius = spec, spec.radius
         self.weights, self.bias = self.params()
 
     def out_channels(self, in_channels: int) -> int:
@@ -141,7 +182,7 @@ class SeparableConvLayer(Layer):
         bias: np.ndarray,
     ):
         super().__init__(spatial, pointwise, bias)
-        self.spec = spec
+        self.spec, self.radius = spec, spec.radius
         self.spatial, self.pointwise, self.bias = self.params()
 
     def out_channels(self, in_channels: int) -> int:
@@ -218,7 +259,7 @@ class ConcatSkipLayer(Layer):
     kind = "skip"
 
     def __init__(self, inner: Layer):
-        self.inner = inner
+        self.inner, self.radius = inner, inner.radius
 
     def params(self):
         return self.inner.params()
@@ -243,7 +284,10 @@ class LayerStack:
     """Ordered layers mapping a cloud's features to logits.
 
     Segmentation stacks emit one row per point; classification stacks
-    contain exactly one global max pool and emit a single row.
+    contain exactly one global max pool and emit a single row. The layers
+    run in the context's order, which forward arranges at the first
+    layer radius the stack searches; per-point rows given to forward and
+    backward, and returned by them, are in the cloud's order.
     """
 
     def __init__(self, layers: list[Layer], task: str):
@@ -257,6 +301,7 @@ class LayerStack:
             raise ValueError("segmentation stacks cannot contain a global pool")
         self.layers = layers
         self.task = task
+        self.radius = next((l.radius for l in layers if l.radius is not None), None)
 
     def parameters(self) -> list[np.ndarray]:
         return [p for l in self.layers for p in l.params()]
@@ -275,10 +320,11 @@ class LayerStack:
         return c
 
     def forward(self, cloud: PointCloud, ctx: LayerContext) -> np.ndarray:
-        feats = cloud.features
+        ctx.arrange(self.radius)
+        feats = ctx.rows(cloud.features)
         for l in self.layers:
             feats = l.forward(feats, ctx)
-        return feats
+        return ctx.restore(feats) if self.task == SEGMENTATION else feats
 
     def backward(self, upstream: np.ndarray, ctx: LayerContext, *,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -288,10 +334,10 @@ class LayerStack:
         told that nothing reads it: a conv, linear or baseline layer then
         builds no input gradient and the stack returns None (train_stack's
         use)."""
-        grad = upstream
+        grad = ctx.rows(upstream) if self.task == SEGMENTATION else upstream
         for j, l in reversed(list(enumerate(self.layers))):
             grad = l.backward(grad, ctx, input_grad=input_grad or j > 0)
-        return grad
+        return None if grad is None else ctx.restore(grad)
 
 
 def conv_spec(spec: dict) -> ConvLayerSpec:

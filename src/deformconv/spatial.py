@@ -30,6 +30,10 @@ exactly the runs of equal keys, if any. The kept rows of every span
 are then written into the table, so no temporary grows with the whole
 candidate set.
 
+``cell_order`` sorts a point set by grid cell, then by position, and
+builds the index of the sorted points with the same key sort: the order
+an nn.LayerContext runs its layers in.
+
 Conventions:
   * a point at distance exactly r from the query is included,
   * candidates are ordered by squared distance, ties broken by ascending
@@ -134,13 +138,9 @@ class GridHashIndex:
         return (rel[..., 0] * self.dims[1] + rel[..., 1]) * self.dims[2] + rel[..., 2]
 
 
-def build_index(positions, cell_size: float) -> GridHashIndex:
-    """Hash every point into its grid cell.
-
-    Raises ValueError when a point lies 2^62 or more cells from the
-    origin on some axis, or when the occupied cell range spans more than
-    2^62 cells, whose keys would not pack into int64.
-    """
+def _cell_keys(positions, cell_size: float):
+    """(positions, packed cell keys, cmin, dims) of a point set; raises
+    ValueError as build_index documents."""
     pos = _check_positions(positions, "positions")
     if pos.shape[0] < 1:
         raise ValueError("cannot index an empty point set")
@@ -161,11 +161,14 @@ def build_index(positions, cell_size: float) -> GridHashIndex:
             f"points span {extent} grid cells of size {cell_size}, more than 2^62; "
             "use a larger cell_size"
         )
-
     rel = cells - cmin
-    keys = (rel[:, 0] * dims[1] + rel[:, 1]) * dims[2] + rel[:, 2]
-    order = np.argsort(keys, kind="stable")  # stable: ascending ids per cell
-    skeys = keys[order]
+    return pos, (rel[:, 0] * dims[1] + rel[:, 1]) * dims[2] + rel[:, 2], cmin, dims
+
+
+def _index(cell_size: float, pos: np.ndarray, cmin, dims, order: np.ndarray,
+           skeys: np.ndarray) -> GridHashIndex:
+    """The index of points pos whose ids in key order are ``order``, with
+    keys ``skeys`` in that order."""
     is_first = np.empty(skeys.shape[0], dtype=bool)
     is_first[0] = True
     np.not_equal(skeys[1:], skeys[:-1], out=is_first[1:])
@@ -173,6 +176,41 @@ def build_index(positions, cell_size: float) -> GridHashIndex:
     ukeys = skeys[firsts]
     ustarts = np.append(firsts, skeys.shape[0]).astype(np.int64)
     return GridHashIndex(float(cell_size), pos, cmin, dims, order, ukeys, ustarts)
+
+
+def build_index(positions, cell_size: float) -> GridHashIndex:
+    """Hash every point into its grid cell.
+
+    Raises ValueError when a point lies 2^62 or more cells from the
+    origin on some axis, or when the occupied cell range spans more than
+    2^62 cells, whose keys would not pack into int64.
+    """
+    pos, keys, cmin, dims = _cell_keys(positions, cell_size)
+    order = np.argsort(keys, kind="stable")  # stable: ascending ids per cell
+    return _index(cell_size, pos, cmin, dims, order, keys[order])
+
+
+def cell_order(positions, cell_size: float) -> tuple[np.ndarray, GridHashIndex]:
+    """(order, index): the point ids sorted by grid cell (build_index's
+    cells and key order), then by x, y and z, and the index of the points
+    taken in that order, whose own order is the identity.
+
+    The order depends on the positions alone: point ids break only ties
+    between equal positions. It is one stable key sort, as build_index
+    makes, of the points sorted by x; the runs of equal (cell, x), if
+    any, are then re-sorted by (y, z, id). Raises as build_index does.
+    """
+    pos, keys, cmin, dims = _cell_keys(positions, cell_size)
+    order = np.argsort(pos[:, 0])  # ties in x are re-sorted below
+    order = order[np.argsort(keys.take(order), kind="stable")]
+    skeys, x = keys.take(order), pos[:, 0].take(order)
+    tie = np.flatnonzero((skeys[1:] == skeys[:-1]) & (x[1:] == x[:-1]))
+    if tie.shape[0]:
+        at = np.union1d(tie, tie + 1)
+        runs = order[at]
+        order[at] = runs[np.lexsort((runs, pos[runs, 2], pos[runs, 1], x[at], skeys[at]))]
+    return order, _index(cell_size, pos.take(order, axis=0), cmin, dims,
+                         np.arange(pos.shape[0], dtype=np.int64), skeys)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

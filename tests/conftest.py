@@ -86,10 +86,11 @@ def fresh_table(table: spatial.NeighborTable) -> spatial.NeighborTable:
 
 def map_entries(kmap: list, num_anchors: int):
     """(query, anchor, nbr, w) of every entry of a kernel map, block after
-    block, with each block's keys turned back into table query ids."""
+    block, with each block's keys turned back into table query ids and its
+    neighbour ids back into the table's (base + local id)."""
     keys = [b[0].start * num_anchors + b[1] for b in kmap]
     query, anchor = np.divmod(np.concatenate([np.empty(0, np.int64)] + keys), num_anchors)
-    nbr = np.concatenate([np.empty(0, np.int64)] + [b[2] for b in kmap])
+    nbr = np.concatenate([np.empty(0, np.int64)] + [b[4] + b[2] for b in kmap])
     return query, anchor, nbr, np.concatenate([np.empty(0)] + [b[3] for b in kmap])
 
 

@@ -33,7 +33,7 @@ def _entries_by_query(kmap, num_anchors: int) -> list[bytes]:
 
 
 def _map_bytes(kmap) -> int:
-    return sum(a.nbytes for block in kmap for a in block[1:])
+    return sum(a.nbytes for block in kmap for a in block[1:4])
 
 
 def _search_instance(seed: int):
@@ -205,13 +205,15 @@ class TestKernelMapInBlocks:
         # once, in (corner, pair) order, and no weight is zero
         kept, ids, w = conv._corner_gather(table.offsets, grid)
         qid = np.repeat(np.arange(len(counts)), counts)
-        for rows, keys, nbr, wv in kmap:
+        for rows, keys, nbr, wv, base in kmap:
             mine = (kept >= starts[rows.start]) & (kept < starts[rows.stop])
             corner, pair = np.nonzero(w[:, mine] > 0)
             pairs = kept[mine][pair]
             assert keys.dtype == nbr.dtype == np.int64
             assert np.array_equal(keys, (qid[pairs] - rows.start) * a + ids[:, mine][corner, pair])
-            assert np.array_equal(nbr, table.indices[pairs])
+            # neighbour ids are stored less the block's smallest one
+            assert base == (table.indices[pairs].min() if pairs.shape[0] else 0)
+            assert np.array_equal(base + nbr, table.indices[pairs])
             assert wv.tobytes() == w[:, mine][corner, pair].tobytes() and np.all(wv > 0)
         assert sum(b[1].shape[0] for b in kmap) == np.count_nonzero(w)
 

@@ -735,11 +735,15 @@ bench.reps = 5
         assert cli.main(["bench", "--config", cfg]) == 0
         lines = (tmp_path / "bench" / "bench.csv").read_text().splitlines()
         assert lines[0] == "op,M,K,k,ns_per_point"
-        # per size, in order: the search, the fast forward and the oracle
+        # per size, in order: the search (the sort into cell order, its
+        # index and the search), the forward on a fresh table and on a used
+        # one, the oracle, the backward with and without the input
+        # gradient, and one Adam step
         rows = [line.split(",") for line in lines[1:]]
         assert [(op, m, cap, k) for op, m, cap, k, _ in rows] == [
             (op, m, cap, "3") for m, cap in (("1", "4"), ("300", "8"))
-            for op in ("search", "forward", "oracle_forward")]
+            for op in ("search", "first_forward", "forward", "oracle_forward",
+                       "backward", "weight_backward", "adam")]
         assert all(float(ns) > 0 for *_, ns in rows)
 
     def test_oracle_mismatch_is_internal_check_failure(self, tmp_path, monkeypatch, capsys):

@@ -992,6 +992,143 @@ class TestSeparable:
         assert _adjoint_gap(lhs, gp, sf.pointwise) <= 1e-12
 
 
+def _reordered(cloud: pointcloud.PointCloud, order: str, r: float, seed: int = 0):
+    """The cloud in cell order (the order an nn.LayerContext runs in, at
+    radius r) or in a random order."""
+    if order == "cell":
+        perm = spatial.cell_order(cloud.positions, r)[0]
+    else:
+        perm = np.random.default_rng(seed).permutation(cloud.num_points)
+    return pointcloud.PointCloud(cloud.positions[perm], cloud.features[perm])
+
+
+class TestPermutedClouds:
+    """Oracle, adjoint and gradient checks for both operators on clouds
+    whose points come in cell order and in a random order, on both passes
+    of the full operator, at the usual tolerances."""
+
+    @pytest.mark.parametrize("order", ["cell", "random"])
+    @pytest.mark.parametrize("k", [3, 7])
+    @on_both_passes
+    def test_oracle_and_adjoint(self, k, order):
+        rng = np.random.default_rng(40 + k)
+        filt = random_filter(rng, k, 0.2, 3, 4, bias=True)
+        r = conv.default_radius(filt.grid)
+        cloud = _reordered(random_cloud(rng, 300, 3, extent=1.0), order, r, k)
+        table = neighbor_table(cloud, r, 12)
+        feats = cloud.features
+        up = rng.normal(size=(table.num_queries, 4))
+        out = conv.forward_features(feats, table, filt)
+        assert rel_err(out, conv.oracle_forward_features(feats, table, filt)) <= 1e-12
+        gf, gw, _ = conv.backward_features(feats, table, filt, up)
+        lhs = float(np.sum(up * (out - filt.bias)))
+        assert _adjoint_gap(lhs, gf, feats) <= 1e-12
+        assert _adjoint_gap(lhs, gw, filt.weights) <= 1e-12
+
+        sf = _separable(filt.grid, rng, 3, 4)
+        out = conv.forward_separable_features(feats, table, sf)
+        rank_one = conv.DeformableFilter(filt.grid, sf.spatial[:, :, None] * sf.pointwise[None],
+                                         sf.bias)
+        assert rel_err(out, conv.oracle_forward_features(feats, table, rank_one)) <= 1e-12
+        gf, gs, gp, _ = conv.backward_separable_features(feats, table, sf, up)
+        lhs = float(np.sum(up * (out - sf.bias)))
+        assert _adjoint_gap(lhs, gf, feats) <= 1e-12
+        assert _adjoint_gap(lhs, gs, sf.spatial) <= 1e-12
+        assert _adjoint_gap(lhs, gp, sf.pointwise) <= 1e-12
+
+    @pytest.mark.parametrize("order", ["cell", "random"])
+    @on_both_passes
+    def test_gradients_match_finite_differences(self, order):
+        rng = np.random.default_rng(44)
+        g = conv.grid_from_spacing(3, 0.2)
+        r = conv.default_radius(g)
+        cloud = _reordered(random_cloud(rng, 14, 2, extent=0.4), order, r)
+        table = neighbor_table(cloud, r, 6)
+        assert neighbor_table(cloud, r, 14).counts.max() > 6  # cap cuts some
+        feats = cloud.features.copy()
+        up = rng.normal(size=(14, 2))
+        w, s, p = (rng.normal(size=shape) for shape in ((27, 2, 2), (27, 2), (2, 2)))
+
+        def full_loss():
+            return float(np.sum(conv.forward_features(
+                feats, table, conv.DeformableFilter(g, w.copy())) * up))
+
+        def separable_loss():
+            return float(np.sum(conv.forward_separable_features(
+                feats, table, conv.SeparableFilter(g, s.copy(), p.copy())) * up))
+
+        gf, gw, _ = conv.backward_features(feats, table, conv.DeformableFilter(g, w), up)
+        assert grad_rel(gw, fd_grad(full_loss, w)) <= 1e-6
+        assert grad_rel(gf, fd_grad(full_loss, feats)) <= 1e-6
+        gf, gs, gp, _ = conv.backward_separable_features(
+            feats, table, conv.SeparableFilter(g, s, p), up)
+        assert grad_rel(gs, fd_grad(separable_loss, s)) <= 1e-6
+        assert grad_rel(gp, fd_grad(separable_loss, p)) <= 1e-6
+        assert grad_rel(gf, fd_grad(separable_loss, feats)) <= 1e-6
+
+
+class TestBlockLocalScatters:
+    """Each kernel-map block stores its neighbour ids less their smallest,
+    and the feature-gradient bincounts of the channel pass and of the
+    separable backward span only the block's id range, which cell order
+    keeps short."""
+
+    def _instance(self, monkeypatch):
+        # 3,000 points of a long box, in cell order, so that one slab of
+        # cells across the long axis holds a small share of them; a budget
+        # of 64 queries' k = 3 sums cuts the table into many blocks
+        rng = np.random.default_rng(50)
+        g = conv.grid_from_spacing(3, 0.2)
+        r = conv.default_radius(g)
+        box = pointcloud.PointCloud(rng.uniform(0.0, [12.0, 1.2, 1.2], (3000, 3)),
+                                    rng.normal(size=(3000, 3)))
+        cloud = _reordered(box, "cell", r)
+        monkeypatch.setattr(spatial, "_BLOCK_VALUES", 64 * 27)
+        table = neighbor_table(cloud, r, 16)
+        full_pass(monkeypatch, "channel")
+        up = rng.normal(size=(3000, 4))
+        return cloud.features, table, g, up, rng
+
+    def test_bincounts_stay_in_each_blocks_id_range(self, monkeypatch):
+        feats, table, g, up, rng = self._instance(monkeypatch)
+        kmap = conv._kernel_map(table, g)
+        assert len(kmap) > 20
+        spans = [int(nbr.max()) + 1 for _, _, nbr, _, _ in kmap]
+        # in cell order a block's neighbours lie in a small share of the ids
+        assert max(spans) < table.num_queries / 4
+        calls, real = [], np.bincount
+
+        def bincount(x, *args, **kwargs):
+            out = real(x, *args, **kwargs)
+            calls.append((x, out.shape[0]))
+            return out
+
+        monkeypatch.setattr(np, "bincount", bincount)
+        for backward, filt in ((conv.backward_features,
+                                conv.DeformableFilter(g, rng.normal(size=(27, 3, 4)))),
+                               (conv.backward_separable_features, _separable(g, rng, 3, 4))):
+            calls.clear()
+            backward(feats, table, filt, up)
+            # no bincount is as long as the cloud, and each block's
+            # neighbour bincount, one per channel, spans exactly its range
+            assert all(n < table.num_queries for _, n in calls)
+            by_block = [[n for x, n in calls if x is block[2]] for block in kmap]
+            assert by_block == [[span] * 3 for span in spans]
+
+    def test_gradients_equal_whole_cloud_scatters(self, monkeypatch):
+        # the channel pass's feature gradient, bit for bit, as a bincount
+        # over all M ids per (block, channel) part added it
+        feats, table, g, up, rng = self._instance(monkeypatch)
+        filt = conv.DeformableFilter(g, rng.normal(size=(27, 3, 4)))
+        gf = conv.backward_features(feats, table, filt, up)[0]
+        want = np.zeros((3, feats.shape[0]))
+        for rows, keys, nbr, w, base in conv._kernel_map(table, g):
+            for i in range(3):
+                dsum = (up[rows] @ filt.weights[:, i].T).ravel()
+                want[i] += np.bincount(base + nbr, w * dsum.take(keys), minlength=feats.shape[0])
+        assert gf.tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
 class TestKernelMap:
     """The corner gather runs once per (table, grid) and keeps only the
     pairs with a nonzero weight."""
@@ -1087,7 +1224,8 @@ class TestPinnedKernelMaps:
     the pair map (starts, nbr, ids, w) that the corner gather gives, as it
     was when ids and w were stored pair-major, (pairs, 8), reassembled
     from one gather over the whole table. BLOCK_DIGESTS pins the stored
-    map: each block's query bounds, keys, neighbour ids and weights."""
+    map: each block's query bounds, keys, neighbour ids (its base plus
+    the stored local ids) and weights."""
 
     DIGESTS = {
         "toy-seg": ("5ffe6a7813a190bfedd04828501886f9a18c42f626df714da6fe41e2ac287e1d", 3),
@@ -1118,8 +1256,8 @@ class TestPinnedKernelMaps:
     def test_block_bytes(self, name):
         table, grid = self._table(name)
         h = hashlib.sha256()
-        for rows, keys, nbr, w in conv._kernel_map(table, grid):
-            for arr in (np.array([rows.start, rows.stop], dtype=np.int64), keys, nbr, w):
+        for rows, keys, nbr, w, base in conv._kernel_map(table, grid):
+            for arr in (np.array([rows.start, rows.stop], dtype=np.int64), keys, base + nbr, w):
                 h.update(arr.tobytes())
         assert h.hexdigest() == self.BLOCK_DIGESTS[name]
 

@@ -296,6 +296,147 @@ class TestStackGradients:
             assert grad_rel(g, fd_grad(loss, p)) <= 1e-6
 
 
+def _lattice_cloud(rng, n: int = 5) -> pointcloud.PointCloud:
+    """n^3 points on a lattice of pitch 0.25, exact in binary, so that
+    their distances tie exactly: at a = 0.25 and cap 8 a point keeps
+    itself, its 6 face neighbours and 1 of its 12 edge neighbours."""
+    axis = np.arange(n) * 0.25
+    pos = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    return pointcloud.PointCloud(pos, rng.normal(size=(n ** 3, 2)),
+                                 rng.integers(0, 2, n ** 3))
+
+
+def _permuted(cloud: pointcloud.PointCloud, perm: np.ndarray) -> pointcloud.PointCloud:
+    labels = None if cloud.labels is None else cloud.labels[perm]
+    return pointcloud.PointCloud(cloud.positions[perm], cloud.features[perm], labels)
+
+
+class TestContextOrder:
+    """A LayerStack runs its layers in the context's cell order, fixed by
+    the positions alone, and hands rows back in the cloud's order: so a
+    permuted cloud gives the permuted outputs and gradients bit for bit,
+    also where distances tie at cap."""
+
+    CONV = {"k": 3, "a": [0.25, 0.25, 0.25], "r": None, "cap": 8}
+    SPECS = [{"type": "deformable", **CONV, "in": 2, "out": 3, "skip": 0},
+             {"type": "relu"},
+             {"type": "separable", **CONV, "in": 3, "out": 3, "skip": 1},
+             {"type": "relu"},
+             {"type": "linear", "in": 6, "out": 2, "skip": 0}]
+
+    def _clouds(self, rng):
+        lattice = _lattice_cloud(rng)
+        # the lattice's cap-th and (cap + 1)-th distances tie within the radius
+        pos, r = lattice.positions, nn.conv_spec(self.SPECS[0]).radius
+        d = np.sort(np.linalg.norm(pos[:, None] - pos[None], axis=2), axis=1)
+        assert np.any((d[:, 7] == d[:, 8]) & (d[:, 8] <= r))
+        return [_seg_cloud(rng, 60), lattice]
+
+    @on_both_passes
+    def test_stack_forward_on_a_permuted_cloud(self):
+        rng = np.random.default_rng(60)
+        stack = nn.build_stack(self.SPECS, "segmentation", rng=DetRng(4))
+        for cloud in self._clouds(rng):
+            out = nn.stack_forward(stack, cloud)
+            for _ in range(3):
+                perm = rng.permutation(cloud.num_points)
+                assert nn.stack_forward(stack, _permuted(cloud, perm)).tobytes() == \
+                    out[perm].tobytes()
+
+    @on_both_passes
+    def test_backward_on_a_permuted_cloud(self):
+        rng = np.random.default_rng(61)
+        stack = nn.build_stack(self.SPECS, "segmentation", rng=DetRng(4))
+
+        def grads(cloud, up):
+            stack.zero_grads()
+            ctx = nn.LayerContext(cloud)
+            stack.forward(cloud, ctx)
+            return stack.backward(up, ctx), [g.copy() for g in stack.gradients()]
+
+        for cloud in self._clouds(rng):
+            up = rng.normal(size=(cloud.num_points, 2))
+            down, want = grads(cloud, up)
+            perm = rng.permutation(cloud.num_points)
+            moved, got = grads(_permuted(cloud, perm), up[perm])
+            assert moved.tobytes() == down[perm].tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_training_on_permuted_clouds(self):
+        # the weight gradients sum over the queries in the context's order,
+        # so the trained parameters do not depend on the points' order
+        rng = np.random.default_rng(62)
+        ds = pointcloud.Dataset(tuple(self._clouds(rng)), 2, "segmentation")
+        moved = pointcloud.Dataset(
+            tuple(_permuted(c, rng.permutation(c.num_points)) for c in ds.clouds),
+            2, "segmentation")
+        params = []
+        for data in (ds, moved):
+            stack = nn.build_stack(self.SPECS, "segmentation", rng=DetRng(4))
+            nn.train_stack(stack, data, lr=1e-2, weight_decay=5e-4, epochs=2, batch_size=1,
+                           rng=DetRng(6))
+            params.append(nn.flatten_params(stack).tobytes())
+        assert params[0] == params[1]
+
+    def test_stack_gradients_in_the_clouds_order(self):
+        rng = np.random.default_rng(63)
+        cloud = _seg_cloud(rng, 12)
+        stack = nn.build_stack(self.SPECS, "segmentation", rng=DetRng(5))
+        ctx = nn.LayerContext(cloud)
+        feats = cloud.features.copy()
+        up = rng.normal(size=(12, 2))
+
+        def loss():
+            return float(np.sum(stack.forward(pointcloud.PointCloud(cloud.positions, feats),
+                                              ctx) * up))
+
+        stack.zero_grads()
+        stack.forward(cloud, ctx)
+        down = stack.backward(up, ctx)
+        assert not np.array_equal(ctx.order, np.arange(12))
+        for p, g in zip(stack.parameters(), [g.copy() for g in stack.gradients()]):
+            assert grad_rel(g, fd_grad(loss, p)) <= 1e-6
+        assert grad_rel(down, fd_grad(loss, feats)) <= 1e-6
+
+    def test_context_is_sorted_once(self):
+        rng = np.random.default_rng(64)
+        cloud = _seg_cloud(rng, 40)
+        stack = nn.build_stack(self.SPECS, "segmentation", rng=DetRng(4))
+        spec = nn.conv_spec(self.SPECS[0])
+        assert stack.radius == spec.radius
+        ctx = nn.LayerContext(cloud)
+        assert ctx.order is None and ctx.positions is cloud.positions
+        stack.forward(cloud, ctx)
+        order = ctx.order
+        assert np.array_equal(order, spatial.cell_order(cloud.positions, spec.radius)[0])
+        assert np.array_equal(ctx.positions, cloud.positions[order])
+        table = ctx.table_for(spec.radius, spec.cap)
+        want = neighbor_table(pointcloud.PointCloud(ctx.positions, cloud.features[order]),
+                              spec.radius, spec.cap)
+        assert all(np.array_equal(a, b) for a, b in ((table.starts, want.starts),
+                                                     (table.indices, want.indices),
+                                                     (table.offsets, want.offsets)))
+        stack.forward(cloud, ctx)
+        assert ctx.order is order and ctx.table_for(spec.radius, spec.cap) is table
+
+    def test_input_order_where_nothing_is_sorted(self):
+        rng = np.random.default_rng(65)
+        cloud = _seg_cloud(rng, 40)
+        spec = nn.conv_spec(self.SPECS[0])
+        # a table searched before any stack forward fixes the input order
+        ctx = nn.LayerContext(cloud)
+        ctx.table_for(spec.radius, spec.cap)
+        nn.build_stack(self.SPECS, "segmentation", rng=DetRng(4)).forward(cloud, ctx)
+        assert ctx.order is None
+        # a stack that searches nothing sorts nothing
+        voxel = nn.build_stack(self.SPECS, "segmentation", rng=DetRng(4),
+                               types=baselines.voxel_types(0.25))
+        assert voxel.radius is None
+        ctx = nn.LayerContext(cloud)
+        voxel.forward(cloud, ctx)
+        assert ctx.order is None
+
+
 class TestDeformConvLayer:
     @pytest.mark.parametrize("k", [3, 7])
     def test_gradcheck_with_cap_cutting(self, k):
@@ -874,16 +1015,17 @@ class TestTrainingInputGradient:
 class TestPinnedOperatorTraining:
     """Trained parameters of a seeded deformable -> relu -> separable ->
     relu -> linear stack, bit for bit, on each pass of the full operator,
-    as recorded while every layer still built its input gradient (numpy
-    2.4 with its bundled OpenBLAS, the same at one and two BLAS threads).
+    as recorded when stacks began to run in the context's cell order
+    (numpy 2.4 with its bundled OpenBLAS, the same at one and two BLAS
+    threads); building no discarded input gradient kept the bits.
     The separable layer's input gradient trains the first layer, so
     every backward output that training reads is in the bits. A
     different BLAS may round its products differently; re-record the
     digests there only after the gradchecks pass."""
 
     DIGESTS = {
-        "dense": "1a2d72a15943a0a67223b6214245b1bd713df1995e6c269c46d6cd9f3d961df8",
-        "channel": "2bb15d2d7e7f75788679c93559f186e3ece1451ba21e3d72940d3d39d7b63d2b",
+        "dense": "a3654e07d2fd5908f016990fd58ee37468659656b42332c11018b3293eaf731b",
+        "channel": "5a95e7d0aef76611925d84ecbdbf19c75c6f73bb69d1dd6e8bb8162ee448f87a",
     }
 
     @pytest.mark.parametrize("name", PASSES)

@@ -494,6 +494,63 @@ class TestOneBlockPath:
                                   1.5, cap)
 
 
+def _cell_keys(pos: np.ndarray, r: float) -> np.ndarray:
+    cells = np.floor(pos / r).astype(np.int64)
+    rel = cells - cells.min(axis=0)
+    dims = rel.max(axis=0) + 1
+    return (rel[:, 0] * dims[1] + rel[:, 1]) * dims[2] + rel[:, 2]
+
+
+class TestCellOrder:
+    """spatial.cell_order: the point ids by (cell, x, y, z, id), and the
+    index of the points in that order, equal to build_index's of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.sampled_from([0.0, 0.1, 0.5]))
+    def test_order_and_index(self, seed, m, grain):
+        # grain > 0 rounds the coordinates, so that many points tie in x,
+        # in (x, y) or in all three
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-1.0, 1.0, (m, 3))
+        if grain:
+            pos = np.round(pos / grain) * grain
+        r = 0.3
+        order, index = spatial.cell_order(pos, r)
+        want = np.lexsort((np.arange(m), pos[:, 2], pos[:, 1], pos[:, 0], _cell_keys(pos, r)))
+        assert np.array_equal(order, want)
+        ref = spatial.build_index(pos[want], r)
+        assert np.array_equal(index.order, np.arange(m))
+        for name in ("positions", "cmin", "dims", "order", "ukeys", "ustarts"):
+            assert np.array_equal(getattr(index, name), getattr(ref, name)), name
+        assert index.cell_size == r
+
+    def test_order_depends_on_positions_alone(self):
+        rng = np.random.default_rng(3)
+        pos = rng.uniform(-1.0, 1.0, (500, 3))
+        pos[::7, 0] = 0.25  # ties in x, broken by y and z
+        first = spatial.cell_order(pos, 0.3)[1].positions
+        for _ in range(3):
+            perm = rng.permutation(500)
+            assert spatial.cell_order(pos[perm], 0.3)[1].positions.tobytes() == first.tobytes()
+
+    def test_tables_on_the_ordered_cloud(self):
+        # the search on the index cell_order builds is the search of the
+        # points in that order
+        pos, r = benchmark_cloud("scene-k7")
+        order, index = spatial.cell_order(pos, r)
+        assert _tables_equal(spatial.radius_neighbors(index, pos[order], r, 16),
+                             _grid_table(pos[order], pos[order], r, 16))
+
+    def test_rejects_what_build_index_rejects(self):
+        for pos, r in ((np.empty((0, 3)), 1.0), (np.zeros((2, 3)), 0.0),
+                       (np.array([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]]), 1.0),
+                       (np.array([[np.nan, 0.0, 0.0]]), 1.0)):
+            with pytest.raises(ValueError):
+                spatial.build_index(pos, r)
+            with pytest.raises(ValueError):
+                spatial.cell_order(pos, r)
+
+
 class TestFirstInOrder:
     """The one ordering step of every search, on its own: each query's
     pairs in (d2, point id) order, the first cap kept, whatever the input
