@@ -8,9 +8,11 @@
     deformconv compare-baselines --config run.cfg ...
 
 Exit codes: 0 success, 1 usage or configuration error (``data.*``
-values included), 2 data error (missing or malformed dataset/checkpoint
-files), 3 internal check failed (``bench``'s fast forward disagrees
-with the oracle: a fault in the library, not in any input).
+values included), 2 data error (unreadable or malformed dataset or
+checkpoint files, points past the search grid), 3 internal check failed
+(``bench``'s fast forward disagrees with the oracle: a fault in the
+library, not in any input). ``_EXITS`` maps each error class to its
+code; any other exception is a fault of the program, and propagates.
 
 Every run is a pure function of config + seed: outputs (logs, reports,
 checkpoints, generated data) are byte-identical across repeated runs.
@@ -44,7 +46,7 @@ from .pointcloud import (
     synth_dataset,
 )
 from .rng import DetRng
-from .spatial import NeighborTable
+from .spatial import GridRangeError, NeighborTable
 
 
 class UsageError(Exception):
@@ -60,19 +62,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _write_csv(out_dir: str, name: str, header: str, rows) -> str:
+    """Write out_dir/name whole (atomic_open): the header line(s), then
+    one comma-separated line per row, floats at full precision (%.17g).
+    Returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with atomic_open(path) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------- data
 
 
 def _write_manifest(path, rows, task: str, num_classes: int) -> None:
-    with atomic_open(path) as fh:
-        fh.write(f"# dfc-manifest task={task} classes={num_classes}\n")
-        fh.write("file,label,split\n")
-        for name, label, split in rows:
-            fh.write(f"{name},{label},{split}\n")
+    data_dir, name = os.path.split(os.path.abspath(path))
+    _write_csv(data_dir, name, f"# dfc-manifest task={task} classes={num_classes}\n"
+               "file,label,split", rows)
 
 
 def _read_manifest(path):
@@ -119,9 +128,14 @@ def _load_dir_datasets(data_dir) -> dict[str, Dataset]:
     manifest = os.path.join(data_dir, "manifest.csv")
     task, num_classes, rows = _read_manifest(manifest)
     by_split: dict[str, list[PointCloud]] = {}
+    first = None  # (path, feature channels) of the first cloud
     for lineno, name, label, split in rows:
         path = os.path.join(data_dir, name)
         cloud = load_xyz(path)
+        first = first or (path, cloud.feature_dim)
+        if cloud.feature_dim != first[1]:
+            raise XyzFormatError(
+                f"{path}: {cloud.feature_dim} feature channels, but {first[0]} has {first[1]}")
         fault = label_fault(cloud, num_classes, task)
         if fault is not None:
             raise XyzFormatError(f"{path}: {fault} (manifest: task={task} classes={num_classes})")
@@ -168,12 +182,19 @@ def _datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
     return _synth_split(cfg, seed)
 
 
-def _training_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """_datasets; an empty split (only a synthesised one can be) is a config error."""
+def _task_datasets(cfg: RunConfig, seed: int) -> tuple[str, Dataset, Dataset]:
+    """(task, train, test) of a training run: the config task, and
+    _datasets checked to be of that task, with no empty split (only a
+    synthesised one can be)."""
+    task = cfg.get_str("task")
+    if task not in TASKS:
+        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
     train, test = _datasets(cfg, seed)
     if len(train) == 0 or len(test) == 0:
         raise ConfigError(f"need data.train, data.test >= 1, got {len(train)} and {len(test)}")
-    return train, test
+    if train.task != task:
+        raise ConfigError(f"config task {task!r} does not match dataset task {train.task!r}")
+    return task, train, test
 
 
 # ------------------------------------------------------------ commands
@@ -181,8 +202,7 @@ def _training_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
 
 def cmd_gen_data(cfg: RunConfig, args) -> int:
     data_dir = cfg.get_str("data.dir")
-    seed = args.seed if args.seed is not None else cfg.get_int("seed")
-    train, test = _synth_split(cfg, seed)
+    train, test = _synth_split(cfg, cfg.get_int("seed"))
     os.makedirs(data_dir, exist_ok=True)
     rows = []
     for split, ds in (("train", train), ("test", test)):
@@ -191,19 +211,9 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
             save_xyz(cloud, os.path.join(data_dir, name))
             label = int(cloud.labels[0]) if ds.task == CLASSIFICATION else -1
             rows.append((name, label, split))
-    _write_manifest(
-        os.path.join(data_dir, "manifest.csv"), rows, train.task, train.num_classes
-    )
+    _write_manifest(os.path.join(data_dir, "manifest.csv"), rows, train.task, train.num_classes)
     print(f"wrote {len(rows)} clouds ({len(train)} train, {len(test)} test) to {data_dir}")
     return 0
-
-
-def _build_stack(specs: list[dict], task: str, rng: DetRng, types=nn.LAYER_TYPES) -> nn.LayerStack:
-    """nn.build_stack with a seeded init; its errors are configuration errors."""
-    try:
-        return nn.build_stack(specs, task, rng=rng, types=types)
-    except ValueError as exc:
-        raise ConfigError(f"bad layer configuration: {exc}") from None
 
 
 def _check_width(stack: nn.LayerStack, dataset: Dataset) -> None:
@@ -238,46 +248,43 @@ def _opt_settings(cfg: RunConfig) -> dict:
     return dict(lr=lr, weight_decay=weight_decay, epochs=epochs, batch_size=batch_size)
 
 
+def _fit(cfg: RunConfig, specs: list[dict], task: str, train_set: Dataset,
+         test_set: Dataset, runs, threads: int):
+    """Build a stack of ``specs`` for each (layer types, init rng, training
+    rng) of runs and check each one's widths, then train each in turn and
+    score it on test_set: a (stack, epoch logs, test report) per run.
+    Stacks that cannot be built are configuration errors."""
+    try:
+        stacks = [nn.build_stack(specs, task, rng=init, types=types) for types, init, _ in runs]
+    except ValueError as exc:
+        raise ConfigError(f"bad layer configuration: {exc}") from None
+    for stack in stacks:
+        _check_width(stack, train_set)
+    opt = _opt_settings(cfg)
+    fits = []
+    for stack, (_, _, rng) in zip(stacks, runs):
+        logs = nn.train_stack(stack, train_set, **opt, rng=rng, threads=threads)
+        fits.append((stack, logs, nn.evaluate(stack, test_set, threads=threads)))
+    return fits
+
+
 def cmd_train(cfg: RunConfig, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get_int("seed")
-    out_dir = args.out if args.out else cfg.get_str("out")
-    task = cfg.get_str("task")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    train_set, test_set = _training_datasets(cfg, seed)
-    if train_set.task != task:
-        raise ConfigError(
-            f"config task {task!r} does not match dataset task {train_set.task!r}"
-        )
-    rng = DetRng(seed)
-    stack = _build_stack(cfg.layer_specs(), task, rng)
-    _check_width(stack, train_set)
-    logs = nn.train_stack(
-        stack, train_set, **_opt_settings(cfg), rng=rng, threads=args.threads
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "train_log.csv")
-    with atomic_open(log_path) as fh:
-        fh.write("epoch,loss,accuracy,miou\n")
-        for row in logs:
-            fh.write(
-                f"{row.epoch},{_fmt(row.loss)},{_fmt(row.accuracy)},{_fmt(row.miou)}\n"
-            )
-    ckpt = Checkpoint(
-        task=task,
-        seed=seed,
-        num_classes=train_set.num_classes,
-        layer_specs=cfg.layer_specs(),
-        params=nn.flatten_params(stack),
-    )
+    seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
+    task, train_set, test_set = _task_datasets(cfg, seed)
+    specs = cfg.layer_specs()
+    rng = DetRng(seed)  # one stream: the init, then training
+    [(stack, logs, report)] = _fit(cfg, specs, task, train_set, test_set,
+                                   [(nn.LAYER_TYPES, rng, rng)], args.threads)
+    _write_csv(out_dir, "train_log.csv", "epoch,loss,accuracy,miou",
+               [(row.epoch, row.loss, row.accuracy, row.miou) for row in logs])
     ckpt_path = os.path.join(out_dir, "checkpoint.dfc")
-    save_checkpoint(ckpt, ckpt_path)
+    save_checkpoint(Checkpoint(task=task, seed=seed, num_classes=train_set.num_classes,
+                               layer_specs=specs, params=nn.flatten_params(stack)), ckpt_path)
     for row in logs:
         print(
             f"epoch {row.epoch} loss {row.loss:.6f} "
             f"accuracy {row.accuracy:.6f} miou {row.miou:.6f}"
         )
-    report = nn.evaluate(stack, test_set, threads=args.threads)
     print(f"test accuracy {report.accuracy:.6f} miou {report.miou:.6f}")
     print(f"saved {ckpt_path}")
     return 0
@@ -291,8 +298,7 @@ def _metric_rows(report: nn.MetricsReport) -> list[tuple[str, float]]:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get_int("seed")
-    out_dir = args.out if args.out else cfg.get_str("out")
+    seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
     ckpt = load_checkpoint(cfg.get_str("eval.checkpoint"))
     stack = ckpt.build_stack()
     train_set, test_set = _datasets(cfg, seed)
@@ -322,12 +328,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         )
     _check_width(stack, dataset)
     report = nn.evaluate(stack, dataset, threads=args.threads)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "metrics.csv")
-    with atomic_open(path) as fh:
-        fh.write("metric,value\n")
-        for name, value in _metric_rows(report):
-            fh.write(f"{name},{_fmt(value)}\n")
+    path = _write_csv(out_dir, "metrics.csv", "metric,value", _metric_rows(report))
     for name, value in _metric_rows(report):
         print(f"{name} {value:.6f}")
     print(f"saved {path}")
@@ -372,8 +373,7 @@ def _timed(fn, reps: int):
 
 
 def cmd_bench(cfg: RunConfig, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get_int("seed")
-    out_dir = args.out if args.out else cfg.get_str("out")
+    seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
     sizes = _parse_bench_sizes(cfg.get_str("bench.sizes", "10000:16:7 100000:16:3"))
     reps = cfg.get_int("bench.reps", 5)
     if reps < 5:
@@ -428,12 +428,8 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         state = nn.init_adam(params, lr=1e-3)
         _, times["adam"] = _timed(lambda: nn.adam_step(state, params, [grad_w]), reps)
         rows += [(op, m, cap, k, t / m * 1e9) for op, t in times.items()]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "bench.csv")
-    with atomic_open(path) as fh:
-        fh.write("op,M,K,k,ns_per_point\n")
-        for op, m, cap, k, ns in rows:
-            fh.write(f"{op},{m},{cap},{k},{ns:.3f}\n")
+    path = _write_csv(out_dir, "bench.csv", "op,M,K,k,ns_per_point",
+                      [(op, m, cap, k, f"{ns:.3f}") for op, m, cap, k, ns in rows])
     for op, m, cap, k, ns in rows:
         print(f"{op:>15s} M={m:<7d} K={cap:<3d} k={k}: {ns:14.3f} ns/point")
     print(f"saved {path}")
@@ -441,7 +437,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
 
 
 def cmd_export_filters(cfg: RunConfig, args) -> int:
-    out_dir = args.out if args.out else cfg.get_str("out")
+    out_dir = cfg.get_str("out")
     ckpt = load_checkpoint(cfg.get_str("export.checkpoint"))
     idx = cfg.get_int("export.layer")
     if idx < 0 or idx >= len(ckpt.layer_specs):
@@ -465,23 +461,16 @@ def cmd_export_filters(cfg: RunConfig, args) -> int:
     else:
         cols = [f"w_{c}" for c in range(spec["in"])]
         flat = weights
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "filters.csv")
-    with atomic_open(path) as fh:
-        fh.write("i,j,l,x,y,z," + ",".join(cols) + "\n")
-        for ijl, pos, row in zip(lattice.tolist(), grid.anchor_positions(), flat):
-            fh.write(",".join([*map(str, ijl), *map(_fmt, pos), *map(_fmt, row)]) + "\n")
+    path = _write_csv(out_dir, "filters.csv", ",".join(["i,j,l,x,y,z", *cols]),
+                      [(*ijl, *pos, *row) for ijl, pos, row
+                       in zip(lattice.tolist(), grid.anchor_positions(), flat)])
     print(f"exported layer {idx} ({spec['type']}, k={spec['k']}) to {path}")
     return 0
 
 
 def cmd_compare_baselines(cfg: RunConfig, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get_int("seed")
-    out_dir = args.out if args.out else cfg.get_str("out")
-    task = cfg.get_str("task")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    train_set, test_set = _training_datasets(cfg, seed)
+    seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
+    task, train_set, test_set = _task_datasets(cfg, seed)
     specs = cfg.layer_specs()
     hidden = cfg.int_list("pcc.hidden", [8, 8])
     pitch = cfg.get_float("voxel.pitch", 0.2)
@@ -499,31 +488,14 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
         "pcc": baselines.pcc_types(hidden),
         "voxel": baselines.voxel_types(pitch),
     }
-    stacks = {
-        name: _build_stack(specs, task, DetRng(seed).spawn(1 + i), types)
-        for i, (name, types) in enumerate(variants.items())
-    }
-    for stack in stacks.values():
-        _check_width(stack, train_set)
-
-    opt = _opt_settings(cfg)
-    results = []
-    for mi, (name, stack) in enumerate(stacks.items()):
-        nn.train_stack(
-            stack, train_set, **opt, rng=DetRng(seed).spawn(10 + mi), threads=args.threads
-        )
-        report = nn.evaluate(stack, test_set, threads=args.threads)
-        results.append((name, report.accuracy, report.miou))
-
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "compare.csv")
-    with atomic_open(path) as fh:
-        fh.write("method,accuracy,miou,voxel_path_diff,deform_path_diff\n")
-        for name, acc, miou in results:
-            fh.write(
-                f"{name},{_fmt(acc)},{_fmt(miou)},"
-                f"{_fmt(sub.voxel_path_diff)},{_fmt(sub.deform_path_diff)}\n"
-            )
+    runs = [(types, DetRng(seed).spawn(1 + i), DetRng(seed).spawn(10 + i))
+            for i, types in enumerate(variants.values())]
+    fits = _fit(cfg, specs, task, train_set, test_set, runs, args.threads)
+    results = [(name, report.accuracy, report.miou)
+               for name, (_, _, report) in zip(variants, fits)]
+    path = _write_csv(out_dir, "compare.csv",
+                      "method,accuracy,miou,voxel_path_diff,deform_path_diff",
+                      [(*row, sub.voxel_path_diff, sub.deform_path_diff) for row in results])
     for name, acc, miou in results:
         print(f"{name:>10s}: accuracy {acc:.6f} miou {miou:.6f}")
     print(
@@ -561,6 +533,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# each error class main reports: its message prefix and exit code
+_EXITS = {
+    UsageError: ("error", 1),
+    ConfigError: ("config error", 1),
+    FloatingPointError: ("training error", 1),
+    InternalCheckError: ("internal check failed", 3),
+    XyzFormatError: ("data error", 2),
+    CheckpointError: ("data error", 2),
+    GridRangeError: ("data error", 2),
+    OSError: ("data error", 2),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -570,25 +555,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise UsageError("--threads must be >= 1")
         cfg = load_config(args.config)
+        # --seed and --out stand in for the config's seed and out keys
+        if args.seed is not None:
+            cfg.values["seed"] = str(args.seed)
+        if args.out:
+            cfg.values["out"] = args.out
         return _COMMANDS[args.command](cfg, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FloatingPointError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return 1
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 3
-    except (XyzFormatError, CheckpointError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_EXITS) as exc:
+        prefix, code = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

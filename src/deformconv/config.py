@@ -94,32 +94,26 @@ class RunConfig:
     def has(self, key: str) -> bool:
         return key in self.values
 
-    def get_str(self, key: str, default: str | None = None) -> str:
-        if key in self.values:
-            return self.values[key]
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-
-    def get_int(self, key: str, default: int | None = None) -> int:
+    def _get(self, key: str, default, parse):
+        """parse(key's text), or default when key is absent; with no
+        default the key is required. parse's ValueError is a ConfigError."""
         if key not in self.values:
             if default is None:
                 raise ConfigError(f"missing required config key {key!r}")
             return default
         try:
-            return int(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected integer, got {self.values[key]!r}") from None
-
-    def get_float(self, key: str, default: float | None = None) -> float:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required config key {key!r}")
-            return default
-        try:
-            return _finite(key, self.values[key])
+            return parse(self.values[key])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def get_str(self, key: str, default: str | None = None) -> str:
+        return self._get(key, default, str)
+
+    def get_int(self, key: str, default: int | None = None) -> int:
+        return self._get(key, default, lambda text: _integer(key, text))
+
+    def get_float(self, key: str, default: float | None = None) -> float:
+        return self._get(key, default, lambda text: _finite(key, text))
 
     def layer_specs(self) -> list[dict]:
         """The layer.* keys as a list of spec dicts (see nn.build_stack)."""
@@ -184,13 +178,17 @@ def _parse_field(name: str, text: str):
         if text not in ("0", "1"):
             raise ValueError(f"skip: expected 0 or 1, got {text!r}")
         return int(text)
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{name}: expected integer, got {text!r}") from None
+    value = _integer(name, text)
     if value < 1:
         raise ValueError(f"{name}: must be >= 1, got {value}")
     return value
+
+
+def _integer(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name}: expected integer, got {text!r}") from None
 
 
 def _finite(name: str, text: str) -> float:

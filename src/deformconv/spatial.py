@@ -56,6 +56,11 @@ _CELL_LIMIT = 2.0 ** 62  # cell coordinates stay below it in magnitude
 _BLOCK_VALUES = 1 << 17
 
 
+class GridRangeError(ValueError):
+    """Points too far out for the search grid: a cell coordinate of 2^62
+    or more, or an occupied cell range whose keys would not pack into int64."""
+
+
 @contextmanager
 def _row_loops():
     """numpy ufuncs copy the rows of a broadcast that are shorter than
@@ -140,7 +145,7 @@ class GridHashIndex:
 
 def _cell_keys(positions, cell_size: float):
     """(positions, packed cell keys, cmin, dims) of a point set; raises
-    ValueError as build_index documents."""
+    as build_index documents."""
     pos = _check_positions(positions, "positions")
     if pos.shape[0] < 1:
         raise ValueError("cannot index an empty point set")
@@ -150,14 +155,14 @@ def _cell_keys(positions, cell_size: float):
     with np.errstate(over="ignore"):  # an overflow is +-inf, rejected below
         cells = np.floor(pos / cell_size)
     if np.abs(cells).max() >= _CELL_LIMIT:
-        raise ValueError(f"points lie 2^62 or more cells of size {cell_size} from the origin")
+        raise GridRangeError(f"points lie 2^62 or more cells of size {cell_size} from the origin")
     cells = cells.astype(np.int64)
     cmin = cells.min(axis=0)
     cmax = cells.max(axis=0)
     dims = cmax - cmin + 1  # below 2^63
     extent = int(dims[0]) * int(dims[1]) * int(dims[2])  # python ints: no overflow
     if extent > (1 << 62):
-        raise ValueError(
+        raise GridRangeError(
             f"points span {extent} grid cells of size {cell_size}, more than 2^62; "
             "use a larger cell_size"
         )
@@ -181,9 +186,10 @@ def _index(cell_size: float, pos: np.ndarray, cmin, dims, order: np.ndarray,
 def build_index(positions, cell_size: float) -> GridHashIndex:
     """Hash every point into its grid cell.
 
-    Raises ValueError when a point lies 2^62 or more cells from the
+    Raises GridRangeError when a point lies 2^62 or more cells from the
     origin on some axis, or when the occupied cell range spans more than
-    2^62 cells, whose keys would not pack into int64.
+    2^62 cells, whose keys would not pack into int64; ValueError for an
+    empty point set or a bad cell_size.
     """
     pos, keys, cmin, dims = _cell_keys(positions, cell_size)
     order = np.argsort(keys, kind="stable")  # stable: ascending ids per cell

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import re
 
@@ -855,6 +856,34 @@ opt.epochs = 1
         assert [l.split(",")[0] for l in lines[1:]] == ["deformable", "pcc", "voxel"]
 
 
+    @pytest.mark.parametrize("command", ["train", "compare-baselines"])
+    def test_mismatched_task_is_config_error(self, tmp_path, capsys, command):
+        # a classification stack over segmentation data is refused before
+        # any stack is built, by both commands alike
+        data = tmp_path / "data"
+        gen = _compare_config(tmp_path, f"data.dir = {data}")
+        assert cli.main(["gen-data", "--config", gen]) == 0
+        cfg = _write(tmp_path / "cls.cfg", f"""
+task = classification
+seed = 9
+out = {tmp_path / 'cmp'}
+data.dir = {data}
+layer.count = 2
+layer.0.type = linear
+layer.0.in = 2
+layer.0.out = 2
+layer.1.type = pool
+opt.lr = 0.001
+opt.epochs = 1
+""")
+        capsys.readouterr()
+        assert cli.main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config task 'classification' does not match dataset task "
+            "'segmentation'\n")
+        assert not (tmp_path / "cmp").exists()
+
+
 class TestExitCodes:
     def test_no_command(self, capsys):
         assert cli.main([]) == 1
@@ -1028,3 +1057,99 @@ opt.epochs = 1
         assert cli.main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("data error: points lie 2^62 or more cells")
         assert not (tmp_path / "o").exists()
+
+
+    def test_missing_cloud_file_is_data_error(self, tmp_path, capsys):
+        cfg = self._data_dir_config(tmp_path, "segmentation", 2, {
+            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, "layer.count = 0")
+        (tmp_path / "data" / "test.xyz").unlink()
+        assert cli.main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(tmp_path / "data" / "test.xyz") in err
+        assert not (tmp_path / "o").exists()
+
+    def test_mixed_feature_widths_are_data_error(self, tmp_path, capsys):
+        # a cloud whose channels differ from the clouds before it is refused
+        # on loading, not when the stack first meets it
+        layers = ("layer.count = 1\nlayer.0.type = deformable\nlayer.0.in = 1\n"
+                  "layer.0.out = 2\nlayer.0.k = 3\nlayer.0.a = 0.2\nlayer.0.cap = 8")
+        cfg = self._data_dir_config(tmp_path, "segmentation", 2, {
+            "train.xyz": "0 0 0 1 0\n0.1 0 0 1 1\n", "test.xyz": ""}, layers)
+        path = tmp_path / "data" / "test.xyz"
+        path.write_text("# dfc-xyz D=2 labeled=1\n0 0 0 1 1 0\n")
+        assert cli.main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: 2 feature channels, but {tmp_path / 'data' / 'train.xyz'} "
+            "has 1\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_library_value_error_is_not_a_data_error(self, tmp_path, monkeypatch, capsys):
+        # a ValueError from inside the library is a fault of the library, and
+        # leaves main with its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("library fault")
+
+        monkeypatch.setattr(nn, "train_stack", broken)
+        with pytest.raises(ValueError, match="library fault"):
+            cli.main(["train", "--config", _train_config(tmp_path)])
+        assert capsys.readouterr().err == ""
+
+
+class TestPinnedArtefacts:
+    """Gate 9's config through every artefact-writing command, against the
+    sha256 of each artefact as the commands wrote it when this test was
+    added: a refactor of the CLI must not move a byte. (Gate 9 checks only
+    that two reruns agree.) The digests were the same at one and two
+    OpenBLAS threads."""
+
+    DIGESTS = {
+        "data": "348d16664bf5588949aa975590c7005be9ab799ac25bb3c3dcb079921b14a575",
+        "train_log.csv": "93d18acd4a1a0869f0d0878e825e899a888b2ff4324e22f280188b7e6615a923",
+        "checkpoint.dfc": "6818f42820b925c191686e9732d0577d24bba2423c3e2947e49aa187c764d7a5",
+        "metrics.csv": "b1ef1611f39e7a5ad765f508c132d8efd9190faea5664194ee35059c4f6f8913",
+        "filters.csv": "4a8c5f550b15f1205ef851f2518dbcee0418a23a5c336021f92e83fb84161100",
+        "compare.csv": "3656f8688f94c81e0147f879424a5ebbf0a075a140b9dc7525bf4a45bb0ba3b4",
+    }
+
+    def test_gate_9_artefacts_keep_their_bytes(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        cfg = _write(tmp_path / "run.cfg", f"""
+task = segmentation
+seed = 9
+out = {out}
+data.kind = two-surfaces-seg
+data.dir = {data}
+data.train = 8
+data.test = 3
+data.points = 64
+data.noise = 0.01
+layer.count = 3
+layer.0.type = deformable
+layer.0.in = 2
+layer.0.out = 4
+layer.0.k = 3
+layer.0.a = 0.2
+layer.0.cap = 8
+layer.1.type = relu
+layer.2.type = linear
+layer.2.in = 4
+layer.2.out = 2
+opt.lr = 0.001
+opt.weight_decay = 0.0005
+opt.epochs = 2
+opt.batch = 4
+eval.checkpoint = {out / 'checkpoint.dfc'}
+eval.split = test
+export.checkpoint = {out / 'checkpoint.dfc'}
+export.layer = 0
+""")
+        for command in ("gen-data", "train", "eval", "export-filters", "compare-baselines"):
+            assert cli.main([command, "--config", cfg]) == 0, command
+        # the data files together, in name order
+        clouds = hashlib.sha256()
+        for f in sorted(data.iterdir()):
+            clouds.update(f.read_bytes())
+        got = {"data": clouds.hexdigest()}
+        for name in self.DIGESTS.keys() - {"data"}:
+            got[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == self.DIGESTS

@@ -369,6 +369,18 @@ class TestSearchLimits:
             with pytest.raises(ValueError, match="2\\^62"):
                 spatial.build_index(pos, 0.3)
 
+    @pytest.mark.parametrize("x,cell_size", [(1e300, 0.3), (2.1e6, 0.001)],
+                             ids=["from-origin", "extent"])
+    @pytest.mark.parametrize("sort", [spatial.build_index, spatial.cell_order],
+                             ids=["build_index", "cell_order"])
+    def test_grid_range_error_is_typed(self, sort, x, cell_size):
+        # a point too far from the origin, or cells spanning too far: the one
+        # input fault of a search, typed so callers can tell it from a bug
+        pos = np.array([[0.0, 0.0, 0.0], [x, x, x], [0.0005, 0.0, 0.0]])
+        with pytest.raises(spatial.GridRangeError, match="2\\^62"):
+            sort(pos, cell_size)
+        assert issubclass(spatial.GridRangeError, ValueError)
+
     @on_both_searches
     def test_cloud_far_from_the_origin(self):
         # cells near 3.3e18 (below 2^62) are indexed, as the span is small
