@@ -172,24 +172,25 @@ def _synth_split(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """(train, test) from data.dir if set, else synthesised in memory."""
+def _datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """(train, test) from data.dir if set, else synthesised in memory
+    from the config seed, which only this case reads."""
     if cfg.has("data.dir"):
         splits = _load_dir_datasets(cfg.get_str("data.dir"))
         if "train" not in splits or "test" not in splits:
             raise XyzFormatError("manifest must provide train and test splits")
         return splits["train"], splits["test"]
-    return _synth_split(cfg, seed)
+    return _synth_split(cfg, cfg.get_int("seed"))
 
 
-def _task_datasets(cfg: RunConfig, seed: int) -> tuple[str, Dataset, Dataset]:
+def _task_datasets(cfg: RunConfig) -> tuple[str, Dataset, Dataset]:
     """(task, train, test) of a training run: the config task, and
     _datasets checked to be of that task, with no empty split (only a
     synthesised one can be)."""
     task = cfg.get_str("task")
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    train, test = _datasets(cfg, seed)
+    train, test = _datasets(cfg)
     if len(train) == 0 or len(test) == 0:
         raise ConfigError(f"need data.train, data.test >= 1, got {len(train)} and {len(test)}")
     if train.task != task:
@@ -270,7 +271,7 @@ def _fit(cfg: RunConfig, specs: list[dict], task: str, train_set: Dataset,
 
 def cmd_train(cfg: RunConfig, args) -> int:
     seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
-    task, train_set, test_set = _task_datasets(cfg, seed)
+    task, train_set, test_set = _task_datasets(cfg)
     specs = cfg.layer_specs()
     rng = DetRng(seed)  # one stream: the init, then training
     [(stack, logs, report)] = _fit(cfg, specs, task, train_set, test_set,
@@ -298,10 +299,10 @@ def _metric_rows(report: nn.MetricsReport) -> list[tuple[str, float]]:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
+    out_dir = cfg.get_str("out")
     ckpt = load_checkpoint(cfg.get_str("eval.checkpoint"))
     stack = ckpt.build_stack()
-    train_set, test_set = _datasets(cfg, seed)
+    train_set, test_set = _datasets(cfg)
     split = cfg.get_str("eval.split", "test")
     if split == "train":
         dataset = train_set
@@ -470,7 +471,7 @@ def cmd_export_filters(cfg: RunConfig, args) -> int:
 
 def cmd_compare_baselines(cfg: RunConfig, args) -> int:
     seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
-    task, train_set, test_set = _task_datasets(cfg, seed)
+    task, train_set, test_set = _task_datasets(cfg)
     specs = cfg.layer_specs()
     hidden = cfg.int_list("pcc.hidden", [8, 8])
     pitch = cfg.get_float("voxel.pitch", 0.2)

@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import conv
+from . import conv, spatial
 from .conv import ConvLayerSpec, DeformableFilter, SeparableFilter
 from .pointcloud import CLASSIFICATION, SEGMENTATION, Dataset, PointCloud
-from .rng import DetRng
+from .rng import DetRng, reservations
 from .spatial import NeighborTable, build_index, cell_order, radius_neighbors
 
 
@@ -411,19 +411,25 @@ def build_stack(
         raise ValueError("pass exactly one of rng or flat")
     if flat is not None and flat.shape[0] != (need := spec_param_count(specs, types)):
         raise ValueError(f"parameter vector holds {flat.shape[0]} values, specs need {need}")
+    arrays = [_layer_type(spec, types).arrays(spec) for spec in specs]
+    if rng is not None:
+        # the init's draws, in blocks of whole arrays within the block budget
+        ahead = iter(reservations([2 * math.prod(shape) * (std is not None)
+                                   for layer in arrays for shape, std in layer],
+                                  spatial._BLOCK_VALUES))
     cursor = 0
     layers: list[Layer] = []
-    for spec in specs:
-        record = _layer_type(spec, types)
+    for spec, layer_arrays in zip(specs, arrays):
         params = []
-        for shape, std in record.arrays(spec):
+        for shape, std in layer_arrays:
             size = math.prod(shape)
             if flat is not None:
                 part, cursor = flat[cursor : cursor + size], cursor + size
             else:
+                rng.reserve(next(ahead))
                 part = np.zeros(size) if std is None else rng.normals(size, 0.0, std)
             params.append(part.reshape(shape))
-        layer = record.build(spec, params)
+        layer = _layer_type(spec, types).build(spec, params)
         layers.append(ConcatSkipLayer(layer) if spec.get("skip") else layer)
     return LayerStack(layers, task)
 

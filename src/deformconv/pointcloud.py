@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
+from . import spatial
 from .atomic import atomic_open
-from .rng import DetRng
+from .rng import DetRng, reservations
 
 CLASSIFICATION = "classification"
 SEGMENTATION = "segmentation"
@@ -160,43 +162,68 @@ def load_xyz(path) -> PointCloud:
     if dim < 0 or labeled not in (0, 1):
         raise bad
 
+    # one pass: split every data line, then convert all numbers at once;
+    # any fault sends the lines through _first_fault, which names it
+    rows = [parts for parts in map(str.split, lines[1:]) if parts and parts[0][0] != "#"]
+    width, expected = 3 + dim, 3 + dim + labeled
+    try:
+        if set(map(len, rows)) != {expected}:  # also when no line holds data
+            raise ValueError
+        fields = list(chain.from_iterable(rows))
+        labels = None
+        if labeled:
+            labels = list(map(int, fields[width::expected]))
+            del fields[width::expected]
+        values = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, width)
+        if not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:
+        raise _first_fault(path, lines, dim, labeled) from None
+    try:
+        lab = np.asarray(labels, dtype=np.int64) if labeled else None
+        return PointCloud(values[:, :3], values[:, 3:], lab)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a label past int64
+        raise XyzFormatError(f"{path}: {exc}") from None
+
+
+def _first_fault(path, lines: list[str], dim: int, labeled: int) -> XyzFormatError:
+    """The error naming the first faulty data line of a dfc-xyz file,
+    checking each line in turn for its field count, numeric fields,
+    finite values and integer label; "no data lines" if none is faulty."""
     expected = 3 + dim + labeled
-    positions, features, labels = [], [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != expected:
-            raise XyzFormatError(
-                f"{path}:{lineno}: expected {expected} fields, got {len(parts)}"
-            )
+            return XyzFormatError(f"{path}:{lineno}: expected {expected} fields, got {len(parts)}")
         try:
             values = [float(tok) for tok in parts[: 3 + dim]]
         except ValueError:
-            raise XyzFormatError(f"{path}:{lineno}: non-numeric field") from None
+            return XyzFormatError(f"{path}:{lineno}: non-numeric field")
         if not all(map(math.isfinite, values)):
-            raise XyzFormatError(f"{path}:{lineno}: non-finite value")
-        positions.append(values[:3])
-        features.append(values[3 : 3 + dim])
+            return XyzFormatError(f"{path}:{lineno}: non-finite value")
         if labeled:
             try:
-                labels.append(int(parts[-1]))
+                int(parts[-1])
             except ValueError:
-                raise XyzFormatError(f"{path}:{lineno}: non-integer label") from None
-    if not positions:
-        raise XyzFormatError(f"{path}: no data lines")
-    pos = np.asarray(positions, dtype=np.float64)
-    feat = (
-        np.asarray(features, dtype=np.float64)
-        if dim
-        else np.zeros((len(positions), 0))
-    )
-    try:
-        lab = np.asarray(labels, dtype=np.int64) if labeled else None
-        return PointCloud(pos, feat, lab)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a label past int64
-        raise XyzFormatError(f"{path}: {exc}") from None
+                return XyzFormatError(f"{path}:{lineno}: non-integer label")
+    return XyzFormatError(f"{path}: no data lines")
+
+
+def _cloud_draws(kind: str, shape: int, points: int, noise: bool) -> int:
+    """How many outputs one synth_dataset cloud draws (shapes4's ``shape``
+    is its class): one per uniform or integer, two per normal."""
+    if kind == "shapes4":
+        # sphere: 3 normals a point; cube: a face and two uniforms; plane
+        # and torus: two uniforms
+        surface = (6, 3, 2, 2)[shape] * points
+    else:
+        n_plane = points // 2
+        # the plane's z, the sphere's centre and radius, then the points
+        surface = 5 + 2 * n_plane + 6 * (points - n_plane)
+    return surface + 6 * points * noise
 
 
 def _unit_sphere(rng: DetRng, n: int) -> np.ndarray:
@@ -287,10 +314,15 @@ def synth_dataset(
         raise ValueError("noise_sigma must be >= 0")
 
     rng = DetRng(seed)
+    shapes = [i % 4 for i in range(n_clouds)]  # a shapes4 cloud's class
+    # blocks of whole clouds are drawn at once, within the block budget
+    ahead = reservations(
+        [_cloud_draws(kind, shape, points_per_cloud, noise_sigma > 0) for shape in shapes],
+        spatial._BLOCK_VALUES)
     clouds = []
     if kind == "shapes4":
-        for i in range(n_clouds):
-            label = i % 4
+        for label, draws in zip(shapes, ahead):
+            rng.reserve(draws)
             pts = _shape_points(rng, label, points_per_cloud)
             if noise_sigma > 0:
                 pts = pts + rng.normals(pts.size, 0.0, noise_sigma).reshape(pts.shape)
@@ -299,7 +331,8 @@ def synth_dataset(
         return Dataset(clouds, num_classes=4, task=CLASSIFICATION)
 
     # two-surfaces-seg: a horizontal plane patch plus a sphere above it
-    for _ in range(n_clouds):
+    for draws in ahead:
+        rng.reserve(draws)
         n_plane = points_per_cloud // 2
         n_sphere = points_per_cloud - n_plane
         z0 = rng.uniform(-0.6, -0.2)

@@ -15,12 +15,18 @@ Constants follow the Blackman & Vigna reference implementations:
   xoshiro256**: scrambler ``rotl(s1 * 5, 7) * 9``, shift 17,
                 state rotation ``rotl(s3, 45)``
 
-The array samplers draw their numbers as one block (``DetRng._draws``)
+The array samplers draw their numbers as one block (``DetRng._block_draws``)
 that equals the one-at-a-time stream bit for bit. The state step is
 linear over GF(2), so a 256x256 bit matrix A maps a state to the next
 one, and A^S jumps S steps ahead (Blackman & Vigna, arXiv:1805.01407).
 A block is cut into lanes whose start states are S steps apart, and
 numpy steps all lanes at once with wrapping uint64 arithmetic.
+
+A block has a fixed cost of about S lane steps and one jump per lane,
+so a caller that knows how many draws it is about to make can take them
+as one block (``DetRng.reserve``), which the samplers and ``next_u64``
+then consume in stream order. Reserving more or fewer draws than are
+used changes only the speed, never an output.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _INV53 = 1.0 / (1 << 53)
+_NO_DRAWS = np.empty(0, dtype=np.uint64)
 
 # Lane spacings S of a block of n draws. A block costs about S numpy
 # steps of all lanes (~8 us each) plus one jump per lane (~3.5 us), so
@@ -117,10 +124,34 @@ def _below(x: np.ndarray, span):
     return high << 11 | (mid & _MASK32) >> 21
 
 
-def _box_muller(u1: float, u2: float) -> float:
-    # u1 lies in (0, 1], so log() stays finite. math, not numpy: numpy's
-    # SIMD log and cos may differ in the last bit across versions and CPUs.
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """sqrt(-2 log u1) * cos(2 pi u2) elementwise. u1 lies in (0, 1], so
+    log() stays finite. log and cos are math's, mapped over the values:
+    numpy's SIMD log and cos may differ in the last bit across versions
+    and CPUs. sqrt and the products are correctly rounded in numpy as in
+    math, so each value has the bits of the scalar formula."""
+    n = u1.size
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, n))
+    return r * np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
+
+
+def reservations(counts: list[int], budget: int) -> list[int]:
+    """What to ``reserve`` before each of a sequence of units that draw
+    ``counts[i]`` outputs each: at the first unit of a run of whole
+    consecutive units, the run's draws, and 0 elsewhere. A run holds at
+    most ``budget`` draws; a unit past the budget alone reserves nothing
+    and leaves each of its sampler calls to draw its own block."""
+    out = [0] * len(counts)
+    first = total = 0
+    for i, n in enumerate(counts):
+        if total + n > budget:
+            first, total = i, 0
+        if n > budget:
+            first = i + 1
+            continue
+        total += n
+        out[first] = total
+    return out
 
 
 def _count(sampler: str, n: int) -> int:
@@ -142,7 +173,9 @@ class DetRng:
         if not any(state):
             # the all-zero state is a fixed point of the generator
             state[0] = 1
-        self._s = state
+        self._s = state  # the state after the reserved block
+        self._block = _NO_DRAWS  # reserved outputs; the next one at _at
+        self._at = 0
 
     def spawn(self, tag: int) -> "DetRng":
         """Independent substream keyed by ``tag``.
@@ -155,6 +188,9 @@ class DetRng:
         return DetRng(child)
 
     def next_u64(self) -> int:
+        if self._at < self._block.size:
+            self._at += 1
+            return int(self._block[self._at - 1])
         s0, s1, s2, s3 = self._s
         out = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
         t = (s1 << 17) & _MASK64
@@ -167,15 +203,37 @@ class DetRng:
         self._s = [s0, s1, s2, s3]
         return out
 
+    def reserve(self, n: int) -> None:
+        """Draw the next n outputs now, as one block; the samplers and
+        ``next_u64`` take them in stream order before drawing more. A
+        block of n draws holds no array of more than n values (rounded up
+        to a whole lane spacing)."""
+        left = self._block[self._at :]
+        if _count("reserve", n) > left.size:
+            more = self._block_draws(n - left.size)
+            self._block, self._at = (np.concatenate([left, more]) if left.size else more), 0
+
     def _draws(self, n: int) -> np.ndarray:
-        """The next n ``next_u64`` outputs as a uint64 array; the state is
-        left where n calls to ``next_u64`` would leave it.
+        """The next n ``next_u64`` outputs as a uint64 array: the rest of
+        the reserved block first, then a block drawn for the remainder."""
+        head = self._block[self._at : self._at + n]
+        self._at += head.size
+        if self._at == self._block.size:
+            self._block, self._at = _NO_DRAWS, 0
+        if head.size == n:
+            return head
+        rest = self._block_draws(n - head.size)
+        return np.concatenate([head, rest]) if head.size else rest
+
+    def _block_draws(self, n: int) -> np.ndarray:
+        """The n outputs after the reserved block as a uint64 array; the
+        state is left where n more calls to ``next_u64`` would leave it.
 
         Output l*S + t is step t of lane l, which starts from the current
         state jumped l*S steps ahead.
         """
         if n == 0:
-            return np.empty(0, dtype=np.uint64)
+            return _NO_DRAWS
         spacing = _LONG if n >= _LONG_FROM else _SHORT
         lanes = -(-n // spacing)
         steps = min(n, spacing)
@@ -184,16 +242,24 @@ class DetRng:
             starts.append(_jump(starts[-1], _jump_table(spacing)))
         packed = np.frombuffer(b"".join(x.to_bytes(32, "little") for x in starts), dtype="<u8")
         s0, s1, s2, s3 = np.array(packed.reshape(lanes, 4).T, dtype=np.uint64, order="C")
-        ones = np.empty((steps + 1, lanes), dtype=np.uint64)  # s1 of every step
+        ones = np.empty((steps, lanes), dtype=np.uint64)  # s1 of every step
         ones[0] = s1
-        tmp = np.empty(lanes, dtype=np.uint64)
+        tmp, s1_end = np.empty(lanes, dtype=np.uint64), np.empty(lanes, dtype=np.uint64)
         last = n - (lanes - 1) * spacing  # steps the last lane contributes
         for t in range(steps):
-            _advance(s0, ones[t], s2, s3, tmp, ones[t + 1])
+            s1_next = ones[t + 1] if t + 1 < steps else s1_end
+            _advance(s0, ones[t], s2, s3, tmp, s1_next)
             if t + 1 == last:
-                self._s = [int(s0[-1]), int(ones[t + 1, -1]), int(s2[-1]), int(s3[-1])]
-        x = ones[:steps].T.reshape(-1)[:n] * np.uint64(5)
-        return (x << 7 | x >> 57) * np.uint64(9)
+                self._s = [int(s0[-1]), int(s1_next[-1]), int(s2[-1]), int(s3[-1])]
+        # scrambled in place: a block holds at most two arrays of n values
+        x = ones.T.reshape(-1)[:n]  # a copy, as ones is transposed
+        del ones
+        x *= np.uint64(5)
+        out = x << 7
+        x >>= 57
+        out |= x
+        out *= np.uint64(9)
+        return out
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """One double in [lo, hi). 53 uniform mantissa bits."""
@@ -205,16 +271,13 @@ class DetRng:
         return lo + (hi - lo) * u
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        u1 = ((self.next_u64() >> 11) + 1) * _INV53
-        u2 = (self.next_u64() >> 11) * _INV53
-        return mu + sigma * _box_muller(u1, u2)
+        return float(self.normals(1, mu, sigma)[0])
 
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """Box-Muller over pairs of draws, as ``n`` calls of ``normal``."""
+        """Box-Muller over pairs of draws (u1 from the first, u2 from the
+        second), one normal per pair."""
         d = self._draws(2 * _count("normals", n)) >> 11
-        u1 = ((d[0::2] + 1) * _INV53).tolist()
-        u2 = (d[1::2] * _INV53).tolist()
-        return mu + sigma * np.array(list(map(_box_muller, u1, u2)), dtype=np.float64)
+        return mu + sigma * _box_muller((d[0::2] + 1) * _INV53, d[1::2] * _INV53)
 
     def integer(self, lo: int, hi: int) -> int:
         """One integer in [lo, hi). Multiply-shift range reduction."""

@@ -614,6 +614,41 @@ eval.split = {split}
         assert cli.main(
             ["eval", "--config", self._eval_config(trained, split="dev")]) == 1
 
+    def test_eval_of_a_data_dir_needs_no_seed(self, trained, capsys):
+        """The seed only drives synthesis, so with data.dir set a config
+        without it evaluates, to the same metrics as with it."""
+        gen = _write(trained / "gen.cfg", f"""
+seed = 9
+data.kind = two-surfaces-seg
+data.dir = {trained / 'data'}
+data.train = 2
+data.test = 3
+data.points = 48
+data.noise = 0.01
+""")
+        assert cli.main(["gen-data", "--config", gen]) == 0
+        body = f"""
+out = {trained / 'evalout'}
+data.dir = {trained / 'data'}
+eval.checkpoint = {trained / 'run' / 'checkpoint.dfc'}
+"""
+        metrics = trained / "evalout" / "metrics.csv"
+        assert cli.main(["eval", "--config", _write(trained / "e.cfg", "seed = 9\n" + body)]) == 0
+        with_seed = metrics.read_bytes()
+        metrics.unlink()
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", _write(trained / "e.cfg", body)]) == 0
+        assert capsys.readouterr().err == ""
+        assert metrics.read_bytes() == with_seed
+
+    def test_eval_synthesising_needs_a_seed(self, trained, capsys):
+        with open(self._eval_config(trained), encoding="ascii") as fh:
+            text = fh.read()
+        cfg = _write(trained / "eval.cfg", text.replace("seed = 9\n", ""))
+        assert cli.main(["eval", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: missing required config key 'seed'\n"
+        assert not (trained / "evalout").exists()
+
     def test_eval_missing_checkpoint(self, tmp_path):
         cfg = _write(tmp_path / "eval.cfg", f"""
 task = segmentation

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deformconv.rng import DetRng
+from deformconv import nn, pointcloud, spatial
+from deformconv.rng import DetRng, reservations
 
 # Frozen outputs for seed 42.  These pin the generator algorithm itself:
 # if any of these move, saved experiments stop being reproducible.
@@ -232,3 +233,121 @@ def test_negative_count_rejected(call):
 def test_integers_empty_range_rejected(n, lo, hi):
     with pytest.raises(ValueError, match=r"integers\(\): need lo < hi"):
         DetRng(1).integers(n, lo, hi)
+
+
+# --- reserved blocks ----------------------------------------------------------
+
+_RESERVE = st.tuples(st.just("reserve"), _SIZE, st.just(()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, _M64),
+       calls=st.lists(st.one_of(_CALL, _RESERVE), min_size=1, max_size=8))
+def test_reserving_changes_no_output(seed, calls):
+    """Reserved draws, used up, partly used or topped up by a second
+    reservation, give the one-at-a-time stream."""
+    rng = DetRng(seed)
+    ref = ScalarXoshiro(rng._s)
+    for name, n, args in calls:
+        if name == "reserve":
+            rng.reserve(n)
+        elif name == "next_u64":
+            assert [rng.next_u64() for _ in range(n)] == [ref.u64() for _ in range(n)]
+        else:
+            assert getattr(rng, name)(n, *args).tolist() == getattr(ref, name)(n, *args)
+    assert rng.next_u64() == ref.u64()
+
+
+def test_reserve_rejects_a_negative_count():
+    with pytest.raises(ValueError, match=r"reserve\(\): n must be >= 0, got -1"):
+        DetRng(1).reserve(-1)
+
+
+@pytest.mark.parametrize("counts, budget, expected", [
+    ([], 10, []),
+    ([3, 3, 3], 7, [6, 0, 3]),
+    ([3, 3, 3], 9, [9, 0, 0]),
+    ([0, 4, 0, 4], 4, [4, 0, 0, 4]),
+    # a unit past the budget reserves nothing, and starts no run
+    ([2, 10, 2, 2], 5, [2, 0, 4, 0]),
+    ([10, 10], 5, [0, 0]),
+])
+def test_reservations_are_runs_of_whole_units(counts, budget, expected):
+    assert reservations(counts, budget) == expected
+
+
+class _DrawSpy:
+    """Records each block DetRng draws, whether a reservation drew it,
+    and whether every reservation found the previous one used up."""
+
+    def __init__(self, monkeypatch):
+        self.blocks, self.leftovers, self.rngs = [], [], []
+        self._in_reserve = False
+        block_draws, reserve = DetRng._block_draws, DetRng.reserve
+
+        def spy_block_draws(rng, n):
+            self.blocks.append((n, self._in_reserve))
+            return block_draws(rng, n)
+
+        def spy_reserve(rng, n):
+            if n:
+                self.leftovers.append(rng._block.size - rng._at)
+                self.rngs.append(rng)
+            self._in_reserve = True
+            try:
+                reserve(rng, n)
+            finally:
+                self._in_reserve = False
+
+        monkeypatch.setattr(DetRng, "_block_draws", spy_block_draws)
+        monkeypatch.setattr(DetRng, "reserve", spy_reserve)
+
+    def check_exact(self):
+        """Every draw came from a reservation, and each was used up."""
+        assert self.blocks and all(reserved for _, reserved in self.blocks)
+        assert not any(self.leftovers)
+        assert all(rng._block.size == rng._at for rng in self.rngs)
+
+
+@pytest.mark.parametrize("args", [
+    ("shapes4", 8, 9, 0.0, 3),
+    ("shapes4", 8, 256, 0.01, 3),
+    ("two-surfaces-seg", 5, 9, 0.0, 3),
+    ("two-surfaces-seg", 56, 256, 0.01, 7),
+])
+def test_synthesis_reserves_exactly_its_draws(monkeypatch, args):
+    spy = _DrawSpy(monkeypatch)
+    pointcloud.synth_dataset(*args)
+    spy.check_exact()
+    # whole clouds per block, and no block past the budget
+    assert max(n for n, _ in spy.blocks) <= spatial._BLOCK_VALUES
+    if args[1] == 56:
+        assert len(spy.blocks) == 2
+
+
+def test_init_reserves_exactly_its_draws(monkeypatch):
+    specs = [
+        {"type": "deformable", "in": 2, "out": 8, "k": 7,
+         "a": [0.2] * 3, "r": None, "cap": 16, "skip": 0},
+        {"type": "relu"},
+        {"type": "separable", "in": 8, "out": 16, "k": 7,
+         "a": [0.2] * 3, "r": None, "cap": 16, "skip": 0},
+        {"type": "linear", "in": 16, "out": 2, "skip": 0},
+    ]
+    spy = _DrawSpy(monkeypatch)
+    nn.build_stack(specs, "segmentation", rng=DetRng(5))
+    spy.check_exact()
+    assert len(spy.blocks) == 1
+
+
+def test_draws_past_the_budget_are_not_reserved(monkeypatch):
+    """A cloud past the block budget draws per sampler call, as without
+    reservations; smaller ones are still reserved whole."""
+    monkeypatch.setattr(spatial, "_BLOCK_VALUES", 1000)
+    spy = _DrawSpy(monkeypatch)
+    # sphere clouds: 6 draws a point, so 200 points need 1,200 draws
+    pointcloud.synth_dataset("shapes4", 1, 200, 0.0, 3)
+    assert spy.blocks == [(1200, False)]
+    spy.blocks.clear()
+    pointcloud.synth_dataset("shapes4", 5, 20, 0.0, 3)  # 120, 60, 40, 40, 120
+    assert spy.blocks == [(380, True)]
