@@ -144,7 +144,10 @@ def pcc_types(hidden: list[int]) -> dict[str, nn.LayerType]:
     """Layer types of the MLP-filter baseline stack: each conv layer is a
     PccLayer with the spec's radius and cap, whose MLP has the given
     hidden widths. Its arrays are the MLP's (W, b) pairs, He-initialised,
-    then the pointwise map and the bias."""
+    then the pointwise map and the bias. An empty ``hidden`` gives a
+    one-layer MLP; a width below 1 is a ValueError."""
+    if any(n < 1 for n in hidden):
+        raise ValueError(f"hidden widths must be >= 1, got {hidden}")
 
     def arrays(spec):
         dims = [3, *hidden, spec["in"]]

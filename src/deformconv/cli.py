@@ -484,9 +484,14 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
             f"subvoxel.pitch = {sub_pitch:g}, subvoxel.displacement = {sub_disp:g}: {exc}"
         ) from None
 
+    try:
+        pcc = baselines.pcc_types(hidden)
+    except ValueError as exc:
+        raise ConfigError(f"pcc.hidden: {exc}") from None
+
     variants = {
         "deformable": nn.LAYER_TYPES,
-        "pcc": baselines.pcc_types(hidden),
+        "pcc": pcc,
         "voxel": baselines.voxel_types(pitch),
     }
     runs = [(types, DetRng(seed).spawn(1 + i), DetRng(seed).spawn(10 + i))

@@ -557,8 +557,9 @@ def _check_args(features, neighbors: NeighborTable, filt, upstream=None):
         raise ValueError(
             f"filter expects {filt.in_dim} input channels, features have {features.shape[1]}"
         )
-    if neighbors.num_pairs and int(neighbors.indices.max()) >= features.shape[0]:
-        raise ValueError("neighbor table refers to points beyond the feature rows")
+    ids = neighbors.indices
+    if ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < features.shape[0]:
+        raise ValueError("neighbor table refers to points outside the feature rows")
     if upstream is None:
         return features, None
     up = np.asarray(upstream, dtype=np.float64)

@@ -24,9 +24,6 @@ TASKS = (CLASSIFICATION, SEGMENTATION)
 
 SYNTH_KINDS = ("shapes4", "two-surfaces-seg")
 
-# shapes4 class order; each generated cloud carries one of these labels
-SHAPE_NAMES = ("sphere", "cube-surface", "plane-patch", "torus")
-
 
 class XyzFormatError(ValueError):
     """Malformed dfc-xyz content. Message names the offending line."""
@@ -253,14 +250,11 @@ def _shape_points(rng: DetRng, shape: int, n: int) -> np.ndarray:
         u = rng.uniforms(n, -half, half)
         v = rng.uniforms(n, -half, half)
         pts = np.empty((n, 3))
-        axis = face % 3  # which coordinate is pinned
-        sign = np.where(face < 3, half, -half)
-        for d in range(3):
-            sel = axis == d
-            pts[sel, d] = sign[sel]
-            others = [od for od in range(3) if od != d]
-            pts[sel, others[0]] = u[sel]
-            pts[sel, others[1]] = v[sel]
+        rows, axis = np.arange(n), face % 3  # axis: which coordinate is pinned
+        pts[rows, axis] = np.where(face < 3, half, -half)
+        # u to the lower free coordinate, v to the upper one
+        pts[rows, np.where(axis == 0, 1, 0)] = u
+        pts[rows, np.where(axis == 2, 1, 2)] = v
         return pts
     if shape == 2:
         pts = np.zeros((n, 3))
@@ -276,6 +270,23 @@ def _shape_points(rng: DetRng, shape: int, n: int) -> np.ndarray:
             [ring * np.cos(theta), ring * np.sin(theta), minor * np.sin(phi)], axis=1
         )
     raise ValueError(f"unknown shape id {shape}")
+
+
+def _two_surfaces(rng: DetRng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n points of one two-surfaces-seg cloud (pre-noise) and their
+    labels: a horizontal plane patch (label 0, the first n // 2 points)
+    and a sphere above it (label 1)."""
+    n_plane = n // 2
+    z0 = rng.uniform(-0.6, -0.2)
+    plane = np.empty((n_plane, 3))
+    plane[:, 0] = rng.uniforms(n_plane, -0.8, 0.8)
+    plane[:, 1] = rng.uniforms(n_plane, -0.8, 0.8)
+    plane[:, 2] = z0
+    centre = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.0, 0.3)])
+    radius = rng.uniform(0.25, 0.4)
+    sphere = centre + radius * _unit_sphere(rng, n - n_plane)
+    labels = (np.arange(n) >= n_plane).astype(np.int64)
+    return np.concatenate([plane, sphere], axis=0), labels
 
 
 def _default_features(positions: np.ndarray) -> np.ndarray:
@@ -320,36 +331,16 @@ def synth_dataset(
         [_cloud_draws(kind, shape, points_per_cloud, noise_sigma > 0) for shape in shapes],
         spatial._BLOCK_VALUES)
     clouds = []
-    if kind == "shapes4":
-        for label, draws in zip(shapes, ahead):
-            rng.reserve(draws)
-            pts = _shape_points(rng, label, points_per_cloud)
-            if noise_sigma > 0:
-                pts = pts + rng.normals(pts.size, 0.0, noise_sigma).reshape(pts.shape)
-            labels = np.full(points_per_cloud, label, dtype=np.int64)
-            clouds.append(PointCloud(pts, _default_features(pts), labels))
-        return Dataset(clouds, num_classes=4, task=CLASSIFICATION)
-
-    # two-surfaces-seg: a horizontal plane patch plus a sphere above it
-    for draws in ahead:
+    for shape, draws in zip(shapes, ahead):
         rng.reserve(draws)
-        n_plane = points_per_cloud // 2
-        n_sphere = points_per_cloud - n_plane
-        z0 = rng.uniform(-0.6, -0.2)
-        plane = np.empty((n_plane, 3))
-        plane[:, 0] = rng.uniforms(n_plane, -0.8, 0.8)
-        plane[:, 1] = rng.uniforms(n_plane, -0.8, 0.8)
-        plane[:, 2] = z0
-        centre = np.array(
-            [rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.0, 0.3)]
-        )
-        radius = rng.uniform(0.25, 0.4)
-        sphere = centre + radius * _unit_sphere(rng, n_sphere)
-        pts = np.concatenate([plane, sphere], axis=0)
+        if kind == "shapes4":
+            pts = _shape_points(rng, shape, points_per_cloud)
+            labels = np.full(points_per_cloud, shape, dtype=np.int64)
+        else:
+            pts, labels = _two_surfaces(rng, points_per_cloud)
         if noise_sigma > 0:
             pts = pts + rng.normals(pts.size, 0.0, noise_sigma).reshape(pts.shape)
-        labels = np.concatenate(
-            [np.zeros(n_plane, dtype=np.int64), np.ones(n_sphere, dtype=np.int64)]
-        )
         clouds.append(PointCloud(pts, _default_features(pts), labels))
+    if kind == "shapes4":
+        return Dataset(clouds, num_classes=4, task=CLASSIFICATION)
     return Dataset(clouds, num_classes=2, task=SEGMENTATION)

@@ -15,12 +15,14 @@ Constants follow the Blackman & Vigna reference implementations:
   xoshiro256**: scrambler ``rotl(s1 * 5, 7) * 9``, shift 17,
                 state rotation ``rotl(s3, 45)``
 
-The array samplers draw their numbers as one block (``DetRng._block_draws``)
-that equals the one-at-a-time stream bit for bit. The state step is
-linear over GF(2), so a 256x256 bit matrix A maps a state to the next
-one, and A^S jumps S steps ahead (Blackman & Vigna, arXiv:1805.01407).
-A block is cut into lanes whose start states are S steps apart, and
-numpy steps all lanes at once with wrapping uint64 arithmetic.
+Every draw, one at a time or many, comes from a block of the stream
+(``DetRng._block_draws``) that equals the one-at-a-time stream bit for
+bit; only the tests keep a generator that steps one output at a time, as
+the reference. The state step is linear over GF(2), so a 256x256 bit
+matrix A maps a state to the next one, and A^S jumps S steps ahead
+(Blackman & Vigna, arXiv:1805.01407). A block is cut into lanes whose
+start states are S steps apart, and numpy steps all lanes at once with
+wrapping uint64 arithmetic.
 
 A block has a fixed cost of about S lane steps and one jump per lane,
 so a caller that knows how many draws it is about to make can take them
@@ -55,10 +57,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)), state
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 def _pack(words) -> int:
@@ -188,20 +186,9 @@ class DetRng:
         return DetRng(child)
 
     def next_u64(self) -> int:
-        if self._at < self._block.size:
-            self._at += 1
-            return int(self._block[self._at - 1])
-        s0, s1, s2, s3 = self._s
-        out = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return out
+        """The next output, taken from the reserved block, or else from a
+        block of one draw."""
+        return int(self._draws(1)[0])
 
     def reserve(self, n: int) -> None:
         """Draw the next n outputs now, as one block; the samplers and
@@ -214,8 +201,8 @@ class DetRng:
             self._block, self._at = (np.concatenate([left, more]) if left.size else more), 0
 
     def _draws(self, n: int) -> np.ndarray:
-        """The next n ``next_u64`` outputs as a uint64 array: the rest of
-        the reserved block first, then a block drawn for the remainder."""
+        """The next n outputs as a uint64 array: the rest of the reserved
+        block first, then a block drawn for the remainder."""
         head = self._block[self._at : self._at + n]
         self._at += head.size
         if self._at == self._block.size:
@@ -227,7 +214,7 @@ class DetRng:
 
     def _block_draws(self, n: int) -> np.ndarray:
         """The n outputs after the reserved block as a uint64 array; the
-        state is left where n more calls to ``next_u64`` would leave it.
+        state is left n steps further on.
 
         Output l*S + t is step t of lane l, which starts from the current
         state jumped l*S steps ahead.

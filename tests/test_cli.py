@@ -558,6 +558,66 @@ def import_filters(path):
     )
 
 
+class TestPointOrder:
+    def test_permuted_data_dir_trains_to_the_same_checkpoint(self, tmp_path):
+        """A stack runs each cloud in its context's cell order, so a data
+        dir whose .xyz files list their points in another order trains to
+        the same checkpoint bytes. The log is not compared: its loss is a
+        mean over the rows in the cloud's order."""
+        data, moved = tmp_path / "data", tmp_path / "moved"
+
+        def config(name, data_dir):
+            return _write(tmp_path / f"{name}.cfg", f"""
+task = segmentation
+seed = 9
+out = {tmp_path / name}
+data.kind = two-surfaces-seg
+data.dir = {data_dir}
+data.train = 6
+data.test = 2
+data.points = 64
+data.noise = 0.01
+layer.count = 5
+layer.0.type = deformable
+layer.0.in = 2
+layer.0.out = 4
+layer.0.k = 3
+layer.0.a = 0.2
+layer.0.cap = 8
+layer.1.type = relu
+layer.2.type = separable
+layer.2.in = 4
+layer.2.out = 4
+layer.2.k = 3
+layer.2.a = 0.25
+layer.2.cap = 8
+layer.3.type = relu
+layer.4.type = linear
+layer.4.in = 4
+layer.4.out = 2
+opt.lr = 0.01
+opt.epochs = 2
+opt.batch = 2
+""")
+
+        assert cli.main(["gen-data", "--config", config("a", data)]) == 0
+        moved.mkdir()
+        rng = np.random.default_rng(3)
+        for path in sorted(data.iterdir()):
+            if path.suffix != ".xyz":
+                (moved / path.name).write_bytes(path.read_bytes())
+                continue
+            cloud = pointcloud.load_xyz(path)
+            perm = rng.permutation(cloud.num_points)
+            pointcloud.save_xyz(pointcloud.PointCloud(
+                cloud.positions[perm], cloud.features[perm], cloud.labels[perm]), moved / path.name)
+            assert (moved / path.name).read_bytes() != path.read_bytes()
+        for name, data_dir in (("a", data), ("b", moved)):
+            assert cli.main(["train", "--config", config(name, data_dir)]) == 0
+        assert (tmp_path / "a" / "checkpoint.dfc").read_bytes() == \
+            (tmp_path / "b" / "checkpoint.dfc").read_bytes()
+
+
 class TestEvalAndExport:
     @pytest.fixture()
     def trained(self, tmp_path):
@@ -860,6 +920,14 @@ class TestCompareBaselines:
         assert cli.main(["compare-baselines", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and re.search(frag, err)
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("hidden, widths", [("0", "[0]"), ("8,0", "[8, 0]"), ("-2", "[-2]")])
+    def test_hidden_width_below_one_is_a_config_error(self, tmp_path, capsys, hidden, widths):
+        cfg = _compare_config(tmp_path, f"pcc.hidden = {hidden}")
+        assert cli.main(["compare-baselines", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: pcc.hidden: hidden widths must be >= 1, got {widths}\n"
         assert not (tmp_path / "cmp").exists()
 
     def test_classification_with_pool(self, tmp_path):

@@ -1,6 +1,7 @@
 """Deformable-filter convolution: interpolation, forward, backward, equivariance."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import weakref
@@ -464,6 +465,26 @@ class TestForward:
         table = neighbor_table(cloud, spec.radius, spec.cap)
         with pytest.raises(ValueError):
             conv.forward_features(cloud.features, table, filt)
+
+    @pytest.mark.parametrize("bad", [-1, 10], ids=["negative", "past-the-rows"])
+    def test_neighbour_ids_outside_the_rows_rejected(self, bad):
+        rng = np.random.default_rng(9)
+        cloud = random_cloud(rng, 10, 2, extent=0.2)
+        filt = random_filter(rng, 3, 0.2, 2, 2)
+        sf = _separable(filt.grid, rng, 2, 2)
+        spec = _spec_for(filt)
+        good = neighbor_table(cloud, spec.radius, spec.cap)
+        ids = good.indices.copy()
+        ids[-1] = bad
+        table = dataclasses.replace(good, indices=ids)
+        feats, up = cloud.features, np.ones((table.num_queries, 2))
+        for call in (lambda: conv.forward_features(feats, table, filt),
+                     lambda: conv.oracle_forward_features(feats, table, filt),
+                     lambda: conv.backward_features(feats, table, filt, up),
+                     lambda: conv.forward_separable_features(feats, table, sf),
+                     lambda: conv.backward_separable_features(feats, table, sf, up)):
+            with pytest.raises(ValueError, match="outside the feature rows"):
+                call()
 
     def test_radius_below_support_rejected(self):
         g = conv.grid_from_spacing(3, 0.2)

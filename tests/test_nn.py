@@ -362,6 +362,7 @@ class TestContextOrder:
             assert moved.tobytes() == down[perm].tobytes()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
+    @on_both_passes
     def test_training_on_permuted_clouds(self):
         # the weight gradients sum over the queries in the context's order,
         # so the trained parameters do not depend on the points' order
