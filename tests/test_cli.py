@@ -922,7 +922,8 @@ class TestCompareBaselines:
         assert err.startswith("config error: ") and re.search(frag, err)
         assert not (tmp_path / "cmp").exists()
 
-    @pytest.mark.parametrize("hidden, widths", [("0", "[0]"), ("8,0", "[8, 0]"), ("-2", "[-2]")])
+    @pytest.mark.parametrize("hidden, widths", [("0", "[0]"), ("8,0", "[8, 0]"), ("-2", "[-2]")],
+                             ids=["0", "8,0", "-2"])
     def test_hidden_width_below_one_is_a_config_error(self, tmp_path, capsys, hidden, widths):
         cfg = _compare_config(tmp_path, f"pcc.hidden = {hidden}")
         assert cli.main(["compare-baselines", "--config", cfg]) == 1
