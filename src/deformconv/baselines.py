@@ -179,6 +179,14 @@ class SubvoxelReport:
     deform_path_diff: float
 
 
+def check_subvoxel(pitch: float, displacement: float) -> None:
+    """The sub-voxel probe's settings: a positive, finite pitch and a
+    displacement in [0, pitch); a ValueError says which rule fails."""
+    _checked_pitch(pitch)
+    if displacement < 0 or displacement >= pitch:
+        raise ValueError("displacement must lie in [0, pitch)")
+
+
 def subvoxel_discrimination(pitch: float, displacement: float, seed: int) -> SubvoxelReport:
     """Move one point inside its voxel; measure what each method notices.
 
@@ -191,11 +199,10 @@ def subvoxel_discrimination(pitch: float, displacement: float, seed: int) -> Sub
       * deformable path: random filter with anchor spacing = pitch
         (diff is nonzero, the offsets moved).
 
-    Raises if the displacement cannot avoid a boundary crossing.
+    Raises if check_subvoxel does, or if the displacement cannot avoid a
+    boundary crossing.
     """
-    _checked_pitch(pitch)
-    if displacement < 0 or displacement >= pitch:
-        raise ValueError("displacement must lie in [0, pitch)")
+    check_subvoxel(pitch, displacement)
     rng = DetRng(seed)
     m, d = 64, 2
     # Domain scales with pitch so points land within each other's filter

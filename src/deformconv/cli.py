@@ -7,9 +7,14 @@
     deformconv export-filters    --config run.cfg ...
     deformconv compare-baselines --config run.cfg ...
 
+Each command reads, and so checks (config.KEYS), every key it uses before
+any work; only the dataset against the task and the stack, export.layer
+against the checkpoint and the sub-voxel probe's cell crossing follow it.
+
 Exit codes: 0 success, 1 usage or configuration error (``data.*``
 values included), 2 data error (unreadable or malformed dataset or
-checkpoint files, points past the search grid), 3 internal check failed
+checkpoint files, a checkpoint whose stack does not fit the dataset,
+points past the search grid), 3 internal check failed
 (``bench``'s fast forward disagrees with the oracle: a fault in the
 library, not in any input). ``_EXITS`` maps each error class to its
 code; any other exception is a fault of the program, and propagates.
@@ -26,6 +31,7 @@ import os
 import re
 import sys
 import time
+from functools import partial
 from statistics import median
 
 import numpy as np
@@ -33,7 +39,7 @@ import numpy as np
 from . import baselines, conv, nn
 from .atomic import atomic_open
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_widths, config_errors, load_config
 from .pointcloud import (
     CLASSIFICATION,
     Dataset,
@@ -124,7 +130,8 @@ def _read_manifest(path):
     return task, num_classes, rows
 
 
-def _load_dir_datasets(data_dir) -> dict[str, Dataset]:
+def _load_dir_datasets(data_dir) -> tuple[Dataset, Dataset]:
+    """(train, test) of a data dir, as its manifest lists them."""
     manifest = os.path.join(data_dir, "manifest.csv")
     task, num_classes, rows = _read_manifest(manifest)
     by_split: dict[str, list[PointCloud]] = {}
@@ -144,66 +151,43 @@ def _load_dir_datasets(data_dir) -> dict[str, Dataset]:
             raise XyzFormatError(
                 f"{manifest}:{lineno}: label {label!r}, but {name} holds class {cloud.labels[0]}")
         by_split.setdefault(split, []).append(cloud)
-    return {
-        split: Dataset(clouds, num_classes=num_classes, task=task)
-        for split, clouds in by_split.items()
-    }
+    if "train" not in by_split or "test" not in by_split:
+        raise XyzFormatError("manifest must provide train and test splits")
+    return tuple(Dataset(by_split[split], num_classes=num_classes, task=task)
+                 for split in ("train", "test"))
 
 
-def _synth_split(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """(train, test) synthesised from the data.* keys; values that
-    synth_dataset rejects are configuration errors."""
-    kind = cfg.get_str("data.kind")
-    n_train = cfg.get_int("data.train")
-    n_test = cfg.get_int("data.test")
-    points = cfg.get_int("data.points")
-    noise = cfg.get_float("data.noise", 0.0)
-    if n_train < 0 or n_test < 0:
-        raise ConfigError(f"need data.train >= 0 and data.test >= 0, got {n_train} and {n_test}")
-    try:
-        full = synth_dataset(kind, n_train + n_test, points, noise, seed)
-    except ValueError as exc:
-        raise ConfigError(
-            f"data.kind = {kind}, data.train + data.test = {n_train + n_test}, "
-            f"data.points = {points}, data.noise = {noise:g}: {exc}"
-        ) from None
-    train = Dataset(full.clouds[:n_train], full.num_classes, full.task)
-    test = Dataset(full.clouds[n_train:], full.num_classes, full.task)
-    return train, test
+def _synth(cfg: RunConfig, split: str):
+    """Read the synthesis keys, ``split`` holding a cloud (see
+    RunConfig.split_sizes); returns the function that synthesises the
+    (train, test) datasets they describe."""
+    n_train, n_test = cfg.split_sizes(split)
+    args = (cfg.get("data.kind"), n_train + n_test, cfg.get("data.points"),
+            cfg.get("data.noise"), cfg.get("seed"))
+
+    def synth() -> tuple[Dataset, Dataset]:
+        full = synth_dataset(*args)
+        return (Dataset(full.clouds[:n_train], full.num_classes, full.task),
+                Dataset(full.clouds[n_train:], full.num_classes, full.task))
+
+    return synth
 
 
-def _datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    """(train, test) from data.dir if set, else synthesised in memory
-    from the config seed, which only this case reads."""
-    if cfg.has("data.dir"):
-        splits = _load_dir_datasets(cfg.get_str("data.dir"))
-        if "train" not in splits or "test" not in splits:
-            raise XyzFormatError("manifest must provide train and test splits")
-        return splits["train"], splits["test"]
-    return _synth_split(cfg, cfg.get_int("seed"))
-
-
-def _task_datasets(cfg: RunConfig) -> tuple[str, Dataset, Dataset]:
-    """(task, train, test) of a training run: the config task, and
-    _datasets checked to be of that task, with no empty split (only a
-    synthesised one can be)."""
-    task = cfg.get_str("task")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    train, test = _datasets(cfg)
-    if len(train) == 0 or len(test) == 0:
-        raise ConfigError(f"need data.train, data.test >= 1, got {len(train)} and {len(test)}")
-    if train.task != task:
-        raise ConfigError(f"config task {task!r} does not match dataset task {train.task!r}")
-    return task, train, test
+def _data(cfg: RunConfig, split: str = "each"):
+    """Read the data.* keys; returns the function that gives (train, test):
+    loaded from data.dir if set, else synthesised (_synth), the only case
+    that reads the config seed."""
+    if "data.dir" not in cfg.values:
+        return _synth(cfg, split)
+    return partial(_load_dir_datasets, cfg.get("data.dir"))
 
 
 # ------------------------------------------------------------ commands
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> int:
-    data_dir = cfg.get_str("data.dir")
-    train, test = _synth_split(cfg, cfg.get_int("seed"))
+    data_dir = cfg.get("data.dir")
+    train, test = _synth(cfg, "all")()
     os.makedirs(data_dir, exist_ok=True)
     rows = []
     for split, ds in (("train", train), ("test", test)):
@@ -217,64 +201,30 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _check_width(stack: nn.LayerStack, dataset: Dataset) -> None:
-    """A stack that does not take the dataset's feature channels, or
-    whose output width is not its class count, is a configuration error.
-    An empty dataset is left to the library, which rejects it."""
-    if len(dataset) == 0:
-        return
-    try:
-        width = stack.check_channels(dataset.clouds[0].feature_dim)
-    except ValueError as exc:
-        raise ConfigError(f"bad layer configuration: {exc}") from None
-    if width != dataset.num_classes:
-        raise ConfigError(
-            f"bad layer configuration: stack emits {width} channels "
-            f"but dataset has {dataset.num_classes} classes"
-        )
-
-
-def _opt_settings(cfg: RunConfig) -> dict:
-    """The opt.* keys as nn.train_stack keyword arguments; out-of-range
-    values are config errors."""
-    lr = cfg.get_float("opt.lr")
-    weight_decay = cfg.get_float("opt.weight_decay", 0.0)
-    try:
-        nn.init_adam([], lr=lr, weight_decay=weight_decay)
-    except ValueError as exc:
-        raise ConfigError(f"opt.lr = {lr:g}, opt.weight_decay = {weight_decay:g}: {exc}") from None
-    epochs, batch_size = cfg.get_int("opt.epochs"), cfg.get_int("opt.batch", 1)
-    if epochs < 0 or batch_size < 1:
-        raise ConfigError(f"need opt.epochs >= 0 and opt.batch >= 1, got {epochs} and {batch_size}")
-    return dict(lr=lr, weight_decay=weight_decay, epochs=epochs, batch_size=batch_size)
-
-
-def _fit(cfg: RunConfig, specs: list[dict], task: str, train_set: Dataset,
-         test_set: Dataset, runs, threads: int):
-    """Build a stack of ``specs`` for each (layer types, init rng, training
-    rng) of runs and check each one's widths, then train each in turn and
-    score it on test_set: a (stack, epoch logs, test report) per run.
-    Stacks that cannot be built are configuration errors."""
-    try:
-        stacks = [nn.build_stack(specs, task, rng=init, types=types) for types, init, _ in runs]
-    except ValueError as exc:
-        raise ConfigError(f"bad layer configuration: {exc}") from None
-    for stack in stacks:
-        _check_width(stack, train_set)
-    opt = _opt_settings(cfg)
+def _fit(task: str, specs: list[dict], opt: dict, train_set: Dataset, test_set: Dataset,
+         runs, threads: int):
+    """Check train_set against the config ``task`` and the stack of
+    ``specs``, then for each (layer types, init rng, training rng) of runs
+    build the stack, train it with ``opt`` (nn.train_stack's keywords) and
+    score it on test_set: a (stack, epoch logs, test report) per run."""
+    if train_set.task != task:
+        raise ConfigError(f"config task {task!r} does not match dataset task {train_set.task!r}")
+    check_widths(specs, train_set.clouds[0].feature_dim, train_set.num_classes)
     fits = []
-    for stack, (_, _, rng) in zip(stacks, runs):
+    for types, init, rng in runs:
+        stack = nn.build_stack(specs, task, rng=init, types=types)
         logs = nn.train_stack(stack, train_set, **opt, rng=rng, threads=threads)
         fits.append((stack, logs, nn.evaluate(stack, test_set, threads=threads)))
     return fits
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
-    task, train_set, test_set = _task_datasets(cfg)
-    specs = cfg.layer_specs()
+    seed, out_dir, task = cfg.get("seed"), cfg.get("out"), cfg.get("task")
+    data = _data(cfg)
+    specs, opt = cfg.layer_specs(task), cfg.opt_settings()
+    train_set, test_set = data()
     rng = DetRng(seed)  # one stream: the init, then training
-    [(stack, logs, report)] = _fit(cfg, specs, task, train_set, test_set,
+    [(stack, logs, report)] = _fit(task, specs, opt, train_set, test_set,
                                    [(nn.LAYER_TYPES, rng, rng)], args.threads)
     _write_csv(out_dir, "train_log.csv", "epoch,loss,accuracy,miou",
                [(row.epoch, row.loss, row.accuracy, row.miou) for row in logs])
@@ -299,26 +249,13 @@ def _metric_rows(report: nn.MetricsReport) -> list[tuple[str, float]]:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    out_dir = cfg.get_str("out")
-    ckpt = load_checkpoint(cfg.get_str("eval.checkpoint"))
-    stack = ckpt.build_stack()
-    train_set, test_set = _datasets(cfg)
-    split = cfg.get_str("eval.split", "test")
-    if split == "train":
-        dataset = train_set
-    elif split == "test":
-        dataset = test_set
-    elif split == "all":
-        dataset = Dataset(
-            train_set.clouds + test_set.clouds, train_set.num_classes, train_set.task
-        )
-    else:
-        raise ConfigError(f"eval.split must be train, test, or all, got {split!r}")
-    if len(dataset) == 0:
-        raise ConfigError(
-            f"eval.split = {split} holds no clouds "
-            f"(data.train = {len(train_set)}, data.test = {len(test_set)})"
-        )
+    out_dir, ckpt_path, split = cfg.get("out"), cfg.get("eval.checkpoint"), cfg.get("eval.split")
+    data = _data(cfg, split)
+    ckpt = load_checkpoint(ckpt_path)
+    train_set, test_set = data()
+    clouds = {"train": train_set.clouds, "test": test_set.clouds}
+    dataset = Dataset(clouds.get(split, train_set.clouds + test_set.clouds),
+                      train_set.num_classes, train_set.task)
     if dataset.task != ckpt.task:
         raise CheckpointError(
             f"checkpoint task {ckpt.task!r} does not match dataset task {dataset.task!r}"
@@ -327,31 +264,14 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise CheckpointError(
             f"checkpoint expects {ckpt.num_classes} classes, dataset has {dataset.num_classes}"
         )
-    _check_width(stack, dataset)
-    report = nn.evaluate(stack, dataset, threads=args.threads)
+    check_widths(ckpt.layer_specs, dataset.clouds[0].feature_dim, dataset.num_classes,
+                 error=lambda message: CheckpointError(f"{ckpt_path}: {message}"))
+    report = nn.evaluate(ckpt.build_stack(), dataset, threads=args.threads)
     path = _write_csv(out_dir, "metrics.csv", "metric,value", _metric_rows(report))
     for name, value in _metric_rows(report):
         print(f"{name} {value:.6f}")
     print(f"saved {path}")
     return 0
-
-
-def _parse_bench_sizes(raw: str) -> list[tuple[int, int, int]]:
-    sizes = []
-    for tok in raw.replace(",", " ").split():
-        parts = tok.replace("x", ":").split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bench.sizes entry {tok!r} must be M:K:k")
-        try:
-            m, cap, k = (int(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"bench.sizes entry {tok!r} must be integers") from None
-        if m < 1 or cap < 1 or k < 1 or k % 2 == 0:
-            raise ConfigError(f"bench.sizes entry {tok!r} out of range")
-        sizes.append((m, cap, k))
-    if not sizes:
-        raise ConfigError("bench.sizes lists no entries")
-    return sizes
 
 
 def _bench_cloud(m: int, cap: int, radius: float, rng: DetRng, dim: int) -> PointCloud:
@@ -374,11 +294,8 @@ def _timed(fn, reps: int):
 
 
 def cmd_bench(cfg: RunConfig, args) -> int:
-    seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
-    sizes = _parse_bench_sizes(cfg.get_str("bench.sizes", "10000:16:7 100000:16:3"))
-    reps = cfg.get_int("bench.reps", 5)
-    if reps < 5:
-        raise ConfigError("bench.reps must be >= 5 (medians need repetitions)")
+    seed, out_dir = cfg.get("seed"), cfg.get("out")
+    sizes, reps = cfg.get("bench.sizes"), cfg.get("bench.reps")
     spacing = 0.2
     dim = 4
     rows = []
@@ -438,18 +355,15 @@ def cmd_bench(cfg: RunConfig, args) -> int:
 
 
 def cmd_export_filters(cfg: RunConfig, args) -> int:
-    out_dir = cfg.get_str("out")
-    ckpt = load_checkpoint(cfg.get_str("export.checkpoint"))
-    idx = cfg.get_int("export.layer")
-    if idx < 0 or idx >= len(ckpt.layer_specs):
-        raise ConfigError(
-            f"export.layer {idx} out of range (checkpoint has {len(ckpt.layer_specs)} layers)"
-        )
+    out_dir, idx = cfg.get("out"), cfg.get("export.layer")
+    ckpt = load_checkpoint(cfg.get("export.checkpoint"))
+    if idx >= len(ckpt.layer_specs):
+        raise ConfigError(f"export.layer = {idx}, but the checkpoint has "
+                          f"{len(ckpt.layer_specs)} layers")
     spec = ckpt.layer_specs[idx]
     if spec["type"] not in ("deformable", "separable"):
-        raise ConfigError(
-            f"layer {idx} has type {spec['type']!r}; only conv filters can be exported"
-        )
+        raise ConfigError(f"export.layer = {idx} is a {spec['type']} layer; "
+                          "only conv filters can be exported")
     layer = ckpt.build_stack().layers[idx]
     weights = getattr(layer, "inner", layer).params()[0]  # full weights or spatial part
 
@@ -470,33 +384,24 @@ def cmd_export_filters(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare_baselines(cfg: RunConfig, args) -> int:
-    seed, out_dir = cfg.get_int("seed"), cfg.get_str("out")
-    task, train_set, test_set = _task_datasets(cfg)
-    specs = cfg.layer_specs()
-    hidden = cfg.int_list("pcc.hidden", [8, 8])
-    pitch = cfg.get_float("voxel.pitch", 0.2)
-    sub_pitch = cfg.get_float("subvoxel.pitch", 0.2)
-    sub_disp = cfg.get_float("subvoxel.displacement", 0.05)
-    try:
+    seed, out_dir, task = cfg.get("seed"), cfg.get("out"), cfg.get("task")
+    data = _data(cfg)
+    specs, opt = cfg.layer_specs(task), cfg.opt_settings()
+    hidden, pitch = cfg.get("pcc.hidden"), cfg.get("voxel.pitch")
+    sub_pitch, sub_disp = cfg.probe_settings()
+    # the probe finds whether the displacement crosses a cell boundary for every point
+    with config_errors(f"subvoxel.pitch = {sub_pitch:g}, subvoxel.displacement = {sub_disp:g}: "):
         sub = baselines.subvoxel_discrimination(sub_pitch, sub_disp, seed)
-    except ValueError as exc:
-        raise ConfigError(
-            f"subvoxel.pitch = {sub_pitch:g}, subvoxel.displacement = {sub_disp:g}: {exc}"
-        ) from None
-
-    try:
-        pcc = baselines.pcc_types(hidden)
-    except ValueError as exc:
-        raise ConfigError(f"pcc.hidden: {exc}") from None
+    train_set, test_set = data()
 
     variants = {
         "deformable": nn.LAYER_TYPES,
-        "pcc": pcc,
+        "pcc": baselines.pcc_types(hidden),
         "voxel": baselines.voxel_types(pitch),
     }
     runs = [(types, DetRng(seed).spawn(1 + i), DetRng(seed).spawn(10 + i))
             for i, types in enumerate(variants.values())]
-    fits = _fit(cfg, specs, task, train_set, test_set, runs, args.threads)
+    fits = _fit(task, specs, opt, train_set, test_set, runs, args.threads)
     results = [(name, report.accuracy, report.miou)
                for name, (_, _, report) in zip(variants, fits)]
     path = _write_csv(out_dir, "compare.csv",

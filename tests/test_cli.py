@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from deformconv import cli, conv, nn, pointcloud
+from deformconv import baselines, cli, conv, nn, pointcloud
 from deformconv.checkpoint import (Checkpoint, CheckpointError,
                                    load_checkpoint, save_checkpoint)
 from deformconv.config import ConfigError, RunConfig, parse_config_text
@@ -42,16 +42,16 @@ class TestConfigParsing:
     def test_typed_getters(self):
         cfg = RunConfig(parse_config_text(
             "seed = 5\nopt.lr = 1e-4\npcc.hidden = 4,4\n"))
-        assert cfg.get_int("seed") == 5
-        assert cfg.get_float("opt.lr") == 1e-4
-        assert cfg.int_list("pcc.hidden", [8]) == [4, 4]
-        assert cfg.get_int("opt.epochs", 3) == 3
+        assert cfg.get("seed") == 5
+        assert cfg.get("opt.lr") == 1e-4
+        assert cfg.get("pcc.hidden") == [4, 4]
+        assert cfg.get("opt.batch") == 1  # the table's default
         with pytest.raises(ConfigError, match="missing required"):
-            cfg.get_str("task")
+            cfg.get("task")
         with pytest.raises(ConfigError, match="expected integer"):
-            RunConfig({"seed": "x"}).get_int("seed")
+            RunConfig({"seed": "x"}).get("seed")
         with pytest.raises(ConfigError, match="finite"):
-            RunConfig({"opt.lr": "nan"}).get_float("opt.lr")
+            RunConfig({"opt.lr": "nan"}).get("opt.lr")
 
     def test_layer_skip(self):
         linear = "layer.count = 1\nlayer.0.type = linear\nlayer.0.in = 2\nlayer.0.out = 2\n"
@@ -175,8 +175,9 @@ class TestCheckpoint:
         (b"a=0.20000000000000001,", b"a=-0.20000000000000001,", "layer.0.a: .*positive"),
         (b"a=0.20000000000000001,", b"a=0,", "layer.0.a: .*positive"),
         (b" cap=8", b" r=nan cap=8", "layer.0.r: .*finite"),
+        (b" cap=8", b", cap=8", "layer.0.a: expected number, got ''"),
     ], ids=["unknown-type", "missing-field", "unexpected-field", "skip-2", "skip-minus-1",
-            "a-negative", "a-zero", "r-nan"])
+            "a-negative", "a-zero", "r-nan", "a-trailing-comma"])
     def test_bad_layer_line(self, tmp_path, old, new, frag):
         p = tmp_path / "x.dfc"
         save_checkpoint(_checkpoint(), p)
@@ -408,8 +409,7 @@ data.noise = 0
         cfg = _write(tmp_path / "gen.cfg", text.replace("data.noise = 0\n", "data.noise = -1\n"))
         assert cli.main(["gen-data", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: data.kind = shapes4, ")
-        assert err.endswith("data.noise = -1: noise_sigma must be >= 0\n")
+        assert err == "config error: data.noise: must be >= 0, got -1\n"
         assert not (tmp_path / "data").exists()
 
     def test_seed_override_changes_data(self, tmp_path):
@@ -475,10 +475,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("command", ["train", "compare-baselines"])
     @pytest.mark.parametrize("edits,frag", [
-        ({"opt.lr = 0.001": "opt.lr = 0"}, "opt.lr = 0, .*: lr must be positive"),
-        ({"opt.lr = 0.001": "opt.lr = -0.001"}, "opt.lr = -0.001, .*: lr must be positive"),
-        ({"opt.batch = 4": "opt.batch = 0"}, "opt.batch >= 1, got 1 and 0"),
-        ({"opt.epochs = 1": "opt.epochs = -1"}, "opt.epochs >= 0 .*, got -1 and 4"),
+        ({"opt.lr = 0.001": "opt.lr = 0"}, r"opt\.lr: must be positive, got 0"),
+        ({"opt.lr = 0.001": "opt.lr = -0.001"}, r"opt\.lr: must be positive, got -0\.001"),
+        ({"opt.batch = 4": "opt.batch = 0"}, r"opt\.batch: must be >= 1, got 0"),
+        ({"opt.epochs = 1": "opt.epochs = -1"}, r"opt\.epochs: must be >= 0, got -1"),
         ({"opt.lr = 0.001": "opt.lr = 1", "opt.weight_decay = 0.0005": "opt.weight_decay = 2"},
          r"opt.lr = 1, opt.weight_decay = 2: lr \* weight_decay must be < 1"),
         ({"layer.1.type = relu": "layer.1.type = relu\nlayer.1.cap = 99"},
@@ -486,19 +486,21 @@ class TestTrain:
         # zero sizes once reached the init's division as a bare traceback
         ({"layer.0.cap = 8": "layer.0.cap = 0"}, r"layer\.0\.cap: must be >= 1, got 0"),
         ({"layer.2.in = 4": "layer.2.in = 0"}, r"layer\.2\.in: must be >= 1, got 0"),
+        # an empty entry is an error, not a dropped token
+        ({"layer.0.a = 0.2": "layer.0.a = 0.2,"}, r"layer\.0\.a: expected number, got ''"),
+        ({"layer.0.a = 0.2": "layer.0.a = 0.2,,0.2,0.2"}, r"layer\.0\.a: expected number, got ''"),
         # data.* values that synth_dataset rejects, or that leave a split empty
         ({"data.kind = two-surfaces-seg": "data.kind = cubes"},
-         "data.kind = cubes, .*: unknown dataset kind 'cubes'"),
-        ({"data.points = 48": "data.points = 7"},
-         "data.points = 7, .*points_per_cloud must be >= 8"),
-        ({"data.noise = 0.01": "data.noise = -0.01"},
-         "data.noise = -0.01: noise_sigma must be >= 0"),
-        ({"data.train = 8": "data.train = 0"}, "need data.train, data.test >= 1, got 0 and 3"),
-        ({"data.train = 8": "data.train = -1"},
-         "need data.train >= 0 and data.test >= 0, got -1 and 3"),
+         "data.kind: expected shapes4 or two-surfaces-seg, got 'cubes'"),
+        ({"data.points = 48": "data.points = 7"}, r"data\.points: must be >= 8, got 7"),
+        ({"data.noise = 0.01": "data.noise = -0.01"}, r"data\.noise: must be >= 0, got -0\.01"),
+        ({"data.train = 8": "data.train = 0"},
+         r"a split holds no clouds \(data\.train = 0, data\.test = 3\)"),
+        ({"data.train = 8": "data.train = -1"}, r"data\.train: must be >= 0, got -1"),
     ], ids=["lr-zero", "lr-negative", "batch-zero", "epochs-negative", "lr-times-wd", "relu-cap",
-            "cap-zero", "linear-in-zero", "data-kind-unknown", "data-points-7",
-            "data-noise-negative", "data-train-0", "data-train-minus-1"])
+            "cap-zero", "linear-in-zero", "a-trailing-comma", "a-empty-entry",
+            "data-kind-unknown", "data-points-7", "data-noise-negative", "data-train-0",
+            "data-train-minus-1"])
     def test_bad_settings_are_config_errors(self, tmp_path, capsys, command, edits, frag):
         with open(_train_config(tmp_path), encoding="ascii") as fh:
             text = fh.read()
@@ -912,8 +914,8 @@ class TestCompareBaselines:
 
     @pytest.mark.parametrize("extra,frag", [
         ("subvoxel.displacement = 0.3", r"subvoxel\.displacement = 0\.3: displacement must lie"),
-        ("subvoxel.pitch = 0", r"subvoxel\.pitch = 0, .*: pitch must be positive"),
-        ("voxel.pitch = 0", "bad layer configuration: pitch must be positive"),
+        ("subvoxel.pitch = 0", r"subvoxel\.pitch: must be positive, got 0"),
+        ("voxel.pitch = 0", r"voxel\.pitch: must be positive, got 0"),
     ], ids=["subvoxel-displacement", "subvoxel-pitch", "voxel-pitch"])
     def test_bad_baseline_settings_are_config_errors(self, tmp_path, capsys, extra, frag):
         cfg = _compare_config(tmp_path, extra)
@@ -922,13 +924,18 @@ class TestCompareBaselines:
         assert err.startswith("config error: ") and re.search(frag, err)
         assert not (tmp_path / "cmp").exists()
 
-    @pytest.mark.parametrize("hidden, widths", [("0", "[0]"), ("8,0", "[8, 0]"), ("-2", "[-2]")],
-                             ids=["0", "8,0", "-2"])
+    @pytest.mark.parametrize("hidden, widths", [
+        ("0", "must be >= 1, got 0"), ("8,0", "must be >= 1, got 0"),
+        ("-2", "must be >= 1, got -2"),
+        # an empty entry is an error, not a dropped token
+        ("8,,8", "expected integer, got ''"), ("8,", "expected integer, got ''"),
+        (",8", "expected integer, got ''"),
+    ], ids=["0", "8,0", "-2", "8,,8", "8,", ",8"])
     def test_hidden_width_below_one_is_a_config_error(self, tmp_path, capsys, hidden, widths):
         cfg = _compare_config(tmp_path, f"pcc.hidden = {hidden}")
         assert cli.main(["compare-baselines", "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err == f"config error: pcc.hidden: hidden widths must be >= 1, got {widths}\n"
+        assert err == f"config error: pcc.hidden: {widths}\n"
         assert not (tmp_path / "cmp").exists()
 
     def test_classification_with_pool(self, tmp_path):
@@ -1011,18 +1018,18 @@ class TestExitCodes:
         cfg = _train_config(tmp_path)
         assert cli.main(["train", "--config", cfg, "--threads", "0"]) == 1
 
-    def _three_channel_config(self, tmp_path, command) -> str:
-        """A config of ``command`` whose stack emits 3 channels for the
-        2-class two-surfaces-seg data."""
-        if command == "eval":
-            specs = _specs()
-            specs[-1]["out"] = 3
-            stack = nn.build_stack(specs, "segmentation", rng=DetRng(3))
-            ckpt = tmp_path / "wide.dfc"
-            save_checkpoint(Checkpoint(task="segmentation", seed=3, num_classes=2,
-                                       layer_specs=specs, params=nn.flatten_params(stack)),
-                            ckpt)
-            return _write(tmp_path / "eval.cfg", f"""
+    def _eval_config(self, tmp_path, field, width) -> str:
+        """An eval config on 2-channel, 2-class two-surfaces-seg data, of a
+        2-class checkpoint (wide.dfc) of _specs() with its first layer's
+        ``in`` or its last layer's ``out`` set to ``width``."""
+        specs = _specs()
+        specs[0 if field == "in" else -1][field] = width
+        stack = nn.build_stack(specs, "segmentation", rng=DetRng(3))
+        ckpt = tmp_path / "wide.dfc"
+        save_checkpoint(Checkpoint(task="segmentation", seed=3, num_classes=2,
+                                   layer_specs=specs, params=nn.flatten_params(stack)),
+                        ckpt)
+        return _write(tmp_path / "eval.cfg", f"""
 task = segmentation
 seed = 3
 out = {tmp_path / 'out'}
@@ -1032,22 +1039,27 @@ data.test = 1
 data.points = 32
 eval.checkpoint = {ckpt}
 """)
+
+    def _three_channel_config(self, tmp_path, command) -> str:
+        """A config of ``command`` whose stack emits 3 channels for the
+        2-class two-surfaces-seg data."""
+        if command == "eval":
+            return self._eval_config(tmp_path, "out", 3)
         write = _train_config if command == "train" else _compare_config
         with open(write(tmp_path), encoding="ascii") as fh:
             text = fh.read()
         assert text.count("layer.2.out = 2\n") == 1
         return _write(tmp_path / "wide.cfg", text.replace("layer.2.out = 2\n", "layer.2.out = 3\n"))
 
-    _WIDE = "bad layer configuration: stack emits 3 channels but dataset has 2 classes"
+    _WIDE = "layer.2.out gives 3 channels, but the dataset has 2 classes"
 
     @pytest.mark.parametrize("command,edit,message", [
         ("train", None, _WIDE),
-        ("eval", None, _WIDE),
         ("compare-baselines", None, _WIDE),
         # an empty chosen split is the config's doing, and is found first
         ("eval", ("data.test = 1\n", "data.test = 0\n"),
          "eval.split = test holds no clouds (data.train = 2, data.test = 0)"),
-    ], ids=["train", "eval", "compare-baselines", "eval-empty-split"])
+    ], ids=["train", "compare-baselines", "eval-empty-split"])
     def test_class_count_mismatch_is_config_error(self, tmp_path, capsys, command, edit,
                                                   message):
         cfg = self._three_channel_config(tmp_path, command)
@@ -1058,6 +1070,19 @@ eval.checkpoint = {ckpt}
             cfg = _write(tmp_path / "edited.cfg", text.replace(*edit))
         assert cli.main([command, "--config", cfg]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not any(p.is_dir() for p in tmp_path.iterdir())  # no output directory
+
+    @pytest.mark.parametrize("field,message", [
+        ("in", "layer.0.in = 3, but the dataset gives 2 channels"),
+        ("out", "layer.2.out gives 3 channels, but the dataset has 2 classes"),
+    ], ids=["first-layer-in", "output-width"])
+    def test_checkpoint_that_does_not_fit_the_dataset_is_a_data_error(self, tmp_path, capsys,
+                                                                      field, message):
+        # an eval config holds no layer key: a stack that does not take the
+        # dataset's channels or emit its class count is the checkpoint's fault
+        cfg = self._eval_config(tmp_path, field, 3)
+        assert cli.main(["eval", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'wide.dfc'}: {message}\n"
         assert not any(p.is_dir() for p in tmp_path.iterdir())  # no output directory
 
     def test_corrupt_data_file_is_data_error(self, tmp_path):
@@ -1079,6 +1104,10 @@ opt.lr = 0.001
 opt.epochs = 1
 """)
         assert cli.main(["train", "--config", cfg]) == 2
+
+    # a segmentation stack that passes the config checks, which run before
+    # the data loads
+    _RELU = "layer.count = 1\nlayer.0.type = relu"
 
     def _data_dir_config(self, tmp_path, task, classes, clouds, layers):
         """A train config on a data dir whose manifest (task, classes)
@@ -1109,7 +1138,8 @@ opt.epochs = 1
          "classification clouds must carry one uniform label"),
     ], ids=["label-out-of-range", "mixed-classification-labels"])
     def test_label_fault_names_its_file(self, tmp_path, capsys, task, lines, fault):
-        layers = "layer.count = 2\nlayer.0.type = relu\nlayer.1.type = pool"
+        layers = ("layer.count = 2\nlayer.0.type = relu\nlayer.1.type = pool"
+                  if task == "classification" else self._RELU)
         cfg = self._data_dir_config(tmp_path, task, 2, {
             "train.xyz": "0 0 0 1 0\n", "test.xyz": lines}, layers)
         assert cli.main(["train", "--config", cfg]) == 2
@@ -1136,7 +1166,7 @@ opt.epochs = 1
     def test_unknown_split_is_data_error(self, tmp_path, capsys):
         # a misspelt split must not drop its row while train runs on the rest
         cfg = self._data_dir_config(tmp_path, "segmentation", 2, {
-            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, "layer.count = 0")
+            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, self._RELU)
         manifest = tmp_path / "data" / "manifest.csv"
         manifest.write_text(manifest.read_text() + "train.xyz,-1,tran\n")
         assert cli.main(["train", "--config", cfg]) == 2
@@ -1146,7 +1176,7 @@ opt.epochs = 1
 
     def test_zero_class_manifest_is_data_error(self, tmp_path, capsys):
         cfg = self._data_dir_config(tmp_path, "segmentation", 0, {
-            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, "layer.count = 0")
+            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, self._RELU)
         assert cli.main(["train", "--config", cfg]) == 2
         path = tmp_path / "data" / "manifest.csv"
         assert capsys.readouterr().err == f"data error: {path}:1: bad class count\n"
@@ -1165,7 +1195,7 @@ opt.epochs = 1
 
     def test_missing_cloud_file_is_data_error(self, tmp_path, capsys):
         cfg = self._data_dir_config(tmp_path, "segmentation", 2, {
-            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, "layer.count = 0")
+            "train.xyz": "0 0 0 1 0\n", "test.xyz": "0 0 0 1 0\n"}, self._RELU)
         (tmp_path / "data" / "test.xyz").unlink()
         assert cli.main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -1257,3 +1287,144 @@ export.layer = 0
         for name in self.DIGESTS.keys() - {"data"}:
             got[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == self.DIGESTS
+
+
+class _Work(Exception):
+    """Raised by a stand-in for work a command does after reading its keys."""
+
+
+def _no_work(*args, **kwargs):
+    raise _Work
+
+
+_DATA = {"data.kind": "two-surfaces-seg", "data.train": "4", "data.test": "2",
+         "data.points": "32", "data.noise": "0.01"}
+_STACK = {"task": "segmentation", "layer.count": "3", "layer.0.type": "deformable",
+          "layer.0.in": "2", "layer.0.out": "4", "layer.0.k": "3", "layer.0.a": "0.2",
+          "layer.0.cap": "8", "layer.1.type": "relu", "layer.2.type": "linear",
+          "layer.2.in": "4", "layer.2.out": "2", "opt.lr": "0.001", "opt.epochs": "1"}
+# each command's valid config, with every key it reads ("{tmp}" is the
+# test's directory); keys with a default are added by the cases below
+_CONFIGS = {
+    "gen-data": {"seed": "9", "data.dir": "{tmp}/data", **_DATA},
+    "train": {"seed": "9", "out": "{tmp}/out", **_DATA, **_STACK},
+    "eval": {"seed": "9", "out": "{tmp}/out", "eval.checkpoint": "{tmp}/run.dfc", **_DATA},
+    "bench": {"seed": "9", "out": "{tmp}/out"},
+    "export-filters": {"out": "{tmp}/out", "export.checkpoint": "{tmp}/run.dfc",
+                       "export.layer": "0"},
+    "compare-baselines": {"seed": "9", "out": "{tmp}/out", **_DATA, **_STACK},
+}
+_DEFAULTED = {
+    "gen-data": [],
+    "train": ["opt.weight_decay", "opt.batch", "layer.0.r", "layer.0.skip", "layer.2.skip",
+              "data.dir"],
+    "eval": ["eval.split", "data.dir"],
+    "bench": ["bench.sizes", "bench.reps"],
+    "export-filters": [],
+    "compare-baselines": ["opt.weight_decay", "opt.batch", "layer.0.r", "layer.0.skip",
+                          "layer.2.skip", "data.dir", "pcc.hidden", "voxel.pitch",
+                          "subvoxel.pitch", "subvoxel.displacement"],
+}
+# invalid values of each key, of each kind that applies: wrong type, out
+# of range, non-finite, an empty list entry; each value's message names
+# the key, and the keys listed with it
+_BAD = {
+    "task": ["regression"],
+    "seed": ["x", "1.5"],
+    "out": [""],
+    "data.dir": [""],
+    "data.kind": ["cubes"],
+    "data.train": ["x", "-1"],
+    "data.test": ["x", "-1"],
+    "data.points": ["x", "0", "7"],
+    "data.noise": ["x", "-1", "nan", "inf"],
+    "layer.count": ["x", "0"],
+    "layer.0.type": ["conv"],
+    "layer.0.in": ["x", "0"],
+    "layer.0.out": ["x", "0", ("5", "layer.2.in")],
+    "layer.0.k": ["x", "0", ("2", "layer.0.a")],
+    "layer.0.a": ["x", "0", "-0.2", "nan", "0.2,", "0.2,,0.2", "0.2,0.2"],
+    "layer.0.r": ["x", "nan", ("0.01", "layer.0.k", "layer.0.a"), ("-1", "layer.0.k")],
+    "layer.0.cap": ["x", "0"],
+    "layer.0.skip": ["x", "2"],
+    "layer.1.type": [("pool", "task")],
+    "layer.2.type": ["conv"],
+    "layer.2.in": ["x", "0", ("5", "layer.0.out")],
+    "layer.2.out": ["x", "0"],
+    "layer.2.skip": ["x", "-1"],
+    "opt.lr": ["x", "0", "-1", "nan"],
+    "opt.weight_decay": ["x", "-1", "inf", ("2000", "opt.lr")],
+    "opt.epochs": ["x", "-1"],
+    "opt.batch": ["x", "0"],
+    "eval.checkpoint": [""],
+    "eval.split": ["dev"],
+    "export.checkpoint": [""],
+    "export.layer": ["x", "-1"],
+    "bench.sizes": ["x", "", "10:4", "10:4:x", "0:4:3", "10:0:3", "10:4:2", "10x4x3",
+                    "10:4:3,20:4:3"],
+    "bench.reps": ["x", "4"],
+    "pcc.hidden": ["x", "0", "8,,8", "8,"],
+    "voxel.pitch": ["x", "0", "-1", "nan"],
+    "subvoxel.pitch": ["x", "0", "inf", ("0.01", "subvoxel.displacement")],
+    "subvoxel.displacement": ["x", "-0.1", "nan", ("0.3", "subvoxel.pitch")],
+}
+
+
+def _fault_cases():
+    for command, config in _CONFIGS.items():
+        keys = [k for k in [*config, *_DEFAULTED[command]] if k in _BAD]
+        for key in keys:
+            for bad in _BAD[key]:
+                value, *also = (bad,) if isinstance(bad, str) else bad
+                yield pytest.param(command, {key: value}, [key, *also],
+                                   id=f"{command}-{key}={value}")
+    # the rules that span several keys, where a command's own settings break them
+    for command in ("train", "compare-baselines"):
+        for split in ("train", "test"):
+            yield pytest.param(command, {f"data.{split}": "0"}, ["data.train", "data.test"],
+                               id=f"{command}-empty-{split}-split")
+    yield pytest.param("eval", {"data.test": "0"}, ["eval.split", "data.train", "data.test"],
+                       id="eval-empty-test-split")
+    yield pytest.param("eval", {"eval.split": "train", "data.train": "0"},
+                       ["eval.split", "data.train", "data.test"], id="eval-empty-train-split")
+    yield pytest.param("gen-data", {"data.train": "0", "data.test": "0"},
+                       ["data.train", "data.test"], id="gen-data-no-clouds")
+    yield pytest.param("train", {"task": "classification"}, ["task"],
+                       id="train-classification-without-pool")
+    yield pytest.param("train", {"layer.0.skip": "1"}, ["layer.2.in", "layer.0.in", "layer.0.out"],
+                       id="train-skip-widens-layer-0")
+
+
+class TestConfigFaults:
+    """For every key each command reads and an invalid value of each kind,
+    the command exits 1 with a message that starts ``config error:`` and
+    names the key (every key, for a rule that spans several). It does so
+    before any work: no data is loaded or synthesised, no checkpoint read,
+    no stack built, no probe or bench cloud drawn, and no output created."""
+
+    @pytest.fixture(autouse=True)
+    def _work_raises(self, monkeypatch):
+        for owner, name in ((cli, "synth_dataset"), (cli, "_load_dir_datasets"),
+                            (cli, "load_checkpoint"), (cli, "_bench_cloud"),
+                            (nn, "build_stack"), (baselines, "subvoxel_discrimination")):
+            monkeypatch.setattr(owner, name, _no_work)
+
+    def _run(self, tmp_path, command, edits):
+        values = {**_CONFIGS[command], **edits}
+        text = "".join(f"{k} = {v.format(tmp=tmp_path)}\n" for k, v in values.items())
+        cfg = _write(tmp_path / "run.cfg", text)
+        return cli.main([command, "--config", cfg])
+
+    @pytest.mark.parametrize("command", _CONFIGS)
+    def test_valid_config_reaches_the_work(self, tmp_path, command):
+        with pytest.raises(_Work):
+            self._run(tmp_path, command, {})
+
+    @pytest.mark.parametrize("command,edits,keys", _fault_cases())
+    def test_fault_names_its_keys_before_any_work(self, tmp_path, capsys, command, edits, keys):
+        assert self._run(tmp_path, command, edits) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        for key in keys:
+            assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), (key, err)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no output
