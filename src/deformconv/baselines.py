@@ -66,9 +66,6 @@ class PccLayer(nn.Layer):
         self._params = [*self.mlp_params, self.pointwise, self.bias]
         self._grads = [g for l in (*self.mlp, self.head) for g in l.grads()]
 
-    def out_channels(self, in_channels: int) -> int:
-        return self.head.out_channels(in_channels)
-
     def forward(self, feats, ctx):
         table = ctx.table_for(self.radius, self.cap)
         w = table.offsets

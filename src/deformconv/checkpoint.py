@@ -20,11 +20,13 @@ has three spacings, ``r`` is omitted when it is the default radius, and
 
 A file loads only if saving the loaded checkpoint writes the same
 header, line for line, the payload holds the counted values, and the
-checkpoint is valid: finite params and a stack that builds (build_stack
-checks the task, the parameter count, each grid, each radius against
-its filter support and the pool rules). Saving decodes the bytes it
-would write by this rule, and refuses before it opens the file a
-checkpoint whose file would not load.
+checkpoint is valid: finite params and a stack that builds (nn.LayerStack
+checks the task, that the parameters fit one float64 array and match the
+count, the width chain (each layer's ``in`` equal to the width the layer
+before it emits), the pool rules, each grid and each radius against its
+filter support). Saving decodes the bytes it would write by this rule,
+and refuses before it opens the file a checkpoint whose file would not
+load.
 """
 
 from __future__ import annotations
@@ -145,6 +147,6 @@ def _decode(blob: bytes, path) -> Checkpoint:
         raise CheckpointError(f"{path}: params contain non-finite values")
     try:
         ckpt.build_stack()
-    except (ValueError, OverflowError) as exc:  # a size past float range overflows the init
+    except ValueError as exc:
         raise CheckpointError(f"{path}: stack does not build: {exc}") from None
     return ckpt

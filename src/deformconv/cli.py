@@ -39,7 +39,7 @@ import numpy as np
 from . import baselines, conv, nn
 from .atomic import atomic_open
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, check_widths, config_errors, load_config
+from .config import ConfigError, RunConfig, config_errors, load_config
 from .pointcloud import (
     CLASSIFICATION,
     Dataset,
@@ -209,7 +209,8 @@ def _fit(task: str, specs: list[dict], opt: dict, train_set: Dataset, test_set: 
     score it on test_set: a (stack, epoch logs, test report) per run."""
     if train_set.task != task:
         raise ConfigError(f"config task {task!r} does not match dataset task {train_set.task!r}")
-    check_widths(specs, train_set.clouds[0].feature_dim, train_set.num_classes)
+    nn.check_stack(specs, task, train_set.clouds[0].feature_dim, train_set.num_classes,
+                   error=ConfigError)
     fits = []
     for types, init, rng in runs:
         stack = nn.build_stack(specs, task, rng=init, types=types)
@@ -264,8 +265,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise CheckpointError(
             f"checkpoint expects {ckpt.num_classes} classes, dataset has {dataset.num_classes}"
         )
-    check_widths(ckpt.layer_specs, dataset.clouds[0].feature_dim, dataset.num_classes,
-                 error=lambda message: CheckpointError(f"{ckpt_path}: {message}"))
+    nn.check_stack(ckpt.layer_specs, ckpt.task, dataset.clouds[0].feature_dim, dataset.num_classes,
+                   error=lambda message: CheckpointError(f"{ckpt_path}: {message}"))
     report = nn.evaluate(ckpt.build_stack(), dataset, threads=args.threads)
     path = _write_csv(out_dir, "metrics.csv", "metric,value", _metric_rows(report))
     for name, value in _metric_rows(report):

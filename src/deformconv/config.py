@@ -7,8 +7,8 @@ typo'd key is an error, not a silently ignored setting.
 
 KEYS holds each fixed key's one rule (type, range or choices, default),
 FIELDS each layer field's; the rules that span several keys are checked
-where RunConfig reads those keys together, and by check_widths. Every
-ConfigError names the key, or every key, at fault.
+where RunConfig reads those keys together, the stack's shape by
+nn.check_stack. Every ConfigError names the key, or every key, at fault.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, nn
 from .nn import LAYER_TYPES
-from .pointcloud import CLASSIFICATION, SYNTH_KINDS, TASKS
+from .pointcloud import SYNTH_KINDS, SYNTH_MIN_NOISE, SYNTH_MIN_POINTS, TASKS
 
 
 class ConfigError(ValueError):
@@ -31,11 +31,12 @@ class ConfigError(ValueError):
 
 @contextmanager
 def config_errors(prefix: str):
-    """A ValueError raised inside is a ConfigError led by ``prefix``,
-    which names the keys at fault."""
+    """A ValueError raised inside, or an OverflowError (a value past
+    float range), is a ConfigError led by ``prefix``, which names the keys
+    at fault."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 
@@ -109,8 +110,8 @@ KEYS = {
     "data.dir": (_path, None),
     "data.train": (_value(int, 0), None),
     "data.test": (_value(int, 0), None),
-    "data.points": (_value(int, 8), None),
-    "data.noise": (_value(float, 0), "0"),
+    "data.points": (_value(int, SYNTH_MIN_POINTS), None),
+    "data.noise": (_value(float, SYNTH_MIN_NOISE), "0"),
     "layer.count": (_value(int, 1), None),
     "opt.lr": (_value(float, positive=True), None),
     "opt.weight_decay": (_value(float, 0), "0"),
@@ -191,10 +192,10 @@ class RunConfig:
             return parse(text)
 
     def layer_specs(self, task: str | None = None) -> list[dict]:
-        """The layer.* keys as a list of spec dicts (see nn.build_stack),
+        """The layer.* keys as a list of spec dicts (see nn.LayerStack),
         checked as one stack: each conv layer's grid and radius
-        (nn.conv_spec), each layer's ``in`` against the width before it
-        and, given the stack's ``task``, its pool layers."""
+        (nn.conv_spec), then the stack's shape and, given its ``task``,
+        its pool layers (nn.check_stack)."""
         count = self.get("layer.count")
         specs = []
         for i in range(count):
@@ -210,12 +211,7 @@ class RunConfig:
         stray = sorted(k for k in self.values if (m := _LAYER_KEY.match(k)) and int(m[1]) >= count)
         if stray:
             raise ConfigError(f"layer keys beyond layer.count: {stray}")
-        check_widths(specs)
-        pools = [f"layer.{i}.type = pool" for i, spec in enumerate(specs) if spec["type"] == "pool"]
-        want = int(task == CLASSIFICATION)
-        if task is not None and len(pools) != want:
-            raise ConfigError(f"task = {task} needs {['no', 'exactly one'][want]} pool layer, "
-                              f"got {', '.join(pools) or 'none'}")
+        nn.check_stack(specs, task, error=ConfigError)
         return specs
 
     def opt_settings(self) -> dict:
@@ -245,24 +241,6 @@ class RunConfig:
             return train, test
         where = {"all": "the dataset", "each": "a split"}.get(split, f"eval.split = {split}")
         raise ConfigError(f"{where} holds no clouds (data.train = {train}, data.test = {test})")
-
-
-def check_widths(specs: list[dict], channels: int | None = None, classes: int | None = None,
-                 error: Callable[[str], Exception] = ConfigError) -> None:
-    """Check each layer's ``in`` against the width before it: before the
-    first, ``channels`` (the dataset's feature channels) when given; and
-    the width the stack emits against ``classes`` when given. A fault
-    raises ``error(message)``, the message naming the keys at fault."""
-    width, source = channels, "the dataset"
-    for i, spec in enumerate(specs):
-        if "in" not in spec:  # relu and pool keep the width
-            continue
-        if width is not None and spec["in"] != width:
-            raise error(f"layer.{i}.in = {spec['in']}, but {source} gives {width} channels")
-        width = spec["out"] + spec["in"] * spec["skip"]
-        source = f"layer.{i}.in + layer.{i}.out" if spec["skip"] else f"layer.{i}.out"
-    if classes is not None and width != classes:
-        raise error(f"{source} gives {width} channels, but the dataset has {classes} classes")
 
 
 def parse_layer_spec(texts: dict[str, str]) -> dict:

@@ -231,15 +231,12 @@ class ConvLayerSpec:
     cap: int
 
     def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise ValueError("radius must be positive and finite")
+        spatial.check_search(self.radius, self.cap)
         support = self.grid.support_radius()
         if self.radius < support:
             raise ValueError(
                 f"radius {self.radius} smaller than filter support {support}"
             )
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
 
 
 def default_radius(grid: AnchorGrid) -> float:

@@ -112,15 +112,6 @@ class Layer:
         for total, g in zip(self._grads, grads):
             total += g
 
-    def _expect_channels(self, in_channels: int, expected: int, out: int) -> int:
-        """``out`` (the output width) if ``in_channels == expected``."""
-        if in_channels != expected:
-            raise ValueError(f"layer expects {expected} channels, got {in_channels}")
-        return out
-
-    def out_channels(self, in_channels: int) -> int:
-        return in_channels
-
     def forward(self, feats: np.ndarray, ctx: LayerContext) -> np.ndarray:
         raise NotImplementedError
 
@@ -152,9 +143,6 @@ class DeformConvLayer(Layer):
         self.spec, self.radius = spec, spec.radius
         self.weights, self.bias = self.params()
 
-    def out_channels(self, in_channels: int) -> int:
-        return self._expect_channels(in_channels, *self.weights.shape[1:])
-
     def forward(self, feats, ctx):
         self._filt = DeformableFilter(self.spec.grid, self.weights, self.bias)
         self._feats, self._sums = feats, []
@@ -185,9 +173,6 @@ class SeparableConvLayer(Layer):
         self.spec, self.radius = spec, spec.radius
         self.spatial, self.pointwise, self.bias = self.params()
 
-    def out_channels(self, in_channels: int) -> int:
-        return self._expect_channels(in_channels, self.spatial.shape[1], self.pointwise.shape[1])
-
     def forward(self, feats, ctx):
         self._filt = SeparableFilter(self.spec.grid, self.spatial, self.pointwise, self.bias)
         self._feats = feats
@@ -208,9 +193,6 @@ class LinearLayer(Layer):
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         super().__init__(weights, bias)
         self.weights, self.bias = self.params()
-
-    def out_channels(self, in_channels: int) -> int:
-        return self._expect_channels(in_channels, *self.weights.shape)
 
     def forward(self, feats, ctx):
         self._feats = feats
@@ -267,9 +249,6 @@ class ConcatSkipLayer(Layer):
     def grads(self):
         return self.inner.grads()
 
-    def out_channels(self, in_channels: int) -> int:
-        return in_channels + self.inner.out_channels(in_channels)
-
     def forward(self, feats, ctx):
         self._in_channels = feats.shape[1]
         return np.concatenate([feats, self.inner.forward(feats, ctx)], axis=1)
@@ -278,66 +257,6 @@ class ConcatSkipLayer(Layer):
         split = self._in_channels
         inner = self.inner.backward(upstream[:, split:], ctx, input_grad=input_grad)
         return upstream[:, :split] + inner if input_grad else None
-
-
-class LayerStack:
-    """Ordered layers mapping a cloud's features to logits.
-
-    Segmentation stacks emit one row per point; classification stacks
-    contain exactly one global max pool and emit a single row. The layers
-    run in the context's order, which forward arranges at the first
-    layer radius the stack searches; per-point rows given to forward and
-    backward, and returned by them, are in the cloud's order.
-    """
-
-    def __init__(self, layers: list[Layer], task: str):
-        if task not in (CLASSIFICATION, SEGMENTATION):
-            raise ValueError(f"unknown task {task!r}")
-        # a skip wrapper holds one layer, never another wrapper
-        pools = sum(isinstance(getattr(l, "inner", l), GlobalMaxPoolLayer) for l in layers)
-        if task == CLASSIFICATION and pools != 1:
-            raise ValueError("classification stacks need exactly one global pool")
-        if task == SEGMENTATION and pools != 0:
-            raise ValueError("segmentation stacks cannot contain a global pool")
-        self.layers = layers
-        self.task = task
-        self.radius = next((l.radius for l in layers if l.radius is not None), None)
-
-    def parameters(self) -> list[np.ndarray]:
-        return [p for l in self.layers for p in l.params()]
-
-    def gradients(self) -> list[np.ndarray]:
-        return [g for l in self.layers for g in l.grads()]
-
-    def zero_grads(self) -> None:
-        for l in self.layers:
-            l.zero_grads()
-
-    def check_channels(self, in_channels: int) -> int:
-        c = in_channels
-        for l in self.layers:
-            c = l.out_channels(c)
-        return c
-
-    def forward(self, cloud: PointCloud, ctx: LayerContext) -> np.ndarray:
-        ctx.arrange(self.radius)
-        feats = ctx.rows(cloud.features)
-        for l in self.layers:
-            feats = l.forward(feats, ctx)
-        return ctx.restore(feats) if self.task == SEGMENTATION else feats
-
-    def backward(self, upstream: np.ndarray, ctx: LayerContext, *,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """Backward through every layer in reverse, each adding its
-        parameter gradients into its grads(); returns the gradient w.r.t.
-        the cloud's features. With ``input_grad=False`` the first layer is
-        told that nothing reads it: a conv, linear or baseline layer then
-        builds no input gradient and the stack returns None (train_stack's
-        use)."""
-        grad = ctx.rows(upstream) if self.task == SEGMENTATION else upstream
-        for j, l in reversed(list(enumerate(self.layers))):
-            grad = l.backward(grad, ctx, input_grad=input_grad or j > 0)
-        return None if grad is None else ctx.restore(grad)
 
 
 def conv_spec(spec: dict) -> ConvLayerSpec:
@@ -392,46 +311,128 @@ def spec_param_count(specs: list[dict], types: dict[str, LayerType] = LAYER_TYPE
     return sum(math.prod(shape) for s in specs for shape, _ in _layer_type(s, types).arrays(s))
 
 
-def build_stack(
-    specs: list[dict],
-    task: str,
-    rng: DetRng | None = None,
-    flat: np.ndarray | None = None,
-    types: dict[str, LayerType] = LAYER_TYPES,
-) -> LayerStack:
-    """Construct a LayerStack from layer-spec dicts, each built by the
-    record ``types`` holds for its type.
+# the most values one float64 numpy array holds
+_MAX_VALUES = np.iinfo(np.intp).max // 8
 
-    Parameters come either from a seeded init (``rng``: one normal draw
-    per array that does not start at zeros, in storage order) or from a
-    flat float64 vector (``flat``, e.g. a checkpoint payload); exactly
-    one must be given.
+
+def check_stack(specs: list[dict], task: str | None, channels: int | None = None,
+                classes: int | None = None, types: dict[str, LayerType] = LAYER_TYPES,
+                error: Callable[[str], Exception] = ValueError) -> None:
+    """The one rule for a stack's shape, on its layer specs: a known
+    ``task`` (None: not checked, nor the pools); parameters (of the layers
+    ``types`` builds) that fit one float64 array; each ``in`` equal to
+    the width before it, which a skip layer widens by its ``in``, and
+    before the first to ``channels`` when given; the emitted width equal
+    to ``classes`` when given; one pool layer in a classification stack,
+    none in a segmentation one. A fault raises ``error(message)``, which
+    names the keys at fault (``layer.i.*``, ``task``) as configs do."""
+    if task is not None and task not in (CLASSIFICATION, SEGMENTATION):
+        raise error(f"unknown task {task!r}")
+    width, source, values = channels, "the dataset", 0
+    for i, spec in enumerate(specs):
+        try:
+            values += spec_param_count([spec], types)
+        except OverflowError:  # an init scale of a width past float range
+            values = _MAX_VALUES + 1
+        if values > _MAX_VALUES:
+            keys = ", ".join(f"layer.{i}.{n} = {spec[n]}" for n in ("in", "out", "k") if n in spec)
+            raise error(f"{keys}: the stack's parameters do not fit one float64 array")
+        if "in" not in spec:  # relu and pool keep the width
+            continue
+        if width is not None and spec["in"] != width:
+            raise error(f"layer.{i}.in = {spec['in']}, but {source} gives {width} channels")
+        skip = spec.get("skip", 0)
+        width = spec["out"] + spec["in"] * skip
+        source = f"layer.{i}.in + layer.{i}.out" if skip else f"layer.{i}.out"
+    if classes is not None and width != classes:
+        raise error(f"{source} gives {width} channels, but the dataset has {classes} classes")
+    pools = [f"layer.{i}.type = pool" for i, spec in enumerate(specs) if spec["type"] == "pool"]
+    want = int(task == CLASSIFICATION)
+    if task is not None and len(pools) != want:
+        raise error(f"task = {task} needs {['no', 'exactly one'][want]} pool layer, "
+                    f"got {', '.join(pools) or 'none'}")
+
+
+class LayerStack:
+    """Ordered layers mapping a cloud's features to logits, built from
+    layer-spec dicts, each by the record ``types`` holds for its type.
+    The specs, kept as ``specs``, are the one description of the stack's
+    shape, checked (check_stack) before any layer is built. Parameters
+    come either from a seeded init (``rng``: one normal draw per array
+    that does not start at zeros, in storage order) or from a flat
+    float64 vector (``flat``, e.g. a checkpoint payload); exactly one
+    must be given.
+
+    Segmentation stacks emit one row per point, classification stacks a
+    single row. The layers run in the context's order, which forward
+    arranges at the first layer radius the stack searches; per-point rows
+    given to forward and backward, and returned by them, are in the
+    cloud's order.
     """
-    if (rng is None) == (flat is None):
-        raise ValueError("pass exactly one of rng or flat")
-    if flat is not None and flat.shape[0] != (need := spec_param_count(specs, types)):
-        raise ValueError(f"parameter vector holds {flat.shape[0]} values, specs need {need}")
-    arrays = [_layer_type(spec, types).arrays(spec) for spec in specs]
-    if rng is not None:
-        # the init's draws, in blocks of whole arrays within the block budget
-        ahead = iter(reservations([2 * math.prod(shape) * (std is not None)
-                                   for layer in arrays for shape, std in layer],
-                                  spatial._BLOCK_VALUES))
-    cursor = 0
-    layers: list[Layer] = []
-    for spec, layer_arrays in zip(specs, arrays):
-        params = []
-        for shape, std in layer_arrays:
-            size = math.prod(shape)
-            if flat is not None:
-                part, cursor = flat[cursor : cursor + size], cursor + size
-            else:
-                rng.reserve(next(ahead))
-                part = np.zeros(size) if std is None else rng.normals(size, 0.0, std)
-            params.append(part.reshape(shape))
-        layer = _layer_type(spec, types).build(spec, params)
-        layers.append(ConcatSkipLayer(layer) if spec.get("skip") else layer)
-    return LayerStack(layers, task)
+
+    def __init__(self, specs: list[dict], task: str, rng: DetRng | None = None,
+                 flat: np.ndarray | None = None, types: dict[str, LayerType] = LAYER_TYPES):
+        check_stack(specs, task, types=types)
+        if (rng is None) == (flat is None):
+            raise ValueError("pass exactly one of rng or flat")
+        if flat is not None and flat.shape[0] != (need := spec_param_count(specs, types)):
+            raise ValueError(f"parameter vector holds {flat.shape[0]} values, specs need {need}")
+        arrays = [_layer_type(spec, types).arrays(spec) for spec in specs]
+        if rng is not None:
+            # the init's draws, in blocks of whole arrays within the block budget
+            ahead = iter(reservations([2 * math.prod(shape) * (std is not None)
+                                       for layer in arrays for shape, std in layer],
+                                      spatial._BLOCK_VALUES))
+        cursor = 0
+        self.layers: list[Layer] = []
+        for spec, layer_arrays in zip(specs, arrays):
+            params = []
+            for shape, std in layer_arrays:
+                size = math.prod(shape)
+                if flat is not None:
+                    part, cursor = flat[cursor : cursor + size], cursor + size
+                else:
+                    rng.reserve(next(ahead))
+                    part = np.zeros(size) if std is None else rng.normals(size, 0.0, std)
+                params.append(part.reshape(shape))
+            layer = _layer_type(spec, types).build(spec, params)
+            self.layers.append(ConcatSkipLayer(layer) if spec.get("skip") else layer)
+        self.specs, self.task, self.types = specs, task, types
+        self.radius = next((l.radius for l in self.layers if l.radius is not None), None)
+
+    def parameters(self) -> list[np.ndarray]:
+        return [p for l in self.layers for p in l.params()]
+
+    def gradients(self) -> list[np.ndarray]:
+        return [g for l in self.layers for g in l.grads()]
+
+    def zero_grads(self) -> None:
+        for l in self.layers:
+            l.zero_grads()
+
+    def forward(self, cloud: PointCloud, ctx: LayerContext) -> np.ndarray:
+        ctx.arrange(self.radius)
+        feats = ctx.rows(cloud.features)
+        for l in self.layers:
+            feats = l.forward(feats, ctx)
+        return ctx.restore(feats) if self.task == SEGMENTATION else feats
+
+    def backward(self, upstream: np.ndarray, ctx: LayerContext, *,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Backward through every layer in reverse, each adding its
+        parameter gradients into its grads(); returns the gradient w.r.t.
+        the cloud's features. With ``input_grad=False`` the first layer is
+        told that nothing reads it: a conv, linear or baseline layer then
+        builds no input gradient and the stack returns None (train_stack's
+        use)."""
+        grad = ctx.rows(upstream) if self.task == SEGMENTATION else upstream
+        for j, l in reversed(list(enumerate(self.layers))):
+            grad = l.backward(grad, ctx, input_grad=input_grad or j > 0)
+        return None if grad is None else ctx.restore(grad)
+
+
+# the name callers build a stack by
+build_stack = LayerStack
 
 
 def flatten_params(stack: LayerStack) -> np.ndarray:
@@ -664,12 +665,8 @@ def train_stack(
         raise ValueError("epochs must be >= 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    first = train_set.clouds[0]
-    out_dim = stack.check_channels(first.feature_dim)
-    if out_dim != train_set.num_classes:
-        raise ValueError(
-            f"stack emits {out_dim} channels but dataset has {train_set.num_classes} classes"
-        )
+    check_stack(stack.specs, stack.task, train_set.clouds[0].feature_dim, train_set.num_classes,
+                stack.types)
     state = init_adam(stack.parameters(), lr=lr, weight_decay=weight_decay)
     contexts = [LayerContext(c, threads) for c in train_set.clouds]
     eval_ctx = (

@@ -23,6 +23,9 @@ SEGMENTATION = "segmentation"
 TASKS = (CLASSIFICATION, SEGMENTATION)
 
 SYNTH_KINDS = ("shapes4", "two-surfaces-seg")
+# the least points per cloud and noise sigma synth_dataset takes
+SYNTH_MIN_POINTS = 8
+SYNTH_MIN_NOISE = 0
 
 
 class XyzFormatError(ValueError):
@@ -319,10 +322,10 @@ def synth_dataset(
         raise ValueError(f"unknown dataset kind {kind!r}; known: {SYNTH_KINDS}")
     if n_clouds < 1:
         raise ValueError("n_clouds must be >= 1")
-    if points_per_cloud < 8:
-        raise ValueError("points_per_cloud must be >= 8")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if points_per_cloud < SYNTH_MIN_POINTS:
+        raise ValueError(f"points_per_cloud must be >= {SYNTH_MIN_POINTS}")
+    if noise_sigma < SYNTH_MIN_NOISE:
+        raise ValueError(f"noise_sigma must be >= {SYNTH_MIN_NOISE}")
 
     rng = DetRng(seed)
     shapes = [i % 4 for i in range(n_clouds)]  # a shapes4 cloud's class

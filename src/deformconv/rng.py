@@ -224,12 +224,14 @@ class DetRng:
         spacing = _LONG if n >= _LONG_FROM else _SHORT
         lanes = -(-n // spacing)
         steps = min(n, spacing)
+        # s1 of every step; allocated first, so a block too large for one
+        # array fails before its lane jumps, not after
+        ones = np.empty((steps, lanes), dtype=np.uint64)
         starts = [_pack(self._s)]
         for _ in range(lanes - 1):
             starts.append(_jump(starts[-1], _jump_table(spacing)))
         packed = np.frombuffer(b"".join(x.to_bytes(32, "little") for x in starts), dtype="<u8")
         s0, s1, s2, s3 = np.array(packed.reshape(lanes, 4).T, dtype=np.uint64, order="C")
-        ones = np.empty((steps, lanes), dtype=np.uint64)  # s1 of every step
         ones[0] = s1
         tmp, s1_end = np.empty(lanes, dtype=np.uint64), np.empty(lanes, dtype=np.uint64)
         last = n - (lanes - 1) * spacing  # steps the last lane contributes

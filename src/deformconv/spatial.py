@@ -449,6 +449,14 @@ def _window_candidates(index: GridHashIndex, q: np.ndarray, r: float):
     return counts, lambda a, b: win_pid[_expand(begin[a:b], counts[a:b])]
 
 
+def check_search(r: float, cap: int) -> None:
+    """A search's radius and cap: r positive and finite, cap >= 1."""
+    if not (r > 0) or not np.isfinite(r):
+        raise ValueError("radius must be positive and finite")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+
+
 def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> NeighborTable:
     """Capped radius search against a grid hash index.
 
@@ -456,10 +464,7 @@ def radius_neighbors(index: GridHashIndex, queries, r: float, cap: int) -> Neigh
     radius r around a query is visited, so no in-range point is missed.
     """
     q = _check_positions(queries, "queries")
-    if not (r > 0) or not np.isfinite(r):
-        raise ValueError("radius must be positive and finite")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    check_search(r, cap)
     if r > index.cell_size:
         raise ValueError(f"radius {r} exceeds the index cell_size {index.cell_size}")
     if q.shape[0] * index.positions.shape[0] <= _BLOCK_VALUES:
@@ -471,10 +476,7 @@ def brute_force_neighbors(positions, queries, r: float, cap: int) -> NeighborTab
     """All-pairs reference search. Same output contract as the grid path."""
     pos = _check_positions(positions, "positions")
     q = _check_positions(queries, "queries")
-    if not (r > 0) or not np.isfinite(r):
-        raise ValueError("radius must be positive and finite")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    check_search(r, cap)
 
     every = np.arange(pos.shape[0], dtype=np.int64)
     return _assemble(q, pos, np.full(q.shape[0], pos.shape[0], dtype=np.int64),

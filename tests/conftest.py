@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,15 @@ from deformconv.rng import DetRng
 PASSES = ("dense", "channel")
 # the two paths of spatial.radius_neighbors
 SEARCHES = ("grid", "one-block")
+
+
+def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """``python *args`` in a subprocess that imports deformconv from this
+    tree; past ``timeout`` seconds it is killed and the test fails
+    (subprocess.TimeoutExpired), so a hang cannot stall the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def random_cloud(rng: np.random.Generator, m: int, dim: int, extent: float = 1.0):

@@ -14,6 +14,7 @@ from deformconv.checkpoint import (Checkpoint, CheckpointError,
                                    load_checkpoint, save_checkpoint)
 from deformconv.config import ConfigError, RunConfig, parse_config_text
 from deformconv.rng import DetRng
+from conftest import run_python
 
 
 class TestConfigParsing:
@@ -92,6 +93,13 @@ class TestConfigParsing:
                 "layer.0.out = 1\nlayer.0.k = 3\nlayer.0.a = -0.2\n"
                 "layer.0.cap = 8\n")).layer_specs()
 
+    def test_k_past_float_range_names_its_keys(self):
+        cfg = RunConfig(parse_config_text(
+            "layer.count = 1\nlayer.0.type = deformable\nlayer.0.in = 1\nlayer.0.out = 1\n"
+            f"layer.0.k = {10**400 + 1}\nlayer.0.a = 0.2\nlayer.0.cap = 8\n"))
+        with pytest.raises(ConfigError, match=r"^layer\.0\.k = 10+1, layer\.0\.a = 0\.2: "):
+            cfg.layer_specs()
+
     @pytest.mark.parametrize("middle,extra,frag", [
         ("relu", "layer.1.cap = 99", "layer.1.cap: not a field of layer type 'relu'"),
         ("relu", "layer.2.a = 0.2", "layer.2.a: not a field of layer type 'linear'"),
@@ -149,7 +157,7 @@ class TestCheckpoint:
             {"type": "linear", "in": 12, "out": 3, "skip": 0},
         ]
         stack = nn.build_stack(specs, "classification", rng=DetRng(4))
-        assert stack.check_channels(2) == 3
+        nn.check_stack(specs, "classification", channels=2, classes=3)
         ckpt = Checkpoint(task="classification", seed=4, num_classes=3,
                           layer_specs=specs, params=nn.flatten_params(stack))
         p1, p2 = tmp_path / "a.dfc", tmp_path / "b.dfc"
@@ -277,7 +285,7 @@ class TestCheckpoint:
         ((b" cap=8", b" r=0.10000000000000001 cap=8"),
          "stack does not build: radius 0.1 smaller than filter support"),
         ((b"task = segmentation", b"task = classification"),
-         "stack does not build: classification stacks need exactly one global pool"),
+         "stack does not build: task = classification needs exactly one pool layer, got none"),
     ], ids=["r-below-support", "no-pool"])
     def test_unbuildable_checkpoint_is_rejected(self, tmp_path, edit, frag):
         # the header round-trips and the parameter count is unchanged
@@ -286,7 +294,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("change,frag", [
         (dict(layer_specs=[{**_specs()[0], "r": 0.1}, *_specs()[1:]]),
          "radius 0.1 smaller than filter support"),
-        (dict(task="classification"), "classification stacks need exactly one global pool"),
+        (dict(task="classification"),
+         "task = classification needs exactly one pool layer, got none"),
         # the stack builds, but one spacing is written where loading reads three
         (dict(layer_specs=[{**_specs()[0], "a": 0.2}, *_specs()[1:]]),
          "header line 5 is .* a=0.20000000000000001 cap=8 .*, saving writes .*,0.2"),
@@ -299,6 +308,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=frag):
             save_checkpoint(bad, p)
         assert not p.exists()
+
+    # a deformable layer emitting 4 channels, then a linear layer taking 5:
+    # each spec is valid, the stack is not
+    _UNCHAINED = [
+        {"type": "deformable", "in": 2, "out": 4, "k": 3,
+         "a": [0.2, 0.2, 0.2], "r": None, "cap": 8, "skip": 0},
+        {"type": "linear", "in": 5, "out": 2, "skip": 0},
+    ]
+    _UNCHAINED_FAULT = "layer.1.in = 5, but layer.0.out gives 4 channels"
+
+    def test_save_refuses_a_stack_whose_widths_do_not_chain(self, tmp_path):
+        bad = Checkpoint(task="segmentation", seed=0, num_classes=2, layer_specs=self._UNCHAINED,
+                         params=np.zeros(27 * 2 * 4 + 4 + 5 * 2 + 2))
+        p = tmp_path / "x.dfc"
+        with pytest.raises(CheckpointError, match=self._UNCHAINED_FAULT):
+            save_checkpoint(bad, p)
+        assert not p.exists()
+
+    def test_load_and_eval_refuse_a_stack_whose_widths_do_not_chain(self, tmp_path):
+        a = ",".join(["0.20000000000000001"] * 3)
+        header = ("DFC1\ntask = segmentation\nseed = 0\nclasses = 2\nlayers = 2\n"
+                  f"layer.0 = type=deformable in=2 out=4 k=3 a={a} cap=8 skip=0\n"
+                  "layer.1 = type=linear in=5 out=2 skip=0\nparams = 232\n\n")
+        p = tmp_path / "x.dfc"
+        p.write_bytes(header.encode("ascii") + np.zeros(232, dtype="<f8").tobytes())
+        with pytest.raises(CheckpointError, match=f"stack does not build: {self._UNCHAINED_FAULT}"):
+            load_checkpoint(p)
+        _assert_eval_refuses(tmp_path, p)
 
     def test_missing_header_field(self, tmp_path):
         p = tmp_path / "x.dfc"
@@ -322,6 +359,11 @@ def _assert_edit_rejected(tmp_path, edit, frag):
     p.write_bytes(raw.replace(*edit))
     with pytest.raises(CheckpointError, match=frag):
         load_checkpoint(p)
+    _assert_eval_refuses(tmp_path, p)
+
+
+def _assert_eval_refuses(tmp_path, p):
+    """eval of the checkpoint at p on a two-surfaces-seg set exits 2."""
     cfg = _write(tmp_path / "eval.cfg", f"""
 task = segmentation
 seed = 3
@@ -1341,7 +1383,7 @@ _BAD = {
     "layer.count": ["x", "0"],
     "layer.0.type": ["conv"],
     "layer.0.in": ["x", "0"],
-    "layer.0.out": ["x", "0", ("5", "layer.2.in")],
+    "layer.0.out": ["x", "0", ("5", "layer.2.in"), "1000000000000000000000000000000"],
     "layer.0.k": ["x", "0", ("2", "layer.0.a")],
     "layer.0.a": ["x", "0", "-0.2", "nan", "0.2,", "0.2,,0.2", "0.2,0.2"],
     "layer.0.r": ["x", "nan", ("0.01", "layer.0.k", "layer.0.a"), ("-1", "layer.0.k")],
@@ -1428,3 +1470,17 @@ class TestConfigFaults:
         for key in keys:
             assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), (key, err)
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no output
+
+    def test_width_past_one_array_fails_fast(self, tmp_path):
+        # a stack whose widths chain, but whose parameters fit no float64
+        # array; run apart, so that a run that hangs fails the test
+        huge = str(10**30)
+        values = {**_CONFIGS["train"], "layer.0.out": huge, "layer.2.in": huge}
+        cfg = _write(tmp_path / "run.cfg",
+                     "".join(f"{k} = {v.format(tmp=tmp_path)}\n" for k, v in values.items()))
+        proc = run_python(["-m", "deformconv.cli", "train", "--config", cfg], timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"config error: layer.0.in = 2, layer.0.out = {huge}, "
+                               "layer.0.k = 3: the stack's parameters do not fit one float64 "
+                               "array\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]

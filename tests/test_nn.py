@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from deformconv import baselines, cli, conv, nn, pointcloud, spatial
 from deformconv.rng import DetRng
 from conftest import (PASSES, fd_grad, full_pass, grad_rel, neighbor_table, on_both_passes,
-                      random_cloud)
+                      random_cloud, run_python)
 
 
 def _seg_cloud(rng, m=20, dim=2, classes=2):
@@ -157,8 +157,8 @@ class TestStackForward:
     def test_identity_linear_stack(self):
         rng = np.random.default_rng(1)
         cloud = _seg_cloud(rng, 10, 3)
-        stack = nn.LayerStack([nn.LinearLayer(np.eye(3), np.zeros(3))],
-                              task="segmentation")
+        stack = nn.build_stack([{"type": "linear", "in": 3, "out": 3, "skip": 0}], "segmentation",
+                               flat=np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
         out = nn.stack_forward(stack, cloud)
         assert np.allclose(out, cloud.features, atol=1e-15)
 
@@ -167,7 +167,7 @@ class TestStackForward:
         feats = np.tile([1.5, -2.0], (6, 1))
         cloud = pointcloud.PointCloud(positions=pos, features=feats,
                                       labels=np.zeros(6, dtype=np.int64))
-        stack = nn.LayerStack([nn.GlobalMaxPoolLayer()], task="classification")
+        stack = nn.build_stack([{"type": "pool"}], "classification", flat=np.empty(0))
         out = nn.stack_forward(stack, cloud)
         assert out.shape == (1, 2)
         assert np.array_equal(out[0], [1.5, -2.0])
@@ -177,14 +177,14 @@ class TestStackForward:
         cloud = random_cloud(rng, 18, 2, extent=0.5)
         g = conv.grid_from_spacing(3, 0.2)
         r = conv.default_radius(g)
-        spec = conv.ConvLayerSpec(grid=g, radius=r, cap=8)
         w1 = rng.normal(size=(27, 2, 3))
         b1 = rng.normal(size=3)
         w2 = rng.normal(size=(27, 3, 2))
         b2 = rng.normal(size=2)
-        stack = nn.LayerStack(
-            [nn.DeformConvLayer(spec, w1, b1), nn.DeformConvLayer(spec, w2, b2)],
-            task="segmentation")
+        specs = [{"type": "deformable", "in": d_in, "out": d_out, "k": 3, "a": [0.2] * 3,
+                  "r": None, "cap": 8, "skip": 0} for d_in, d_out in ((2, 3), (3, 2))]
+        stack = nn.build_stack(specs, "segmentation",
+                               flat=np.concatenate([w1.ravel(), b1, w2.ravel(), b2]))
         table = neighbor_table(cloud, r, 8)  # the stack's own search at the same (r, cap)
         got = nn.stack_forward(stack, cloud)
         f1 = conv.oracle_forward_features(
@@ -224,15 +224,95 @@ class TestStackForward:
         assert np.allclose(out, base, rtol=1e-9, atol=1e-12)
 
     def test_pool_count_enforced(self):
-        with pytest.raises(ValueError):
-            nn.LayerStack([nn.ReluLayer()], task="classification")
-        with pytest.raises(ValueError):
-            nn.LayerStack([nn.GlobalMaxPoolLayer()], task="segmentation")
+        with pytest.raises(ValueError, match="task = classification needs exactly one pool"):
+            nn.build_stack([{"type": "relu"}], "classification", flat=np.empty(0))
+        with pytest.raises(ValueError, match="task = segmentation needs no pool layer, got "
+                                             "layer.0.type = pool"):
+            nn.build_stack([{"type": "pool"}], "segmentation", flat=np.empty(0))
 
     def test_channel_mismatch_caught(self):
-        stack = nn.build_stack(_tiny_specs(d_in=3), "segmentation", rng=DetRng(0))
-        with pytest.raises(ValueError):
-            stack.check_channels(2)
+        with pytest.raises(ValueError, match="layer.0.in = 3, but the dataset gives 2 channels"):
+            nn.check_stack(_tiny_specs(d_in=3), "segmentation", channels=2)
+
+
+def _chain_layer(kind: str, d_in: int, d_out: int, skip: int) -> dict:
+    if kind in ("relu", "pool"):
+        return {"type": kind}
+    spec = {"type": kind, "in": d_in, "out": d_out, "skip": skip}
+    if kind != "linear":
+        spec.update(k=3, a=[0.2, 0.2, 0.2], r=None, cap=4)
+    return spec
+
+
+_CHAIN_LAYER = st.builds(_chain_layer, st.sampled_from(list(nn.LAYER_TYPES)),
+                         st.integers(1, 3), st.integers(1, 3), st.integers(0, 1))
+
+
+def _searches_after_a_pool(specs: list[dict]) -> bool:
+    types = [spec["type"] for spec in specs]
+    return "pool" in types and any("k" in spec for spec in specs[types.index("pool"):])
+
+
+# a conv layer after a pool has one row and no points to search: its
+# forward fails, but not on a width, and check_stack lets it through
+_CHAINS = st.lists(_CHAIN_LAYER, min_size=1, max_size=4).filter(
+    lambda specs: not _searches_after_a_pool(specs))
+
+
+class TestStackShape:
+    """nn.check_stack, the one rule for a stack's shape."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_CHAINS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_accepts_exactly_the_chains_that_run(self, specs, channels, seed):
+        try:
+            nn.check_stack(specs, None, channels)
+            accepted = True
+        except ValueError:
+            accepted = False
+        cloud = random_cloud(np.random.default_rng(seed), 10, channels, extent=0.5)
+        ctx, feats = nn.LayerContext(cloud), cloud.features
+        try:
+            for i, spec in enumerate(specs):
+                # each layer built on its own, so that only its own spec is checked
+                task = "classification" if spec["type"] == "pool" else "segmentation"
+                [layer] = nn.build_stack([spec], task, rng=DetRng(i)).layers
+                feats = layer.forward(feats, ctx)
+            ran = True
+        except ValueError:
+            ran = False
+        assert accepted == ran
+        if ran:  # and the width it emits is the class count it takes
+            nn.check_stack(specs, None, channels, classes=feats.shape[1])
+
+    def test_stack_keeps_its_specs(self):
+        specs = _tiny_specs()
+        stack = nn.build_stack(specs, "segmentation", rng=DetRng(0))
+        assert stack.specs is specs and stack.task == "segmentation"
+
+    @pytest.mark.parametrize("specs,frag", [
+        ([{"type": "linear", "in": 2, "out": 10**30, "skip": 0}],
+         f"layer.0.in = 2, layer.0.out = {10**30}: the stack's parameters do not fit"),
+        ([{"type": "linear", "in": 10**400, "out": 2, "skip": 0}], f"layer.0.in = {10**400}, "),
+        ([{**_tiny_specs()[0], "k": 10**7 + 1}], "layer.0.k = 10000001: "),
+    ], ids=["out-1e30", "in-past-float-range", "k"])
+    def test_parameters_past_one_array_are_refused(self, specs, frag):
+        with pytest.raises(ValueError, match=frag):
+            nn.check_stack(specs, "segmentation")
+
+    def test_huge_width_fails_fast(self):
+        # run apart, so that a build that hangs fails the test
+        proc = run_python(["-c", """
+from deformconv import nn
+from deformconv.rng import DetRng
+try:
+    nn.build_stack([{"type": "linear", "in": 2, "out": 10**30, "skip": 0}], "segmentation",
+                   rng=DetRng(0))
+except ValueError as exc:
+    print(exc)
+"""], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert "the stack's parameters do not fit one float64 array" in proc.stdout
 
 
 class TestPoolBackward:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from deformconv import nn, pointcloud, spatial
 from deformconv.rng import DetRng, reservations
+from conftest import run_python
 
 # Frozen outputs for seed 42.  These pin the generator algorithm itself:
 # if any of these move, saved experiments stop being reproducible.
@@ -261,6 +262,25 @@ def test_reserving_changes_no_output(seed, calls):
 def test_reserve_rejects_a_negative_count():
     with pytest.raises(ValueError, match=r"reserve\(\): n must be >= 0, got -1"):
         DetRng(1).reserve(-1)
+
+
+def test_a_block_past_one_array_fails_at_once():
+    # run apart, so that a block that jumps its lanes first fails the test, not hangs it;
+    # a refused block leaves the stream where it was
+    proc = run_python(["-c", """
+from deformconv.rng import DetRng
+rng = DetRng(3)
+for draw in (rng.reserve, rng.uniforms, rng.normals):
+    for n in (10**30, 2**62):
+        try:
+            draw(n)
+        except ValueError:
+            continue
+        print(draw, n, "drew")
+print(rng.next_u64() == DetRng(3).next_u64())
+"""], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 @pytest.mark.parametrize("counts, budget, expected", [
