@@ -20,13 +20,14 @@ has three spacings, ``r`` is omitted when it is the default radius, and
 
 A file loads only if saving the loaded checkpoint writes the same
 header, line for line, the payload holds the counted values, and the
-checkpoint is valid: finite params and a stack that builds (nn.LayerStack
+checkpoint is valid: finite params, a stack that builds (nn.LayerStack
 checks the task, that the parameters fit one float64 array and match the
 count, the width chain (each layer's ``in`` equal to the width the layer
 before it emits), the pool rules, each grid and each radius against its
-filter support). Saving decodes the bytes it would write by this rule,
-and refuses before it opens the file a checkpoint whose file would not
-load.
+filter support), and a ``classes`` header equal to the width the stack
+emits (unchecked for a stack of relu and pool layers alone). Saving
+decodes the bytes it would write by this rule, and refuses before it
+opens the file a checkpoint whose file would not load.
 """
 
 from __future__ import annotations
@@ -146,7 +147,10 @@ def _decode(blob: bytes, path) -> Checkpoint:
     if not np.all(np.isfinite(ckpt.params)):
         raise CheckpointError(f"{path}: params contain non-finite values")
     try:
-        ckpt.build_stack()
+        width = ckpt.build_stack().width
     except ValueError as exc:
         raise CheckpointError(f"{path}: stack does not build: {exc}") from None
+    if width not in (None, ckpt.num_classes):
+        raise CheckpointError(f"{path}: classes = {ckpt.num_classes}, "
+                              f"but the stack emits {width} channels")
     return ckpt

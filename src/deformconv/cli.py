@@ -261,10 +261,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise CheckpointError(
             f"checkpoint task {ckpt.task!r} does not match dataset task {dataset.task!r}"
         )
-    if dataset.num_classes != ckpt.num_classes:
-        raise CheckpointError(
-            f"checkpoint expects {ckpt.num_classes} classes, dataset has {dataset.num_classes}"
-        )
     nn.check_stack(ckpt.layer_specs, ckpt.task, dataset.clouds[0].feature_dim, dataset.num_classes,
                    error=lambda message: CheckpointError(f"{ckpt_path}: {message}"))
     report = nn.evaluate(ckpt.build_stack(), dataset, threads=args.threads)
@@ -389,17 +385,17 @@ def cmd_compare_baselines(cfg: RunConfig, args) -> int:
     data = _data(cfg)
     specs, opt = cfg.layer_specs(task), cfg.opt_settings()
     hidden, pitch = cfg.get("pcc.hidden"), cfg.get("voxel.pitch")
+    variants = {"deformable": nn.LAYER_TYPES, "pcc": baselines.pcc_types(hidden),
+                "voxel": baselines.voxel_types(pitch)}
+    # the specs passed with nn's layers; the PCC layers add MLPs pcc.hidden wide
+    with config_errors(f"pcc.hidden = {','.join(map(str, hidden))}: "):
+        nn.check_stack(specs, task, types=variants["pcc"])
     sub_pitch, sub_disp = cfg.probe_settings()
     # the probe finds whether the displacement crosses a cell boundary for every point
     with config_errors(f"subvoxel.pitch = {sub_pitch:g}, subvoxel.displacement = {sub_disp:g}: "):
         sub = baselines.subvoxel_discrimination(sub_pitch, sub_disp, seed)
     train_set, test_set = data()
 
-    variants = {
-        "deformable": nn.LAYER_TYPES,
-        "pcc": baselines.pcc_types(hidden),
-        "voxel": baselines.voxel_types(pitch),
-    }
     runs = [(types, DetRng(seed).spawn(1 + i), DetRng(seed).spawn(10 + i))
             for i, types in enumerate(variants.values())]
     fits = _fit(task, specs, opt, train_set, test_set, runs, args.threads)

@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import conv, spatial
+from . import conv
 from .conv import ConvLayerSpec, DeformableFilter, SeparableFilter
 from .pointcloud import CLASSIFICATION, SEGMENTATION, Dataset, PointCloud
-from .rng import DetRng, reservations
+from .rng import DetRng
 from .spatial import NeighborTable, build_index, cell_order, radius_neighbors
 
 
@@ -317,19 +317,25 @@ _MAX_VALUES = np.iinfo(np.intp).max // 8
 
 def check_stack(specs: list[dict], task: str | None, channels: int | None = None,
                 classes: int | None = None, types: dict[str, LayerType] = LAYER_TYPES,
-                error: Callable[[str], Exception] = ValueError) -> None:
+                error: Callable[[str], Exception] = ValueError) -> int | None:
     """The one rule for a stack's shape, on its layer specs: a known
     ``task`` (None: not checked, nor the pools); parameters (of the layers
     ``types`` builds) that fit one float64 array; each ``in`` equal to
     the width before it, which a skip layer widens by its ``in``, and
     before the first to ``channels`` when given; the emitted width equal
-    to ``classes`` when given; one pool layer in a classification stack,
-    none in a segmentation one. A fault raises ``error(message)``, which
-    names the keys at fault (``layer.i.*``, ``task``) as configs do."""
+    to ``classes`` when given; no conv layer after a pool, which leaves
+    one row to search; one pool layer in a classification stack, none in
+    a segmentation one. A fault raises ``error(message)``, which names
+    the keys at fault (``layer.i.*``, ``task``) as configs do. Returns
+    the emitted width (None: not set by a layer or ``channels``)."""
     if task is not None and task not in (CLASSIFICATION, SEGMENTATION):
         raise error(f"unknown task {task!r}")
     width, source, values = channels, "the dataset", 0
+    pools = [i for i, spec in enumerate(specs) if spec["type"] == "pool"]
     for i, spec in enumerate(specs):
+        if pools and pools[0] < i and "cap" in spec:
+            raise error(f"layer.{i}.type = {spec['type']} comes after layer.{pools[0]}.type = "
+                        "pool, which leaves one row to search")
         try:
             values += spec_param_count([spec], types)
         except OverflowError:  # an init scale of a width past float range
@@ -346,18 +352,19 @@ def check_stack(specs: list[dict], task: str | None, channels: int | None = None
         source = f"layer.{i}.in + layer.{i}.out" if skip else f"layer.{i}.out"
     if classes is not None and width != classes:
         raise error(f"{source} gives {width} channels, but the dataset has {classes} classes")
-    pools = [f"layer.{i}.type = pool" for i, spec in enumerate(specs) if spec["type"] == "pool"]
     want = int(task == CLASSIFICATION)
     if task is not None and len(pools) != want:
-        raise error(f"task = {task} needs {['no', 'exactly one'][want]} pool layer, "
-                    f"got {', '.join(pools) or 'none'}")
+        got = ", ".join(f"layer.{i}.type = pool" for i in pools) or "none"
+        raise error(f"task = {task} needs {['no', 'exactly one'][want]} pool layer, got {got}")
+    return width
 
 
 class LayerStack:
     """Ordered layers mapping a cloud's features to logits, built from
     layer-spec dicts, each by the record ``types`` holds for its type.
     The specs, kept as ``specs``, are the one description of the stack's
-    shape, checked (check_stack) before any layer is built. Parameters
+    shape, checked (check_stack) before any layer is built; ``width`` is
+    the width it emits, None for relu and pool layers alone. Parameters
     come either from a seeded init (``rng``: one normal draw per array
     that does not start at zeros, in storage order) or from a flat
     float64 vector (``flat``, e.g. a checkpoint payload); exactly one
@@ -372,17 +379,15 @@ class LayerStack:
 
     def __init__(self, specs: list[dict], task: str, rng: DetRng | None = None,
                  flat: np.ndarray | None = None, types: dict[str, LayerType] = LAYER_TYPES):
-        check_stack(specs, task, types=types)
+        self.width = check_stack(specs, task, types=types)
         if (rng is None) == (flat is None):
             raise ValueError("pass exactly one of rng or flat")
         if flat is not None and flat.shape[0] != (need := spec_param_count(specs, types)):
             raise ValueError(f"parameter vector holds {flat.shape[0]} values, specs need {need}")
         arrays = [_layer_type(spec, types).arrays(spec) for spec in specs]
         if rng is not None:
-            # the init's draws, in blocks of whole arrays within the block budget
-            ahead = iter(reservations([2 * math.prod(shape) * (std is not None)
-                                       for layer in arrays for shape, std in layer],
-                                      spatial._BLOCK_VALUES))
+            rng.reserve(sum(2 * math.prod(shape) for layer in arrays
+                            for shape, std in layer if std is not None))
         cursor = 0
         self.layers: list[Layer] = []
         for spec, layer_arrays in zip(specs, arrays):
@@ -392,7 +397,6 @@ class LayerStack:
                 if flat is not None:
                     part, cursor = flat[cursor : cursor + size], cursor + size
                 else:
-                    rng.reserve(next(ahead))
                     part = np.zeros(size) if std is None else rng.normals(size, 0.0, std)
                 params.append(part.reshape(shape))
             layer = _layer_type(spec, types).build(spec, params)
@@ -655,9 +659,10 @@ def train_stack(
     trailing partial batch), then score the epoch. A non-finite loss,
     gradient or updated parameter raises FloatingPointError naming the
     epoch, the Adam step (counted over the whole run) and the first bad
-    array. Scoring runs on eval_set when given, else on the training
-    set; when stop_accuracy is set, training stops early once the score
-    reaches it.
+    array. A cloud's loss is a mean over its rows in context order, so
+    neither it nor any parameter depends on the order of the points.
+    Scoring runs on eval_set when given, else on the training set; when
+    stop_accuracy is set, training stops early once the score reaches it.
     """
     if len(train_set) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -673,6 +678,7 @@ def train_stack(
         [LayerContext(c, threads) for c in eval_set.clouds] if eval_set else None
     )
     logs: list[EpochLog] = []
+    per_point = train_set.task == SEGMENTATION
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(train_set))
         losses = []
@@ -681,12 +687,14 @@ def train_stack(
         for pos in order:
             cloud = train_set.clouds[int(pos)]
             ctx = contexts[int(pos)]
-            logits = stack.forward(cloud, ctx)
-            loss, grad = cross_entropy(logits, _targets(cloud, train_set.task))
+            logits, targets = stack.forward(cloud, ctx), _targets(cloud, train_set.task)
+            if per_point:  # the loss's mean runs over the rows in context order
+                logits, targets = ctx.rows(logits), ctx.rows(targets)
+            loss, grad = cross_entropy(logits, targets)
             if not np.isfinite(loss):
                 raise _diverged(epoch, state.step + 1, "non-finite loss")
             losses.append(loss)
-            stack.backward(grad, ctx, input_grad=False)
+            stack.backward(ctx.restore(grad) if per_point else grad, ctx, input_grad=False)
             pending += 1
             if pending == batch_size:
                 _checked_adam_step(state, stack, epoch)

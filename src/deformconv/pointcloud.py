@@ -14,9 +14,8 @@ from itertools import chain
 
 import numpy as np
 
-from . import spatial
 from .atomic import atomic_open
-from .rng import DetRng, reservations
+from .rng import DetRng
 
 CLASSIFICATION = "classification"
 SEGMENTATION = "segmentation"
@@ -329,13 +328,10 @@ def synth_dataset(
 
     rng = DetRng(seed)
     shapes = [i % 4 for i in range(n_clouds)]  # a shapes4 cloud's class
-    # blocks of whole clouds are drawn at once, within the block budget
-    ahead = reservations(
-        [_cloud_draws(kind, shape, points_per_cloud, noise_sigma > 0) for shape in shapes],
-        spatial._BLOCK_VALUES)
+    rng.reserve(sum(_cloud_draws(kind, shape, points_per_cloud, noise_sigma > 0)
+                    for shape in shapes))
     clouds = []
-    for shape, draws in zip(shapes, ahead):
-        rng.reserve(draws)
+    for shape in shapes:
         if kind == "shapes4":
             pts = _shape_points(rng, shape, points_per_cloud)
             labels = np.full(points_per_cloud, shape, dtype=np.int64)

@@ -25,10 +25,11 @@ start states are S steps apart, and numpy steps all lanes at once with
 wrapping uint64 arithmetic.
 
 A block has a fixed cost of about S lane steps and one jump per lane,
-so a caller that knows how many draws it is about to make can take them
-as one block (``DetRng.reserve``), which the samplers and ``next_u64``
-then consume in stream order. Reserving more or fewer draws than are
-used changes only the speed, never an output.
+so a caller that knows how many draws it will make promises them once
+(``DetRng.reserve``). A sampler call that runs its block dry then draws
+ahead the promise left, within the block budget ``spatial._BLOCK_VALUES``,
+for the next calls to consume in stream order. Promising more or fewer
+draws than are used changes only the speed, never an output.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import functools
 import math
 
 import numpy as np
+
+from . import spatial
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -133,25 +136,6 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return r * np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
 
 
-def reservations(counts: list[int], budget: int) -> list[int]:
-    """What to ``reserve`` before each of a sequence of units that draw
-    ``counts[i]`` outputs each: at the first unit of a run of whole
-    consecutive units, the run's draws, and 0 elsewhere. A run holds at
-    most ``budget`` draws; a unit past the budget alone reserves nothing
-    and leaves each of its sampler calls to draw its own block."""
-    out = [0] * len(counts)
-    first = total = 0
-    for i, n in enumerate(counts):
-        if total + n > budget:
-            first, total = i, 0
-        if n > budget:
-            first = i + 1
-            continue
-        total += n
-        out[first] = total
-    return out
-
-
 def _count(sampler: str, n: int) -> int:
     if n < 0:
         raise ValueError(f"{sampler}(): n must be >= 0, got {n}")
@@ -171,9 +155,10 @@ class DetRng:
         if not any(state):
             # the all-zero state is a fixed point of the generator
             state[0] = 1
-        self._s = state  # the state after the reserved block
-        self._block = _NO_DRAWS  # reserved outputs; the next one at _at
+        self._s = state  # the state after the drawn block
+        self._block = _NO_DRAWS  # drawn outputs; the next one at _at
         self._at = 0
+        self._promised = 0  # outputs promised, counted from the next one
 
     def spawn(self, tag: int) -> "DetRng":
         """Independent substream keyed by ``tag``.
@@ -186,34 +171,34 @@ class DetRng:
         return DetRng(child)
 
     def next_u64(self) -> int:
-        """The next output, taken from the reserved block, or else from a
-        block of one draw."""
+        """The next output, from the drawn block or else a new one."""
         return int(self._draws(1)[0])
 
     def reserve(self, n: int) -> None:
-        """Draw the next n outputs now, as one block; the samplers and
-        ``next_u64`` take them in stream order before drawing more. A
-        block of n draws holds no array of more than n values (rounded up
-        to a whole lane spacing)."""
-        left = self._block[self._at :]
-        if _count("reserve", n) > left.size:
-            more = self._block_draws(n - left.size)
-            self._block, self._at = (np.concatenate([left, more]) if left.size else more), 0
+        """Promise that the next n outputs will be drawn; nothing is
+        drawn now. A block holds at most ``spatial._BLOCK_VALUES`` draws,
+        unless one sampler call needs more."""
+        self._promised = max(self._promised, _count("reserve", n))
 
     def _draws(self, n: int) -> np.ndarray:
-        """The next n outputs as a uint64 array: the rest of the reserved
-        block first, then a block drawn for the remainder."""
+        """The next n outputs as a uint64 array: the rest of the drawn
+        block, then a new block of the remainder and the promise left."""
         head = self._block[self._at : self._at + n]
-        self._at += head.size
+        need = n - head.size
+        if need:
+            ahead = min(self._promised - head.size, spatial._BLOCK_VALUES)
+            block = self._block_draws(max(need, ahead))
+            self._block, self._at = block, need
+            head = np.concatenate([head, block[:need]]) if head.size else block[:need]
+        else:
+            self._at += n
         if self._at == self._block.size:
             self._block, self._at = _NO_DRAWS, 0
-        if head.size == n:
-            return head
-        rest = self._block_draws(n - head.size)
-        return np.concatenate([head, rest]) if head.size else rest
+        self._promised = max(self._promised - n, 0)
+        return head
 
     def _block_draws(self, n: int) -> np.ndarray:
-        """The n outputs after the reserved block as a uint64 array; the
+        """The n outputs after the drawn block as a uint64 array; the
         state is left n steps further on.
 
         Output l*S + t is step t of lane l, which starts from the current

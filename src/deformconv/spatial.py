@@ -8,11 +8,11 @@ the same arithmetic and order pairs with one function,
 equality, not a tolerance.
 
 A search whose (queries, points) distances fit one block of the block
-budget ``_BLOCK_VALUES`` (which also bounds the kernel-map build and the
-conv passes) takes the one-block path, ``_all_pairs``: it forms the whole
-matrix, partitions each row at its cap-th smallest distance, and orders
-only the pairs at most that far and within r, which one mask over the
-flattened matrix selects.
+budget ``_BLOCK_VALUES`` (which also bounds the kernel-map build, the
+conv passes and DetRng's blocks) takes the one-block path,
+``_all_pairs``: it forms the whole matrix, partitions each row at its
+cap-th smallest distance, and orders only the pairs at most that far
+and within r, which one mask over the flattened matrix selects.
 
 Every other search takes the grid path. It needs cells at least as wide
 as the search radius, so each query's window floor((q - r) / cell_size)
@@ -51,8 +51,9 @@ import numpy as np
 _CELL_LIMIT = 2.0 ** 62  # cell coordinates stay below it in magnitude
 
 # The block budget: the values (8-byte ints or floats) one temporary array
-# of the search, the kernel-map build or a conv pass may hold per block of
-# work, 2^17 values or 1 MB. Fixed, so outputs never depend on a setting.
+# of the search, the kernel-map build, a conv pass or a DetRng block may
+# hold per block of work, 2^17 values or 1 MB. Fixed, so outputs never
+# depend on a setting.
 _BLOCK_VALUES = 1 << 17
 
 

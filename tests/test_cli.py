@@ -286,7 +286,8 @@ class TestCheckpoint:
          "stack does not build: radius 0.1 smaller than filter support"),
         ((b"task = segmentation", b"task = classification"),
          "stack does not build: task = classification needs exactly one pool layer, got none"),
-    ], ids=["r-below-support", "no-pool"])
+        ((b"classes = 2", b"classes = 3"), "classes = 3, but the stack emits 2 channels"),
+    ], ids=["r-below-support", "no-pool", "classes-3"])
     def test_unbuildable_checkpoint_is_rejected(self, tmp_path, edit, frag):
         # the header round-trips and the parameter count is unchanged
         _assert_edit_rejected(tmp_path, edit, frag)
@@ -301,7 +302,13 @@ class TestCheckpoint:
          "header line 5 is .* a=0.20000000000000001 cap=8 .*, saving writes .*,0.2"),
         (dict(layer_specs=[*_specs()[:2], {"type": "linear", "in": 4, "skip": 0}]),
          "layer.2.out: missing required field"),
-    ], ids=["r-below-support", "no-pool", "a-scalar", "field-missing"])
+        # a pool leaves one row, which no conv layer after it can search
+        (dict(task="classification",
+              layer_specs=[_specs()[0], {"type": "pool"}, {**_specs()[0], "in": 4, "out": 2}]),
+         "layer.2.type = deformable comes after layer.1.type = pool"),
+        (dict(num_classes=3), "classes = 3, but the stack emits 2 channels"),
+    ], ids=["r-below-support", "no-pool", "a-scalar", "field-missing", "conv-after-pool",
+            "classes-3"])
     def test_save_refuses_what_would_not_load(self, tmp_path, change, frag):
         bad = dataclasses.replace(_checkpoint(), **change)
         p = tmp_path / "x.dfc"
@@ -604,10 +611,10 @@ def import_filters(path):
 
 class TestPointOrder:
     def test_permuted_data_dir_trains_to_the_same_checkpoint(self, tmp_path):
-        """A stack runs each cloud in its context's cell order, so a data
-        dir whose .xyz files list their points in another order trains to
-        the same checkpoint bytes. The log is not compared: its loss is a
-        mean over the rows in the cloud's order."""
+        """A stack runs each cloud in its context's cell order, and the
+        loss is a mean over the rows in that order, so a data dir whose
+        .xyz files list their points in another order trains to the same
+        checkpoint and log bytes."""
         data, moved = tmp_path / "data", tmp_path / "moved"
 
         def config(name, data_dir):
@@ -658,8 +665,8 @@ opt.batch = 2
             assert (moved / path.name).read_bytes() != path.read_bytes()
         for name, data_dir in (("a", data), ("b", moved)):
             assert cli.main(["train", "--config", config(name, data_dir)]) == 0
-        assert (tmp_path / "a" / "checkpoint.dfc").read_bytes() == \
-            (tmp_path / "b" / "checkpoint.dfc").read_bytes()
+        for name in ("checkpoint.dfc", "train_log.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestEvalAndExport:
@@ -1062,13 +1069,14 @@ class TestExitCodes:
 
     def _eval_config(self, tmp_path, field, width) -> str:
         """An eval config on 2-channel, 2-class two-surfaces-seg data, of a
-        2-class checkpoint (wide.dfc) of _specs() with its first layer's
-        ``in`` or its last layer's ``out`` set to ``width``."""
+        checkpoint (wide.dfc) of _specs() with its first layer's ``in`` or
+        its last layer's ``out`` set to ``width``, and a ``classes`` header
+        of the width its stack emits."""
         specs = _specs()
         specs[0 if field == "in" else -1][field] = width
         stack = nn.build_stack(specs, "segmentation", rng=DetRng(3))
         ckpt = tmp_path / "wide.dfc"
-        save_checkpoint(Checkpoint(task="segmentation", seed=3, num_classes=2,
+        save_checkpoint(Checkpoint(task="segmentation", seed=3, num_classes=specs[-1]["out"],
                                    layer_specs=specs, params=nn.flatten_params(stack)),
                         ckpt)
         return _write(tmp_path / "eval.cfg", f"""
@@ -1405,7 +1413,7 @@ _BAD = {
     "bench.sizes": ["x", "", "10:4", "10:4:x", "0:4:3", "10:0:3", "10:4:2", "10x4x3",
                     "10:4:3,20:4:3"],
     "bench.reps": ["x", "4"],
-    "pcc.hidden": ["x", "0", "8,,8", "8,"],
+    "pcc.hidden": ["x", "0", "8,,8", "8,", "8,1000000000000000000000000000000"],
     "voxel.pitch": ["x", "0", "-1", "nan"],
     "subvoxel.pitch": ["x", "0", "inf", ("0.01", "subvoxel.displacement")],
     "subvoxel.displacement": ["x", "-0.1", "nan", ("0.3", "subvoxel.pitch")],
@@ -1435,6 +1443,11 @@ def _fault_cases():
                        id="train-classification-without-pool")
     yield pytest.param("train", {"layer.0.skip": "1"}, ["layer.2.in", "layer.0.in", "layer.0.out"],
                        id="train-skip-widens-layer-0")
+    for command in ("train", "compare-baselines"):
+        yield pytest.param(command, {"task": "classification", "layer.1.type": "pool",
+                                     "layer.2.type": "deformable", "layer.2.k": "3",
+                                     "layer.2.a": "0.2", "layer.2.cap": "8"},
+                           ["layer.2.type", "layer.1.type"], id=f"{command}-conv-after-pool")
 
 
 class TestConfigFaults:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deformconv import nn, pointcloud, spatial
-from deformconv.rng import DetRng, reservations
+from deformconv.rng import DetRng
 from conftest import run_python
 
 # Frozen outputs for seed 42.  These pin the generator algorithm itself:
@@ -264,13 +264,16 @@ def test_reserve_rejects_a_negative_count():
         DetRng(1).reserve(-1)
 
 
-def test_a_block_past_one_array_fails_at_once():
+def test_a_huge_promise_draws_nothing_by_itself():
     # run apart, so that a block that jumps its lanes first fails the test, not hangs it;
-    # a refused block leaves the stream where it was
+    # a promise draws nothing, and a refused block leaves the stream where it was
     proc = run_python(["-c", """
 from deformconv.rng import DetRng
 rng = DetRng(3)
-for draw in (rng.reserve, rng.uniforms, rng.normals):
+for n in (10**30, 2**62):
+    rng.reserve(n)
+    print(rng._block.size, end=" ")
+for draw in (rng.uniforms, rng.normals):
     for n in (10**30, 2**62):
         try:
             draw(n)
@@ -280,53 +283,44 @@ for draw in (rng.reserve, rng.uniforms, rng.normals):
 print(rng.next_u64() == DetRng(3).next_u64())
 """], timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"
-
-
-@pytest.mark.parametrize("counts, budget, expected", [
-    ([], 10, []),
-    ([3, 3, 3], 7, [6, 0, 3]),
-    ([3, 3, 3], 9, [9, 0, 0]),
-    ([0, 4, 0, 4], 4, [4, 0, 0, 4]),
-    # a unit past the budget reserves nothing, and starts no run
-    ([2, 10, 2, 2], 5, [2, 0, 4, 0]),
-    ([10, 10], 5, [0, 0]),
-])
-def test_reservations_are_runs_of_whole_units(counts, budget, expected):
-    assert reservations(counts, budget) == expected
+    assert proc.stdout == "0 0 True\n"
 
 
 class _DrawSpy:
-    """Records each block DetRng draws, whether a reservation drew it,
-    and whether every reservation found the previous one used up."""
+    """Records each block DetRng draws with the count of the sampler call
+    that drew it, and each promise with the draws made after it."""
 
     def __init__(self, monkeypatch):
-        self.blocks, self.leftovers, self.rngs = [], [], []
-        self._in_reserve = False
-        block_draws, reserve = DetRng._block_draws, DetRng.reserve
+        self.blocks, self.promises = [], []  # (size, call's n); [rng, promised, drawn]
+        self._call = None
+        block_draws, draws, reserve = DetRng._block_draws, DetRng._draws, DetRng.reserve
 
         def spy_block_draws(rng, n):
-            self.blocks.append((n, self._in_reserve))
+            self.blocks.append((n, self._call))
             return block_draws(rng, n)
 
+        def spy_draws(rng, n):
+            self._call = n
+            for promise in self.promises:
+                promise[2] += n * (promise[0] is rng)
+            return draws(rng, n)
+
         def spy_reserve(rng, n):
-            if n:
-                self.leftovers.append(rng._block.size - rng._at)
-                self.rngs.append(rng)
-            self._in_reserve = True
-            try:
-                reserve(rng, n)
-            finally:
-                self._in_reserve = False
+            self.promises.append([rng, n, 0])
+            reserve(rng, n)
 
         monkeypatch.setattr(DetRng, "_block_draws", spy_block_draws)
+        monkeypatch.setattr(DetRng, "_draws", spy_draws)
         monkeypatch.setattr(DetRng, "reserve", spy_reserve)
 
     def check_exact(self):
-        """Every draw came from a reservation, and each was used up."""
-        assert self.blocks and all(reserved for _, reserved in self.blocks)
-        assert not any(self.leftovers)
-        assert all(rng._block.size == rng._at for rng in self.rngs)
+        """One promise, of exactly the draws made after it, with nothing
+        promised or left in a block afterwards, and no block past the
+        budget unless one sampler call asked for more."""
+        [(rng, promised, drawn)] = self.promises
+        assert promised == drawn > 0
+        assert rng._promised == 0 and rng._block.size == rng._at == 0
+        assert all(size <= max(call, spatial._BLOCK_VALUES) for size, call in self.blocks)
 
 
 @pytest.mark.parametrize("args", [
@@ -335,17 +329,15 @@ class _DrawSpy:
     ("two-surfaces-seg", 5, 9, 0.0, 3),
     ("two-surfaces-seg", 56, 256, 0.01, 7),
 ])
-def test_synthesis_reserves_exactly_its_draws(monkeypatch, args):
+def test_synthesis_promises_exactly_its_draws(monkeypatch, args):
     spy = _DrawSpy(monkeypatch)
     pointcloud.synth_dataset(*args)
     spy.check_exact()
-    # whole clouds per block, and no block past the budget
-    assert max(n for n, _ in spy.blocks) <= spatial._BLOCK_VALUES
     if args[1] == 56:
         assert len(spy.blocks) == 2
 
 
-def test_init_reserves_exactly_its_draws(monkeypatch):
+def test_init_promises_exactly_its_draws(monkeypatch):
     specs = [
         {"type": "deformable", "in": 2, "out": 8, "k": 7,
          "a": [0.2] * 3, "r": None, "cap": 16, "skip": 0},
@@ -360,14 +352,17 @@ def test_init_reserves_exactly_its_draws(monkeypatch):
     assert len(spy.blocks) == 1
 
 
-def test_draws_past_the_budget_are_not_reserved(monkeypatch):
-    """A cloud past the block budget draws per sampler call, as without
-    reservations; smaller ones are still reserved whole."""
-    monkeypatch.setattr(spatial, "_BLOCK_VALUES", 1000)
+@pytest.mark.parametrize("budget, blocks", [
+    # sphere, cube, plane, torus and sphere clouds: 120, 60, 40, 40, 120 draws
+    (1000, [380]),
+    # a sphere's one normals call of 120 draws goes past a budget of 100 or
+    # 50; at 50 the last sphere takes the 10 draws left in a block, draws 110
+    (100, [120, 100, 100, 60]),
+    (50, [120, 50, 50, 50, 110]),
+])
+def test_blocks_keep_to_the_budget_unless_one_call_needs_more(monkeypatch, budget, blocks):
+    monkeypatch.setattr(spatial, "_BLOCK_VALUES", budget)
     spy = _DrawSpy(monkeypatch)
-    # sphere clouds: 6 draws a point, so 200 points need 1,200 draws
-    pointcloud.synth_dataset("shapes4", 1, 200, 0.0, 3)
-    assert spy.blocks == [(1200, False)]
-    spy.blocks.clear()
-    pointcloud.synth_dataset("shapes4", 5, 20, 0.0, 3)  # 120, 60, 40, 40, 120
-    assert spy.blocks == [(380, True)]
+    pointcloud.synth_dataset("shapes4", 5, 20, 0.0, 3)
+    spy.check_exact()
+    assert [size for size, _ in spy.blocks] == blocks
